@@ -26,8 +26,23 @@ systems hold in floating point, not just analytically.  Each element carries
 a Cholesky factor of its Raviart-Thomas mass matrix; patch problems are
 solved in the whitened coordinates z = L^T q, where the squared L2 norm is
 the plain Euclidean norm and corrections from different patches add
-linearly.  Patches with the same shape signature are solved together with
-batched SVDs.
+linearly.  Each patch system is solved for its minimal-norm solution by
+semi-normal equations on the row Gram matrix (batched LU) with residual
+refinement sweeps.
+
+Patches are grouped by their sizes (elements, interior spokes, constrained
+rim edges) and batched within a group.  Within a group, patches that are
+exact copies of one another up to translation and a power-of-two scale
+form a class: their elements match position by position in an exact shape
+key (the bit patterns of the scaled edge vectors, and which end of each
+edge has the lower global id), and their slots, rim constraints and spoke
+connections agree.  The whitened blocks are invariant under translation
+and scaling, so such patches share one constraint matrix up to round-off.
+Each class of two or more patches assembles its first patch once, forms
+the min-norm operator from it and solves every member with one matrix
+product on its own right-hand sides; the same residual check and sweeps
+apply.  Patches alone in their class take the batched LU path, as do all
+patches of a mesh in which no element shape repeats.
 """
 
 from __future__ import annotations
@@ -51,7 +66,9 @@ from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 
 _CHUNK = 2048
-_SOLVE_BYTES = 8e6  # patch-matrix bytes per solver batch; cache-sized chunks win
+# patch-matrix bytes per solver batch, and per batch of class representatives
+# assembled at once; cache-sized chunks win
+_SOLVE_BYTES = 8e6
 _RCOND = 1e-12
 
 
@@ -113,10 +130,6 @@ def _phys_points(mesh: Mesh, ref_pts: np.ndarray, elements=None) -> np.ndarray:
     return p[:, None, 0, :] + np.einsum("tcd,qd->tqc", J, ref_pts)
 
 
-def _centres(mesh: Mesh) -> np.ndarray:
-    return mesh.centroids
-
-
 @dataclass(frozen=True)
 class FluxField:
     """A piecewise polynomial vector field in the local flux basis.
@@ -139,7 +152,7 @@ class FluxField:
     def _xhat(self, ref_pts, elements):
         X = _phys_points(self.mesh, ref_pts, elements)
         els = slice(None) if elements is None else elements
-        c = _centres(self.mesh)[els]
+        c = self.mesh.centroids[els]
         h = self.mesh.diameters[els]
         return (X - c[:, None, :]) / h[:, None, None], X
 
@@ -207,7 +220,7 @@ def gradient_flux(u_h: ScalarField) -> FluxField:
     rule = space.rule_main
     exps = monomial_exponents(k)
     n_p = len(exps)
-    c = _centres(mesh)
+    c = mesh.centroids
     h = mesh.diameters
     nt = mesh.n_triangles
     coeffs = np.zeros((nt, rt_dim(k)))
@@ -247,7 +260,7 @@ def _compute_blocks(u_h: ScalarField, f, els: np.ndarray):
     Dref = rt_divergence_matrix(k)
     tris = mesh.triangles[els]
     areas = mesh.areas[els]
-    c = _centres(mesh)[els]
+    c = mesh.centroids[els]
     h = mesh.diameters[els]
     w = rule.weights
 
@@ -324,7 +337,7 @@ def _edge_rhs(u_h: ScalarField):
 
 
 def _patch_tables(mesh: Mesh):
-    """Flat per-vertex tables: elements, interior spokes, trace counts."""
+    """Flat per-vertex tables: interior spokes and trace counts."""
     ptr, ind, slot = mesh._vertex_triangles
     eptr, eind = mesh._vertex_edges
     bed = mesh.boundary_edge
@@ -341,59 +354,157 @@ def _patch_tables(mesh: Mesh):
     imposed = ~bed[rim]
     vt = np.repeat(np.arange(nv), np.diff(ptr))
     tcnt = np.bincount(vt, weights=imposed, minlength=nv).astype(np.int64)
-    return ptr, ind, slot, sptr, sind, tcnt, scnt
+    return sptr, sind, tcnt, scnt
 
 
-def _assemble_patches(vs, mg, sg, tg, mesh, blocks, Jr, n_p, K1, N):
-    """Constraint systems for patches vs, all sharing one shape signature."""
-    P = vs.size
+def _element_classes(mesh: Mesh) -> np.ndarray:
+    """Exact shape class id of every element.
+
+    Two elements share an id only if their edge vectors p1 - p0, p2 - p0,
+    in local vertex order and scaled by a power of two (an exact scaling),
+    agree bit for bit, and the lower global id sits at the same end of each
+    local edge, which fixes the edge parameter of the trace blocks.  The
+    whitened blocks Dt and Trt of such elements then agree up to the
+    round-off of their translation.
+    """
+    t = mesh.triangles
+    p = mesh.points[t]
+    e = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=1)
+    _, ex = np.frexp(np.abs(e).max(axis=1))
+    e = np.ldexp(e, -ex[:, None])
+    lower = t[:, [2, 0, 1]] < t[:, [1, 2, 0]]  # local edge le runs le+1 -> le+2
+    key = np.column_stack([e.view(np.int64), lower @ np.array([1, 2, 4])])
+    return _row_classes(key)[1]
+
+
+def _row_classes(key):
+    """First row, class and class size of each distinct row of an integer
+    array, rows compared as raw bytes (faster than np.unique on axis 0)."""
+    key = np.ascontiguousarray(key, dtype=np.int64)
+    rows = key.view(np.dtype((np.void, 8 * key.shape[1]))).ravel()
+    _, first, cls, counts = np.unique(rows, return_index=True,
+                                      return_inverse=True, return_counts=True)
+    return first, cls, counts
+
+
+def _patch_layout(vs, mg, sg, mesh, sptr, sind):
+    """Index tables of the patches vs, which share the sizes (mg, sg).
+
+    els, slots (P, mg): the elements in triangle-id order and the slot of
+    the patch vertex in each; imposed (P, mg): whether the rim edge carries
+    a zero-trace constraint; spokes (P, sg): the interior edges through the
+    vertex in edge-id order; pos, le (P, sg, 2): the patch position and the
+    local edge of each spoke on its two sides.
+    """
     ptr, ind, slotv = mesh._vertex_triangles
-    R = mg * n_p + (sg + tg) * K1
-    C = mg * N
-    A = np.zeros((P, R, C))
-    bb = np.zeros((P, R))
     take = ptr[vs][:, None] + np.arange(mg)[None, :]
-    els = ind[take]
-    slots = slotv[take]
-    Dt, Trt, rdiv = blocks["Dt"], blocks["Trt"], blocks["rdiv"]
+    els, slots = ind[take], slotv[take]
+    imposed = ~mesh.boundary_edge[mesh.edge_of_triangle[els, slots]]
+    spokes = sind[sptr[vs][:, None] + np.arange(sg)[None, :]]
+    sides = mesh.edge_triangles[spokes]
+    pos = (els[:, None, None, :] < sides[..., None]).sum(axis=3)
+    return els, slots, imposed, spokes, pos, mesh.edge_local[spokes]
+
+
+def _take(layout, sel):
+    return tuple(a[sel] for a in layout)
+
+
+def _patch_classes(layout, ecls):
+    """Exact class of each patch in one (m, s, t) group.
+
+    Patches share a class when, position by position, their elements share
+    an exact shape class, the patch vertex sits in the same slot and the
+    rim edge is constrained alike, and their spokes join the same positions
+    through the same local edges.  Their constraint matrices then agree up
+    to round-off.  Returns the first patch of each class, the class of each
+    patch and the class sizes.
+    """
+    els, slots, imposed, spokes, pos, le = layout
+    P = els.shape[0]
+    key = np.concatenate([ecls[els], slots, imposed, pos.reshape(P, -1),
+                          le.reshape(P, -1)], axis=1)
+    return _row_classes(key)
+
+
+def _assemble_patches(layout, tg, blocks, n_p, K1, N):
+    """Whitened constraint matrices of patches sharing one (m, s, t) group."""
+    els, slots, imposed, spokes, pos, le = layout
+    P, mg = els.shape
+    sg = spokes.shape[1]
+    A = np.zeros((P, mg * n_p + (sg + tg) * K1, mg * N))
+    Dt, Trt = blocks["Dt"], blocks["Trt"]
 
     for j in range(mg):
         A[:, j * n_p:(j + 1) * n_p, j * N:(j + 1) * N] = Dt[els[:, j]]
-        bb[:, j * n_p:(j + 1) * n_p] = rdiv[els[:, j], slots[:, j]]
 
     row0 = mg * n_p
-    spokes = None
-    if sg:
-        sptr, sind = blocks["sptr"], blocks["sind"]
-        spokes = sind[sptr[vs][:, None] + np.arange(sg)[None, :]]
-        var = (mesh.edges[spokes, 0] != vs[:, None]).astype(np.int64)
-        bb[:, row0:row0 + sg * K1] = Jr[spokes, var].reshape(P, sg * K1)
-        pidx = np.arange(P)[:, None, None]
-        ncols = np.arange(N)[None, None, :]
-        for sidx in range(sg):
-            rows = (row0 + sidx * K1 + np.arange(K1))[None, :, None]
-            for side in (0, 1):
-                t = mesh.edge_triangles[spokes[:, sidx], side]
-                le = mesh.edge_local[spokes[:, sidx], side]
-                pos = (els < t[:, None]).sum(axis=1)
-                cols = pos[:, None, None] * N + ncols
-                A[pidx, rows, cols] = Trt[t, le]
+    pidx = np.arange(P)[:, None, None]
+    ncols = np.arange(N)[None, None, :]
+    for sidx in range(sg):
+        rows = (row0 + sidx * K1 + np.arange(K1))[None, :, None]
+        for side in (0, 1):
+            at = pos[:, sidx, side]
+            t = els[np.arange(P), at]
+            cols = at[:, None, None] * N + ncols
+            A[pidx, rows, cols] = Trt[t, le[:, sidx, side]]
 
     row1 = row0 + sg * K1
     if tg:
-        rim = mesh.edge_of_triangle[els, slots]
-        imp = ~mesh.boundary_edge[rim]
-        rank = np.cumsum(imp, axis=1) - imp
+        rank = np.cumsum(imposed, axis=1) - imposed
         for j in range(mg):
-            selp = np.nonzero(imp[:, j])[0]
+            selp = np.nonzero(imposed[:, j])[0]
             if selp.size == 0:
                 continue
             rows = row1 + rank[selp, j, None] * K1 + np.arange(K1)[None, :]
             cols = (j * N + np.arange(N))[None, None, :]
             A[selp[:, None, None], rows[:, :, None], cols] = \
                 Trt[els[selp, j], slots[selp, j]]
+    return A
 
-    return A, bb, els, spokes
+
+def _patch_rhs(layout, vs, tg, mesh, rdiv, Jr, K1):
+    """Right-hand sides of the patches vs: divergence, jump, trace rows."""
+    els, slots, _, spokes, _, _ = layout
+    P = vs.size
+    var = (mesh.edges[spokes, 0] != vs[:, None]).astype(np.int64)
+    return np.concatenate([rdiv[els, slots].reshape(P, -1),
+                           Jr[spokes, var].reshape(P, -1),
+                           np.zeros((P, tg * K1))], axis=1)
+
+
+def _scale_rows(A):
+    """Scale the rows of a batch A (P, R, C) to unit norm, in place; return
+    A and the row norms."""
+    D = np.sqrt(np.einsum("prc,prc->pr", A, A))
+    np.maximum(D, 1e-300, out=D)
+    A /= D[:, :, None]
+    return A, D
+
+
+def _refine(bs, D, lo, apply, correct):
+    """Minimal-norm solutions of scaled systems, refined to round-off.
+
+    bs holds the scaled right-hand sides, one row per patch; apply(sel, z)
+    multiplies the scaled matrices of patches sel with z, and
+    correct(sel, r) maps residuals of the solved rows lo: to the row-space
+    correction.  Returns the solutions and the unscaled row residuals.
+    """
+    z = correct(slice(None), bs[:, lo:])
+    r = bs - apply(slice(None), z)
+    # refinement targets the solved rows; a dropped row keeps the
+    # round-off defect of the discrete solve, which no flux can remove
+    resid = np.abs(r[:, lo:]).max(axis=1)
+    # scaled rows have unit norm, so ||z|| sets the natural residual scale
+    scale = np.sqrt(np.einsum("pc,pc->p", z, z)) + np.abs(bs).max(axis=1)
+    for _ in range(3):
+        bad = np.nonzero(resid > 1e-14 * scale)[0]
+        if bad.size == 0:
+            break
+        z[bad] += correct(bad, r[bad, lo:])
+        r[bad] = bs[bad] - apply(bad, z[bad])
+        resid[bad] = np.abs(r[bad, lo:]).max(axis=1)
+    return z, np.abs(r * D).max(axis=1)
 
 
 def _minnorm_solve(A, bb, deficient: bool = False):
@@ -411,10 +522,7 @@ def _minnorm_solve(A, bb, deficient: bool = False):
     that a refinement sweep, when one is triggered at all, reaches
     round-off.
     """
-    D = np.sqrt(np.einsum("prc,prc->pr", A, A))
-    np.maximum(D, 1e-300, out=D)
-    As = A / D[:, :, None]
-    bs = bb / D
+    As, D = _scale_rows(A)
     lo = 1 if deficient else 0
     ArT = As[:, lo:, :].transpose(0, 2, 1)
     G = As[:, lo:, :] @ ArT
@@ -423,21 +531,33 @@ def _minnorm_solve(A, bb, deficient: bool = False):
         w = np.linalg.solve(G[sel], rhs[:, :, None])
         return (ArT[sel] @ w)[..., 0]
 
-    z = correct(slice(None), bs[:, lo:])
-    r = bs - (As @ z[:, :, None])[..., 0]
-    # refinement targets the solved rows; a dropped row keeps the
-    # round-off defect of the discrete solve, which no flux can remove
-    resid = np.abs(r[:, lo:]).max(axis=1)
-    # scaled rows have unit norm, so ||z|| sets the natural residual scale
-    scale = np.sqrt(np.einsum("pc,pc->p", z, z)) + np.abs(bs).max(axis=1)
-    for _ in range(3):
-        bad = np.nonzero(resid > 1e-14 * scale)[0]
-        if bad.size == 0:
-            break
-        z[bad] += correct(bad, r[bad, lo:])
-        r[bad] = bs[bad] - (As[bad] @ z[bad, :, None])[..., 0]
-        resid[bad] = np.abs(r[bad, lo:]).max(axis=1)
-    resid = np.abs(r * D).max(axis=1)
+    def apply(sel, z):
+        return (As[sel] @ z[:, :, None])[..., 0]
+
+    return _refine(bb / D, D, lo, apply, correct)
+
+
+def _class_solve(A, bb, sizes, deficient: bool):
+    """Minimal-norm solutions of patches that share their class's matrix.
+
+    A holds one constraint matrix per class, bb the right-hand sides of the
+    members, class by class with the given class sizes.  For a class's
+    scaled matrix As with solved rows Ar = As[lo:], the operator
+    Y = (Ar Ar^T)^-1 Ar, the semi-normal equations of `_minnorm_solve`
+    formed once, maps each scaled right-hand side b to the solution b @ Y.
+    """
+    lo = 1 if deficient else 0
+    As, D = _scale_rows(A)
+    Ar = As[:, lo:, :]
+    Y = np.linalg.solve(Ar @ Ar.transpose(0, 2, 1), Ar)
+    z = np.empty((bb.shape[0], A.shape[2]))
+    resid = np.empty(bb.shape[0])
+    end = np.cumsum(sizes)
+    for c, e in enumerate(end):
+        rows = slice(e - sizes[c], e)
+        z[rows], resid[rows] = _refine(bb[rows] / D[c], D[c], lo,
+                                       lambda _, x: x @ As[c].T,
+                                       lambda _, r: r @ Y[c])
     return z, resid
 
 
@@ -464,6 +584,8 @@ class EquilibratedFlux:
     on element t; the bound |||u - u_h||| <= sqrt(sum eta_delta^2) holds up
     to data oscillation.  eta_star[nu] is the L2 norm of the patch
     contribution of vertex nu, the localised (starwise) estimator.
+    patch_classes counts the class operators built, shared_patches the
+    patches solved with one.
     """
 
     u_h: ScalarField = dc_field(repr=False)
@@ -471,6 +593,8 @@ class EquilibratedFlux:
     eta_delta: np.ndarray = dc_field(repr=False)
     eta_star: np.ndarray = dc_field(repr=False)
     patch_residuals: np.ndarray = dc_field(repr=False)
+    patch_classes: int
+    shared_patches: int
 
     @property
     def mesh(self) -> Mesh:
@@ -516,11 +640,13 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
         blocks["rdiv"][els] = part["rdiv"]
         LiT[els] = part["LiT"]
 
-    ptr, ind, slot, sptr, sind, tcnt, scnt = _patch_tables(mesh)
-    blocks["sptr"], blocks["sind"] = sptr, sind
+    sptr, sind, tcnt, scnt = _patch_tables(mesh)
     Jr = _edge_rhs(u_h)
+    ecls = _element_classes(mesh)
+    # without a repeated element no two patches can share a class
+    keyed = ecls.max() + 1 < nt
 
-    m = np.diff(ptr)
+    m = np.diff(mesh._vertex_triangles[0])
     keys = np.stack([m, scnt, tcnt], axis=1)
     uniq, ginv = np.unique(keys, axis=0, return_inverse=True)
 
@@ -529,26 +655,58 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
     patch_res = np.zeros(nv)
     worst_ratio = 0.0
     worst_vertex = -1
+    n_classes = n_shared = 0
+
+    def accept(vs, els, bb, z, resid):
+        nonlocal worst_ratio, worst_vertex
+        ratio = resid / (1.0 + np.abs(bb).max(axis=1))
+        i = int(np.argmax(ratio))
+        if ratio[i] > worst_ratio:
+            worst_ratio = float(ratio[i])
+            worst_vertex = int(vs[i])
+        patch_res[vs] = resid
+        eta_star[vs] = np.sqrt((z ** 2).sum(axis=1))
+        np.add.at(z_delta, els, z.reshape(els.shape + (N,)))
 
     for g, (mg, sg, tg) in enumerate(uniq):
         members = np.nonzero(ginv == g)[0]
+        layout = _patch_layout(members, mg, sg, mesh, sptr, sind)
         R = mg * n_p + (sg + tg) * K1
         step = max(8, int(_SOLVE_BYTES / (R * mg * N * 8)))
         deficient = bool(sg == mg and tg == mg)
-        for lo in range(0, members.size, step):
-            vs = members[lo:lo + step]
-            A, bb, els, _ = _assemble_patches(vs, mg, sg, tg, mesh, blocks,
-                                              Jr, n_p, K1, N)
-            z, resid = _minnorm_solve(A, bb, deficient)
-            scale = 1.0 + np.abs(bb).max(axis=1)
-            ratio = resid / scale
-            i = int(np.argmax(ratio))
-            if ratio[i] > worst_ratio:
-                worst_ratio = float(ratio[i])
-                worst_vertex = int(vs[i])
-            patch_res[vs] = resid
-            eta_star[vs] = np.sqrt((z ** 2).sum(axis=1))
-            np.add.at(z_delta, els, z.reshape(vs.size, mg, N))
+        single = np.arange(members.size)
+        if keyed:
+            first, cls, counts = _patch_classes(layout, ecls)
+            multi = np.nonzero(counts > 1)[0]
+            shared = counts[cls] > 1
+            single = np.nonzero(~shared)[0]
+            n_classes += multi.size
+            n_shared += members.size - single.size
+        if keyed and multi.size:
+            # members of shared classes, class by class in class-id order
+            sel = np.nonzero(shared)[0]
+            sel = sel[np.argsort(cls[sel], kind="stable")]
+            end = np.cumsum(counts[multi])
+            start = end - counts[multi]
+            for c0 in range(0, multi.size, step):
+                cs = multi[c0:c0 + step]
+                rows = sel[start[c0]:end[c0 + cs.size - 1]]
+                part = _take(layout, rows)
+                bb = _patch_rhs(part, members[rows], tg, mesh,
+                                blocks["rdiv"], Jr, K1)
+                z, resid = _class_solve(
+                    _assemble_patches(_take(layout, first[cs]), tg, blocks,
+                                      n_p, K1, N), bb, counts[cs], deficient)
+                accept(members[rows], part[0], bb, z, resid)
+        for s0 in range(0, single.size, step):
+            sel = single[s0:s0 + step]
+            part = _take(layout, sel)
+            bb = _patch_rhs(part, members[sel], tg, mesh, blocks["rdiv"],
+                            Jr, K1)
+            z, resid = _minnorm_solve(
+                _assemble_patches(part, tg, blocks, n_p, K1, N), bb,
+                deficient)
+            accept(members[sel], part[0], bb, z, resid)
 
     if worst_ratio > rtol:
         raise EquilibrationError(
@@ -558,8 +716,8 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
 
     eta_delta = np.sqrt((z_delta ** 2).sum(axis=1))
     qcoef = np.einsum("tij,tj->ti", LiT, z_delta)
-    return EquilibratedFlux(u_h, FluxField(mesh, k, qcoef),
-                            eta_delta, eta_star, patch_res)
+    return EquilibratedFlux(u_h, FluxField(mesh, k, qcoef), eta_delta,
+                            eta_star, patch_res, n_classes, n_shared)
 
 
 @dataclass(frozen=True)
@@ -662,7 +820,7 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
     k = space.degree
     rule = space.rule_main
     exps = monomial_exponents(k)
-    c = _centres(mesh)
+    c = mesh.centroids
     h = mesh.diameters
     nt = mesh.n_triangles
 

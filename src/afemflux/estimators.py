@@ -110,12 +110,9 @@ def patch_residual_indicators(u_h: ScalarField, f) -> np.ndarray:
              + sum_{interior spokes E} h_E |phi_nu jump|_E^2.
     """
     mesh = u_h.space.mesh
-    nv = mesh.n_vertices
     vol = _volume_residual_sq(u_h, f, weighted=True)  # (nt, 3)
     esq, _ = _edge_jump_sq(u_h, weighted=True)        # (ne, 2)
-    eta_sq = np.zeros(nv)
-    h2vol = mesh.diameters[:, None] ** 2 * vol
-    np.add.at(eta_sq, mesh.triangles.ravel(), h2vol.ravel())
+    eta_sq = _patch_sums(mesh, mesh.diameters[:, None] ** 2 * vol)
     hesq = esq * mesh.edge_lengths[:, None]
     np.add.at(eta_sq, mesh.edges.ravel(), hesq.ravel())
     return np.sqrt(eta_sq)
@@ -163,12 +160,20 @@ def patch_oscillation(u_h_or_space, f, degree: int | None = None) -> np.ndarray:
     """Patchwise oscillation: root sum of squares over each vertex patch."""
     space = u_h_or_space.space if isinstance(u_h_or_space, ScalarField) \
         else u_h_or_space
-    mesh = space.mesh
     osc = oscillation(space, f, degree)
+    return np.sqrt(_patch_sums(space.mesh, osc[:, None] ** 2))
+
+
+def _patch_sums(mesh: Mesh, sq: np.ndarray) -> np.ndarray:
+    """Sum squared element values over each vertex patch.
+
+    sq is (nt, 3), one value per local vertex, or (nt, 1) for a value that
+    every vertex of the element takes.
+    """
     out = np.zeros(mesh.n_vertices)
     np.add.at(out, mesh.triangles.ravel(),
-              np.repeat(osc ** 2, 3))
-    return np.sqrt(out)
+              np.broadcast_to(sq, mesh.triangles.shape).ravel())
+    return out
 
 
 def _patch_counts(mesh: Mesh) -> np.ndarray:
@@ -269,15 +274,16 @@ def estimate(u_h: ScalarField, f,
     """Compute every indicator family for a discrete solution."""
     if flux is None:
         flux = equilibrate(u_h, f)
-    space = u_h.space
+    mesh = u_h.space.mesh
+    osc = oscillation(u_h, f)
     return EstimatorReport(
-        mesh=space.mesh,
+        mesh=mesh,
         eta_delta=flux.eta_delta,
         eta_star=flux.eta_star,
         eta_res=residual_indicators(u_h, f),
         eta_res_star=patch_residual_indicators(u_h, f),
-        osc=oscillation(u_h, f),
-        osc_star=patch_oscillation(u_h, f),
+        osc=osc,
+        osc_star=np.sqrt(_patch_sums(mesh, osc[:, None] ** 2)),
         flux=flux,
     )
 

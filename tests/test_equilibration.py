@@ -6,6 +6,8 @@ finite-difference divergence, jump and trace conditions are sampled
 pointwise, and minimality is verified through null-space orthogonality.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import null_space
@@ -243,6 +245,43 @@ class TestPatchPhysics:
         self.check_patch(corner)
 
 
+def uniform_square():
+    """Crisscross square bisected uniformly: many exactly similar patches."""
+    return bisect(unit_square_crisscross(), np.arange(4), 5)
+
+
+def graded_lshape():
+    return bisect(bisect(lshape(), np.arange(12), 2), [0, 5], 2)
+
+
+def trapezoid():
+    """Three triangles, the outer two translates of each other.  Each
+    outer one alone forms the patch of a domain corner, with the corner at
+    a different local slot, so only the slot tells their patches apart."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, 1.0],
+                    [1.5, 1.0]])
+    return Mesh.from_arrays(pts, np.array([[0, 1, 3], [1, 4, 3], [1, 2, 4]]))
+
+
+def equilibrated(mesh, k):
+    return equilibrate(solve_poisson(FeSpace(mesh, k), f_sine), f_sine)
+
+
+def assert_matches_local_solves(fl):
+    u, mesh = fl.u_h, fl.mesh
+    k = u.space.degree
+    acc = np.zeros_like(fl.q_delta.coeffs)
+    eta = np.empty(mesh.n_vertices)
+    for nu in range(mesh.n_vertices):
+        ps = local_equilibrate(u, f_sine, nu)
+        acc[ps.elements] += ps.coeffs
+        eta[nu] = ps.eta
+    assert np.abs(fl.eta_star - eta).max() < 1e-11
+    assert (FluxField(mesh, k, acc) - fl.q_delta).norm() < 1e-11
+    assert fl.eta_delta_total == pytest.approx(
+        FluxField(mesh, k, acc).norm(), rel=1e-11)
+
+
 class TestGlobalReconstruction:
     def test_patch_sum_equals_global(self):
         mesh = bisect(lshape(), [0, 5], 2)
@@ -255,6 +294,48 @@ class TestGlobalReconstruction:
             acc[ps.elements] += ps.coeffs
             assert fl.eta_star[nu] == pytest.approx(ps.eta, abs=1e-11)
         assert np.allclose(acc, fl.q_delta.coeffs, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [uniform_square, graded_lshape])
+    def test_shared_patches_match_local_solves(self, make_mesh, k):
+        # patches of one exact class share a min-norm operator; the
+        # independent per-patch lstsq solves must give the same flux.  The
+        # flux is compared in L2: its monomial coefficients amplify
+        # round-off by the conditioning of the element mass matrices
+        # (1e-9 at k = 4 for either solver).
+        fl = equilibrated(make_mesh(), k)
+        assert fl.shared_patches > 0
+        assert 0 < fl.patch_classes < fl.shared_patches
+        rep = fl.verify(f_sine)
+        assert rep.ok
+        assert rep.patch_residual < 1e-12
+        assert_matches_local_solves(fl)
+
+    def test_slot_separates_patch_classes(self):
+        fl = equilibrated(trapezoid(), 2)
+        assert fl.shared_patches == 0
+        assert_matches_local_solves(fl)
+
+    def test_jittered_mesh_shares_no_patch(self):
+        mesh = uniform_square()
+        rng = np.random.default_rng(3)
+        step = 0.1 * mesh.edge_lengths.min()
+        offset = step * rng.uniform(-1, 1, mesh.points.shape)
+        offset[mesh.boundary_vertex] = 0.0
+        fl = equilibrated(Mesh(mesh.points + offset, mesh.triangles), 2)
+        assert fl.shared_patches == 0
+        assert fl.patch_classes == 0
+        assert fl.verify(f_sine).ok
+
+    def test_class_keys_are_exact(self):
+        # one ulp moved at one vertex separates its elements from their
+        # copies elsewhere, so fewer patches share an operator
+        mesh = uniform_square()
+        centre = int(np.argmin(np.abs(mesh.points - 0.5).sum(axis=1)))
+        moved = mesh.points.copy()
+        moved[centre, 0] = np.nextafter(moved[centre, 0], 1.0)
+        assert (equilibrated(Mesh(moved, mesh.triangles), 1).shared_patches
+                < equilibrated(mesh, 1).shared_patches)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_verification_residuals_vanish(self, k):
@@ -311,14 +392,20 @@ class TestGlobalReconstruction:
         assert energy_error(u, grad_poly) < 1e-10
 
     def test_perturbed_solution_raises(self):
-        mesh = bisect(unit_square_crisscross(), np.arange(4), 2)
+        # every free P1 dof in turn, so shared and singleton patches both
+        # meet an inconsistent right-hand side; the error names the
+        # perturbed vertex or a neighbour, whose patch overlaps its hat
+        mesh = uniform_square()
         space = FeSpace(mesh, 1)
         u = solve_poisson(space, f_sine)
-        bad = ScalarField(space, u.coeffs.copy())
-        free = np.nonzero(~space.boundary_dofs)[0]
-        bad.coeffs[free[0]] += 0.05
-        with pytest.raises(EquilibrationError, match="vertex"):
-            equilibrate(bad, f_sine)
+        assert equilibrate(u, f_sine).shared_patches > 0
+        for v in np.nonzero(~space.boundary_dofs)[0]:
+            bad = ScalarField(space, u.coeffs.copy())
+            bad.coeffs[v] += 0.05
+            with pytest.raises(EquilibrationError, match="vertex") as err:
+                equilibrate(bad, f_sine)
+            named = int(re.search(r"vertex (\d+)", str(err.value)).group(1))
+            assert named in mesh.triangles[mesh.patch(v).elements]
 
 
 class TestHypercircle:

@@ -4,6 +4,7 @@ meshes, where every integral is elementary."""
 import numpy as np
 import pytest
 
+from afemflux import estimators
 from afemflux.estimators import (
     EstimatorReport,
     estimate,
@@ -131,6 +132,21 @@ class TestOscillation:
             for v in tri:
                 manual[v] += osc[t] ** 2
         assert np.allclose(star, np.sqrt(manual), rtol=1e-12)
+
+    def test_estimate_computes_oscillation_once(self, monkeypatch):
+        mesh = bisect(unit_square_crisscross(), np.arange(4), 2)
+        u = solve_poisson(FeSpace(mesh, 2), f_sine)
+        calls = []
+        real = estimators.oscillation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "oscillation", counted)
+        rep = estimate(u, f_sine)
+        assert len(calls) == 1
+        assert np.array_equal(rep.osc_star, patch_oscillation(u, f_sine))
 
     def test_oscillation_decays_under_refinement(self):
         space_c = FeSpace(bisect(unit_square_crisscross(), np.arange(4), 2), 1)

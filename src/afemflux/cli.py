@@ -176,20 +176,24 @@ def write_decay(path, records, estimator: str) -> None:
                      f"{_fmt(r.energy_error)}\n")
 
 
+def _indexed_csv(header: str, *columns) -> str:
+    """The header line, then `i,a[i],b[i],...` for each index i, every
+    value formatted as `_fmt` formats it."""
+    values = (map(repr, np.asarray(c).tolist()) for c in columns)
+    rows = zip(map(str, range(len(columns[0]))), *values)
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
 def write_level_indicators(outdir, levels) -> None:
     for i, state in enumerate(levels):
         rep = state.report
         with open(os.path.join(outdir, f"elements_{i:03d}.csv"), "w") as fh:
-            fh.write("element,eta_delta,eta_res,osc\n")
-            for t in range(rep.mesh.n_triangles):
-                fh.write(f"{t},{_fmt(rep.eta_delta[t])},"
-                         f"{_fmt(rep.eta_res[t])},{_fmt(rep.osc[t])}\n")
+            fh.write(_indexed_csv("element,eta_delta,eta_res,osc",
+                                  rep.eta_delta, rep.eta_res, rep.osc))
         with open(os.path.join(outdir, f"vertices_{i:03d}.csv"), "w") as fh:
-            fh.write("vertex,eta_star,eta_res_star,osc_star\n")
-            for v in range(rep.mesh.n_vertices):
-                fh.write(f"{v},{_fmt(rep.eta_star[v])},"
-                         f"{_fmt(rep.eta_res_star[v])},"
-                         f"{_fmt(rep.osc_star[v])}\n")
+            fh.write(_indexed_csv("vertex,eta_star,eta_res_star,osc_star",
+                                  rep.eta_star, rep.eta_res_star,
+                                  rep.osc_star))
 
 
 def write_hypotheses(path, report) -> None:

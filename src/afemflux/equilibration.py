@@ -26,9 +26,26 @@ systems hold in floating point, not just analytically.  Each element carries
 a Cholesky factor of its Raviart-Thomas mass matrix; patch problems are
 solved in the whitened coordinates z = L^T q, where the squared L2 norm is
 the plain Euclidean norm and corrections from different patches add
-linearly.  Each patch system is solved for its minimal-norm solution by
-semi-normal equations on the row Gram matrix (batched LU) with residual
-refinement sweeps.
+linearly.
+
+The divergence rows are condensed out element by element.  Each element's
+whitened coordinates are rotated, w = Q^T z, by a complete QR factor of its
+divergence block with the constant moment ordered last, so that the
+divergence acts as [R^T 0] with R^T lower triangular.  Forward substitution
+fixes the first n_p rotated coordinates, once per element and slot of the
+patch vertex; the patch problem keeps only its jump and trace rows, over
+the other N - n_p coordinates of each element, with the traces of the
+fixed coordinates moved to the right-hand side.  Rotations preserve the
+norm, so the minimal-norm solution of this reduced system is that of the
+full one.  On a fully interior patch (every rim edge constrained) the
+divergence theorem makes the first element's constant divergence moment a
+combination of the other rows; that row is dropped, and the coordinate it
+would fix, the last of the n_p, joins the free ones.  Each reduced system
+is solved for its minimal-norm solution by semi-normal equations on the
+row Gram matrix (batched LU) with residual refinement sweeps.  The patch
+residual covers every row of the full system: the reduced rows, the
+forward-substituted divergence rows and the dropped row, in which a u_h
+without Galerkin orthogonality shows.
 
 Patches are grouped by their sizes (elements, interior spokes, constrained
 rim edges) and batched within a group.  Within a group, patches that are
@@ -37,12 +54,15 @@ form a class: their elements match position by position in an exact shape
 key (the bit patterns of the scaled edge vectors, and which end of each
 edge has the lower global id), and their slots, rim constraints and spoke
 connections agree.  The whitened blocks are invariant under translation
-and scaling, so such patches share one constraint matrix up to round-off.
-Each class of two or more patches assembles its first patch once, forms
-the min-norm operator from it and solves every member with one matrix
-product on its own right-hand sides; the same residual check and sweeps
-apply.  Patches alone in their class take the batched LU path, as do all
-patches of a mesh in which no element shape repeats.
+and scaling, so such patches share one constraint matrix up to round-off,
+provided their elements are rotated alike: every element takes the
+rotation of the first element of its shape class, since QR may choose
+another null-space basis for a copy that differs by round-off.  Each class
+of two or more patches assembles its first patch once, forms the
+min-norm operator from it and solves every member with one matrix product
+on its own right-hand sides; the same residual check and sweeps apply.
+Patches alone in their class take the batched LU path, as do all patches
+of a mesh in which no element shape repeats.
 """
 
 from __future__ import annotations
@@ -313,24 +333,64 @@ def _compute_blocks(u_h: ScalarField, f, els: np.ndarray):
     }
 
 
-def _edge_rhs(u_h: ScalarField):
+def _edge_rhs(u_h: ScalarField, edges=None):
     """Hat-weighted jump moments per edge.
 
     Returns (ne, 2, k+1): variant 0 weights with the hat of the lower
     endpoint (1 - s in the global edge parameter), variant 1 with s.
-    Boundary edge rows are zero and never used.
+    Boundary edge rows are zero and never used.  edges, if given, limits
+    the moments to those edge ids, in that order.
     """
     space = u_h.space
     mesh = space.mesh
     k = space.degree
     er = space.edge_rule_main
-    J, _ = normal_jumps(u_h, 2 * k + 2)
+    J, _ = normal_jumps(u_h, 2 * k + 2, edges)
     s = er.points
     phis = np.column_stack([1.0 - s, s])
     spow = s[:, None] ** np.arange(k + 1)[None, :]
-    hE = mesh.edge_lengths
-    return -np.einsum("q,qv,qb,eq,e->evb", er.weights, phis, spow, J, hE,
-                      optimize=True)
+    W = er.weights[:, None, None] * phis[:, :, None] * spow[:, None, :]
+    hE = mesh.edge_lengths if edges is None else mesh.edge_lengths[edges]
+    # one unoptimised contraction, so that each edge's row is computed alike
+    # for any set of edges
+    return -np.einsum("eq,qvb->evb", J * hE[:, None], W)
+
+
+def _const_last(n_p: int) -> np.ndarray:
+    """Order of the divergence moments with the constant one last."""
+    return np.roll(np.arange(n_p), -1)
+
+
+def _rotations(Dt):
+    """Complete QR factor Q of each Dt^T, with the rows of Dt in
+    `_const_last` order: Dt Q = [R^T 0] with R^T lower triangular."""
+    Dp = Dt[:, _const_last(Dt.shape[1])]
+    return np.linalg.qr(Dp.transpose(0, 2, 1), mode="complete")[0]
+
+
+def _rotate(part, Q, els, out):
+    """Store the blocks of a chunk of elements in the rotated coordinates
+    w = Q^T z of `_rotations`.
+
+    DQ = Dt Q is lower triangular in its first n_p columns (up to round-off
+    where Q is a congruent element's) and zero after them.  Forward
+    substitution gives U, the first n_p coordinates that meet the
+    divergence rows of each slot; the constant moment comes last, so only
+    the last row involves the last of them.  TrQ holds the rotated trace
+    blocks and LiTQ maps rotated coordinates to flux coefficients.
+    """
+    order = _const_last(part["Dt"].shape[1])
+    DQ = part["Dt"][:, order] @ Q
+    rdiv = part["rdiv"][..., order]
+    U = np.empty_like(rdiv)
+    for i in range(order.size):
+        U[..., i] = (rdiv[..., i] - np.einsum(
+            "tj,tsj->ts", DQ[:, i, :i], U[..., :i])) / DQ[:, i, i, None]
+    out["DQ"][els] = DQ
+    out["rdiv"][els] = rdiv
+    out["U"][els] = U
+    out["TrQ"][els] = part["Trt"] @ Q[:, None]
+    out["LiTQ"][els] = part["LiT"] @ Q
 
 
 # -- patch systems ------------------------------------------------------
@@ -357,10 +417,11 @@ def _patch_tables(mesh: Mesh):
     return sptr, sind, tcnt, scnt
 
 
-def _element_classes(mesh: Mesh) -> np.ndarray:
-    """Exact shape class id of every element.
+def _element_classes(mesh: Mesh):
+    """Exact shape classes of the elements: first element, class of each
+    element and class sizes, as `_row_classes` returns them.
 
-    Two elements share an id only if their edge vectors p1 - p0, p2 - p0,
+    Two elements share a class only if their edge vectors p1 - p0, p2 - p0,
     in local vertex order and scaled by a power of two (an exact scaling),
     agree bit for bit, and the lower global id sits at the same end of each
     local edge, which fixes the edge parameter of the trace blocks.  The
@@ -374,7 +435,7 @@ def _element_classes(mesh: Mesh) -> np.ndarray:
     e = np.ldexp(e, -ex[:, None])
     lower = t[:, [2, 0, 1]] < t[:, [1, 2, 0]]  # local edge le runs le+1 -> le+2
     key = np.column_stack([e.view(np.int64), lower @ np.array([1, 2, 4])])
-    return _row_classes(key)[1]
+    return _row_classes(key)
 
 
 def _row_classes(key):
@@ -427,29 +488,34 @@ def _patch_classes(layout, ecls):
     return _row_classes(key)
 
 
-def _assemble_patches(layout, tg, blocks, n_p, K1, N):
-    """Whitened constraint matrices of patches sharing one (m, s, t) group."""
+def _assemble_patches(layout, tg, TrQ, n_p, deficient):
+    """Reduced constraint matrices of patches sharing one (m, s, t) group.
+
+    Rows are the k+1 jump moments of each spoke, then the k+1 trace
+    moments of each constrained rim edge.  Columns are the N - n_p free
+    rotated coordinates of each element in patch order and, on fully
+    interior patches, last, the constant-divergence coordinate of the
+    first element, whose divergence row is dropped.
+    """
     els, slots, imposed, spokes, pos, le = layout
     P, mg = els.shape
     sg = spokes.shape[1]
-    A = np.zeros((P, mg * n_p + (sg + tg) * K1, mg * N))
-    Dt, Trt = blocks["Dt"], blocks["Trt"]
-
-    for j in range(mg):
-        A[:, j * n_p:(j + 1) * n_p, j * N:(j + 1) * N] = Dt[els[:, j]]
-
-    row0 = mg * n_p
+    K1, N = TrQ.shape[2:]
+    Nf = N - n_p
+    A = np.zeros((P, (sg + tg) * K1, mg * Nf + deficient))
     pidx = np.arange(P)[:, None, None]
-    ncols = np.arange(N)[None, None, :]
+    ncols = np.arange(Nf)[None, None, :]
     for sidx in range(sg):
-        rows = (row0 + sidx * K1 + np.arange(K1))[None, :, None]
+        rows = sidx * K1 + np.arange(K1)
         for side in (0, 1):
             at = pos[:, sidx, side]
-            t = els[np.arange(P), at]
-            cols = at[:, None, None] * N + ncols
-            A[pidx, rows, cols] = Trt[t, le[:, sidx, side]]
+            blk = TrQ[els[np.arange(P), at], le[:, sidx, side]]
+            A[pidx, rows[None, :, None], at[:, None, None] * Nf + ncols] = \
+                blk[..., n_p:]
+            if deficient:
+                A[at == 0, rows[0]:rows[-1] + 1, -1] = blk[at == 0, :, n_p - 1]
 
-    row1 = row0 + sg * K1
+    row1 = sg * K1
     if tg:
         rank = np.cumsum(imposed, axis=1) - imposed
         for j in range(mg):
@@ -457,20 +523,49 @@ def _assemble_patches(layout, tg, blocks, n_p, K1, N):
             if selp.size == 0:
                 continue
             rows = row1 + rank[selp, j, None] * K1 + np.arange(K1)[None, :]
-            cols = (j * N + np.arange(N))[None, None, :]
+            cols = (j * Nf + np.arange(Nf))[None, None, :]
             A[selp[:, None, None], rows[:, :, None], cols] = \
-                Trt[els[selp, j], slots[selp, j]]
+                TrQ[els[selp, j], slots[selp, j], :, n_p:]
+        if deficient:  # every rim edge is constrained, the first one first
+            A[:, row1:row1 + K1, -1] = TrQ[els[:, 0], slots[:, 0], :, n_p - 1]
     return A
 
 
-def _patch_rhs(layout, vs, tg, mesh, rdiv, Jr, K1):
-    """Right-hand sides of the patches vs: divergence, jump, trace rows."""
-    els, slots, _, spokes, _, _ = layout
+def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient):
+    """Reduced right-hand sides of the patches vs.
+
+    The jump moments and the zero traces, less the traces of the fixed
+    coordinates of each element.  Returns the right-hand sides, the fixed
+    coordinates (P, m, n_p) — U of the patch vertex's slot, with the free
+    constant-divergence coordinate of a fully interior patch's first
+    element set to zero — and the scale of the patch data.
+    """
+    els, slots, imposed, spokes, pos, le = layout
+    TrQ = blocks["TrQ"]
     P = vs.size
+    n_p = blocks["U"].shape[2]
+    fixed = blocks["U"][els, slots]
+    if deficient:
+        fixed[:, 0, -1] = 0.0
     var = (mesh.edges[spokes, 0] != vs[:, None]).astype(np.int64)
-    return np.concatenate([rdiv[els, slots].reshape(P, -1),
-                           Jr[spokes, var].reshape(P, -1),
-                           np.zeros((P, tg * K1))], axis=1)
+    jumps = Jr[spokes, var]
+    b = jumps.copy()
+    p = np.arange(P)[:, None]
+    for side in (0, 1):
+        at = pos[:, :, side]
+        b -= _apply(TrQ[els[p, at], le[:, :, side], :, :n_p], fixed[p, at])
+    tr = -_apply(TrQ[els, slots, :, :n_p], fixed)[imposed]
+    scale = 1.0 + np.maximum(
+        np.abs(blocks["rdiv"][els, slots]).max(axis=(1, 2)),
+        np.abs(jumps).max(axis=(1, 2), initial=0.0))
+    return (np.concatenate([b.reshape(P, b[0].size),
+                            tr.reshape(P, tr.size // P)], axis=1),
+            fixed, scale)
+
+
+def _apply(M, x):
+    """Batched matrix-vector products M @ x."""
+    return (M @ x[..., None])[..., 0]
 
 
 def _scale_rows(A):
@@ -482,80 +577,71 @@ def _scale_rows(A):
     return A, D
 
 
-def _refine(bs, D, lo, apply, correct):
+def _refine(bs, D, apply, correct):
     """Minimal-norm solutions of scaled systems, refined to round-off.
 
     bs holds the scaled right-hand sides, one row per patch; apply(sel, z)
     multiplies the scaled matrices of patches sel with z, and
-    correct(sel, r) maps residuals of the solved rows lo: to the row-space
-    correction.  Returns the solutions and the unscaled row residuals.
+    correct(sel, r) maps residuals to the row-space correction.  Returns
+    the solutions and the unscaled row residuals.
     """
-    z = correct(slice(None), bs[:, lo:])
+    z = correct(slice(None), bs)
     r = bs - apply(slice(None), z)
-    # refinement targets the solved rows; a dropped row keeps the
-    # round-off defect of the discrete solve, which no flux can remove
-    resid = np.abs(r[:, lo:]).max(axis=1)
+    resid = np.abs(r).max(axis=1, initial=0.0)
     # scaled rows have unit norm, so ||z|| sets the natural residual scale
-    scale = np.sqrt(np.einsum("pc,pc->p", z, z)) + np.abs(bs).max(axis=1)
+    scale = np.sqrt(np.einsum("pc,pc->p", z, z)) \
+        + np.abs(bs).max(axis=1, initial=0.0)
     for _ in range(3):
         bad = np.nonzero(resid > 1e-14 * scale)[0]
         if bad.size == 0:
             break
-        z[bad] += correct(bad, r[bad, lo:])
+        z[bad] += correct(bad, r[bad])
         r[bad] = bs[bad] - apply(bad, z[bad])
-        resid[bad] = np.abs(r[bad, lo:]).max(axis=1)
-    return z, np.abs(r * D).max(axis=1)
+        resid[bad] = np.abs(r[bad]).max(axis=1)
+    return z, np.abs(r * D).max(axis=1, initial=0.0)
 
 
-def _minnorm_solve(A, bb, deficient: bool = False):
-    """Batched minimal-norm solutions and row residuals.
+def _minnorm_solve(A, bb):
+    """Batched minimal-norm solutions and row residuals of reduced systems.
 
-    The systems are underdetermined and consistent.  Rows are scaled to
-    unit norm (the divergence and jump rows carry different mesh-size
-    powers; scaling changes neither the row space nor the minimum-norm
-    solution).  On fully interior patches — every patch boundary edge
-    constrained — the divergence theorem makes the constant divergence
-    moment of the first element a combination of the remaining rows, so
-    that row is dropped and the system has full row rank.  The row-space
-    solution comes from semi-normal equations on the row Gram matrix,
-    whose conditioning the row scaling keeps far enough below 1/eps
-    that a refinement sweep, when one is triggered at all, reaches
-    round-off.
+    The reduced systems (`_assemble_patches`) are underdetermined,
+    consistent and of full row rank: the divergence rows are gone, having
+    fixed their coordinates by forward substitution, and on fully interior
+    patches the one dependent row, the first element's constant-divergence
+    moment, is dropped and its coordinate solved for instead.  Rows are
+    scaled to unit norm, which changes neither the row space nor the
+    minimum-norm solution.  The row-space solution comes from semi-normal
+    equations on the row Gram matrix (batched LU), whose conditioning the
+    row scaling keeps far enough below 1/eps that a refinement sweep, when
+    one is triggered at all, reaches round-off.
     """
     As, D = _scale_rows(A)
-    lo = 1 if deficient else 0
-    ArT = As[:, lo:, :].transpose(0, 2, 1)
-    G = As[:, lo:, :] @ ArT
+    AT = As.transpose(0, 2, 1)
+    G = As @ AT
 
     def correct(sel, rhs):
-        w = np.linalg.solve(G[sel], rhs[:, :, None])
-        return (ArT[sel] @ w)[..., 0]
+        return _apply(AT[sel], np.linalg.solve(G[sel], rhs[..., None])[..., 0])
 
-    def apply(sel, z):
-        return (As[sel] @ z[:, :, None])[..., 0]
-
-    return _refine(bb / D, D, lo, apply, correct)
+    return _refine(bb / D, D, lambda sel, z: _apply(As[sel], z), correct)
 
 
-def _class_solve(A, bb, sizes, deficient: bool):
+def _class_solve(A, bb, sizes):
     """Minimal-norm solutions of patches that share their class's matrix.
 
-    A holds one constraint matrix per class, bb the right-hand sides of the
-    members, class by class with the given class sizes.  For a class's
-    scaled matrix As with solved rows Ar = As[lo:], the operator
-    Y = (Ar Ar^T)^-1 Ar, the semi-normal equations of `_minnorm_solve`
-    formed once, maps each scaled right-hand side b to the solution b @ Y.
+    A holds one reduced matrix per class, bb the reduced right-hand sides
+    of the members, class by class with the given class sizes.  For a
+    class's scaled matrix As the operator Y = (As As^T)^-1 As, the
+    semi-normal equations of `_minnorm_solve` formed once, maps each scaled
+    right-hand side b to the solution b @ Y.
     """
-    lo = 1 if deficient else 0
     As, D = _scale_rows(A)
-    Ar = As[:, lo:, :]
-    Y = np.linalg.solve(Ar @ Ar.transpose(0, 2, 1), Ar)
+    Y = np.linalg.solve(As @ As.transpose(0, 2, 1), As)
     z = np.empty((bb.shape[0], A.shape[2]))
     resid = np.empty(bb.shape[0])
     end = np.cumsum(sizes)
     for c, e in enumerate(end):
         rows = slice(e - sizes[c], e)
-        z[rows], resid[rows] = _refine(bb[rows] / D[c], D[c], lo,
+        z[rows], resid[rows] = _refine(bb[rows] / D[c], D[c],
                                        lambda _, x: x @ As[c].T,
                                        lambda _, r: r @ Y[c])
     return z, resid
@@ -584,6 +670,10 @@ class EquilibratedFlux:
     on element t; the bound |||u - u_h||| <= sqrt(sum eta_delta^2) holds up
     to data oscillation.  eta_star[nu] is the L2 norm of the patch
     contribution of vertex nu, the localised (starwise) estimator.
+    patch_residuals[nu] is the largest residual, in whitened coordinates,
+    of any row of the full patch system of nu: the jump and trace rows
+    solved, the divergence rows fixed by forward substitution, and on a
+    fully interior patch the dropped constant-divergence row.
     patch_classes counts the class operators built, shared_patches the
     patches solved with one.
     """
@@ -626,65 +716,87 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
     n_p = len(monomial_exponents(k))
     N = rt_dim(k)
     K1 = k + 1
+    Nf = N - n_p
     nt, nv = mesh.n_triangles, mesh.n_vertices
 
-    blocks = {"Dt": np.empty((nt, n_p, N)),
-              "Trt": np.empty((nt, 3, K1, N)),
-              "rdiv": np.empty((nt, 3, n_p))}
-    LiT = np.empty((nt, N, N))
+    efirst, ecls, ecount = _element_classes(mesh)
+    # without a repeated element no two patches can share a class
+    keyed = ecount.size < nt
+    # congruent elements take their class's first rotation: QR may choose
+    # another null-space basis for a copy that differs by round-off, and a
+    # class operator only fits members rotated alike
+    shared = ecount > 1
+    qslot = np.cumsum(shared) - 1
+    Qs = np.empty((int(shared.sum()), N, N))
+    blocks = {"DQ": np.empty((nt, n_p, N)), "rdiv": np.empty((nt, 3, n_p)),
+              "U": np.empty((nt, 3, n_p)), "TrQ": np.empty((nt, 3, K1, N)),
+              "LiTQ": np.empty((nt, N, N))}
     for lo in range(0, nt, _CHUNK):
         els = np.arange(lo, min(lo + _CHUNK, nt))
         part = _compute_blocks(u_h, f, els)
-        blocks["Dt"][els] = part["Dt"]
-        blocks["Trt"][els] = part["Trt"]
-        blocks["rdiv"][els] = part["rdiv"]
-        LiT[els] = part["LiT"]
+        c = ecls[els]
+        copy = shared[c] & (efirst[c] != els)
+        Q = np.empty((els.size, N, N))
+        Q[~copy] = _rotations(part["Dt"][~copy])
+        first = shared[c] & ~copy
+        Qs[qslot[c[first]]] = Q[first]
+        Q[copy] = Qs[qslot[c[copy]]]
+        _rotate(part, Q, els, blocks)
+        del part, Q  # free before the next chunk's transients
 
     sptr, sind, tcnt, scnt = _patch_tables(mesh)
     Jr = _edge_rhs(u_h)
-    ecls = _element_classes(mesh)
-    # without a repeated element no two patches can share a class
-    keyed = ecls.max() + 1 < nt
 
     m = np.diff(mesh._vertex_triangles[0])
     keys = np.stack([m, scnt, tcnt], axis=1)
     uniq, ginv = np.unique(keys, axis=0, return_inverse=True)
 
-    z_delta = np.zeros((nt, N))
+    w_delta = np.zeros((nt, N))
     eta_star = np.zeros(nv)
     patch_res = np.zeros(nv)
     worst_ratio = 0.0
     worst_vertex = -1
     n_classes = n_shared = 0
 
-    def accept(vs, els, bb, z, resid):
+    def accept(vs, layout, fixed, scale, z, resid, deficient):
         nonlocal worst_ratio, worst_vertex
-        ratio = resid / (1.0 + np.abs(bb).max(axis=1))
+        els, slots = layout[:2]
+        P, mg = els.shape
+        w = np.empty((P, mg, N))
+        w[..., :n_p] = fixed
+        w[..., n_p:] = z[:, :mg * Nf].reshape(P, mg, Nf)
+        if deficient:
+            w[:, 0, n_p - 1] = z[:, -1]
+        # every divergence row, the dropped one included: that is where
+        # a u_h without Galerkin orthogonality shows
+        dres = _apply(blocks["DQ"][els], w) - blocks["rdiv"][els, slots]
+        resid = np.maximum(resid, np.abs(dres).max(axis=(1, 2)))
+        ratio = resid / scale
         i = int(np.argmax(ratio))
         if ratio[i] > worst_ratio:
             worst_ratio = float(ratio[i])
             worst_vertex = int(vs[i])
         patch_res[vs] = resid
-        eta_star[vs] = np.sqrt((z ** 2).sum(axis=1))
-        np.add.at(z_delta, els, z.reshape(els.shape + (N,)))
+        eta_star[vs] = np.sqrt(np.einsum("pjc,pjc->p", w, w))
+        np.add.at(w_delta, els, w)
 
     for g, (mg, sg, tg) in enumerate(uniq):
         members = np.nonzero(ginv == g)[0]
         layout = _patch_layout(members, mg, sg, mesh, sptr, sind)
-        R = mg * n_p + (sg + tg) * K1
-        step = max(8, int(_SOLVE_BYTES / (R * mg * N * 8)))
         deficient = bool(sg == mg and tg == mg)
+        R, C = (sg + tg) * K1, mg * Nf + deficient
+        step = max(8, int(_SOLVE_BYTES / (max(R, 1) * C * 8)))
         single = np.arange(members.size)
         if keyed:
             first, cls, counts = _patch_classes(layout, ecls)
             multi = np.nonzero(counts > 1)[0]
-            shared = counts[cls] > 1
-            single = np.nonzero(~shared)[0]
+            in_class = counts[cls] > 1
+            single = np.nonzero(~in_class)[0]
             n_classes += multi.size
             n_shared += members.size - single.size
         if keyed and multi.size:
             # members of shared classes, class by class in class-id order
-            sel = np.nonzero(shared)[0]
+            sel = np.nonzero(in_class)[0]
             sel = sel[np.argsort(cls[sel], kind="stable")]
             end = np.cumsum(counts[multi])
             start = end - counts[multi]
@@ -692,21 +804,21 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
                 cs = multi[c0:c0 + step]
                 rows = sel[start[c0]:end[c0 + cs.size - 1]]
                 part = _take(layout, rows)
-                bb = _patch_rhs(part, members[rows], tg, mesh,
-                                blocks["rdiv"], Jr, K1)
-                z, resid = _class_solve(
-                    _assemble_patches(_take(layout, first[cs]), tg, blocks,
-                                      n_p, K1, N), bb, counts[cs], deficient)
-                accept(members[rows], part[0], bb, z, resid)
+                bb, fixed, scale = _patch_rhs(part, members[rows], mesh,
+                                              blocks, Jr, deficient)
+                A = _assemble_patches(_take(layout, first[cs]), tg,
+                                      blocks["TrQ"], n_p, deficient)
+                z, resid = _class_solve(A, bb, counts[cs])
+                accept(members[rows], part, fixed, scale, z, resid,
+                       deficient)
         for s0 in range(0, single.size, step):
             sel = single[s0:s0 + step]
             part = _take(layout, sel)
-            bb = _patch_rhs(part, members[sel], tg, mesh, blocks["rdiv"],
-                            Jr, K1)
-            z, resid = _minnorm_solve(
-                _assemble_patches(part, tg, blocks, n_p, K1, N), bb,
-                deficient)
-            accept(members[sel], part[0], bb, z, resid)
+            bb, fixed, scale = _patch_rhs(part, members[sel], mesh, blocks,
+                                          Jr, deficient)
+            A = _assemble_patches(part, tg, blocks["TrQ"], n_p, deficient)
+            z, resid = _minnorm_solve(A, bb)
+            accept(members[sel], part, fixed, scale, z, resid, deficient)
 
     if worst_ratio > rtol:
         raise EquilibrationError(
@@ -714,8 +826,8 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
             f"scaled residual {worst_ratio:.3e} exceeds {rtol:.1e}; the "
             "input field does not satisfy Galerkin orthogonality")
 
-    eta_delta = np.sqrt((z_delta ** 2).sum(axis=1))
-    qcoef = np.einsum("tij,tj->ti", LiT, z_delta)
+    eta_delta = np.sqrt(np.einsum("tc,tc->t", w_delta, w_delta))
+    qcoef = _apply(blocks["LiTQ"], w_delta)
     return EquilibratedFlux(u_h, FluxField(mesh, k, qcoef), eta_delta,
                             eta_star, patch_res, n_classes, n_shared)
 
@@ -758,9 +870,9 @@ def local_equilibrate(u_h: ScalarField, f, nu: int) -> PatchSolution:
     part = _compute_blocks(u_h, f, els)
     ptr, ind, slotv = mesh._vertex_triangles
     slots = slotv[ptr[nu]:ptr[nu + 1]]
-    Jr = _edge_rhs(u_h)
-
     spokes = patch.interior_edges
+    Jr = _edge_rhs(u_h, spokes)
+
     rim = mesh.edge_of_triangle[els, slots]
     trace_edges = rim[~mesh.boundary_edge[rim]]
     R = msize * n_p + (spokes.size + trace_edges.size) * K1
@@ -776,9 +888,9 @@ def local_equilibrate(u_h: ScalarField, f, nu: int) -> PatchSolution:
         g[rows] = part["rdiv"][j, slots[j]]
 
     row = msize * n_p
-    for e in spokes:
+    for i, e in enumerate(spokes):
         var = 0 if mesh.edges[e, 0] == nu else 1
-        g[row:row + K1] = Jr[e, var]
+        g[row:row + K1] = Jr[i, var]
         for side in (0, 1):
             t = mesh.edge_triangles[e, side]
             le = mesh.edge_local[e, side]

@@ -332,11 +332,13 @@ def edge_restriction(k: int, qdeg: int):
     return out
 
 
-def edge_flips(mesh: Mesh) -> np.ndarray:
-    """(ne, 2) flip flags for the two sides of each edge (see edge_restriction)."""
+def edge_flips(mesh: Mesh, edges=None) -> np.ndarray:
+    """(ne, 2) flip flags for the two sides of each edge, or of the given
+    edge ids only (see edge_restriction)."""
     tris = mesh.triangles
-    et = mesh.edge_triangles
-    el = mesh.edge_local
+    sub = slice(None) if edges is None else edges
+    et = mesh.edge_triangles[sub]
+    el = mesh.edge_local[sub]
     flips = np.zeros_like(et)
     for side in (0, 1):
         ok = et[:, side] >= 0
@@ -347,26 +349,29 @@ def edge_flips(mesh: Mesh) -> np.ndarray:
     return flips
 
 
-def normal_jumps(field: ScalarField, qdeg: int | None = None):
+def normal_jumps(field: ScalarField, qdeg: int | None = None, edges=None):
     """Jump of the normal gradient across each interior edge.
 
     Returns (jumps (ne, nq), interior mask); rows of boundary edges are zero.
     The jump is grad u|T+ . n+ + grad u|T- . n- with outward normals, so it is
-    independent of which side is called plus.
+    independent of which side is called plus.  edges, if given, limits both
+    to those edge ids, in that order; each row is computed as for the whole
+    mesh.
     """
     space = field.space
     mesh = space.mesh
     if qdeg is None:
         qdeg = 2 * space.degree + 2
     tabs = edge_restriction(space.degree, qdeg)
-    flips = edge_flips(mesh)
+    sub = slice(None) if edges is None else edges
+    flips = edge_flips(mesh, edges)
     nq = edge_rule(qdeg).points.size
-    ne = mesh.edges.shape[0]
+    et, el = mesh.edge_triangles[sub], mesh.edge_local[sub]
+    ne = et.shape[0]
     jumps = np.zeros((ne, nq))
-    et, el = mesh.edge_triangles, mesh.edge_local
     tris = mesh.triangles
     pts = mesh.points
-    interior = ~mesh.boundary_edge
+    interior = ~mesh.boundary_edge[sub]
     for side in (0, 1):
         sel = interior if side == 1 else np.ones(ne, dtype=bool)
         sel = sel & (et[:, side] >= 0)
@@ -378,7 +383,13 @@ def normal_jumps(field: ScalarField, qdeg: int | None = None):
                 t = et[rows, side]
                 _, _, G = tabs[(le, flip)]
                 nq = G.shape[0]
-                rg = field.element_coeffs(t) @ G.transpose(1, 0, 2).reshape(G.shape[1], -1)
+                # numpy multiplies a lone row by gemv, which rounds unlike
+                # gemm: pad it to a pair, so that no row depends on which
+                # edges are asked for
+                ec = field.element_coeffs(t if t.size > 1
+                                          else np.repeat(t, 2))
+                Gm = G.transpose(1, 0, 2).reshape(G.shape[1], -1)
+                rg = (ec @ Gm)[:t.size]
                 grads = rg.reshape(-1, nq, 2) @ space.jac_inv[t]
                 a, b = _LOCAL_EDGES[le]
                 tang = pts[tris[t, b]] - pts[tris[t, a]]

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from afemflux.cli import main, parse_config_file
+from afemflux.afem import AfemConfig, run
+from afemflux.cli import _fmt, main, parse_config_file, write_level_indicators
 from afemflux.mesh import Mesh
 
 
@@ -90,6 +91,23 @@ class TestDeterminism:
         for fname in ("run.csv", "decay.dat", "hypotheses.csv",
                       "elements_001.csv", "vertices_001.csv"):
             assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
+
+    def test_level_indicators_match_per_value_formatting(self, tmp_path):
+        result = run(AfemConfig(problem="lshape_one", degree=2,
+                                max_dofs=300))
+        write_level_indicators(tmp_path, result.levels)
+        for i, state in enumerate(result.levels):
+            rep = state.report
+            for name, head, cols in (
+                    ("elements", "element,eta_delta,eta_res,osc",
+                     (rep.eta_delta, rep.eta_res, rep.osc)),
+                    ("vertices", "vertex,eta_star,eta_res_star,osc_star",
+                     (rep.eta_star, rep.eta_res_star, rep.osc_star))):
+                want = head + "\n" + "".join(
+                    ",".join([str(j)] + [_fmt(c[j]) for c in cols]) + "\n"
+                    for j in range(len(cols[0])))
+                got = (tmp_path / f"{name}_{i:03d}.csv").read_bytes()
+                assert got == want.encode(), (name, i)
 
 
 class TestOptions:

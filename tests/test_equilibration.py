@@ -16,6 +16,7 @@ from afemflux.equilibration import (
     EquilibratedFlux,
     EquilibrationError,
     FluxField,
+    _edge_rhs,
     equilibrate,
     gradient_flux,
     local_equilibrate,
@@ -31,6 +32,7 @@ from afemflux.galerkin import (
     element_gradients,
     element_laplacians,
     energy_error,
+    normal_jumps,
     solve_poisson,
 )
 from afemflux.mesh import Mesh, bisect, lshape, unit_square_crisscross
@@ -254,6 +256,17 @@ def graded_lshape():
     return bisect(bisect(lshape(), np.arange(12), 2), [0, 5], 2)
 
 
+def jittered_square():
+    """The uniform square with its interior vertices moved by a seeded
+    offset: no two elements share a shape, so no patch shares a class."""
+    mesh = uniform_square()
+    rng = np.random.default_rng(3)
+    step = 0.1 * mesh.edge_lengths.min()
+    offset = step * rng.uniform(-1, 1, mesh.points.shape)
+    offset[mesh.boundary_vertex] = 0.0
+    return Mesh(mesh.points + offset, mesh.triangles)
+
+
 def trapezoid():
     """Three triangles, the outer two translates of each other.  Each
     outer one alone forms the patch of a domain corner, with the corner at
@@ -265,6 +278,28 @@ def trapezoid():
 
 def equilibrated(mesh, k):
     return equilibrate(solve_poisson(FeSpace(mesh, k), f_sine), f_sine)
+
+
+def pinned_reference(u):
+    """Sum of the patch corrections solved from `local_equilibrate`'s raw
+    systems: whitened by the element mass, the constant-divergence row of
+    the first element (in triangle-id order) removed on fully interior
+    patches, minimal-norm solution by lstsq."""
+    mesh, k = u.space.mesh, u.space.degree
+    N = rt_dim(k)
+    q = np.zeros((mesh.n_triangles, N))
+    for nu in range(mesh.n_vertices):
+        ps = local_equilibrate(u, f_sine, nu)
+        m = ps.elements.size
+        Li = np.linalg.inv(np.linalg.cholesky(ps.mass))
+        A = np.concatenate([ps.matrix[:, j * N:(j + 1) * N] @ Li[j].T
+                            for j in range(m)], axis=1)
+        keep = np.ones(ps.rhs.size, dtype=bool)
+        if ps.spoke_edges.size == m and ps.trace_edges.size == m:
+            keep[0] = False
+        z = np.linalg.lstsq(A[keep], ps.rhs[keep], rcond=None)[0]
+        q[ps.elements] += np.einsum("tji,tj->ti", Li, z.reshape(m, N))
+    return FluxField(mesh, k, q)
 
 
 def assert_matches_local_solves(fl):
@@ -296,16 +331,20 @@ class TestGlobalReconstruction:
         assert np.allclose(acc, fl.q_delta.coeffs, atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    @pytest.mark.parametrize("make_mesh", [uniform_square, graded_lshape])
+    @pytest.mark.parametrize("make_mesh", [uniform_square, graded_lshape,
+                                           jittered_square])
     def test_shared_patches_match_local_solves(self, make_mesh, k):
-        # patches of one exact class share a min-norm operator; the
+        # patches of one exact class share a min-norm operator, the others
+        # (all of them on the jittered mesh) take the batched solve; the
         # independent per-patch lstsq solves must give the same flux.  The
         # flux is compared in L2: its monomial coefficients amplify
         # round-off by the conditioning of the element mass matrices
         # (1e-9 at k = 4 for either solver).
         fl = equilibrated(make_mesh(), k)
-        assert fl.shared_patches > 0
-        assert 0 < fl.patch_classes < fl.shared_patches
+        if make_mesh is jittered_square:
+            assert fl.shared_patches == fl.patch_classes == 0
+        else:
+            assert 0 < fl.patch_classes < fl.shared_patches
         rep = fl.verify(f_sine)
         assert rep.ok
         assert rep.patch_residual < 1e-12
@@ -317,15 +356,51 @@ class TestGlobalReconstruction:
         assert_matches_local_solves(fl)
 
     def test_jittered_mesh_shares_no_patch(self):
-        mesh = uniform_square()
-        rng = np.random.default_rng(3)
-        step = 0.1 * mesh.edge_lengths.min()
-        offset = step * rng.uniform(-1, 1, mesh.points.shape)
-        offset[mesh.boundary_vertex] = 0.0
-        fl = equilibrated(Mesh(mesh.points + offset, mesh.triangles), 2)
+        fl = equilibrated(jittered_square(), 2)
         assert fl.shared_patches == 0
         assert fl.patch_classes == 0
         assert fl.verify(f_sine).ok
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_interior_patches_drop_first_constant_divergence_row(self, k):
+        # a perturbation of u_h below rtol makes every fully interior patch
+        # system inconsistent by about 1e-10, so the solution depends on
+        # which redundant row is left out; dropping the first spoke's
+        # constant jump moment instead moves q_delta by 4e-9 (k = 1) to
+        # 8e-7 (k = 3) relative
+        u = solve_poisson(FeSpace(uniform_square(), k), f_sine)
+        rng = np.random.default_rng(k)
+        free = ~u.space.boundary_dofs
+        coeffs = u.coeffs.copy()
+        coeffs[free] += 1e-10 * np.abs(coeffs).max() * rng.uniform(
+            -1, 1, free.sum())
+        bad = ScalarField(u.space, coeffs)
+        fl = equilibrate(bad, f_sine)
+        assert fl.shared_patches > 0
+        ref = pinned_reference(bad)
+        assert (fl.q_delta - ref).norm() < 1e-11 * ref.norm()
+        assert fl.eta_delta_total == pytest.approx(ref.norm(), rel=1e-12)
+        # the dropped rows carry the inconsistency into the residuals
+        assert fl.patch_residuals.max() > 1e3 * equilibrate(
+            u, f_sine).patch_residuals.max()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_jump_moments_of_some_edges_match_whole_mesh(self, k):
+        # local_equilibrate takes the jump moments of its spokes only; each
+        # row must be the very row the whole-mesh computation gives
+        u = solve_poisson(FeSpace(graded_lshape(), k), f_sine)
+        mesh = u.space.mesh
+        J, interior = normal_jumps(u, 2 * k + 2)
+        moments = _edge_rhs(u)
+        rng = np.random.default_rng(k)
+        subsets = [mesh.patch(nu).interior_edges
+                   for nu in range(mesh.n_vertices)]
+        subsets += [rng.permutation(len(mesh.edges))[:n] for n in (1, 2, 5)]
+        for e in subsets:
+            Je, inner = normal_jumps(u, 2 * k + 2, e)
+            assert np.array_equal(Je, J[e])
+            assert np.array_equal(inner, interior[e])
+            assert np.array_equal(_edge_rhs(u, e), moments[e])
 
     def test_class_keys_are_exact(self):
         # one ulp moved at one vertex separates its elements from their

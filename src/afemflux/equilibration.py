@@ -23,14 +23,29 @@ to round-off by construction, not merely small.
 Implementation notes.  All element integrals use the same quadrature rule
 as the stiffness/load assembly, which makes the compatibility of the patch
 systems hold in floating point, not just analytically.  Each element carries
-a Cholesky factor of its Raviart-Thomas mass matrix; patch problems are
+a Cholesky factor L of its Raviart-Thomas mass matrix; patch problems are
 solved in the whitened coordinates z = L^T q, where the squared L2 norm is
 the plain Euclidean norm and corrections from different patches add
 linearly.
 
-The divergence rows are condensed out element by element.  Each element's
-whitened coordinates are rotated, w = Q^T z, by a complete QR factor of its
-divergence block with the constant moment ordered last, so that the
+Element blocks are built once per exact shape class.  Two elements share a
+class when their edge vectors, scaled by a power of two, agree bit for bit
+and the lower global id sits at the same end of each local edge.  The
+basis uses centred, diameter-scaled monomials, so the whitened divergence
+and trace blocks are invariant under translation and scaling, and L^-T
+scales as the inverse of the element size.  The mass matrix, its factor,
+the raw and whitened blocks and the rotation below are therefore computed
+on the first element of each class only; every member takes its class's
+blocks as they are, and maps its rotated coordinates to flux coefficients
+with its class's L^-T Q times the exact power of two 2^(ex_first - ex_t),
+ex being the exponent of the element's size.  What stays per element is
+the data: the hat-weighted divergence right-hand sides, from f and
+lap u_h at the element's own points.  On a mesh with no repeated shape
+each element is its own class.
+
+The divergence rows are condensed out element by element.  The whitened
+coordinates of each class are rotated, w = Q^T z, by a complete QR factor
+of its divergence block with the constant moment ordered last, so that the
 divergence acts as [R^T 0] with R^T lower triangular.  Forward substitution
 fixes the first n_p rotated coordinates, once per element and slot of the
 patch vertex; the patch problem keeps only its jump and trace rows, over
@@ -50,14 +65,10 @@ without Galerkin orthogonality shows.
 Patches are grouped by their sizes (elements, interior spokes, constrained
 rim edges) and batched within a group.  Within a group, patches that are
 exact copies of one another up to translation and a power-of-two scale
-form a class: their elements match position by position in an exact shape
-key (the bit patterns of the scaled edge vectors, and which end of each
-edge has the lower global id), and their slots, rim constraints and spoke
-connections agree.  The whitened blocks are invariant under translation
-and scaling, so such patches share one constraint matrix up to round-off,
-provided their elements are rotated alike: every element takes the
-rotation of the first element of its shape class, since QR may choose
-another null-space basis for a copy that differs by round-off.  Each class
+form a class: position by position their elements share a shape class,
+and their slots, rim constraints and spoke connections agree.  Such
+patches have one and the same reduced constraint matrix, since their
+elements take the very blocks and rotation of their classes.  Each class
 of two or more patches assembles its first patch once, forms the
 min-norm operator from it and solves every member with one matrix product
 on its own right-hand sides; the same residual check and sweeps apply.
@@ -261,23 +272,42 @@ def gradient_flux(u_h: ScalarField) -> FluxField:
 # -- per-element data ---------------------------------------------------
 
 
-def _compute_blocks(u_h: ScalarField, f, els: np.ndarray):
-    """Raw and whitened constraint blocks for the given elements.
+def _tril_inverse(L):
+    """Inverses of a batch of lower triangular matrices, by forward
+    substitution over their rows: row i of L^-1 is
+    (e_i - L[i, :i] L^-1[:i]) / L[i, i], and rows before i vanish from
+    column i on."""
+    Li = np.zeros_like(L)
+    for i in range(L.shape[-1]):
+        Li[:, i, :i] = -(L[:, None, i, :i] @ Li[:, :i, :i])[:, 0]
+        Li[:, i, i] = 1.0
+        Li[:, i, :i + 1] /= L[:, i, i, None]
+    return Li
 
-    Returns a dict with the local mass Cholesky inverse Li, divergence
-    moment blocks (raw and whitened), per-edge zero-trace moment blocks
-    (raw and whitened) and the hat-weighted divergence right-hand sides,
-    one per local vertex.
+
+def _shape_blocks(space: FeSpace, els: np.ndarray):
+    """Constraint blocks of the given elements that depend on their shape
+    alone: raw, whitened and rotated.
+
+    Returns a dict with the Raviart-Thomas mass matrix, LiT = L^-T for its
+    Cholesky factor L, the divergence moment block (raw Draw, whitened
+    Dt = Draw LiT) and the per-edge zero-trace moment blocks (raw Traw,
+    whitened Trt).  The basis uses centred, diameter-scaled monomials, so
+    Dt and Trt are invariant under translation and scaling of the element,
+    while LiT scales as the inverse of its size.
+
+    The rotated blocks act on the coordinates w = Q^T z, with Q a complete
+    QR factor of Dt^T whose divergence moments are taken in `_const_last`
+    order: DQ = Dt Q, in that order, is [R^T 0] with R^T lower triangular;
+    TrQ = Trt Q holds the rotated trace blocks and LiTQ = LiT Q maps
+    rotated coordinates to flux coefficients.
     """
-    space = u_h.space
     mesh = space.mesh
     k = space.degree
     rule = space.rule_main
     er = space.edge_rule_main
-    exps = monomial_exponents(k)
-    n_p = len(exps)
+    n_p = len(monomial_exponents(k))
     N = rt_dim(k)
-    Dref = rt_divergence_matrix(k)
     tris = mesh.triangles[els]
     areas = mesh.areas[els]
     c = mesh.centroids[els]
@@ -291,19 +321,12 @@ def _compute_blocks(u_h: ScalarField, f, els: np.ndarray):
     Vf = V.transpose(0, 1, 3, 2).reshape(els.size, -1, N)
     M = Vf.transpose(0, 2, 1) @ (Vf * np.repeat(w, 2)[None, :, None])
     M *= areas[:, None, None]
-    L = np.linalg.cholesky(M)
-    Li = np.linalg.inv(L)
-    LiT = Li.transpose(0, 2, 1)
+    LiT = _tril_inverse(np.linalg.cholesky(M)).transpose(0, 2, 1)
 
     mono = V[..., :n_p, 0]
     Msc = mono.transpose(0, 2, 1) @ (mono * w[None, :, None])
     Msc *= areas[:, None, None]
-    Draw = (Msc @ Dref) / h[:, None, None]
-
-    lap = element_laplacians(u_h, rule.points, els)
-    res = f(X[..., 0], X[..., 1]) + lap
-    rdiv = -np.einsum("q,qs,tq,tqa,t->tsa", w, rule.bary, res, mono, areas,
-                      optimize=True)
+    Draw = (Msc @ rt_divergence_matrix(k)) / h[:, None, None]
 
     spow = er.points[:, None] ** np.arange(k + 1)[None, :]
     wspow = (er.weights[:, None] * spow).T  # (k+1, nq_e) moment weights
@@ -324,13 +347,31 @@ def _compute_blocks(u_h: ScalarField, f, els: np.ndarray):
         tr = tr.reshape(els.size, -1, N)
         Traw[:, le] = (wspow[None] @ tr) * elen[:, None, None]
 
+    Dt = Draw @ LiT
+    Trt = (Traw.reshape(els.size, -1, N) @ LiT).reshape(Traw.shape)
+    Dp = Dt[:, _const_last(n_p)]
+    Q = np.linalg.qr(Dp.transpose(0, 2, 1), mode="complete")[0]
     return {
-        "Li": Li, "LiT": LiT, "mass": M,
-        "Draw": Draw, "Dt": Draw @ LiT,
-        "Traw": Traw,
-        "Trt": (Traw.reshape(els.size, -1, N) @ LiT).reshape(Traw.shape),
-        "rdiv": rdiv,
+        "mass": M, "LiT": LiT, "Draw": Draw, "Dt": Dt, "Traw": Traw,
+        "Trt": Trt, "Q": Q, "DQ": Dp @ Q, "TrQ": Trt @ Q[:, None],
+        "LiTQ": LiT @ Q,
     }
+
+
+def _divergence_rhs(u_h: ScalarField, f, els: np.ndarray):
+    """Hat-weighted divergence right-hand sides of the given elements,
+    (t, 3, n_p), one per local vertex: minus the moments of
+    phi_s (f + lap u_h) against the scaled monomials."""
+    space = u_h.space
+    mesh = space.mesh
+    rule = space.rule_main
+    X = space.physical_points(rule.points, els)
+    xh = (X - mesh.centroids[els, None, :]) / mesh.diameters[els, None, None]
+    mono = monomial_values(monomial_exponents(space.degree),
+                           xh[..., 0], xh[..., 1])
+    res = f(X[..., 0], X[..., 1]) + element_laplacians(u_h, rule.points, els)
+    return -np.einsum("q,qs,tq,tqa,t->tsa", rule.weights, rule.bary, res,
+                      mono, mesh.areas[els], optimize=True)
 
 
 def _edge_rhs(u_h: ScalarField, edges=None):
@@ -361,36 +402,16 @@ def _const_last(n_p: int) -> np.ndarray:
     return np.roll(np.arange(n_p), -1)
 
 
-def _rotations(Dt):
-    """Complete QR factor Q of each Dt^T, with the rows of Dt in
-    `_const_last` order: Dt Q = [R^T 0] with R^T lower triangular."""
-    Dp = Dt[:, _const_last(Dt.shape[1])]
-    return np.linalg.qr(Dp.transpose(0, 2, 1), mode="complete")[0]
-
-
-def _rotate(part, Q, els, out):
-    """Store the blocks of a chunk of elements in the rotated coordinates
-    w = Q^T z of `_rotations`.
-
-    DQ = Dt Q is lower triangular in its first n_p columns (up to round-off
-    where Q is a congruent element's) and zero after them.  Forward
-    substitution gives U, the first n_p coordinates that meet the
-    divergence rows of each slot; the constant moment comes last, so only
-    the last row involves the last of them.  TrQ holds the rotated trace
-    blocks and LiTQ maps rotated coordinates to flux coefficients.
-    """
-    order = _const_last(part["Dt"].shape[1])
-    DQ = part["Dt"][:, order] @ Q
-    rdiv = part["rdiv"][..., order]
+def _forward(DQ, rdiv):
+    """U, the first n_p rotated coordinates that meet the divergence rows
+    rdiv (t, 3, n_p) of each slot, by forward substitution against the
+    rotated blocks DQ (t, n_p, N); the constant moment comes last, so only
+    the last row involves the last of them."""
     U = np.empty_like(rdiv)
-    for i in range(order.size):
+    for i in range(rdiv.shape[2]):
         U[..., i] = (rdiv[..., i] - np.einsum(
             "tj,tsj->ts", DQ[:, i, :i], U[..., :i])) / DQ[:, i, i, None]
-    out["DQ"][els] = DQ
-    out["rdiv"][els] = rdiv
-    out["U"][els] = U
-    out["TrQ"][els] = part["Trt"] @ Q[:, None]
-    out["LiTQ"][els] = part["LiT"] @ Q
+    return U
 
 
 # -- patch systems ------------------------------------------------------
@@ -419,14 +440,16 @@ def _patch_tables(mesh: Mesh):
 
 def _element_classes(mesh: Mesh):
     """Exact shape classes of the elements: first element, class of each
-    element and class sizes, as `_row_classes` returns them.
+    element and class sizes, as `_row_classes` returns them, and the
+    power-of-two exponent ex of each element's size.
 
     Two elements share a class only if their edge vectors p1 - p0, p2 - p0,
-    in local vertex order and scaled by a power of two (an exact scaling),
-    agree bit for bit, and the lower global id sits at the same end of each
-    local edge, which fixes the edge parameter of the trace blocks.  The
-    whitened blocks Dt and Trt of such elements then agree up to the
-    round-off of their translation.
+    in local vertex order and scaled by 2^-ex (an exact scaling), agree bit
+    for bit, and the lower global id sits at the same end of each local
+    edge, which fixes the edge parameter of the trace blocks.  The whitened
+    blocks Dt and Trt of such elements then agree up to the round-off of
+    their translation, and LiT of element t is that of its class's first
+    element times 2^(ex_first - ex_t).
     """
     t = mesh.triangles
     p = mesh.points[t]
@@ -435,17 +458,23 @@ def _element_classes(mesh: Mesh):
     e = np.ldexp(e, -ex[:, None])
     lower = t[:, [2, 0, 1]] < t[:, [1, 2, 0]]  # local edge le runs le+1 -> le+2
     key = np.column_stack([e.view(np.int64), lower @ np.array([1, 2, 4])])
-    return _row_classes(key)
+    first, cls, counts = _row_classes(key)
+    return first, cls, counts, ex
 
 
 def _row_classes(key):
     """First row, class and class size of each distinct row of an integer
-    array, rows compared as raw bytes (faster than np.unique on axis 0)."""
+    array, rows compared as raw bytes (faster than np.unique on axis 0).
+    Classes are numbered in the order of their first rows, so that on
+    distinct rows class i is row i."""
     key = np.ascontiguousarray(key, dtype=np.int64)
     rows = key.view(np.dtype((np.void, 8 * key.shape[1]))).ravel()
     _, first, cls, counts = np.unique(rows, return_index=True,
                                       return_inverse=True, return_counts=True)
-    return first, cls, counts
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[cls], counts[order]
 
 
 def _patch_layout(vs, mg, sg, mesh, sptr, sind):
@@ -477,9 +506,9 @@ def _patch_classes(layout, ecls):
     Patches share a class when, position by position, their elements share
     an exact shape class, the patch vertex sits in the same slot and the
     rim edge is constrained alike, and their spokes join the same positions
-    through the same local edges.  Their constraint matrices then agree up
-    to round-off.  Returns the first patch of each class, the class of each
-    patch and the class sizes.
+    through the same local edges.  Their reduced constraint matrices are
+    then equal, assembled from the same class blocks.  Returns the first
+    patch of each class, the class of each patch and the class sizes.
     """
     els, slots, imposed, spokes, pos, le = layout
     P = els.shape[0]
@@ -488,18 +517,22 @@ def _patch_classes(layout, ecls):
     return _row_classes(key)
 
 
-def _assemble_patches(layout, tg, TrQ, n_p, deficient):
+def _assemble_patches(layout, tg, blocks, deficient):
     """Reduced constraint matrices of patches sharing one (m, s, t) group.
 
     Rows are the k+1 jump moments of each spoke, then the k+1 trace
     moments of each constrained rim edge.  Columns are the N - n_p free
     rotated coordinates of each element in patch order and, on fully
     interior patches, last, the constant-divergence coordinate of the
-    first element, whose divergence row is dropped.
+    first element, whose divergence row is dropped.  Each element's
+    entries are the rotated trace blocks TrQ of its class.
     """
     els, slots, imposed, spokes, pos, le = layout
+    cls = blocks["ecls"][els]
+    TrQ = blocks["TrQ"]
     P, mg = els.shape
     sg = spokes.shape[1]
+    n_p = blocks["DQ"].shape[1]
     K1, N = TrQ.shape[2:]
     Nf = N - n_p
     A = np.zeros((P, (sg + tg) * K1, mg * Nf + deficient))
@@ -509,7 +542,7 @@ def _assemble_patches(layout, tg, TrQ, n_p, deficient):
         rows = sidx * K1 + np.arange(K1)
         for side in (0, 1):
             at = pos[:, sidx, side]
-            blk = TrQ[els[np.arange(P), at], le[:, sidx, side]]
+            blk = TrQ[cls[np.arange(P), at], le[:, sidx, side]]
             A[pidx, rows[None, :, None], at[:, None, None] * Nf + ncols] = \
                 blk[..., n_p:]
             if deficient:
@@ -525,9 +558,9 @@ def _assemble_patches(layout, tg, TrQ, n_p, deficient):
             rows = row1 + rank[selp, j, None] * K1 + np.arange(K1)[None, :]
             cols = (j * Nf + np.arange(Nf))[None, None, :]
             A[selp[:, None, None], rows[:, :, None], cols] = \
-                TrQ[els[selp, j], slots[selp, j], :, n_p:]
+                TrQ[cls[selp, j], slots[selp, j], :, n_p:]
         if deficient:  # every rim edge is constrained, the first one first
-            A[:, row1:row1 + K1, -1] = TrQ[els[:, 0], slots[:, 0], :, n_p - 1]
+            A[:, row1:row1 + K1, -1] = TrQ[cls[:, 0], slots[:, 0], :, n_p - 1]
     return A
 
 
@@ -541,6 +574,7 @@ def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient):
     element set to zero — and the scale of the patch data.
     """
     els, slots, imposed, spokes, pos, le = layout
+    cls = blocks["ecls"][els]
     TrQ = blocks["TrQ"]
     P = vs.size
     n_p = blocks["U"].shape[2]
@@ -553,8 +587,8 @@ def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient):
     p = np.arange(P)[:, None]
     for side in (0, 1):
         at = pos[:, :, side]
-        b -= _apply(TrQ[els[p, at], le[:, :, side], :, :n_p], fixed[p, at])
-    tr = -_apply(TrQ[els, slots, :, :n_p], fixed)[imposed]
+        b -= _apply(TrQ[cls[p, at], le[:, :, side], :, :n_p], fixed[p, at])
+    tr = -_apply(TrQ[cls, slots, :, :n_p], fixed)[imposed]
     scale = 1.0 + np.maximum(
         np.abs(blocks["rdiv"][els, slots]).max(axis=(1, 2)),
         np.abs(jumps).max(axis=(1, 2), initial=0.0))
@@ -719,30 +753,27 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
     Nf = N - n_p
     nt, nv = mesh.n_triangles, mesh.n_vertices
 
-    efirst, ecls, ecount = _element_classes(mesh)
+    efirst, ecls, _, ex = _element_classes(mesh)
+    nc = efirst.size
     # without a repeated element no two patches can share a class
-    keyed = ecount.size < nt
-    # congruent elements take their class's first rotation: QR may choose
-    # another null-space basis for a copy that differs by round-off, and a
-    # class operator only fits members rotated alike
-    shared = ecount > 1
-    qslot = np.cumsum(shared) - 1
-    Qs = np.empty((int(shared.sum()), N, N))
-    blocks = {"DQ": np.empty((nt, n_p, N)), "rdiv": np.empty((nt, 3, n_p)),
-              "U": np.empty((nt, 3, n_p)), "TrQ": np.empty((nt, 3, K1, N)),
-              "LiTQ": np.empty((nt, N, N))}
+    keyed = nc < nt
+    # DQ, TrQ and LiTQ per element class, from its first element; rdiv and
+    # U per element
+    blocks = {"ecls": ecls, "DQ": np.empty((nc, n_p, N)),
+              "TrQ": np.empty((nc, 3, K1, N)), "LiTQ": np.empty((nc, N, N)),
+              "rdiv": np.empty((nt, 3, n_p)), "U": np.empty((nt, 3, n_p))}
+    for lo in range(0, nc, _CHUNK):
+        cs = slice(lo, min(lo + _CHUNK, nc))
+        part = _shape_blocks(space, efirst[cs])
+        for name in ("DQ", "TrQ", "LiTQ"):
+            blocks[name][cs] = part[name]
+        del part  # free before the next chunk's transients
+    order = _const_last(n_p)
     for lo in range(0, nt, _CHUNK):
         els = np.arange(lo, min(lo + _CHUNK, nt))
-        part = _compute_blocks(u_h, f, els)
-        c = ecls[els]
-        copy = shared[c] & (efirst[c] != els)
-        Q = np.empty((els.size, N, N))
-        Q[~copy] = _rotations(part["Dt"][~copy])
-        first = shared[c] & ~copy
-        Qs[qslot[c[first]]] = Q[first]
-        Q[copy] = Qs[qslot[c[copy]]]
-        _rotate(part, Q, els, blocks)
-        del part, Q  # free before the next chunk's transients
+        rdiv = _divergence_rhs(u_h, f, els)[..., order]
+        blocks["rdiv"][els] = rdiv
+        blocks["U"][els] = _forward(blocks["DQ"][ecls[els]], rdiv)
 
     sptr, sind, tcnt, scnt = _patch_tables(mesh)
     Jr = _edge_rhs(u_h)
@@ -769,7 +800,7 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
             w[:, 0, n_p - 1] = z[:, -1]
         # every divergence row, the dropped one included: that is where
         # a u_h without Galerkin orthogonality shows
-        dres = _apply(blocks["DQ"][els], w) - blocks["rdiv"][els, slots]
+        dres = _apply(blocks["DQ"][ecls[els]], w) - blocks["rdiv"][els, slots]
         resid = np.maximum(resid, np.abs(dres).max(axis=(1, 2)))
         ratio = resid / scale
         i = int(np.argmax(ratio))
@@ -806,8 +837,8 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
                 part = _take(layout, rows)
                 bb, fixed, scale = _patch_rhs(part, members[rows], mesh,
                                               blocks, Jr, deficient)
-                A = _assemble_patches(_take(layout, first[cs]), tg,
-                                      blocks["TrQ"], n_p, deficient)
+                A = _assemble_patches(_take(layout, first[cs]), tg, blocks,
+                                      deficient)
                 z, resid = _class_solve(A, bb, counts[cs])
                 accept(members[rows], part, fixed, scale, z, resid,
                        deficient)
@@ -816,7 +847,7 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
             part = _take(layout, sel)
             bb, fixed, scale = _patch_rhs(part, members[sel], mesh, blocks,
                                           Jr, deficient)
-            A = _assemble_patches(part, tg, blocks["TrQ"], n_p, deficient)
+            A = _assemble_patches(part, tg, blocks, deficient)
             z, resid = _minnorm_solve(A, bb)
             accept(members[sel], part, fixed, scale, z, resid, deficient)
 
@@ -827,7 +858,14 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
             "input field does not satisfy Galerkin orthogonality")
 
     eta_delta = np.sqrt(np.einsum("tc,tc->t", w_delta, w_delta))
-    qcoef = _apply(blocks["LiTQ"], w_delta)
+    # an element's LiTQ is its class's scaled by the exact power of two
+    # 2^(ex_first - ex_t), applied to the product
+    d = ex[efirst][ecls] - ex
+    qcoef = np.empty((nt, N))
+    for lo in range(0, nt, _CHUNK):
+        els = np.arange(lo, min(lo + _CHUNK, nt))
+        qcoef[els] = np.ldexp(_apply(blocks["LiTQ"][ecls[els]], w_delta[els]),
+                              d[els, None])
     return EquilibratedFlux(u_h, FluxField(mesh, k, qcoef), eta_delta,
                             eta_star, patch_res, n_classes, n_shared)
 
@@ -867,7 +905,8 @@ def local_equilibrate(u_h: ScalarField, f, nu: int) -> PatchSolution:
     els = patch.elements
     msize = els.size
 
-    part = _compute_blocks(u_h, f, els)
+    part = _shape_blocks(space, els)
+    rdiv = _divergence_rhs(u_h, f, els)
     ptr, ind, slotv = mesh._vertex_triangles
     slots = slotv[ptr[nu]:ptr[nu + 1]]
     spokes = patch.interior_edges
@@ -885,7 +924,7 @@ def local_equilibrate(u_h: ScalarField, f, nu: int) -> PatchSolution:
         cols = slice(j * N, (j + 1) * N)
         Araw[rows, cols] = part["Draw"][j]
         Awht[rows, cols] = part["Dt"][j]
-        g[rows] = part["rdiv"][j, slots[j]]
+        g[rows] = rdiv[j, slots[j]]
 
     row = msize * n_p
     for i, e in enumerate(spokes):

@@ -241,9 +241,6 @@ class EstimatorReport:
         verts = self.mesh.triangles[np.asarray(elements, dtype=np.int64)]
         return float(np.sqrt((self.eta_star[verts] ** 2).sum()))
 
-    def restricted_res(self, elements: np.ndarray) -> float:
-        return float(np.sqrt((self.eta_res[elements] ** 2).sum()))
-
     def restricted_osc(self, elements: np.ndarray) -> float:
         return float(np.sqrt((self.osc[elements] ** 2).sum()))
 

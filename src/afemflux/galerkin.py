@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh, MeshError, ancestor_map, bisect
+from .mesh import Mesh, MeshError, ancestor_map
 from .quadrature import EdgeRule, QuadratureRule, edge_rule, triangle_rule
 
 _CHUNK = 100_000
@@ -601,13 +601,3 @@ def prolong(fld: ScalarField, fine_space: FeSpace) -> ScalarField:
     coeffs = np.zeros(fine_space.n_dofs)
     coeffs[fine_space.dof_map] = vals
     return ScalarField(fine_space, coeffs)
-
-
-def reference_energy_error(fld: ScalarField, f, levels: int = 4) -> float:
-    """Energy distance to a solution on a `levels`-times uniformly bisected
-    mesh; a computable error proxy when no closed-form solution exists."""
-    mesh = fld.space.mesh
-    fine_mesh = bisect(mesh, np.arange(mesh.n_triangles), levels)
-    fine_space = FeSpace(fine_mesh, fld.space.degree)
-    u_ref = solve_poisson(fine_space, f)
-    return energy_norm(u_ref - prolong(fld, fine_space))

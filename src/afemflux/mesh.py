@@ -87,12 +87,6 @@ class RefinedSet:
     elements: np.ndarray
     n_coarse: int
 
-    @property
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.n_coarse, dtype=bool)
-        m[self.elements] = True
-        return m
-
 
 @dataclass
 class ConformityReport:
@@ -255,16 +249,8 @@ class Mesh:
         return _lock(ptr), _lock(ind), _lock(local)
 
     @property
-    def vertex_triangle_ptr(self) -> np.ndarray:
-        return self._vertex_triangles[0]
-
-    @property
     def vertex_triangle_ind(self) -> np.ndarray:
         return self._vertex_triangles[1]
-
-    @property
-    def vertex_triangle_local(self) -> np.ndarray:
-        return self._vertex_triangles[2]
 
     @cached_property
     def _vertex_edges(self):

@@ -1,12 +1,14 @@
 """Harness tests: file emission, determinism, option handling."""
 
 import csv
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import afemflux
 from afemflux.afem import AfemConfig, run
 from afemflux.cli import _fmt, main, parse_config_file, write_level_indicators
 from afemflux.mesh import Mesh
@@ -155,8 +157,14 @@ class TestOptions:
         assert all(r["b"] == "1" for r in rows)
 
     def test_module_invocation(self, tmp_path):
+        # the child finds the package where this process found it, which
+        # need not be on its own path
+        src = os.path.dirname(os.path.dirname(afemflux.__file__))
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "afemflux.cli", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert "--estimator" in proc.stdout

@@ -12,11 +12,15 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from afemflux import equilibration
 from afemflux.equilibration import (
     EquilibratedFlux,
     EquilibrationError,
     FluxField,
     _edge_rhs,
+    _element_classes,
+    _shape_blocks,
+    _tril_inverse,
     equilibrate,
     gradient_flux,
     local_equilibrate,
@@ -401,6 +405,67 @@ class TestGlobalReconstruction:
             assert np.array_equal(Je, J[e])
             assert np.array_equal(inner, interior[e])
             assert np.array_equal(_edge_rhs(u, e), moments[e])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [uniform_square, graded_lshape,
+                                           jittered_square])
+    def test_class_blocks_match_element_blocks(self, make_mesh, k):
+        # the blocks of each class's first element, gathered to its members,
+        # against the blocks computed on every element; on the graded
+        # L-shape classes mix element sizes, so LiT takes its 2^d scale.  At
+        # k = 4 the mass matrices' condition (about 5e9) amplifies the
+        # round-off of an element's position: translating the whole mesh
+        # by 0.37 moves its own blocks by up to 3.7e-12 relative
+        tol = 1e-12 if k < 4 else 1e-11
+        mesh = make_mesh()
+        space = FeSpace(mesh, k)
+        first, cls, _, ex = _element_classes(mesh)
+        d = ex[first][cls] - ex
+        assert np.any(d != 0) == (make_mesh is graded_lshape)
+        own = _shape_blocks(space, np.arange(mesh.n_triangles))
+        shared = _shape_blocks(space, first)
+
+        def assert_close(a, b):
+            axes = tuple(range(1, a.ndim))
+            assert (np.abs(a - b).max(axis=axes)
+                    <= tol * np.abs(b).max(axis=axes)).all()
+
+        assert_close(shared["Dt"][cls], own["Dt"])
+        assert_close(shared["Trt"][cls], own["Trt"])
+        assert_close(np.ldexp(shared["LiTQ"][cls], d[:, None, None]),
+                     own["LiT"] @ shared["Q"][cls])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [uniform_square, jittered_square])
+    def test_shape_blocks_built_once_per_class(self, monkeypatch, make_mesh,
+                                               k):
+        # a handful of classes on the uniform square, one per element on
+        # the jittered mesh
+        mesh = make_mesh()
+        first, _, counts, _ = _element_classes(mesh)
+        assert (counts.size <= 8 if make_mesh is uniform_square
+                else counts.size == mesh.n_triangles)
+        calls = []
+        real = equilibration._shape_blocks
+
+        def spy(space, els):
+            calls.append(np.array(els))
+            return real(space, els)
+
+        monkeypatch.setattr(equilibration, "_shape_blocks", spy)
+        assert equilibrated(mesh, k).verify(f_sine).ok
+        assert [c.size for c in calls] == [counts.size]
+        assert np.array_equal(calls[0], first)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_triangular_inverse(self, k):
+        mesh = graded_lshape()
+        mass = _shape_blocks(FeSpace(mesh, k),
+                             np.arange(mesh.n_triangles))["mass"]
+        L = np.linalg.cholesky(mass)
+        Li = _tril_inverse(L)
+        assert np.array_equal(Li, np.tril(Li))
+        assert np.abs(L @ Li - np.eye(L.shape[1])).max() <= 1e-14
 
     def test_class_keys_are_exact(self):
         # one ulp moved at one vertex separates its elements from their

@@ -74,6 +74,9 @@ min-norm operator from it and solves every member with one matrix product
 on its own right-hand sides; the same residual check and sweeps apply.
 Patches alone in their class take the batched LU path, as do all patches
 of a mesh in which no element shape repeats.
+
+`verify_equilibration` measures each element's divergence residual against
+the terms that cancel in it, the projected load and lap u_h.
 """
 
 from __future__ import annotations
@@ -86,17 +89,20 @@ import numpy as np
 from .galerkin import (
     FeSpace,
     ScalarField,
+    element_batch,
+    element_batches,
     element_gradients,
     element_laplacians,
     energy_error,
     monomial_exponents,
+    monomial_projection,
     monomial_values,
     normal_jumps,
+    scaled_coordinates,
 )
 from .mesh import Mesh
-from .quadrature import edge_rule, triangle_rule
+from .quadrature import triangle_rule
 
-_CHUNK = 2048
 # patch-matrix bytes per solver batch, and per batch of class representatives
 # assembled at once; cache-sized chunks win
 _SOLVE_BYTES = 8e6
@@ -154,11 +160,26 @@ def rt_values(k: int, xhat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phys_points(mesh: Mesh, ref_pts: np.ndarray, elements=None) -> np.ndarray:
-    tris = mesh.triangles if elements is None else mesh.triangles[elements]
-    p = mesh.points[tris]
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-    return p[:, None, 0, :] + np.einsum("tcd,qd->tqc", J, ref_pts)
+def _edge_traces(mesh: Mesh, k: int, s: np.ndarray, els: np.ndarray,
+                 le: int):
+    """Normal traces of the local flux basis of the elements els on their
+    local edge le, at the points s of the edge parameter running from the
+    edge's lower global vertex id to its higher one.
+
+    Returns the traces (t, len(s), N), with the outward unit normal, and
+    the edge lengths (t,).
+    """
+    tris = mesh.triangles[els]
+    ga, gb = tris[:, (le + 1) % 3], tris[:, (le + 2) % 3]
+    pl = mesh.points[np.minimum(ga, gb)]
+    ph = mesh.points[np.maximum(ga, gb)]
+    ep = pl[:, None, :] + s[None, :, None] * (ph - pl)[:, None, :]
+    Ve = rt_values(k, scaled_coordinates(mesh, ep, els))
+    tang = mesh.points[gb] - mesh.points[ga]  # directed local edge
+    elen = np.hypot(tang[:, 0], tang[:, 1])
+    nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / elen[:, None]
+    tr = (Ve.reshape(els.size, -1, 2) @ nrm[:, :, None])
+    return tr.reshape(els.size, -1, rt_dim(k)), elen
 
 
 @dataclass(frozen=True)
@@ -180,41 +201,34 @@ class FluxField:
             raise ValueError(f"coefficient shape {self.coeffs.shape}, "
                              f"expected {expected}")
 
-    def _xhat(self, ref_pts, elements):
-        X = _phys_points(self.mesh, ref_pts, elements)
-        els = slice(None) if elements is None else elements
-        c = self.mesh.centroids[els]
-        h = self.mesh.diameters[els]
-        return (X - c[:, None, :]) / h[:, None, None], X
+    def _values(self, batch) -> np.ndarray:
+        V = rt_values(self.degree, batch.xh)
+        return np.einsum("tqjc,tj->tqc", V, self.coeffs[batch.els],
+                         optimize=True)
 
     def element_values(self, ref_pts: np.ndarray, elements=None) -> np.ndarray:
         """Field at reference points of each element -> (nt, nq, 2)."""
-        xh, _ = self._xhat(ref_pts, elements)
-        V = rt_values(self.degree, xh)
-        ec = self.coeffs if elements is None else self.coeffs[elements]
-        return np.einsum("tqjc,tj->tqc", V, ec, optimize=True)
+        return self._values(element_batch(self.mesh, ref_pts, elements))
+
+    def _divergence(self, batch) -> np.ndarray:
+        dcoef = np.einsum("cj,tj->tc", rt_divergence_matrix(self.degree),
+                          self.coeffs[batch.els])
+        dcoef = dcoef / self.mesh.diameters[batch.els][:, None]
+        return np.einsum("tqc,tc->tq", batch.mono, dcoef)
 
     def divergence(self, ref_pts: np.ndarray, elements=None) -> np.ndarray:
         """div of the field at reference points -> (nt, nq)."""
-        xh, _ = self._xhat(ref_pts, elements)
-        els = slice(None) if elements is None else elements
-        mono = monomial_values(monomial_exponents(self.degree),
-                               xh[..., 0], xh[..., 1])
-        dcoef = np.einsum("cj,tj->tc", rt_divergence_matrix(self.degree),
-                          self.coeffs[els])
-        dcoef = dcoef / self.mesh.diameters[els][:, None]
-        return np.einsum("tqc,tc->tq", mono, dcoef)
+        return self._divergence(element_batch(self.mesh, ref_pts, elements,
+                                              self.degree))
 
     def element_norms(self) -> np.ndarray:
         """L2 norm of the field on each element."""
         rule = triangle_rule(2 * self.degree + 2)
-        nt = self.mesh.n_triangles
-        out = np.empty(nt)
-        for lo in range(0, nt, _CHUNK):
-            els = np.arange(lo, min(lo + _CHUNK, nt))
-            v = self.element_values(rule.points, els)
+        out = np.empty(self.mesh.n_triangles)
+        for batch in element_batches(self.mesh, rule.points):
+            v = self._values(batch)
             sq = np.einsum("q,tqc,tqc->t", rule.weights, v, v)
-            out[els] = np.sqrt(sq * self.mesh.areas[els])
+            out[batch.els] = np.sqrt(sq * self.mesh.areas[batch.els])
         return out
 
     def norm(self) -> float:
@@ -249,23 +263,14 @@ def gradient_flux(u_h: ScalarField) -> FluxField:
     mesh = space.mesh
     k = space.degree
     rule = space.rule_main
-    exps = monomial_exponents(k)
-    n_p = len(exps)
-    c = mesh.centroids
-    h = mesh.diameters
-    nt = mesh.n_triangles
-    coeffs = np.zeros((nt, rt_dim(k)))
-    for lo in range(0, nt, _CHUNK):
-        els = np.arange(lo, min(lo + _CHUNK, nt))
-        X = space.physical_points(rule.points, els)
-        xh = (X - c[els, None, :]) / h[els, None, None]
-        mono = monomial_values(exps, xh[..., 0], xh[..., 1])
-        M = np.einsum("q,tqa,tqb->tab", rule.weights, mono, mono)
-        g = element_gradients(u_h, rule.points, els)
-        rhs = np.einsum("q,tqc,tqa->tac", rule.weights, g, mono)
-        sol = np.linalg.solve(M, rhs)  # (t, n_p, 2)
-        coeffs[els, :n_p] = sol[..., 0]
-        coeffs[els, n_p:2 * n_p] = sol[..., 1]
+    n_p = len(monomial_exponents(k))
+    coeffs = np.zeros((mesh.n_triangles, rt_dim(k)))
+    for batch in element_batches(mesh, rule.points, degree=k):
+        g = element_gradients(u_h, rule.points, batch.els)
+        sol = monomial_projection(rule.weights, batch.mono, g[..., 0],
+                                  g[..., 1])  # (t, n_p, 2)
+        coeffs[batch.els, :n_p] = sol[..., 0]
+        coeffs[batch.els, n_p:2 * n_p] = sol[..., 1]
     return FluxField(mesh, k, coeffs)
 
 
@@ -308,15 +313,11 @@ def _shape_blocks(space: FeSpace, els: np.ndarray):
     er = space.edge_rule_main
     n_p = len(monomial_exponents(k))
     N = rt_dim(k)
-    tris = mesh.triangles[els]
     areas = mesh.areas[els]
-    c = mesh.centroids[els]
     h = mesh.diameters[els]
     w = rule.weights
 
-    X = space.physical_points(rule.points, els)
-    xh = (X - c[:, None, :]) / h[:, None, None]
-    V = rt_values(k, xh)
+    V = rt_values(k, element_batch(mesh, rule.points, els).xh)
     # mass in matmul form: rows are the flattened (point, component) axis
     Vf = V.transpose(0, 1, 3, 2).reshape(els.size, -1, N)
     M = Vf.transpose(0, 2, 1) @ (Vf * np.repeat(w, 2)[None, :, None])
@@ -332,19 +333,7 @@ def _shape_blocks(space: FeSpace, els: np.ndarray):
     wspow = (er.weights[:, None] * spow).T  # (k+1, nq_e) moment weights
     Traw = np.empty((els.size, 3, k + 1, N))
     for le in range(3):
-        a, b = (le + 1) % 3, (le + 2) % 3
-        ga, gb = tris[:, a], tris[:, b]
-        lo_ = np.minimum(ga, gb)
-        hi_ = np.maximum(ga, gb)
-        pl, ph = mesh.points[lo_], mesh.points[hi_]
-        ep = pl[:, None, :] + er.points[None, :, None] * (ph - pl)[:, None, :]
-        xhe = (ep - c[:, None, :]) / h[:, None, None]
-        Ve = rt_values(k, xhe)
-        tang = mesh.points[gb] - mesh.points[ga]  # directed local edge
-        elen = np.hypot(tang[:, 0], tang[:, 1])
-        nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / elen[:, None]
-        tr = (Ve.reshape(els.size, -1, 2) @ nrm[:, :, None])
-        tr = tr.reshape(els.size, -1, N)
+        tr, elen = _edge_traces(mesh, k, er.points, els, le)
         Traw[:, le] = (wspow[None] @ tr) * elen[:, None, None]
 
     Dt = Draw @ LiT
@@ -365,13 +354,11 @@ def _divergence_rhs(u_h: ScalarField, f, els: np.ndarray):
     space = u_h.space
     mesh = space.mesh
     rule = space.rule_main
-    X = space.physical_points(rule.points, els)
-    xh = (X - mesh.centroids[els, None, :]) / mesh.diameters[els, None, None]
-    mono = monomial_values(monomial_exponents(space.degree),
-                           xh[..., 0], xh[..., 1])
+    batch = element_batch(mesh, rule.points, els, space.degree)
+    X = batch.X
     res = f(X[..., 0], X[..., 1]) + element_laplacians(u_h, rule.points, els)
     return -np.einsum("q,qs,tq,tqa,t->tsa", rule.weights, rule.bary, res,
-                      mono, mesh.areas[els], optimize=True)
+                      batch.mono, mesh.areas[els], optimize=True)
 
 
 def _edge_rhs(u_h: ScalarField, edges=None):
@@ -762,15 +749,14 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
     blocks = {"ecls": ecls, "DQ": np.empty((nc, n_p, N)),
               "TrQ": np.empty((nc, 3, K1, N)), "LiTQ": np.empty((nc, N, N)),
               "rdiv": np.empty((nt, 3, n_p)), "U": np.empty((nt, 3, n_p))}
-    for lo in range(0, nc, _CHUNK):
-        cs = slice(lo, min(lo + _CHUNK, nc))
-        part = _shape_blocks(space, efirst[cs])
-        for name in ("DQ", "TrQ", "LiTQ"):
-            blocks[name][cs] = part[name]
-        del part  # free before the next chunk's transients
+    for batch in element_batches(mesh, ids=efirst):
+        part = _shape_blocks(space, batch.els)
+        for name in ("DQ", "TrQ", "LiTQ"):  # a first element's class is
+            blocks[name][ecls[batch.els]] = part[name]  # its position
+        del part  # free before the next batch's transients
     order = _const_last(n_p)
-    for lo in range(0, nt, _CHUNK):
-        els = np.arange(lo, min(lo + _CHUNK, nt))
+    for batch in element_batches(mesh):
+        els = batch.els
         rdiv = _divergence_rhs(u_h, f, els)[..., order]
         blocks["rdiv"][els] = rdiv
         blocks["U"][els] = _forward(blocks["DQ"][ecls[els]], rdiv)
@@ -862,8 +848,8 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
     # 2^(ex_first - ex_t), applied to the product
     d = ex[efirst][ecls] - ex
     qcoef = np.empty((nt, N))
-    for lo in range(0, nt, _CHUNK):
-        els = np.arange(lo, min(lo + _CHUNK, nt))
+    for batch in element_batches(mesh):
+        els = batch.els
         qcoef[els] = np.ldexp(_apply(blocks["LiTQ"][ecls[els]], w_delta[els]),
                               d[els, None])
     return EquilibratedFlux(u_h, FluxField(mesh, k, qcoef), eta_delta,
@@ -963,65 +949,46 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
 
     Evaluates, independently of the patch solver, the pointwise residual of
     div q = -(projected f) - lap u_h at the volume quadrature points and of
-    the normal-jump condition at the edge quadrature points.
+    the normal-jump condition at the edge quadrature points.  Each
+    element's divergence residual is relative to the terms that cancel in
+    it, max(1, max_T |projected f|, max_T |lap u_h|): on a strongly graded
+    mesh |lap u_h| on the smallest elements exceeds |f| by orders of
+    magnitude, and so does the round-off of the cancellation.
     """
     u_h = flux.u_h
     space = u_h.space
     mesh = space.mesh
     k = space.degree
     rule = space.rule_main
-    exps = monomial_exponents(k)
-    c = mesh.centroids
-    h = mesh.diameters
-    nt = mesh.n_triangles
 
     div_res = 0.0
-    fscale = 1.0
-    for lo in range(0, nt, _CHUNK):
-        els = np.arange(lo, min(lo + _CHUNK, nt))
-        X = space.physical_points(rule.points, els)
-        xh = (X - c[els, None, :]) / h[els, None, None]
-        mono = monomial_values(exps, xh[..., 0], xh[..., 1])
+    for batch in element_batches(mesh, rule.points, degree=k):
+        X, mono = batch.X, batch.mono
         fX = f(X[..., 0], X[..., 1])
-        M = np.einsum("q,tqa,tqb->tab", rule.weights, mono, mono)
-        rhs = np.einsum("q,tq,tqa->ta", rule.weights, fX, mono)
-        pf = np.einsum("tqa,ta->tq", mono,
-                       np.linalg.solve(M, rhs[..., None])[..., 0])
-        lap = element_laplacians(u_h, rule.points, els)
-        dv = flux.q_delta.divergence(rule.points, els)
-        div_res = max(div_res, float(np.abs(dv + pf + lap).max()))
-        fscale = max(fscale, float(np.abs(fX).max()))
+        pf = np.einsum("tqa,ta->tq", mono, monomial_projection(
+            rule.weights, mono, fX)[..., 0])
+        lap = element_laplacians(u_h, rule.points, batch.els)
+        dv = flux.q_delta._divergence(batch)
+        scale = np.abs([pf, lap]).max(axis=(0, 2), initial=1.0)
+        div_res = max(div_res, float(
+            (np.abs(dv + pf + lap).max(axis=1) / scale).max()))
 
     er = space.edge_rule_main
     J, interior = normal_jumps(u_h, 2 * k + 2)
     qn = np.zeros_like(J)
     et, el = mesh.edge_triangles, mesh.edge_local
-    tris = mesh.triangles
     for side in (0, 1):
         for le in range(3):
             rows = np.nonzero(interior & (el[:, side] == le))[0]
             if rows.size == 0:
                 continue
             t = et[rows, side]
-            a, b = (le + 1) % 3, (le + 2) % 3
-            ga, gb = tris[t, a], tris[t, b]
-            lo_ = np.minimum(ga, gb)
-            hi_ = np.maximum(ga, gb)
-            pl, ph = mesh.points[lo_], mesh.points[hi_]
-            ep = pl[:, None, :] + er.points[None, :, None] \
-                * (ph - pl)[:, None, :]
-            xhe = (ep - c[t, None, :]) / h[t, None, None]
-            Ve = rt_values(k, xhe)
-            tang = mesh.points[gb] - mesh.points[ga]
-            nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
-            nrm /= np.hypot(nrm[:, 0], nrm[:, 1])[:, None]
-            vals = np.einsum("tqjc,tj,tc->tq", Ve, flux.q_delta.coeffs[t],
-                             nrm, optimize=True)
-            qn[rows] += vals
+            tr, _ = _edge_traces(mesh, k, er.points, t, le)
+            qn[rows] += np.einsum("tqj,tj->tq", tr, flux.q_delta.coeffs[t])
     jump_res = float(np.abs((qn + J)[interior]).max()) if interior.any() else 0.0
     jscale = 1.0 + (float(np.abs(J[interior]).max()) if interior.any() else 0.0)
 
-    return EquilibrationReport(div_res / fscale, jump_res / jscale,
+    return EquilibrationReport(div_res, jump_res / jscale,
                                float(flux.patch_residuals.max()))
 
 
@@ -1040,17 +1007,14 @@ def prager_synge_terms(u_h: ScalarField, flux: EquilibratedFlux, grad_exact,
         qdeg = 2 * k + 8
     rule = triangle_rule(qdeg)
     sigma = flux.total_flux()
-    nt = space.mesh.n_triangles
     dist_sq = 0.0
-    for lo in range(0, nt, _CHUNK):
-        els = np.arange(lo, min(lo + _CHUNK, nt))
-        X = space.physical_points(rule.points, els)
-        gx, gy = grad_exact(X[..., 0], X[..., 1])
-        sv = sigma.element_values(rule.points, els)
+    for batch in element_batches(space.mesh, rule.points):
+        gx, gy = grad_exact(batch.X[..., 0], batch.X[..., 1])
+        sv = sigma._values(batch)
         d0 = np.asarray(gx) - sv[..., 0]
         d1 = np.asarray(gy) - sv[..., 1]
         dist_sq += float(np.einsum("q,tq,t->", rule.weights,
                                    d0 * d0 + d1 * d1,
-                                   space.mesh.areas[els]))
+                                   space.mesh.areas[batch.els]))
     err = energy_error(u_h, grad_exact, qdeg=qdeg)
     return err, float(np.sqrt(dist_sq)), flux.eta_delta_total

@@ -27,18 +27,14 @@ import numpy as np
 
 from .equilibration import EquilibratedFlux, equilibrate
 from .galerkin import (
-    FeSpace,
     ScalarField,
+    element_batches,
     element_laplacians,
     energy_error,
-    monomial_exponents,
-    monomial_values,
+    monomial_projection,
     normal_jumps,
 )
 from .mesh import Mesh
-from .quadrature import triangle_rule
-
-_CHUNK = 4096
 
 
 def _volume_residual_sq(u_h: ScalarField, f, weighted: bool):
@@ -52,9 +48,8 @@ def _volume_residual_sq(u_h: ScalarField, f, weighted: bool):
     rule = space.rule_fine
     nt = mesh.n_triangles
     out = np.empty((nt, 3)) if weighted else np.empty(nt)
-    for lo in range(0, nt, _CHUNK):
-        els = np.arange(lo, min(lo + _CHUNK, nt))
-        X = space.physical_points(rule.points, els)
+    for batch in element_batches(mesh, rule.points):
+        els, X = batch.els, batch.X
         r = f(X[..., 0], X[..., 1]) + element_laplacians(u_h, rule.points, els)
         if weighted:
             out[els] = np.einsum("q,qs,tq,t->ts", rule.weights,
@@ -130,27 +125,18 @@ def oscillation(u_h_or_space, f, degree: int | None = None) -> np.ndarray:
     mesh = space.mesh
     if degree is None:
         degree = space.degree - 1
-    exps = monomial_exponents(degree) if degree >= 0 else []
     rule = space.rule_fine
-    nt = mesh.n_triangles
-    c = mesh.centroids
     h = mesh.diameters
-    out = np.empty(nt)
-    for lo in range(0, nt, _CHUNK):
-        els = np.arange(lo, min(lo + _CHUNK, nt))
-        X = space.physical_points(rule.points, els)
+    out = np.empty(mesh.n_triangles)
+    for batch in element_batches(mesh, rule.points,
+                                 degree=degree if degree >= 0 else None):
+        els, X, mono = batch.els, batch.X, batch.mono
         fX = f(X[..., 0], X[..., 1])
-        if exps:
-            xh = (X - c[els, None, :]) / h[els, None, None]
-            mono = monomial_values(exps, xh[..., 0], xh[..., 1])
-            M = np.einsum("q,tqa,tqb->tab", rule.weights, mono, mono,
-                          optimize=True)
-            r = np.einsum("q,tq,tqa->ta", rule.weights, fX, mono,
-                          optimize=True)
-            coef = np.linalg.solve(M, r[..., None])[..., 0]
-            rem = fX - np.einsum("tqa,ta->tq", mono, coef)
-        else:
+        if mono is None:
             rem = fX
+        else:
+            coef = monomial_projection(rule.weights, mono, fX)[..., 0]
+            rem = fX - np.einsum("tqa,ta->tq", mono, coef)
         sq = np.einsum("q,tq,t->t", rule.weights, rem * rem, mesh.areas[els])
         out[els] = h[els] * np.sqrt(sq)
     return out
@@ -174,11 +160,6 @@ def _patch_sums(mesh: Mesh, sq: np.ndarray) -> np.ndarray:
     np.add.at(out, mesh.triangles.ravel(),
               np.broadcast_to(sq, mesh.triangles.shape).ravel())
     return out
-
-
-def _patch_counts(mesh: Mesh) -> np.ndarray:
-    """Number of triangles incident to each vertex."""
-    return np.bincount(mesh.triangles.ravel(), minlength=mesh.n_vertices)
 
 
 @dataclass(frozen=True)
@@ -207,7 +188,7 @@ class EstimatorReport:
     @property
     def eta_star_total(self) -> float:
         """Double-count total: each patch norm once per incident triangle."""
-        m = _patch_counts(self.mesh)
+        m = self.mesh.valences
         return float(np.sqrt((m * self.eta_star ** 2).sum()))
 
     @property
@@ -220,7 +201,7 @@ class EstimatorReport:
 
     @property
     def eta_res_star_total(self) -> float:
-        m = _patch_counts(self.mesh)
+        m = self.mesh.valences
         return float(np.sqrt((m * self.eta_res_star ** 2).sum()))
 
     @property
@@ -229,7 +210,7 @@ class EstimatorReport:
 
     @property
     def osc_star_total(self) -> float:
-        m = _patch_counts(self.mesh)
+        m = self.mesh.valences
         return float(np.sqrt((m * self.osc_star ** 2).sum()))
 
     def restricted(self, elements: np.ndarray) -> float:

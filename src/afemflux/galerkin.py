@@ -12,6 +12,10 @@ the reduced SPD system is factorised directly up to `direct_limit` unknowns
 and solved with Jacobi-preconditioned conjugate gradients beyond that.
 Element contributions are accumulated in COO form and merged by scipy's
 deterministic duplicate summation, so repeated runs are bitwise reproducible.
+
+Every element loop of the package runs through `element_batches`: batches
+of `_BATCH` elements with their mapped quadrature points, the same points
+centred and diameter-scaled, and the monomials there when asked for.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh, MeshError, ancestor_map
 from .quadrature import EdgeRule, QuadratureRule, edge_rule, triangle_rule
 
-_CHUNK = 100_000
+# elements per batch of every element loop
+_BATCH = 2048
 
 
 class SolveError(RuntimeError):
@@ -75,6 +80,19 @@ def monomial_gradients(exps, x, y) -> np.ndarray:
         if b:
             out[..., j, 1] = b * px[..., a] * py[..., b - 1]
     return out
+
+
+def monomial_projection(w, mono, *vals) -> np.ndarray:
+    """Coefficients of the elementwise L2 projections of vals onto monomials.
+
+    w (nq,) are the quadrature weights, mono (t, nq, n) the monomials at the
+    points of each element and each of vals (t, nq) a function there.
+    Returns (t, n, len(vals)), one column per function.
+    """
+    M = np.einsum("q,tqa,tqb->tab", w, mono, mono, optimize=True)
+    r = np.stack([np.einsum("q,tq,tqa->ta", w, v, mono, optimize=True)
+                  for v in vals], axis=-1)
+    return np.linalg.solve(M, r)
 
 
 def _exact_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -209,7 +227,6 @@ class FeSpace:
         p = mesh.points[tris]
         self.origins = p[:, 0]
         J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-        self.jac = J
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         inv = np.empty_like(J)
         inv[:, 0, 0] = J[:, 1, 1]
@@ -230,15 +247,9 @@ class FeSpace:
     def edge_rule_main(self) -> EdgeRule:
         return edge_rule(2 * self.degree + 2)
 
-    def physical_points(self, ref_pts: np.ndarray, elements=None) -> np.ndarray:
-        """Map reference points (nq, 2) into each element -> (nt, nq, 2)."""
-        J = self.jac if elements is None else self.jac[elements]
-        o = self.origins if elements is None else self.origins[elements]
-        return o[:, None, :] + ref_pts @ J.transpose(0, 2, 1)
-
     def interpolate(self, u) -> "ScalarField":
         """Nodal interpolation of a callable u(x, y)."""
-        X = self.physical_points(self.ref.nodes)
+        X = physical_points(self.mesh, self.ref.nodes)
         vals = u(X[..., 0], X[..., 1])
         coeffs = np.zeros(self.n_dofs)
         coeffs[self.dof_map] = vals
@@ -276,6 +287,65 @@ class ScalarField:
         if other.space is not self.space:
             raise ValueError("fields live on different spaces")
         return ScalarField(self.space, self.coeffs - other.coeffs)
+
+
+# -- element batches -----------------------------------------------------
+
+
+def physical_points(mesh: Mesh, ref_pts: np.ndarray, elements=None):
+    """Map reference points (nq, 2) into each element -> (nt, nq, 2)."""
+    p = mesh.points[mesh.triangles if elements is None
+                    else mesh.triangles[elements]]
+    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    return p[:, 0, None, :] + ref_pts @ J.transpose(0, 2, 1)
+
+
+def scaled_coordinates(mesh: Mesh, X: np.ndarray, els: np.ndarray):
+    """Points X (t, nq, 2) of the elements els, centred at each element's
+    centroid and divided by its diameter."""
+    return (X - mesh.centroids[els, None, :]) / mesh.diameters[els, None, None]
+
+
+@dataclass(frozen=True)
+class ElementBatch:
+    """Elements els of a mesh with, when points were asked for, the points
+    X (t, nq, 2) mapped into each and, when a degree was asked for, mono
+    (t, nq, n) the monomials at the scaled points xh."""
+
+    mesh: Mesh = field(repr=False)
+    els: np.ndarray
+    X: np.ndarray | None = None
+    mono: np.ndarray | None = None
+
+    @property
+    def xh(self) -> np.ndarray:
+        """X in `scaled_coordinates`, formed on each access."""
+        return scaled_coordinates(self.mesh, self.X, self.els)
+
+
+def element_batch(mesh: Mesh, ref_pts: np.ndarray, els=None,
+                  degree: int | None = None) -> ElementBatch:
+    """The batch of the elements els (all by default): ref_pts mapped into
+    each and, for a degree, the monomials of `monomial_exponents(degree)`
+    at the scaled points."""
+    els = np.arange(mesh.n_triangles) if els is None else np.asarray(els)
+    X = physical_points(mesh, ref_pts, els)
+    xh = None if degree is None else scaled_coordinates(mesh, X, els)
+    mono = None if degree is None else monomial_values(
+        monomial_exponents(degree), xh[..., 0], xh[..., 1])
+    return ElementBatch(mesh, els, X, mono)
+
+
+def element_batches(mesh: Mesh, ref_pts: np.ndarray | None = None, ids=None,
+                    degree: int | None = None):
+    """Yield the elements ids (all, in order, by default) in batches of
+    `_BATCH`, each an `element_batch` of ref_pts and degree, or its ids
+    alone when ref_pts is None."""
+    ids = np.arange(mesh.n_triangles) if ids is None else np.asarray(ids)
+    for lo in range(0, ids.size, _BATCH):
+        els = ids[lo:lo + _BATCH]
+        yield ElementBatch(mesh, els) if ref_pts is None \
+            else element_batch(mesh, ref_pts, els, degree)
 
 
 # -- element-level evaluation helpers ----------------------------------
@@ -406,20 +476,18 @@ def normal_jumps(field: ScalarField, qdeg: int | None = None, edges=None):
 def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
     rule = space.rule_main
     G = space.ref.gradients(rule.points)
-    nt = space.mesh.n_triangles
     nl = space.ref.n_nodes
     rows_all, cols_all, vals_all = [], [], []
     nq = G.shape[0]
     Gf = G.reshape(nq * nl, 2)
     wrep = np.repeat(rule.weights, 2)
-    for lo in range(0, nt, _CHUNK):
-        hi = min(lo + _CHUNK, nt)
-        Ji = space.jac_inv[lo:hi]
-        Gp = (Gf @ Ji).reshape(-1, nq, nl, 2)
+    for batch in element_batches(space.mesh):
+        els = batch.els
+        Gp = (Gf @ space.jac_inv[els]).reshape(-1, nq, nl, 2)
         Gr = Gp.transpose(0, 1, 3, 2).reshape(-1, nq * 2, nl)
         K = Gr.transpose(0, 2, 1) @ (Gr * wrep[None, :, None])
-        K *= space.mesh.areas[lo:hi, None, None]
-        dm = space.dof_map[lo:hi]
+        K *= space.mesh.areas[els, None, None]
+        dm = space.dof_map[els]
         rows_all.append(np.repeat(dm, nl, axis=1).ravel())
         cols_all.append(np.tile(dm, (1, nl)).ravel())
         vals_all.append(K.ravel())
@@ -435,15 +503,13 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
     rule = space.rule_main
     V = space.ref.values(rule.points)
     b = np.zeros(space.n_dofs)
-    nt = space.mesh.n_triangles
-    for lo in range(0, nt, _CHUNK):
-        hi = min(lo + _CHUNK, nt)
-        X = space.physical_points(rule.points, np.arange(lo, hi))
+    for batch in element_batches(space.mesh, rule.points):
+        X = batch.X
         fv = np.asarray(f(X[..., 0], X[..., 1]), dtype=np.float64)
         fv = np.broadcast_to(fv, X.shape[:2])
         loc = (fv * rule.weights[None, :]) @ V
-        loc = loc * space.mesh.areas[lo:hi, None]
-        np.add.at(b, space.dof_map[lo:hi], loc)
+        loc = loc * space.mesh.areas[batch.els, None]
+        np.add.at(b, space.dof_map[batch.els], loc)
     return b
 
 
@@ -492,12 +558,11 @@ def energy_norm(field: ScalarField) -> float:
     """|field|_{H^1} = L2 norm of the gradient (exact for FE fields)."""
     rule = field.space.rule_main
     total = 0.0
-    nt = field.space.mesh.n_triangles
-    for lo in range(0, nt, _CHUNK):
-        els = np.arange(lo, min(lo + _CHUNK, nt))
-        g = element_gradients(field, rule.points, els)
+    for batch in element_batches(field.space.mesh):
+        g = element_gradients(field, rule.points, batch.els)
         total += float(np.einsum("q,tqc,tqc,t->", rule.weights, g, g,
-                                 field.space.mesh.areas[els], optimize=True))
+                                 field.space.mesh.areas[batch.els],
+                                 optimize=True))
     return float(np.sqrt(total))
 
 
@@ -508,16 +573,14 @@ def energy_error(field: ScalarField, grad_exact, qdeg: int | None = None) -> flo
     else:
         rule = triangle_rule(qdeg)
     total = 0.0
-    nt = field.space.mesh.n_triangles
-    for lo in range(0, nt, _CHUNK):
-        els = np.arange(lo, min(lo + _CHUNK, nt))
-        g = element_gradients(field, rule.points, els)
-        X = field.space.physical_points(rule.points, els)
-        gx, gy = grad_exact(X[..., 0], X[..., 1])
+    for batch in element_batches(field.space.mesh, rule.points):
+        g = element_gradients(field, rule.points, batch.els)
+        gx, gy = grad_exact(batch.X[..., 0], batch.X[..., 1])
         d0 = np.asarray(gx) - g[..., 0]
         d1 = np.asarray(gy) - g[..., 1]
         total += float(np.einsum("q,tq,t->", rule.weights, d0 * d0 + d1 * d1,
-                                 field.space.mesh.areas[els], optimize=True))
+                                 field.space.mesh.areas[batch.els],
+                                 optimize=True))
     return float(np.sqrt(total))
 
 
@@ -549,20 +612,14 @@ def l2_project(element, g, m: int) -> LocalPolynomial:
     if m < 0:
         raise ValueError("projection degree must be >= 0")
     rule = triangle_rule(2 * m + 4)
-    p = mesh.points[mesh.triangles[t]]
-    X = p[0] + rule.points @ np.stack([p[1] - p[0], p[2] - p[0]])
-    c = p.mean(axis=0)
-    h = float(mesh.diameters[t])
-    exps = monomial_exponents(m)
-    M = monomial_values(exps, (X[:, 0] - c[0]) / h, (X[:, 1] - c[1]) / h)
+    batch = element_batch(mesh, rule.points, [t], m)
+    X = batch.X[0]
     gv = np.asarray(g(X[:, 0], X[:, 1]), dtype=np.float64)
-    gv = np.broadcast_to(gv, (rule.n_points,))
-    W = rule.weights
-    mass = (M * W[:, None]).T @ M
-    rhs = (M * W[:, None]).T @ gv
-    coeffs = np.linalg.solve(mass, rhs)
+    gv = np.broadcast_to(gv, (1, rule.n_points))
+    coeffs = monomial_projection(rule.weights, batch.mono, gv)[0, :, 0]
     return LocalPolynomial(mesh=mesh, element=t, degree=m, coeffs=coeffs,
-                           center=c, scale=h)
+                           center=mesh.centroids[t],
+                           scale=float(mesh.diameters[t]))
 
 
 def hat_function(space: FeSpace, nu: int) -> ScalarField:
@@ -570,10 +627,7 @@ def hat_function(space: FeSpace, nu: int) -> ScalarField:
     mesh = space.mesh
     if not 0 <= nu < mesh.n_vertices:
         raise MeshError(f"vertex id {nu} out of range")
-    p1 = mesh.__dict__.get("_p1_space")
-    if p1 is None:
-        p1 = space if space.degree == 1 else FeSpace(mesh, 1)
-        mesh.__dict__["_p1_space"] = p1
+    p1 = space if space.degree == 1 else FeSpace(mesh, 1)
     coeffs = np.zeros(p1.n_dofs)
     coeffs[nu] = 1.0
     return ScalarField(p1, coeffs)
@@ -592,7 +646,8 @@ def prolong(fld: ScalarField, fine_space: FeSpace) -> ScalarField:
     if fine_space.degree < coarse.degree:
         raise ValueError("fine space degree must be >= coarse degree")
     anc = ancestor_map(coarse.mesh, fine_space.mesh)
-    X = fine_space.physical_points(fine_space.ref.nodes)  # (ntf, n_nodes, 2)
+    # (ntf, n_nodes, 2)
+    X = physical_points(fine_space.mesh, fine_space.ref.nodes)
     rel = X - coarse.origins[anc][:, None, :]
     xi = np.einsum("tcd,tqd->tqc", coarse.jac_inv[anc], rel)
     mono = monomial_values(coarse.ref.exponents, xi[..., 0], xi[..., 1])

@@ -248,10 +248,6 @@ class Mesh:
         np.cumsum(np.bincount(flat, minlength=self.n_vertices), out=ptr[1:])
         return _lock(ptr), _lock(ind), _lock(local)
 
-    @property
-    def vertex_triangle_ind(self) -> np.ndarray:
-        return self._vertex_triangles[1]
-
     @cached_property
     def _vertex_edges(self):
         """CSR vertex -> incident edges (sorted by edge id)."""

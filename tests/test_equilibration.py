@@ -6,6 +6,7 @@ finite-difference divergence, jump and trace conditions are sampled
 pointwise, and minimality is verified through null-space orthogonality.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -580,6 +581,45 @@ class TestHypercircle:
         # the re-entrant corner carries one of the largest local stars
         rank = (fl.eta_star > fl.eta_star[corner]).sum()
         assert rank < max(4, mesh.n_vertices // 20)
+
+
+def f_one(x, y):
+    return np.ones_like(x)
+
+
+@pytest.fixture(scope="module")
+def corner_graded_p4():
+    """P4 on the L-shape bisected 41 times at the re-entrant corner: 258
+    triangles, diameters from 1 down to 7e-7, |lap u_h| up to about 3e8
+    on the smallest ones."""
+    mesh = lshape()
+    for _ in range(41):
+        at_corner = (mesh.points[mesh.triangles] == 0.0).all(axis=2)
+        mesh = bisect(mesh, np.nonzero(at_corner.any(axis=1))[0], 1)
+    assert mesh.n_triangles == 258
+    return equilibrate(solve_poisson(FeSpace(mesh, 4), f_one), f_one)
+
+
+class TestVerification:
+    def test_graded_p4_verifies(self, corner_graded_p4):
+        # the divergence residual cancels against |lap u_h| ~ 3e8, not |f|
+        rep = verify_equilibration(corner_graded_p4, f_one)
+        assert rep.ok, rep
+
+    def test_graded_p4_perturbed_flux_fails(self, corner_graded_p4):
+        # one part in 1e7 of the correction on the element where the
+        # cancelling terms are largest still shows
+        fl = corner_graded_p4
+        space = fl.u_h.space
+        lap = element_laplacians(fl.u_h, space.rule_main.points)
+        t = int(np.argmax(np.abs(lap).max(axis=1)))
+        coeffs = fl.q_delta.coeffs.copy()
+        coeffs[t] *= 1 + 1e-7
+        bad = dataclasses.replace(
+            fl, q_delta=FluxField(space.mesh, 4, coeffs))
+        rep = verify_equilibration(bad, f_one)
+        assert rep.div_residual > rep.tolerance
+        assert not rep.ok
 
 
 class TestFluxFieldUtilities:

@@ -9,6 +9,9 @@ leggauss, independent of the package quadrature) for error integrals.
 import numpy as np
 import pytest
 
+from afemflux import galerkin
+from afemflux.equilibration import equilibrate
+from afemflux.estimators import oscillation, residual_indicators
 from afemflux.galerkin import (
     FeSpace,
     ScalarField,
@@ -19,11 +22,16 @@ from afemflux.galerkin import (
     energy_norm,
     hat_function,
     l2_project,
+    element_batches,
     element_gradients,
+    monomial_exponents,
+    monomial_values,
+    physical_points,
     prolong,
     solve_poisson,
 )
 from afemflux.mesh import Mesh, bisect, lshape, unit_square_crisscross
+from afemflux.quadrature import triangle_rule
 
 
 def u_sine(x, y):
@@ -154,7 +162,7 @@ class TestNormsAndProjection:
             p = mesh.points[mesh.triangles[t]]
             _, ref_pts, wts = duffy(p, lambda x, y: np.zeros_like(x))
             g = element_gradients(u, ref_pts, np.array([t]))[0]
-            X = space.physical_points(ref_pts, np.array([t]))[0]
+            X = physical_points(mesh, ref_pts, [t])[0]
             gx, gy = grad_sine(X[:, 0], X[:, 1])
             total += float(((gx - g[:, 0]) ** 2 + (gy - g[:, 1]) ** 2) @ wts)
         assert got == pytest.approx(np.sqrt(total), rel=1e-12)
@@ -209,6 +217,59 @@ class TestNormsAndProjection:
         outside = np.setdiff1d(np.arange(mesh.n_triangles), patch.elements)
         assert np.allclose(vals[outside], 0.0)
         assert np.any(vals[patch.elements] != 0.0)
+
+    def test_hat_function_leaves_mesh_unchanged(self):
+        mesh = bisect(lshape(), [2, 9], 2)
+        space = FeSpace(mesh, 2)
+        before = dict(vars(mesh))
+        hat_function(space, 3)
+        after = vars(mesh)
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
+
+
+class TestElementBatches:
+    # the unit square has 4 triangles: batches of 5, 4 and 3 cover
+    # n < batch, n = batch and n = batch + 1
+    @pytest.mark.parametrize("batch, sizes", [(5, [4]), (4, [4]),
+                                              (3, [3, 1])])
+    def test_each_element_once_in_order(self, monkeypatch, batch, sizes):
+        monkeypatch.setattr(galerkin, "_BATCH", batch)
+        mesh = unit_square_crisscross()
+        rule = triangle_rule(4)
+        X = physical_points(mesh, rule.points)
+        xh = (X - mesh.centroids[:, None]) / mesh.diameters[:, None, None]
+        mono = monomial_values(monomial_exponents(2), xh[..., 0], xh[..., 1])
+        got = list(element_batches(mesh, rule.points, degree=2))
+        assert [b.els.size for b in got] == sizes
+        assert np.array_equal(np.concatenate([b.els for b in got]),
+                              np.arange(4))
+        for b in got:
+            assert np.array_equal(b.X, X[b.els])
+            assert np.array_equal(b.xh, xh[b.els])
+            assert np.array_equal(b.mono, mono[b.els])
+
+    def test_given_ids_in_their_order(self, monkeypatch):
+        monkeypatch.setattr(galerkin, "_BATCH", 2)
+        ids = np.array([3, 0, 2])
+        got = list(element_batches(unit_square_crisscross(), ids=ids))
+        assert [b.els.tolist() for b in got] == [[3, 0], [2]]
+        assert all(b.X is None and b.mono is None for b in got)
+
+    def test_batch_size_does_not_change_estimators(self, monkeypatch):
+        mesh = bisect(unit_square_crisscross(), np.arange(4), 6)
+        assert mesh.n_triangles == 256
+        space = FeSpace(mesh, 2)
+
+        def estimators():
+            u = solve_poisson(space, f_sine)
+            return (equilibrate(u, f_sine).eta_delta,
+                    residual_indicators(u, f_sine), oscillation(u, f_sine))
+
+        default = estimators()
+        monkeypatch.setattr(galerkin, "_BATCH", 7)
+        for a, b in zip(estimators(), default):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 class TestSolverPaths:

@@ -43,7 +43,6 @@ from .estimators import (
     patch_oscillation,
     patch_residual_indicators,
     residual_indicators,
-    total_error,
 )
 from .galerkin import (
     FeSpace,
@@ -103,7 +102,6 @@ __all__ = [
     "residual_indicators",
     "run",
     "solve_poisson",
-    "total_error",
     "unit_square_crisscross",
     "verify_equilibration",
 ]

@@ -72,6 +72,10 @@ _DEFAULTS = {
     "hypotheses": "off",
 }
 
+# the ConvergenceRecord field that holds each estimator family's total
+_TOTALS = {"delta": "eta_delta", "star": "eta_star",
+           "residual": "eta_res", "residual_star": "eta_res_star"}
+
 _CASTS = {
     "degree": int, "theta": float, "max_dofs": int, "max_levels": int,
     "export_flux": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
@@ -167,8 +171,7 @@ def write_schema(path) -> None:
 
 
 def write_decay(path, records, estimator: str) -> None:
-    key = {"delta": "eta_delta", "star": "eta_star",
-           "residual": "eta_res", "residual_star": "eta_res_star"}[estimator]
+    key = _TOTALS[estimator]
     with open(path, "w") as fh:
         fh.write(f"# n_dofs {key} energy_error\n")
         for r in records:
@@ -243,9 +246,10 @@ def main(argv=None) -> int:
     t1 = time.perf_counter()
     timings.append(("adaptive_run", (t1 - t0) * 1e3))
 
+    total = _TOTALS[opts["estimator"]]
     for r in result.records:
         print(f"level {r.level:3d}  elements {r.n_elements:7d}  "
-              f"dofs {r.n_dofs:7d}  estimator {getattr(r, 'eta_delta'):.6e}  "
+              f"dofs {r.n_dofs:7d}  estimator {getattr(r, total):.6e}  "
               f"marked {r.n_marked}")
     print(f"stopped: {result.stop_reason} after {len(result.records)} levels "
           f"(b={result.b})")

@@ -361,24 +361,21 @@ def _divergence_rhs(u_h: ScalarField, f, els: np.ndarray):
                       batch.mono, mesh.areas[els], optimize=True)
 
 
-def _edge_rhs(u_h: ScalarField, edges=None):
+def _edge_rhs(space: FeSpace, J: np.ndarray, hE: np.ndarray):
     """Hat-weighted jump moments per edge.
 
-    Returns (ne, 2, k+1): variant 0 weights with the hat of the lower
-    endpoint (1 - s in the global edge parameter), variant 1 with s.
-    Boundary edge rows are zero and never used.  edges, if given, limits
-    the moments to those edge ids, in that order.
+    J holds normal jumps at the points of space.edge_rule_main, one row per
+    edge, and hE the lengths of those edges.  Returns (ne, 2, k+1): variant
+    0 weights with the hat of the lower endpoint (1 - s in the global edge
+    parameter), variant 1 with s.  Boundary edge rows are zero and never
+    used.
     """
-    space = u_h.space
-    mesh = space.mesh
     k = space.degree
     er = space.edge_rule_main
-    J, _ = normal_jumps(u_h, 2 * k + 2, edges)
     s = er.points
     phis = np.column_stack([1.0 - s, s])
     spow = s[:, None] ** np.arange(k + 1)[None, :]
     W = er.weights[:, None, None] * phis[:, :, None] * spow[:, None, :]
-    hE = mesh.edge_lengths if edges is None else mesh.edge_lengths[edges]
     # one unoptimised contraction, so that each edge's row is computed alike
     # for any set of edges
     return -np.einsum("eq,qvb->evb", J * hE[:, None], W)
@@ -695,6 +692,9 @@ class EquilibratedFlux:
     of any row of the full patch system of nu: the jump and trace rows
     solved, the divergence rows fixed by forward substitution, and on a
     fully interior patch the dropped constant-divergence row.
+    jumps[e] holds the normal jumps of grad u_h across edge e at the points
+    of u_h.space.edge_rule_main (zero on boundary edges): the data the jump
+    rows were solved against, which the residual estimators reuse.
     patch_classes counts the class operators built, shared_patches the
     patches solved with one.
     """
@@ -704,6 +704,7 @@ class EquilibratedFlux:
     eta_delta: np.ndarray = dc_field(repr=False)
     eta_star: np.ndarray = dc_field(repr=False)
     patch_residuals: np.ndarray = dc_field(repr=False)
+    jumps: np.ndarray = dc_field(repr=False)
     patch_classes: int
     shared_patches: int
 
@@ -762,7 +763,8 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
         blocks["U"][els] = _forward(blocks["DQ"][ecls[els]], rdiv)
 
     sptr, sind, tcnt, scnt = _patch_tables(mesh)
-    Jr = _edge_rhs(u_h)
+    J, _ = normal_jumps(u_h, 2 * k + 2)
+    Jr = _edge_rhs(space, J, mesh.edge_lengths)
 
     m = np.diff(mesh._vertex_triangles[0])
     keys = np.stack([m, scnt, tcnt], axis=1)
@@ -853,7 +855,7 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
         qcoef[els] = np.ldexp(_apply(blocks["LiTQ"][ecls[els]], w_delta[els]),
                               d[els, None])
     return EquilibratedFlux(u_h, FluxField(mesh, k, qcoef), eta_delta,
-                            eta_star, patch_res, n_classes, n_shared)
+                            eta_star, patch_res, J, n_classes, n_shared)
 
 
 @dataclass(frozen=True)
@@ -896,7 +898,8 @@ def local_equilibrate(u_h: ScalarField, f, nu: int) -> PatchSolution:
     ptr, ind, slotv = mesh._vertex_triangles
     slots = slotv[ptr[nu]:ptr[nu + 1]]
     spokes = patch.interior_edges
-    Jr = _edge_rhs(u_h, spokes)
+    Jr = _edge_rhs(space, normal_jumps(u_h, 2 * k + 2, spokes)[0],
+                   mesh.edge_lengths[spokes])
 
     rim = mesh.edge_of_triangle[els, slots]
     trace_edges = rim[~mesh.boundary_edge[rim]]

@@ -17,6 +17,13 @@ Totals follow two conventions for patchwise quantities: the element-major
 double sum over triangles and their vertices, sum_T sum_{nu in T} eta_nu^2,
 which counts each patch norm once per incident triangle, and the plain root
 sum of squares over vertices ("single count").
+
+The flux and both residual families read the same data of u_h, each
+evaluated once per level: the normal jumps of grad u_h, which `equilibrate`
+computes for its patch problems and keeps on the flux, and the volume
+residual f + lap u_h on the fine rule, from which `_residual_squares` forms
+the plain and the hat-weighted squares alike.  `residual_indicators` and
+`patch_residual_indicators` only combine those squares.
 """
 
 from __future__ import annotations
@@ -30,85 +37,69 @@ from .galerkin import (
     ScalarField,
     element_batches,
     element_laplacians,
-    energy_error,
     monomial_projection,
-    normal_jumps,
 )
 from .mesh import Mesh
 
 
-def _volume_residual_sq(u_h: ScalarField, f, weighted: bool):
-    """Per-element integrals of (f + lap u_h)^2, optionally per hat weight.
+def _residual_squares(u_h: ScalarField, f, jumps: np.ndarray):
+    """The squared residual data of u_h, each evaluated once.
 
-    Returns (nt,) when weighted is False, else (nt, 3) with one column per
-    local vertex carrying the phi_nu^2-weighted integral.
+    Returns (vol, vol_hat, edge, edge_hat): the per-element integrals of
+    (f + lap u_h)^2, plain (nt,) and with one column per local vertex
+    carrying the phi_nu^2-weighted integral (nt, 3); and the per-edge
+    integrals of the squared gradient jump, plain (ne,) and with the phi^2
+    weight of the lower / higher endpoint (ne, 2).  jumps are the normal
+    jumps at the points of u_h.space.edge_rule_main, as `equilibrate` keeps
+    them; their boundary rows are zero, and so are those of edge, edge_hat.
     """
     space = u_h.space
     mesh = space.mesh
     rule = space.rule_fine
-    nt = mesh.n_triangles
-    out = np.empty((nt, 3)) if weighted else np.empty(nt)
+    vol = np.empty(mesh.n_triangles)
+    vol_hat = np.empty((mesh.n_triangles, 3))
     for batch in element_batches(mesh, rule.points):
         els, X = batch.els, batch.X
         r = f(X[..., 0], X[..., 1]) + element_laplacians(u_h, rule.points, els)
-        if weighted:
-            out[els] = np.einsum("q,qs,tq,t->ts", rule.weights,
-                                 rule.bary ** 2, r * r, mesh.areas[els])
-        else:
-            out[els] = np.einsum("q,tq,t->t", rule.weights, r * r,
-                                 mesh.areas[els])
-    return out
-
-
-def _edge_jump_sq(u_h: ScalarField, weighted: bool):
-    """Per-edge integrals of the squared gradient jump.
-
-    Returns (ne,) when weighted is False, else (ne, 2) with the phi^2
-    weight of the lower / higher endpoint.  Boundary edges are zero.
-    """
-    space = u_h.space
-    mesh = space.mesh
-    k = space.degree
-    J, interior = normal_jumps(u_h, 2 * k + 2)
+        rr = r * r
+        vol[els] = np.einsum("q,tq,t->t", rule.weights, rr, mesh.areas[els])
+        vol_hat[els] = np.einsum("q,qs,tq,t->ts", rule.weights,
+                                 rule.bary ** 2, rr, mesh.areas[els])
     er = space.edge_rule_main
     hE = mesh.edge_lengths
-    if weighted:
-        s = er.points
-        phis = np.column_stack([1.0 - s, s]) ** 2
-        sq = np.einsum("q,qv,eq->ev", er.weights, phis, J * J) * hE[:, None]
-        sq[~interior] = 0.0
-    else:
-        sq = (J * J) @ er.weights * hE
-        sq[~interior] = 0.0
-    return sq, interior
+    s = er.points
+    phis = np.column_stack([1.0 - s, s]) ** 2
+    JJ = jumps * jumps
+    edge = JJ @ er.weights * hE
+    edge_hat = np.einsum("q,qv,eq->ev", er.weights, phis, JJ) * hE[:, None]
+    return vol, vol_hat, edge, edge_hat
 
 
-def residual_indicators(u_h: ScalarField, f) -> np.ndarray:
+def residual_indicators(mesh: Mesh, vol: np.ndarray,
+                        edge: np.ndarray) -> np.ndarray:
     """Classical elementwise residual indicators.
 
     eta_T^2 = h_T^2 |f + lap u_h|_T^2 + sum over the interior edges of T of
     h_E |jump of normal gradient|_E^2.  Every interior edge contributes to
-    both neighbouring elements.
+    both neighbouring elements.  vol and edge are the plain squares of
+    `_residual_squares`.
     """
-    mesh = u_h.space.mesh
-    vol = _volume_residual_sq(u_h, f, weighted=False)
-    esq, _ = _edge_jump_sq(u_h, weighted=False)
     eta_sq = mesh.diameters ** 2 * vol
-    eta_sq += (esq * mesh.edge_lengths)[mesh.edge_of_triangle].sum(axis=1)
+    eta_sq += (edge * mesh.edge_lengths)[mesh.edge_of_triangle].sum(axis=1)
     return np.sqrt(eta_sq)
 
 
-def patch_residual_indicators(u_h: ScalarField, f) -> np.ndarray:
+def patch_residual_indicators(mesh: Mesh, vol_hat: np.ndarray,
+                              edge_hat: np.ndarray) -> np.ndarray:
     """Hat-weighted patchwise residual indicators, one per vertex.
 
     eta_nu^2 = sum_{T in patch} h_T^2 |phi_nu (f + lap u_h)|_T^2
              + sum_{interior spokes E} h_E |phi_nu jump|_E^2.
+    vol_hat and edge_hat are the hat-weighted squares of
+    `_residual_squares`.
     """
-    mesh = u_h.space.mesh
-    vol = _volume_residual_sq(u_h, f, weighted=True)  # (nt, 3)
-    esq, _ = _edge_jump_sq(u_h, weighted=True)        # (ne, 2)
-    eta_sq = _patch_sums(mesh, mesh.diameters[:, None] ** 2 * vol)
-    hesq = esq * mesh.edge_lengths[:, None]
+    eta_sq = _patch_sums(mesh, mesh.diameters[:, None] ** 2 * vol_hat)
+    hesq = edge_hat * mesh.edge_lengths[:, None]
     np.add.at(eta_sq, mesh.edges.ravel(), hesq.ravel())
     return np.sqrt(eta_sq)
 
@@ -249,31 +240,25 @@ class EstimatorReport:
 
 def estimate(u_h: ScalarField, f,
              flux: EquilibratedFlux | None = None) -> EstimatorReport:
-    """Compute every indicator family for a discrete solution."""
+    """Compute every indicator family for a discrete solution.
+
+    The residual families reuse the normal jumps of the flux, so a flux
+    passed in must be that of u_h itself.
+    """
     if flux is None:
         flux = equilibrate(u_h, f)
+    elif flux.u_h is not u_h:
+        raise ValueError("flux was equilibrated for another field than u_h")
     mesh = u_h.space.mesh
+    vol, vol_hat, edge, edge_hat = _residual_squares(u_h, f, flux.jumps)
     osc = oscillation(u_h, f)
     return EstimatorReport(
         mesh=mesh,
         eta_delta=flux.eta_delta,
         eta_star=flux.eta_star,
-        eta_res=residual_indicators(u_h, f),
-        eta_res_star=patch_residual_indicators(u_h, f),
+        eta_res=residual_indicators(mesh, vol, edge),
+        eta_res_star=patch_residual_indicators(mesh, vol_hat, edge_hat),
         osc=osc,
         osc_star=np.sqrt(_patch_sums(mesh, osc[:, None] ** 2)),
         flux=flux,
     )
-
-
-def total_error(u_h: ScalarField, grad_exact=None, qdeg: int | None = None,
-                ) -> float:
-    """Energy error against a closed-form gradient.
-
-    Raises ValueError when no exact gradient is available; callers that
-    need an error bound without one should use the estimator totals.
-    """
-    if grad_exact is None:
-        raise ValueError("no exact solution available; use an estimator "
-                         "total as the error proxy")
-    return energy_error(u_h, grad_exact, qdeg=qdeg)

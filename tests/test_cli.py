@@ -69,6 +69,18 @@ class TestEmission:
         assert np.allclose(decay[:, 1],
                            [float(r["eta_delta"]) for r in rows])
 
+    def test_progress_line_prints_chosen_estimator(self, tmp_path, capsys):
+        out = run_cli(tmp_path, "p", ["--estimator", "residual"])
+        rows = read_rows(out / "run.csv")
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("level")]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            printed = float(line.split("estimator")[1].split()[0])
+            assert printed == pytest.approx(float(row["eta_res"]), rel=1e-6)
+            assert printed != pytest.approx(float(row["eta_delta"]),
+                                            rel=1e-3)
+
     def test_mesh_and_flux_exports(self, tmp_path):
         out = run_cli(tmp_path, "e", ["--export-mesh", "tri",
                                       "--export-flux"])

@@ -396,7 +396,7 @@ class TestGlobalReconstruction:
         u = solve_poisson(FeSpace(graded_lshape(), k), f_sine)
         mesh = u.space.mesh
         J, interior = normal_jumps(u, 2 * k + 2)
-        moments = _edge_rhs(u)
+        moments = _edge_rhs(u.space, J, mesh.edge_lengths)
         rng = np.random.default_rng(k)
         subsets = [mesh.patch(nu).interior_edges
                    for nu in range(mesh.n_vertices)]
@@ -405,7 +405,8 @@ class TestGlobalReconstruction:
             Je, inner = normal_jumps(u, 2 * k + 2, e)
             assert np.array_equal(Je, J[e])
             assert np.array_equal(inner, interior[e])
-            assert np.array_equal(_edge_rhs(u, e), moments[e])
+            assert np.array_equal(
+                _edge_rhs(u.space, Je, mesh.edge_lengths[e]), moments[e])
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("make_mesh", [uniform_square, graded_lshape,

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from afemflux import galerkin
-from afemflux.equilibration import equilibrate
-from afemflux.estimators import oscillation, residual_indicators
+from afemflux.estimators import estimate
 from afemflux.galerkin import (
     FeSpace,
     ScalarField,
@@ -262,9 +261,8 @@ class TestElementBatches:
         space = FeSpace(mesh, 2)
 
         def estimators():
-            u = solve_poisson(space, f_sine)
-            return (equilibrate(u, f_sine).eta_delta,
-                    residual_indicators(u, f_sine), oscillation(u, f_sine))
+            rep = estimate(solve_poisson(space, f_sine), f_sine)
+            return rep.eta_delta, rep.eta_res, rep.osc
 
         default = estimators()
         monkeypatch.setattr(galerkin, "_BATCH", 7)

@@ -12,11 +12,13 @@ meshes are labelled so the longest edge of every triangle is its refinement
 edge (ties broken by the smallest opposite-vertex id).
 
 Meshes are immutable once built.  `bisect` returns a new mesh; internally it
-works in rounds that each split a compatible set of marked edges so that every
-intermediate mesh in the lineage chain is conforming and every parent link
-spans exactly one generation.  The chain (via `source`) is what `refined_set`
-and the depth diagnostics walk; `level` counts elementary refinement rounds
-from the root.
+works in rounds that each split a compatible set of marked edges, so every
+parent link spans at most one generation.  The lineage chain (via `source`)
+holds a lightweight `Round` node for every round but the last of each
+`bisect` call: the parent and generation of each of that round's triangles.
+Only meshes carry points and triangles.  The chain is what `ancestor_map`,
+`refined_set` and the depth diagnostics walk; `level` counts rounds from the
+root.
 
 Mesh files use a small ASCII format: a header line `nv nt`, then nv vertex
 lines `x y boundary_flag`, then nt triangle lines `v0 v1 v2 generation` with
@@ -262,17 +264,6 @@ class Mesh:
     def valences(self) -> np.ndarray:
         return _lock(np.bincount(self.triangles.ravel(), minlength=self.n_vertices))
 
-    def _drop_caches(self) -> None:
-        # Intermediate meshes of a refinement chain only need points/triangles/
-        # parents for lineage walks; derived tables can be rebuilt on demand.
-        for key in [
-            "_edge_data", "edges", "edge_of_triangle", "_edge_incidence",
-            "boundary_edge", "boundary_vertex", "signed_areas", "areas",
-            "edge_lengths", "diameters", "_vertex_triangles", "_vertex_edges",
-            "valences",
-        ]:
-            self.__dict__.pop(key, None)
-
     # -- views ----------------------------------------------------------
 
     def vertex(self, i: int) -> Vertex:
@@ -459,99 +450,40 @@ def lshape() -> Mesh:
 # -- newest-vertex bisection -------------------------------------------
 
 
-def _pairs_to_edge_ids(mesh: Mesh, pairs: np.ndarray) -> np.ndarray:
-    edges = mesh.edges
-    nv = mesh.n_vertices
-    keys = edges[:, 0] * nv + edges[:, 1]
-    pk = pairs[:, 0] * nv + pairs[:, 1]
-    pos = np.searchsorted(keys, pk)
-    if (pos >= keys.size).any() or (keys[np.minimum(pos, keys.size - 1)] != pk).any():
-        raise MeshError("marked edge no longer present in mesh")
-    return pos
+# Round nodes store triangle ids as int32.
+_MAX_TRIANGLES = np.iinfo(np.int32).max
 
 
-def _round(mesh: Mesh, pairs: np.ndarray) -> tuple[Mesh, np.ndarray]:
-    """Split every marked edge whose incident triangles all have it as their
-    refinement edge; returns the new mesh and the leftover marked pairs."""
-    tris = mesh.triangles
-    eot = mesh.edge_of_triangle
-    ref_edge = eot[:, 2]
-    ne = mesh.edges.shape[0]
-    marked = np.zeros(ne, dtype=bool)
-    marked[_pairs_to_edge_ids(mesh, pairs)] = True
+class Round:
+    """One closure round of `bisect`, kept as a link of the lineage chain.
 
-    # closure: a triangle with any marked edge must have its refinement edge marked
-    while True:
-        grow = marked[eot].any(axis=1) & ~marked[ref_edge]
-        if not grow.any():
-            break
-        marked[ref_edge[grow]] = True
+    It holds only what lineage walks read: each triangle's parent in
+    `source` and its generation, both int32.  Its points and triangles are
+    not kept.
+    """
 
-    etri = mesh.edge_triangles
-    compat = np.ones(ne, dtype=bool)
-    for side in (0, 1):
-        t = etri[:, side]
-        present = t >= 0
-        compat[present] &= ref_edge[t[present]] == np.nonzero(present)[0]
-    splitting = marked & compat
-    if not splitting.any():
-        raise MeshError("bisection deadlock: no compatible marked edge")
+    def __init__(self, parents: np.ndarray, generations: np.ndarray, source):
+        self.parents = _lock(parents.astype(np.int32))
+        self.generations = _lock(generations.astype(np.int32))
+        self.source = source
+        self.level = source.level + 1
 
-    split_tri = splitting[ref_edge]
-    n_new = int(splitting.sum())
-    new_vid = np.full(ne, -1, dtype=np.int64)
-    new_vid[splitting] = mesh.n_vertices + np.arange(n_new)
-    mids = 0.5 * (mesh.points[mesh.edges[splitting, 0]]
-                  + mesh.points[mesh.edges[splitting, 1]])
-    points = np.vstack([mesh.points, mids])
-
-    counts = np.where(split_tri, 2, 1)
-    offs = np.concatenate([[0], np.cumsum(counts)])
-    total = offs[-1]
-    out = np.empty((total, 3), dtype=np.int64)
-    gen = np.empty(total, dtype=np.int64)
-    par = np.empty(total, dtype=np.int64)
-    keep = ~split_tri
-    out[offs[:-1][keep]] = tris[keep]
-    gen[offs[:-1][keep]] = mesh.generations[keep]
-    par[offs[:-1][keep]] = np.nonzero(keep)[0]
-    sid = np.nonzero(split_tri)[0]
-    m = new_vid[ref_edge[sid]]
-    t = tris[sid]
-    out[offs[:-1][sid]] = np.column_stack([t[:, 2], t[:, 0], m])
-    out[offs[:-1][sid] + 1] = np.column_stack([t[:, 1], t[:, 2], m])
-    gen[offs[:-1][sid]] = mesh.generations[sid] + 1
-    gen[offs[:-1][sid] + 1] = mesh.generations[sid] + 1
-    par[offs[:-1][sid]] = sid
-    par[offs[:-1][sid] + 1] = sid
-
-    leftover = mesh.edges[marked & ~splitting]
-    new = Mesh(points, out, generations=gen, parents=par,
-               source=mesh, level=mesh.level + 1)
-    return new, leftover
-
-
-def _bisect_once(mesh: Mesh, targets: np.ndarray) -> Mesh:
-    """One full bisection of every triangle in `targets` (plus conforming
-    closure), realised as a chain of conforming rounds."""
-    pairs = np.sort(mesh.triangles[targets, 0:2], axis=1)
-    pairs = np.unique(pairs, axis=0)
-    cur = mesh
-    while pairs.size:
-        cur, pairs = _round(cur, pairs)
-    return cur
-
-
-def _descendants_of(coarse: Mesh, fine: Mesh, coarse_ids: np.ndarray) -> np.ndarray:
-    anc = ancestor_map(coarse, fine)
-    mask = np.zeros(coarse.n_triangles, dtype=bool)
-    mask[coarse_ids] = True
-    return np.nonzero(mask[anc])[0]
+    @property
+    def n_triangles(self) -> int:
+        return self.parents.shape[0]
 
 
 def bisect(mesh: Mesh, marked: Iterable[int], b: int = 1) -> Mesh:
     """Bisect every marked triangle b times (the full b-level subtree of each
-    marked triangle is created), with recursive conforming closure."""
+    marked triangle is created), with recursive conforming closure.
+
+    Each pass marks the refinement edges of the descendants of `marked` and
+    splits them in rounds on working edge tables: a round closes the marks,
+    then splits every marked edge that is the refinement edge of all its
+    triangles, numbering new vertices in the lexicographic order of the
+    split edges.  A split edge is left unused; its halves and the new
+    interior edges are appended.
+    """
     marked = np.unique(np.asarray(list(marked), dtype=np.int64))
     if marked.size == 0:
         raise MeshError("empty marked set")
@@ -560,18 +492,72 @@ def bisect(mesh: Mesh, marked: Iterable[int], b: int = 1) -> Mesh:
     b = int(b)
     if b < 1:
         raise MeshError(f"bisection count must be >= 1, got {b}")
-    cur = mesh
-    frontier = marked
+    points, tris, gens = mesh.points, mesh.triangles, mesh.generations
+    eot, ends = mesh.edge_of_triangle, mesh.edges
+    degree = np.bincount(eot.ravel())
+    desc = np.zeros(mesh.n_triangles, dtype=bool)
+    desc[marked] = True
+    chain, parents = mesh, None
     for _ in range(b):
-        prev = cur
-        cur = _bisect_once(cur, frontier)
-        frontier = _descendants_of(prev, cur, frontier)
-    # intermediate meshes only serve lineage walks; drop their bulky caches
-    m = cur.source
-    while m is not None and m is not mesh:
-        m._drop_caches()
-        m = m.source
-    return cur
+        marks = np.zeros(len(ends), dtype=bool)
+        marks[eot[desc, 2]] = True
+        while marks.any():
+            if parents is not None:
+                chain = Round(parents, gens, chain)
+            ref = eot[:, 2]
+            # closure: a triangle with a marked edge has its refinement edge marked
+            while (grow := marks[eot].any(axis=1) & ~marks[ref]).any():
+                marks[ref[grow]] = True
+            ne, nv = len(ends), len(points)
+            split = marks & (np.bincount(ref, minlength=ne) == degree)
+            if not split.any():
+                raise MeshError(_deadlock(tris, eot, ends, marks))
+            s = np.nonzero(split)[0]
+            s = s[np.lexsort((ends[s, 1], ends[s, 0]))]
+            vid = np.zeros(ne, dtype=np.int64)
+            vid[s] = nv + np.arange(s.size)
+            points = np.vstack([points,
+                                0.5 * (points[ends[s, 0]] + points[ends[s, 1]])])
+            marks[s] = False
+            split_tri = split[ref]
+            sid = np.nonzero(split_tri)[0]
+            if len(tris) + sid.size > _MAX_TRIANGLES:
+                raise MeshError(f"bisection would pass {_MAX_TRIANGLES} triangles")
+            # a split triangle (v0, v1, v2) becomes (v2, v0, m), (v1, v2, m)
+            # in its own place, and the triangles after it move down
+            parents = np.repeat(np.arange(len(tris)), 1 + split_tri)
+            first = sid + np.arange(sid.size)
+            v0, v1, v2 = tris[sid].T
+            m = vid[ref[sid]]
+            # split edge k leaves halves (lo, m) and (hi, m) as edges
+            # ne + 2k and ne + 2k + 1; split triangle j adds (v2, m) as
+            # edge ne + 2 * len(s) + j
+            half = ne + 2 * (m - nv)
+            inner = ne + 2 * s.size + np.arange(sid.size)
+            e0, e1 = eot[sid, 0], eot[sid, 1]
+            tris, eot, desc = tris[parents], eot[parents], desc[parents]
+            tris[first] = np.column_stack([v2, v0, m])
+            tris[first + 1] = np.column_stack([v1, v2, m])
+            eot[first] = np.column_stack([half + (v0 > v1), inner, e1])
+            eot[first + 1] = np.column_stack([inner, half + (v1 > v0), e0])
+            gens = gens[parents] + split_tri[parents]
+            halves = np.column_stack([ends[s].ravel(), np.repeat(vid[s], 2)])
+            ends = np.concatenate([ends, halves, np.column_stack([v2, m])])
+            degree = np.concatenate([degree, np.repeat(degree[s], 2),
+                                     np.full(sid.size, 2)])
+            marks = np.concatenate([marks, np.zeros(len(ends) - ne, dtype=bool)])
+    return Mesh(points, tris, generations=gens, parents=parents, source=chain,
+                level=chain.level + 1)
+
+
+def _deadlock(tris, eot, ends, marks) -> str:
+    """Name a marked edge that cannot be split and an incident triangle
+    whose refinement edge is another edge."""
+    e = np.nonzero(marks)[0][0]
+    t = np.nonzero((eot == e).any(axis=1) & (eot[:, 2] != e))[0][0]
+    tri = tuple(int(v) for v in tris[t])
+    return (f"bisection deadlock: marked edge {tuple(int(v) for v in ends[e])} "
+            f"is blocked by triangle {t} {tri}, whose refinement edge is {tri[:2]}")
 
 
 def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
@@ -586,7 +572,7 @@ def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
     ids = np.arange(fine.n_triangles, dtype=np.int64)
     for m in chain:
         ids = m.parents[ids]
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 def refined_set(coarse: Mesh, fine: Mesh, j: int) -> RefinedSet:

@@ -1,17 +1,22 @@
 """Mesh and newest-vertex bisection tests.
 
-The refinement oracles are hand-executed bisections on tiny meshes; the
-refined-set oracle re-walks parent chains in plain Python, independently of
-the vectorised implementation.
+The refinement oracles are hand-executed bisections on tiny meshes and a
+round-by-round reference bisection that builds a conforming `Mesh`, with
+fresh edge tables, after every round; the refined-set oracle re-walks
+parent chains in plain Python, independently of the vectorised
+implementation.
 """
 
 import numpy as np
 import pytest
 
+from afemflux import mesh as mesh_module
+from afemflux.galerkin import FeSpace, ScalarField, prolong
 from afemflux.mesh import (
     Mesh,
     MeshError,
     LineageError,
+    Round,
     ancestor_map,
     bisect,
     conformity_check,
@@ -20,6 +25,7 @@ from afemflux.mesh import (
     refined_set,
     unit_square_crisscross,
 )
+from test_equilibration import jittered_square
 
 
 def right_triangle_grid(n):
@@ -39,6 +45,95 @@ def compatible_pair():
     """Two right triangles whose shared hypotenuse is the refinement edge of both."""
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     return Mesh.from_arrays(pts, np.array([[0, 1, 2], [2, 3, 0]]))
+
+
+# -- round-by-round reference bisection ---------------------------------
+
+
+def _reference_round(mesh, pairs):
+    """Split every marked edge (sorted vertex pairs) whose incident triangles
+    all have it as their refinement edge; returns the new mesh and the
+    leftover marked pairs."""
+    tris, eot = mesh.triangles, mesh.edge_of_triangle
+    ref_edge = eot[:, 2]
+    ne, nv = mesh.edges.shape[0], mesh.n_vertices
+    keys = mesh.edges[:, 0] * nv + mesh.edges[:, 1]
+    pos = np.searchsorted(keys, pairs[:, 0] * nv + pairs[:, 1])
+    assert (keys[pos] == pairs[:, 0] * nv + pairs[:, 1]).all()
+    marked = np.zeros(ne, dtype=bool)
+    marked[pos] = True
+    while True:
+        grow = marked[eot].any(axis=1) & ~marked[ref_edge]
+        if not grow.any():
+            break
+        marked[ref_edge[grow]] = True
+    compat = np.ones(ne, dtype=bool)
+    for side in (0, 1):
+        t = mesh.edge_triangles[:, side]
+        present = t >= 0
+        compat[present] &= ref_edge[t[present]] == np.nonzero(present)[0]
+    splitting = marked & compat
+    if not splitting.any():
+        raise MeshError("bisection deadlock")
+
+    split_tri = splitting[ref_edge]
+    new_vid = np.full(ne, -1, dtype=np.int64)
+    new_vid[splitting] = nv + np.arange(splitting.sum())
+    mids = 0.5 * (mesh.points[mesh.edges[splitting, 0]]
+                  + mesh.points[mesh.edges[splitting, 1]])
+    out, gen, par = [], [], []
+    for t in range(mesh.n_triangles):
+        v0, v1, v2 = tris[t]
+        g = mesh.generations[t]
+        if split_tri[t]:
+            m = new_vid[ref_edge[t]]
+            out += [(v2, v0, m), (v1, v2, m)]
+            gen += [g + 1, g + 1]
+            par += [t, t]
+        else:
+            out.append((v0, v1, v2))
+            gen.append(g)
+            par.append(t)
+    new = Mesh(np.vstack([mesh.points, mids]), np.array(out),
+               generations=np.array(gen), parents=np.array(par),
+               source=mesh, level=mesh.level + 1)
+    return new, mesh.edges[marked & ~splitting]
+
+
+def reference_bisect(mesh, marked, b):
+    """Each pass splits the refinement edges of the descendants of `marked`,
+    in rounds that each leave a conforming intermediate `Mesh`."""
+    frontier = np.unique(marked)
+    cur = mesh
+    for _ in range(b):
+        prev = cur
+        pairs = np.unique(np.sort(cur.triangles[frontier, :2], axis=1), axis=0)
+        while pairs.size:
+            cur, pairs = _reference_round(cur, pairs)
+        descends = np.zeros(prev.n_triangles, dtype=bool)
+        descends[frontier] = True
+        frontier = np.nonzero(descends[ancestor_map(prev, cur)])[0]
+    return cur
+
+
+def lineage(fine, coarse):
+    links = []
+    while fine is not coarse:
+        links.append(fine)
+        fine = fine.source
+    return links
+
+
+def random_levels(make_mesh, seed, bisect_fn):
+    """4-6 levels of seeded random markings with b = 1..5."""
+    rng = np.random.default_rng(seed)
+    meshes = [make_mesh()]
+    for _ in range(int(rng.integers(4, 7))):
+        m = meshes[-1]
+        k = int(rng.integers(1, max(2, m.n_triangles // 10)))
+        marked = rng.choice(m.n_triangles, size=k, replace=False)
+        meshes.append(bisect_fn(m, marked, int(rng.integers(1, 6))))
+    return meshes
 
 
 class TestConstruction:
@@ -174,6 +269,29 @@ class TestBisection:
         with pytest.raises(MeshError):
             bisect(m, [], 1)
 
+    def test_deadlock_names_blocked_edge(self):
+        # fan around vertex 0 whose triangle i has as refinement edge the
+        # spoke it shares with triangle i + 1: closure marks every spoke,
+        # and each spoke is the refinement edge of only one of its triangles
+        n = 6
+        ang = 2 * np.pi * np.arange(n) / n
+        pts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
+        rim = 1 + np.arange(n)
+        tris = np.column_stack([np.roll(rim, -1), np.zeros(n, dtype=int), rim])
+        m = Mesh.from_arrays(pts, tris, relabel=False)
+        with pytest.raises(MeshError, match="deadlock") as err:
+            bisect(m, [0], 1)
+        # spoke (0, 1) is the refinement edge of triangle 5 = (1, 0, 6)
+        # but not of triangle 0 = (2, 0, 1)
+        assert "marked edge (0, 1)" in str(err.value)
+        assert "triangle 0 (2, 0, 1)" in str(err.value)
+
+    def test_triangle_count_fits_int32_lineage(self, monkeypatch):
+        monkeypatch.setattr(mesh_module, "_MAX_TRIANGLES", 20)
+        with pytest.raises(MeshError, match="20 triangles"):
+            bisect(lshape(), np.arange(12), 1)
+        assert bisect(unit_square_crisscross(), np.arange(4), 2).n_triangles == 16
+
     def test_min_angle_classes_stabilise(self):
         # skewed start: min angle over uniform rounds takes few distinct
         # values and stays above half the initial minimum angle
@@ -190,6 +308,47 @@ class TestBisection:
         assert min(angles) >= a0 / 2 - 1e-9
         # once the similarity classes have appeared the minimum stops moving
         assert angles[-1] == angles[-2] == angles[-3]
+
+
+class TestAgainstRoundByRound:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("make_mesh", [lshape, unit_square_crisscross,
+                                           jittered_square])
+    def test_same_meshes_and_lineage(self, make_mesh, seed):
+        ours = random_levels(make_mesh, seed, bisect)
+        refs = random_levels(make_mesh, seed, reference_bisect)
+        assert len(ours) == len(refs)
+        for i in range(1, len(ours)):
+            a, r = ours[i], refs[i]
+            for name in ("triangles", "points", "generations", "parents"):
+                assert np.array_equal(getattr(a, name), getattr(r, name)), name
+            assert a.level == r.level
+            links_a = lineage(a, ours[i - 1])
+            links_r = lineage(r, refs[i - 1])
+            assert len(links_a) == len(links_r)
+            for la, lr in zip(links_a, links_r):
+                assert np.array_equal(la.parents, lr.parents)
+                assert np.array_equal(la.generations, lr.generations)
+                assert la.level == lr.level
+            assert all(isinstance(link, Round) for link in links_a[1:])
+
+    def test_lineage_walks_unchanged(self):
+        ours = random_levels(lshape, 3, bisect)
+        refs = random_levels(lshape, 3, reference_bisect)
+        coarse, fine = ours[1], ours[-1]
+        anc = ancestor_map(coarse, fine)
+        assert anc.dtype == np.int64
+        assert np.array_equal(anc, ancestor_map(refs[1], refs[-1]))
+        for j in (1, 2, 3):
+            assert np.array_equal(refined_set(coarse, fine, j).elements,
+                                  refined_set(refs[1], refs[-1], j).elements)
+        rng = np.random.default_rng(0)
+        space = FeSpace(coarse, 2)
+        u = rng.standard_normal(space.n_dofs)
+        ours_u = prolong(ScalarField(space, u), FeSpace(fine, 2))
+        refs_u = prolong(ScalarField(FeSpace(refs[1], 2), u),
+                         FeSpace(refs[-1], 2))
+        assert np.array_equal(ours_u.coeffs, refs_u.coeffs)
 
 
 class TestRefinedSet:

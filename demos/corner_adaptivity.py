@@ -24,6 +24,7 @@ from afemflux import (
     estimate,
     fit_rate,
     get_problem,
+    interior_node_depth,
     run,
     solve_poisson,
 )
@@ -53,9 +54,19 @@ def main(argv=None):
                     help="print the per-level diagnostics table")
     args = ap.parse_args(argv)
 
-    result = run(AfemConfig(problem="lshape_one", degree=1, estimator="delta",
+    prob = get_problem("lshape_one")
+    rows, prev = [], []
+
+    def check_pair(state):
+        # the loop holds one level at a time: check each pair as it forms
+        if prev:
+            rows.append(check_hypotheses(prob, prev.pop(), state))
+        prev.append(state)
+
+    result = run(AfemConfig(problem=prob, degree=1, estimator="delta",
                             theta=args.theta, bisections="auto",
-                            max_dofs=args.max_dofs, max_levels=40))
+                            max_dofs=args.max_dofs, max_levels=40),
+                 on_level=check_pair if args.hypotheses else None)
     print(f"adaptive: theta={args.theta} bisections={result.b} "
           f"stop={result.stop_reason}")
     print(f"{'level':>5} {'elems':>8} {'dofs':>8} {'eta_delta':>12} "
@@ -73,8 +84,8 @@ def main(argv=None):
     print(f"adaptive: eta ~ dofs^-{ada_rate:.3f}   (optimal rate 1/2)")
 
     if args.hypotheses:
-        rep = check_hypotheses(result)
-        print(f"\nhypothesis diagnostics (interior-node depth {rep.j_star})")
+        j_star = interior_node_depth(prob.mesh_factory())
+        print(f"\nhypothesis diagnostics (interior-node depth {j_star})")
         print("oscillation quotients print as -- when the load has no "
               "oscillation at all")
         print(f"{'pair':>7} {'h1':>8} {'h2':>8} {'h3':>8} {'h4':>8} "
@@ -83,7 +94,7 @@ def main(argv=None):
         def cell(v):
             return f"{v:>8.3f}" if np.isfinite(v) else f"{'--':>8}"
 
-        for row in rep.rows:
+        for row in rows:
             cells = " ".join(
                 cell(v)
                 for v in (row.h1, row.h2, row.h3, row.h4, row.lam1, row.lam2)

@@ -32,7 +32,6 @@ from .equilibration import (
     FluxField,
     equilibrate,
     gradient_flux,
-    local_equilibrate,
     prager_synge_terms,
     verify_equilibration,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "get_problem",
     "gradient_flux",
     "interior_node_depth",
-    "local_equilibrate",
     "lshape",
     "oscillation",
     "patch_oscillation",

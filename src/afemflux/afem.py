@@ -5,10 +5,12 @@ Runs the loop
     solve -> estimate -> mark (bulk criterion) -> refine (b bisections)
 
 on a registered or user-supplied problem, records one convergence row per
-level, and can evaluate the localisation hypotheses that justify starwise
+level and holds one level at a time: an `on_level` callback sees each
+level's state as it finishes.  `check_hypotheses` evaluates, for a pair of
+consecutive levels, the localisation hypotheses that justify starwise
 marking: equivalence of error and estimator up to oscillation on the full
-mesh (H1, H2) and on the refined subsets between consecutive levels
-(H3, H4), plus the oscillation-control ratios (lambda1, lambda2).
+mesh (H1, H2) and on the refined subsets (H3, H4), plus the
+oscillation-control ratios (lambda1, lambda2).
 
 The bulk criterion marks the smallest set M, filling with the largest
 indicators first, such that sum_{T in M} eta_T^2 >= theta^2 sum_T eta_T^2.
@@ -20,12 +22,11 @@ contains interior nodes in its volume and on its edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field as dc_field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .equilibration import equilibrate
 from .estimators import EstimatorReport, estimate
 from .galerkin import (
     FeSpace,
@@ -64,6 +65,11 @@ def doerfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
     return np.sort(order[:nsel])
 
 
+# the ConvergenceRecord field that holds each estimator family's total
+_TOTALS = {"delta": "eta_delta", "star": "eta_star",
+           "residual": "eta_res", "residual_star": "eta_res_star"}
+
+
 @dataclass(frozen=True)
 class AfemConfig:
     problem: str | ProblemSpec = "lshape_one"
@@ -74,7 +80,6 @@ class AfemConfig:
     max_dofs: int = 10_000
     max_levels: int = 40
     estimator_floor: Optional[float] = None  # None -> 1e-9 * (1 + max |f|)
-    keep_levels: bool = True
 
     def resolve_problem(self) -> ProblemSpec:
         if isinstance(self.problem, ProblemSpec):
@@ -106,6 +111,7 @@ class LevelState:
     field: ScalarField = dc_field(repr=False)
     report: EstimatorReport = dc_field(repr=False)
     marked: np.ndarray = dc_field(repr=False)
+    record: ConvergenceRecord
 
 
 def fit_rate(n_dofs: Sequence[float], values: Sequence[float],
@@ -133,15 +139,9 @@ class RunResult:
     problem: ProblemSpec
     config: AfemConfig
     records: list[ConvergenceRecord]
-    levels: Optional[list[LevelState]]
+    final: LevelState
     stop_reason: str
     b: int
-
-    @property
-    def final_mesh(self) -> Mesh:
-        if self.levels:
-            return self.levels[-1].mesh
-        raise ValueError("level states were not kept")
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -152,10 +152,36 @@ class RunResult:
         return fit_rate(self.series("n_dofs"), self.series(name), tail)
 
 
-def run(config: AfemConfig) -> RunResult:
+def _solve_level(prob: ProblemSpec, config: AfemConfig, mesh: Mesh,
+                 level: int, b: int) -> LevelState:
+    space = FeSpace(mesh, config.degree)
+    u = solve_poisson(space, prob.f)
+    rep = estimate(u, prob.f)
+    err = energy_error(u, prob.grad_exact) if prob.has_exact \
+        else float("nan")
+    marked = doerfler_mark(rep.indicator(config.estimator), config.theta)
+    return LevelState(mesh, u, rep, marked, ConvergenceRecord(
+        level=level, n_elements=mesh.n_triangles, n_dofs=space.n_dofs,
+        energy_error=err, eta_delta=rep.eta_delta_total,
+        eta_star=rep.eta_star_total, eta_star_single=rep.eta_star_single,
+        eta_res=rep.eta_res_total, eta_res_star=rep.eta_res_star_total,
+        osc=rep.osc_total, osc_star=rep.osc_star_total,
+        n_marked=marked.size, theta=config.theta, b=b,
+    ))
+
+
+def run(config: AfemConfig,
+        on_level: Optional[Callable[[LevelState], None]] = None
+        ) -> RunResult:
+    """Run the adaptive loop; `on_level(state)`, if given, sees each level
+    after marking, before the loop stops or refines."""
     prob = config.resolve_problem()
-    if config.estimator not in ("delta", "star", "residual", "residual_star"):
+    if config.estimator not in _TOTALS:
         raise ValueError(f"unknown estimator family {config.estimator!r}")
+    if not 0.0 < config.theta <= 1.0:
+        raise ValueError(f"theta must be in (0, 1], got {config.theta}")
+    if config.max_levels < 0:
+        raise ValueError(f"max_levels must be >= 0, got {config.max_levels}")
     mesh = prob.mesh_factory()
     if config.bisections == "auto":
         b = interior_node_depth(mesh)
@@ -171,48 +197,27 @@ def run(config: AfemConfig) -> RunResult:
         floor = 1e-9 * (1.0 + fmax)
 
     records: list[ConvergenceRecord] = []
-    levels: list[LevelState] = [] if config.keep_levels else None
     stop = "max_levels"
-
     for level in range(config.max_levels + 1):
-        space = FeSpace(mesh, config.degree)
-        u = solve_poisson(space, prob.f)
-        rep = estimate(u, prob.f)
-        err = energy_error(u, prob.grad_exact) if prob.has_exact \
-            else float("nan")
-        totals = {
-            "delta": rep.eta_delta_total,
-            "star": rep.eta_star_total,
-            "residual": rep.eta_res_total,
-            "residual_star": rep.eta_res_star_total,
-        }
-        indicators = rep.indicator(config.estimator)
-        marked = doerfler_mark(indicators, config.theta)
+        state = _solve_level(prob, config, mesh, level, b)
+        rec = state.record
+        records.append(rec)
+        if on_level is not None:
+            on_level(state)
 
-        records.append(ConvergenceRecord(
-            level=level, n_elements=mesh.n_triangles, n_dofs=space.n_dofs,
-            energy_error=err, eta_delta=rep.eta_delta_total,
-            eta_star=rep.eta_star_total,
-            eta_star_single=rep.eta_star_single,
-            eta_res=rep.eta_res_total,
-            eta_res_star=rep.eta_res_star_total,
-            osc=rep.osc_total, osc_star=rep.osc_star_total,
-            n_marked=marked.size, theta=config.theta, b=b,
-        ))
-        if config.keep_levels:
-            levels.append(LevelState(mesh, u, rep, marked))
-
-        if totals[config.estimator] <= floor or marked.size == 0:
+        total = getattr(rec, _TOTALS[config.estimator])
+        if total <= floor or rec.n_marked == 0:
             stop = "estimator_floor"
             break
-        if space.n_dofs >= config.max_dofs:
+        if rec.n_dofs >= config.max_dofs:
             stop = "max_dofs"
             break
         if level == config.max_levels:
             break
-        mesh = bisect(mesh, marked, b)
+        mesh = bisect(mesh, state.marked, b)
+        state = None  # release this level before solving the next
 
-    return RunResult(prob, config, records, levels, stop, b)
+    return RunResult(prob, config, records, state, stop, b)
 
 
 # -- hypothesis diagnostics ---------------------------------------------
@@ -244,6 +249,8 @@ class HypothesisRow:
 
 @dataclass(frozen=True)
 class HypothesisReport:
+    """Rows of a run's consecutive level pairs; j* of its initial mesh."""
+
     rows: list[HypothesisRow]
     j_star: int
 
@@ -261,43 +268,32 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def check_hypotheses(result: RunResult) -> HypothesisReport:
-    """Evaluate the localisation ratios between consecutive run levels."""
-    if not result.levels or len(result.levels) < 2:
-        raise ValueError("need a run with keep_levels and >= 2 levels")
-    prob = result.problem
-    j_star = interior_node_depth(result.levels[0].mesh.root())
-    rows = []
-    for lc in range(len(result.levels) - 1):
-        coarse = result.levels[lc]
-        fine = result.levels[lc + 1]
-        rep_c, rep_f = coarse.report, fine.report
+def check_hypotheses(problem: ProblemSpec, coarse: LevelState,
+                     fine: LevelState) -> HypothesisRow:
+    """Evaluate the localisation ratios between two consecutive levels."""
+    j_star = interior_node_depth(coarse.mesh.root())
+    rep_c, rep_f = coarse.report, fine.report
+    diff = energy_norm(fine.field - prolong(coarse.field, fine.field.space))
 
-        fine_space = fine.field.space
-        diff = energy_norm(fine.field - prolong(coarse.field, fine_space))
+    r1 = refined_set(coarse.mesh, fine.mesh, 1).elements
+    rj = refined_set(coarse.mesh, fine.mesh, j_star).elements
 
-        r1 = refined_set(coarse.mesh, fine.mesh, 1).elements
-        rj = refined_set(coarse.mesh, fine.mesh, j_star).elements
+    eta_c = rep_c.eta_delta_total
+    osc_c, osc_f = rep_c.osc_total, rep_f.osc_total
+    oscs_c, oscs_f = rep_c.osc_star_total, rep_f.osc_star_total
+    if problem.has_exact:
+        err_c = energy_error(coarse.field, problem.grad_exact)
+        h1 = _ratio(err_c ** 2, eta_c ** 2 + osc_c ** 2)
+        h2 = _ratio(eta_c ** 2, err_c ** 2 + osc_c ** 2)
+    else:
+        h1 = h2 = float("nan")
 
-        eta_c = rep_c.eta_delta_total
-        osc_c, osc_f = rep_c.osc_total, rep_f.osc_total
-        oscs_c, oscs_f = rep_c.osc_star_total, rep_f.osc_star_total
-        if prob.has_exact:
-            err_c = energy_error(coarse.field, prob.grad_exact)
-            h1 = _ratio(err_c ** 2, eta_c ** 2 + osc_c ** 2)
-            h2 = _ratio(eta_c ** 2, err_c ** 2 + osc_c ** 2)
-        else:
-            h1 = h2 = float("nan")
+    osc_rj = rep_c.restricted_osc(rj)
+    h3 = _ratio(diff ** 2, rep_c.restricted(r1) ** 2 + osc_rj ** 2)
+    h4 = _ratio(rep_c.restricted(rj) ** 2, diff ** 2 + osc_rj ** 2)
 
-        eta_r1 = rep_c.restricted(r1)
-        eta_rj = rep_c.restricted(rj)
-        osc_rj = rep_c.restricted_osc(rj)
-        h3 = _ratio(diff ** 2, eta_r1 ** 2 + osc_rj ** 2)
-        h4 = _ratio(eta_rj ** 2, diff ** 2 + osc_rj ** 2)
-
-        lam1 = _ratio(osc_c ** 2 - osc_f ** 2,
-                      rep_c.restricted_osc(r1) ** 2)
-        lam2 = _ratio(oscs_c ** 2 - oscs_f ** 2,
-                      rep_c.restricted_osc_star(rj) ** 2)
-        rows.append(HypothesisRow(lc, lc + 1, h1, h2, h3, h4, lam1, lam2))
-    return HypothesisReport(rows, j_star)
+    lam1 = _ratio(osc_c ** 2 - osc_f ** 2, rep_c.restricted_osc(r1) ** 2)
+    lam2 = _ratio(oscs_c ** 2 - oscs_f ** 2,
+                  rep_c.restricted_osc_star(rj) ** 2)
+    return HypothesisRow(coarse.record.level, fine.record.level,
+                         h1, h2, h3, h4, lam1, lam2)

@@ -5,14 +5,17 @@ Writes a fixed set of files into the output directory:
   run.csv         one row per adaptive level (schema in schema.txt); the
                   wall_ms column is always 0 so that identical inputs give
                   byte-identical output, real timings go to timings.csv
-  timings.csv     wall-clock timings of the harness phases, milliseconds
+  timings.csv     wall-clock timings of the harness phases, milliseconds;
+                  adaptive_run includes the per-level writes and checks,
+                  hypotheses is the summed time of the pair checks
   decay.dat       n_dofs and estimator totals, whitespace separated, for
                   quick plotting
   schema.txt      column documentation for run.csv
   elements_NNN.csv / vertices_NNN.csv
-                  per-level local indicators (element and vertex families)
+                  per-level local indicators (element and vertex families),
+                  written as each level finishes
   hypotheses.csv  localisation ratios between consecutive levels (with
-                  --hypotheses on)
+                  --hypotheses on), checked as the finer level finishes
   mesh_final.tri / mesh_final.vtk, flux_delta.txt / flux_total.txt
                   optional exports of the final level
 
@@ -28,7 +31,8 @@ import time
 
 import numpy as np
 
-from .afem import AfemConfig, check_hypotheses, run
+from .afem import _TOTALS, AfemConfig, check_hypotheses, run
+from .mesh import interior_node_depth
 from .problems import REGISTRY
 
 _RUN_COLUMNS = [
@@ -71,10 +75,6 @@ _DEFAULTS = {
     "export_flux": False,
     "hypotheses": "off",
 }
-
-# the ConvergenceRecord field that holds each estimator family's total
-_TOTALS = {"delta": "eta_delta", "star": "eta_star",
-           "residual": "eta_res", "residual_star": "eta_res_star"}
 
 _CASTS = {
     "degree": int, "theta": float, "max_dofs": int, "max_levels": int,
@@ -187,23 +187,21 @@ def _indexed_csv(header: str, *columns) -> str:
     return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-def write_level_indicators(outdir, levels) -> None:
-    for i, state in enumerate(levels):
-        rep = state.report
-        with open(os.path.join(outdir, f"elements_{i:03d}.csv"), "w") as fh:
-            fh.write(_indexed_csv("element,eta_delta,eta_res,osc",
-                                  rep.eta_delta, rep.eta_res, rep.osc))
-        with open(os.path.join(outdir, f"vertices_{i:03d}.csv"), "w") as fh:
-            fh.write(_indexed_csv("vertex,eta_star,eta_res_star,osc_star",
-                                  rep.eta_star, rep.eta_res_star,
-                                  rep.osc_star))
+def write_level_indicators(outdir, state) -> None:
+    rep, i = state.report, state.record.level
+    with open(os.path.join(outdir, f"elements_{i:03d}.csv"), "w") as fh:
+        fh.write(_indexed_csv("element,eta_delta,eta_res,osc",
+                              rep.eta_delta, rep.eta_res, rep.osc))
+    with open(os.path.join(outdir, f"vertices_{i:03d}.csv"), "w") as fh:
+        fh.write(_indexed_csv("vertex,eta_star,eta_res_star,osc_star",
+                              rep.eta_star, rep.eta_res_star, rep.osc_star))
 
 
-def write_hypotheses(path, report) -> None:
+def write_hypotheses(path, rows, j_star: int) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# j_star = {report.j_star}\n")
+        fh.write(f"# j_star = {j_star}\n")
         fh.write("level_coarse,level_fine,h1,h2,h3,h4,lam1,lam2\n")
-        for row in report.rows:
+        for row in rows:
             fh.write(f"{row.level_coarse},{row.level_fine},"
                      f"{_fmt(row.h1)},{_fmt(row.h2)},{_fmt(row.h3)},"
                      f"{_fmt(row.h4)},{_fmt(row.lam1)},{_fmt(row.lam2)}\n")
@@ -224,27 +222,37 @@ def main(argv=None) -> int:
         except ValueError:
             parser.error(f"--bisections must be an integer or 'auto', "
                          f"got {opts['bisections']!r}")
-    if not 0.0 < opts["theta"] <= 1.0:
-        parser.error(f"--theta must be in (0, 1], got {opts['theta']}")
 
     config = AfemConfig(
         problem=opts["problem"], degree=opts["degree"],
         estimator=opts["estimator"], theta=opts["theta"], bisections=bis,
         max_dofs=opts["max_dofs"], max_levels=opts["max_levels"],
-        keep_levels=True,
     )
 
     outdir = opts["out"]
     os.makedirs(outdir, exist_ok=True)
-    timings = []
-    t0 = time.perf_counter()
+    hypotheses = opts["hypotheses"] == "on"
+    rows, prev, hyp_ms = [], None, 0.0
 
+    def on_level(state):
+        nonlocal prev, hyp_ms
+        write_level_indicators(outdir, state)
+        if hypotheses:
+            if prev is not None:
+                th = time.perf_counter()
+                rows.append(check_hypotheses(prob, prev, state))
+                hyp_ms += (time.perf_counter() - th) * 1e3
+            prev = state
+
+    t0 = time.perf_counter()
     try:
-        result = run(config)
+        prob = config.resolve_problem()
+        result = run(config, on_level)
     except ValueError as exc:
         parser.error(str(exc))
-    t1 = time.perf_counter()
-    timings.append(("adaptive_run", (t1 - t0) * 1e3))
+    timings = [("adaptive_run", (time.perf_counter() - t0) * 1e3)]
+    if hypotheses:
+        timings.append(("hypotheses", hyp_ms))
 
     total = _TOTALS[opts["estimator"]]
     for r in result.records:
@@ -258,17 +266,12 @@ def main(argv=None) -> int:
     write_schema(os.path.join(outdir, "schema.txt"))
     write_decay(os.path.join(outdir, "decay.dat"), result.records,
                 opts["estimator"])
-    write_level_indicators(outdir, result.levels)
-
-    if opts["hypotheses"] == "on":
-        th = time.perf_counter()
-        if len(result.levels) >= 2:
-            write_hypotheses(os.path.join(outdir, "hypotheses.csv"),
-                             check_hypotheses(result))
-        timings.append(("hypotheses", (time.perf_counter() - th) * 1e3))
+    final = result.final
+    if rows:
+        write_hypotheses(os.path.join(outdir, "hypotheses.csv"), rows,
+                         interior_node_depth(final.mesh.root()))
 
     te = time.perf_counter()
-    final = result.levels[-1]
     if opts["export_mesh"] == "tri":
         final.mesh.save_tri(os.path.join(outdir, "mesh_final.tri"))
     elif opts["export_mesh"] == "vtk":

@@ -36,8 +36,21 @@ def _uniform(mesh):
 
 @pytest.fixture(scope="module")
 def lshape_run():
-    """Adaptive run on the L-shape driven to 1e5 dofs (criteria 5 and 6)."""
-    return run(
+    """Adaptive run on the L-shape driven to 1e5 dofs (criteria 5 and 6).
+
+    Returns the result and, per level, the extrema of the vertex ratio
+    eta_star / (eta_res_star + osc_star) with the smallest denominator,
+    taken as each level finishes so that the run holds one level at a time.
+    """
+    brackets = []
+
+    def bracket(state):
+        rep = state.report
+        den = rep.eta_res_star + rep.osc_star
+        ratio = rep.eta_star / den
+        brackets.append((ratio.min(), ratio.max(), den.min()))
+
+    result = run(
         AfemConfig(
             problem="lshape_one",
             degree=1,
@@ -46,8 +59,10 @@ def lshape_run():
             bisections="auto",
             max_dofs=100_000,
             max_levels=40,
-        )
+        ),
+        bracket,
     )
+    return result, np.array(brackets)
 
 
 @pytest.fixture(scope="module")
@@ -187,11 +202,12 @@ def test_criterion_05_convergence_rates(lshape_run):
     ok &= abs(uni_rate - 1 / 3) <= 0.05
     detail.append(f"L uniform rate {uni_rate:.3f}")
 
-    ada_rate = lshape_run.rate("eta_delta")
+    result, _ = lshape_run
+    ada_rate = result.rate("eta_delta")
     ok &= abs(ada_rate - 0.5) <= 0.1
-    ok &= lshape_run.records[-1].n_dofs >= 100_000
+    ok &= result.records[-1].n_dofs >= 100_000
     detail.append(
-        f"L adaptive rate {ada_rate:.3f} at {lshape_run.records[-1].n_dofs} dofs"
+        f"L adaptive rate {ada_rate:.3f} at {result.records[-1].n_dofs} dofs"
     )
     _verdict(5, "convergence rates", ok, "; ".join(detail))
 
@@ -200,15 +216,10 @@ def test_criterion_06_equivalence_bracket(lshape_run):
     """Per vertex, the patchwise flux indicator and the weighted residual
     plus oscillation stay uniformly equivalent across the whole adaptive
     run, with a bracket that is stable over time."""
-    lo, hi = [], []
-    for state in lshape_run.levels:
-        rep = state.report
-        den = rep.eta_res_star + rep.osc_star
-        assert (den > 0).all()
-        ratio = rep.eta_star / den
-        lo.append(float(ratio.min()))
-        hi.append(float(ratio.max()))
-    lo, hi = np.array(lo), np.array(hi)
+    result, brackets = lshape_run
+    lo, hi, den_min = brackets.T
+    assert len(lo) == len(result.records)
+    assert (den_min > 0).all()
     c1, c2 = lo.min(), hi.max()
     half = len(lo) // 2
     c1a, c2a = lo[:half].min(), hi[:half].max()
@@ -227,6 +238,14 @@ def test_criterion_07_oscillation_reduction():
     """With linear data at degree 1 the oscillation totals decay
     monotonically under adaptive refinement and the fitted reduction
     factor of the patch oscillation on refined subtrees is positive."""
+    prob = get_problem("square_linear")
+    lam2, prev = [], []
+
+    def pair(state):
+        if prev:
+            lam2.append(check_hypotheses(prob, prev.pop(), state).lam2)
+        prev.append(state)
+
     res = run(
         AfemConfig(
             problem="square_linear",
@@ -236,12 +255,14 @@ def test_criterion_07_oscillation_reduction():
             bisections="auto",
             max_dofs=4000,
             max_levels=30,
-        )
+        ),
+        pair,
     )
     osc = res.series("osc")
     osc_star = res.series("osc_star")
     monotone = bool((np.diff(osc) <= 1e-14).all() and (np.diff(osc_star) <= 1e-14).all())
-    lam = min(row.lam2 for row in check_hypotheses(res).rows)
+    assert len(lam2) == len(res.records) - 1
+    lam = min(lam2)
     ok = monotone and lam > 0.0
     _verdict(
         7,

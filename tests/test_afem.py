@@ -1,15 +1,17 @@
 """Driver tests: marking oracle, registry consistency checks by finite
 differences, adaptive localisation, stopping, rates, hypothesis ratios."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
+from afemflux import afem
 from afemflux.afem import (
     AfemConfig,
     HypothesisReport,
-    RunResult,
     check_hypotheses,
     doerfler_mark,
     fit_rate,
@@ -124,19 +126,37 @@ class TestFitRate:
         assert np.isnan(fit_rate(n[:1], v[:1]))
 
 
+def run_with_hypotheses(config):
+    """Run the loop, checking each consecutive pair as its finer level
+    finishes; returns the result and the hypothesis report."""
+    prob = config.resolve_problem()
+    rows, prev = [], []
+
+    def on_level(state):
+        if prev:
+            rows.append(check_hypotheses(prob, prev.pop(), state))
+        prev.append(state)
+
+    res = run(config, on_level)
+    j_star = interior_node_depth(res.final.mesh.root())
+    return res, HypothesisReport(rows, j_star)
+
+
 @pytest.fixture(scope="module")
 def lshape_run():
-    return run(AfemConfig(problem="lshape_one", degree=1, estimator="delta",
-                          theta=0.5, max_dofs=2500))
+    return run_with_hypotheses(AfemConfig(
+        problem="lshape_one", degree=1, estimator="delta", theta=0.5,
+        max_dofs=2500))
 
 
 class TestDriver:
     def test_auto_bisections_is_interior_node_depth(self, lshape_run):
+        lshape_run, _ = lshape_run
         assert lshape_run.b == interior_node_depth(lshape())
         assert all(r.b == lshape_run.b for r in lshape_run.records)
 
     def test_records_are_consistent(self, lshape_run):
-        res = lshape_run
+        res, _ = lshape_run
         lv = res.series("level")
         assert np.array_equal(lv, np.arange(len(res.records)))
         nd = res.series("n_dofs")
@@ -146,7 +166,9 @@ class TestDriver:
         assert np.isnan(res.series("energy_error")).all()
 
     def test_adaptive_mesh_localises_at_corner(self, lshape_run):
-        mesh = lshape_run.final_mesh
+        res, _ = lshape_run
+        mesh = res.final.mesh
+        assert res.final.record == res.records[-1]
         cent = mesh.points[mesh.triangles].mean(axis=1)
         r = np.hypot(cent[:, 0], cent[:, 1])
         near = mesh.areas[r < 0.1]
@@ -157,11 +179,13 @@ class TestDriver:
     def test_rate_near_optimal(self, lshape_run):
         # the corner singularity limits uniform refinement to N^(-1/3);
         # adaptivity must restore close to N^(-1/2) for P1
-        assert lshape_run.rate("eta_delta") > 0.4
+        assert lshape_run[0].rate("eta_delta") > 0.4
 
     def test_hypothesis_ratios(self, lshape_run):
-        hyp = check_hypotheses(lshape_run)
+        res, hyp = lshape_run
         assert hyp.j_star == 5
+        assert [(r.level_coarse, r.level_fine) for r in hyp.rows] == \
+            [(i, i + 1) for i in range(len(res.records) - 1)]
         lo3, hi3 = hyp.extrema("h3")
         lo4, hi4 = hyp.extrema("h4")
         assert 0 < lo3 and hi3 < 1.1  # localised reliability, constant one
@@ -170,9 +194,8 @@ class TestDriver:
         assert np.isnan(hyp.extrema("lam1")[0])
 
     def test_lambda_ratios_with_oscillating_data(self):
-        res = run(AfemConfig(problem="square_sine", degree=1, theta=0.6,
-                             max_dofs=1200))
-        hyp = check_hypotheses(res)
+        _, hyp = run_with_hypotheses(AfemConfig(
+            problem="square_sine", degree=1, theta=0.6, max_dofs=1200))
         lo1, hi1 = hyp.extrema("lam1")
         lo2, hi2 = hyp.extrema("lam2")
         assert 0 < lo1 <= hi1 < 1.5
@@ -210,16 +233,39 @@ class TestDriver:
         assert res.records[-1].eta_delta < 0.4 * res.records[0].eta_delta
         assert res.rate("eta_delta") > 0.3
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="estimator"):
-            run(AfemConfig(estimator="bogus"))
-        with pytest.raises(ValueError, match="bisections"):
-            run(AfemConfig(bisections=0))
+    def test_config_validation(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before validating the config")
+
+        monkeypatch.setattr(afem, "FeSpace", no_solve)
+        for bad, match in (({"estimator": "bogus"}, "estimator"),
+                           ({"bisections": 0}, "bisections"),
+                           ({"theta": 0.0}, "theta"),
+                           ({"theta": 1.5}, "theta"),
+                           ({"max_levels": -1}, "max_levels")):
+            with pytest.raises(ValueError, match=match):
+                run(AfemConfig(**bad))
 
     def test_hypotheses_need_levels(self):
-        res = run(AfemConfig(problem="square_sine", max_levels=0))
-        with pytest.raises(ValueError, match="levels"):
-            check_hypotheses(res)
+        res, hyp = run_with_hypotheses(AfemConfig(problem="square_sine",
+                                                  max_levels=0))
+        assert len(res.records) == 1 and hyp.rows == []
+        assert np.isnan(hyp.extrema("h3")).all()
+
+    def test_run_keeps_only_the_final_level(self):
+        refs = []
+
+        def on_level(state):
+            refs.append((weakref.ref(state.field),
+                         weakref.ref(state.report.flux)))
+
+        res = run(AfemConfig(problem="square_sine", max_levels=3,
+                             max_dofs=10 ** 6), on_level)
+        gc.collect()
+        assert len(refs) == len(res.records) == 4
+        alive = [(f() is not None, q() is not None) for f, q in refs]
+        assert alive == [(False, False)] * 3 + [(True, True)]
+        assert refs[-1][0]() is res.final.field
 
     def test_degree_two_rate(self):
         res = run(AfemConfig(problem="square_sine", degree=2, theta=0.7,

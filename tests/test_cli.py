@@ -1,14 +1,17 @@
 """Harness tests: file emission, determinism, option handling."""
 
 import csv
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import afemflux
+from afemflux import cli
 from afemflux.afem import AfemConfig, run
 from afemflux.cli import _fmt, main, parse_config_file, write_level_indicators
 from afemflux.mesh import Mesh
@@ -107,11 +110,11 @@ class TestDeterminism:
             assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
 
     def test_level_indicators_match_per_value_formatting(self, tmp_path):
-        result = run(AfemConfig(problem="lshape_one", degree=2,
-                                max_dofs=300))
-        write_level_indicators(tmp_path, result.levels)
-        for i, state in enumerate(result.levels):
-            rep = state.report
+        levels = []
+
+        def check(state):
+            write_level_indicators(tmp_path, state)
+            rep, i = state.report, state.record.level
             for name, head, cols in (
                     ("elements", "element,eta_delta,eta_res,osc",
                      (rep.eta_delta, rep.eta_res, rep.osc)),
@@ -122,6 +125,32 @@ class TestDeterminism:
                     for j in range(len(cols[0])))
                 got = (tmp_path / f"{name}_{i:03d}.csv").read_bytes()
                 assert got == want.encode(), (name, i)
+            levels.append(i)
+
+        run(AfemConfig(problem="lshape_one", degree=2, max_dofs=300), check)
+        assert len(levels) >= 2 and levels == list(range(len(levels)))
+
+
+class TestStreaming:
+    def test_holds_one_level_between_callbacks(self, tmp_path, monkeypatch):
+        # with --hypotheses on the CLI keeps a level for the next pair
+        # check; once that check is made, the older level is gone
+        real, refs = cli.run, []
+
+        def spy(config, on_level):
+            def wrapped(state):
+                refs.append(weakref.ref(state.field))
+                on_level(state)
+                gc.collect()
+                assert all(ref() is None for ref in refs[:-1]), len(refs)
+            return real(config, wrapped)
+
+        monkeypatch.setattr(cli, "run", spy)
+        out = run_cli(tmp_path, "s", ["--hypotheses", "on",
+                                      "--export-flux"])
+        assert len(refs) == len(read_rows(out / "run.csv")) >= 3
+        lines = (out / "hypotheses.csv").read_text().splitlines()
+        assert len(lines) == 2 + len(refs) - 1  # j* line, header, pairs
 
 
 class TestOptions:

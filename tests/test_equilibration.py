@@ -18,13 +18,13 @@ from afemflux.equilibration import (
     EquilibratedFlux,
     EquilibrationError,
     FluxField,
+    _divergence_rhs,
     _edge_rhs,
     _element_classes,
     _shape_blocks,
     _tril_inverse,
     equilibrate,
     gradient_flux,
-    local_equilibrate,
     prager_synge_terms,
     rt_dim,
     rt_divergence_matrix,
@@ -37,6 +37,7 @@ from afemflux.galerkin import (
     element_gradients,
     element_laplacians,
     energy_error,
+    monomial_exponents,
     normal_jumps,
     solve_poisson,
 )
@@ -77,6 +78,93 @@ def flux_at_phys(flux, t, pts):
     J = np.column_stack([p[1] - p[0], p[2] - p[0]])
     ref = np.linalg.solve(J, (pts - p[0]).T).T
     return flux.element_values(ref, np.array([t]))[0]
+
+
+@dataclasses.dataclass(frozen=True)
+class PatchSolution:
+    """One patch problem in raw (unwhitened) coordinates: the tests'
+    independent reference, lstsq on the full, unreduced patch system.
+
+    matrix acts on the stacked per-element flux coefficients; rows are the
+    divergence moments (n_div per element), then k+1 jump moments per spoke
+    edge, then k+1 trace moments per constrained rim edge.
+    """
+
+    vertex: int
+    elements: np.ndarray
+    spoke_edges: np.ndarray
+    trace_edges: np.ndarray
+    matrix: np.ndarray
+    rhs: np.ndarray
+    mass: np.ndarray  # (m, N, N) block-diagonal metric
+    z: np.ndarray
+    coeffs: np.ndarray  # (m, N)
+    eta: float
+    residual: float
+
+
+def local_equilibrate(u_h: ScalarField, f, nu: int) -> PatchSolution:
+    """Solve the single patch problem of vertex nu and return its pieces."""
+    space = u_h.space
+    mesh = space.mesh
+    k = space.degree
+    n_p = len(monomial_exponents(k))
+    N = rt_dim(k)
+    K1 = k + 1
+    nu = int(nu)
+    patch = mesh.patch(nu)
+    els = patch.elements
+    msize = els.size
+
+    part = _shape_blocks(space, els)
+    rdiv = _divergence_rhs(u_h, f, els)
+    ptr, ind, slotv = mesh._vertex_triangles
+    slots = slotv[ptr[nu]:ptr[nu + 1]]
+    spokes = patch.interior_edges
+    Jr = _edge_rhs(space, normal_jumps(u_h, 2 * k + 2, spokes)[0],
+                   mesh.edge_lengths[spokes])
+
+    rim = mesh.edge_of_triangle[els, slots]
+    trace_edges = rim[~mesh.boundary_edge[rim]]
+    R = msize * n_p + (spokes.size + trace_edges.size) * K1
+    Araw = np.zeros((R, msize * N))
+    Awht = np.zeros((R, msize * N))
+    g = np.zeros(R)
+
+    for j in range(msize):
+        rows = slice(j * n_p, (j + 1) * n_p)
+        cols = slice(j * N, (j + 1) * N)
+        Araw[rows, cols] = part["Draw"][j]
+        Awht[rows, cols] = part["Dt"][j]
+        g[rows] = rdiv[j, slots[j]]
+
+    row = msize * n_p
+    for i, e in enumerate(spokes):
+        var = 0 if mesh.edges[e, 0] == nu else 1
+        g[row:row + K1] = Jr[i, var]
+        for side in (0, 1):
+            t = mesh.edge_triangles[e, side]
+            le = mesh.edge_local[e, side]
+            j = int(np.searchsorted(els, t))
+            Araw[row:row + K1, j * N:(j + 1) * N] = part["Traw"][j, le]
+            Awht[row:row + K1, j * N:(j + 1) * N] = part["Trt"][j, le]
+        row += K1
+
+    rim_imp = ~mesh.boundary_edge[rim]
+    for j in range(msize):
+        if not rim_imp[j]:
+            continue
+        Araw[row:row + K1, j * N:(j + 1) * N] = part["Traw"][j, slots[j]]
+        Awht[row:row + K1, j * N:(j + 1) * N] = part["Trt"][j, slots[j]]
+        row += K1
+
+    z, *_ = np.linalg.lstsq(Awht, g, rcond=1e-12)
+    resid = float(np.abs(Awht @ z - g).max())
+    zc = z.reshape(msize, N)
+    coeffs = np.einsum("tij,tj->ti", part["LiT"], zc)
+    return PatchSolution(nu, els, spokes, trace_edges, Araw, g,
+                         part["mass"], z, coeffs,
+                         float(np.linalg.norm(z)), resid)
 
 
 def fd_divergence(flux, t, pts, delta=1e-5):

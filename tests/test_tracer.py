@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from afemflux import afem, estimators
+from afemflux import afem, cli, estimators
 from afemflux.afem import AfemConfig, run
 from afemflux.mesh import Mesh, Round
 
@@ -76,3 +76,27 @@ def test_lineage_walks_cover_the_bisect_chain(tracer, monkeypatch):
         m = m.source
     assert sum(isinstance(m, Mesh) for m in chain) == 2
     assert tracer.lineage_bytes(final) == sum(map(tracer.mesh_bytes, chain))
+
+
+def test_cli_calls_run_once_and_checks_each_pair(tracer, tmp_path,
+                                                 monkeypatch):
+    # the spans on cli.run and cli.check_hypotheses wrap the whole loop and
+    # each pair check only if the CLI looks both names up in its module
+    assert {"run", "check_hypotheses"} <= set(tracer.TRACED[cli])
+    calls, results = Counter(), []
+    for name in ("run", "check_hypotheses"):
+        real = getattr(cli, name)
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            out = real(*args, **kwargs)
+            if name == "run":
+                results.append(out)
+            return out
+
+        monkeypatch.setattr(cli, name, spy)
+    assert cli.main(["--problem", "square_sine", "--max-dofs", "300",
+                     "--hypotheses", "on", "--out", str(tmp_path)]) == 0
+    n_levels = len(results[0].records)
+    assert n_levels >= 3
+    assert calls == {"run": 1, "check_hypotheses": n_levels - 1}

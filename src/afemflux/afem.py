@@ -43,7 +43,12 @@ from .problems import ProblemSpec, get_problem
 def doerfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
     """Smallest index set holding a theta^2 share of the squared indicators.
 
-    Ties are resolved by taking lower element ids first; the returned ids
+    Ties are resolved by taking lower element ids first, and so are near
+    ties: in the descending order of the squares a new tie group starts
+    wherever the gap to the next value exceeds 1e-10 of the larger one, and
+    each group is taken in element-id order, so that round-off in the
+    indicators does not decide which of two equal elements is marked.  The
+    count is taken from the exact values in that order.  The returned ids
     are sorted ascending.  The set is empty only when every indicator is
     zero.
     """
@@ -58,7 +63,10 @@ def doerfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
     total = float(sq.sum())
     if total == 0.0:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((np.arange(ind.size), -sq))
+    order = np.argsort(-sq, kind="stable")
+    s = sq[order]
+    group = np.cumsum(np.concatenate([[True], s[:-1] - s[1:] > 1e-10 * s[:-1]]))
+    order = order[np.lexsort((order, group))]
     csum = np.cumsum(sq[order])
     nsel = int(np.searchsorted(csum, theta * theta * total, side="left")) + 1
     nsel = min(nsel, ind.size)

@@ -93,6 +93,27 @@ class TestDoerflerMarking:
         marked = doerfler_mark(ind, 0.5)
         assert marked.tolist() == [0]  # one element holds 1/4 of the mass
 
+    def test_round_off_in_indicators_keeps_the_meshes(self, monkeypatch):
+        # symmetric elements of the L-shape carry indicators equal up to
+        # round-off; relative noise of 1e-13 must not decide which of them
+        # is marked, level after level
+        config = AfemConfig(problem="lshape_one", degree=1, max_dofs=4_000)
+        plain = run(config)
+        rng = np.random.default_rng(7)
+
+        def noisy(ind, theta):
+            return doerfler_mark(
+                ind * (1 + 1e-13 * rng.standard_normal(ind.size)), theta)
+
+        monkeypatch.setattr(afem, "doerfler_mark", noisy)
+        moved = run(config)
+        assert moved.series("n_marked").tolist() == \
+            plain.series("n_marked").tolist()
+        assert np.array_equal(moved.final.mesh.triangles,
+                              plain.final.mesh.triangles)
+        assert np.array_equal(moved.final.mesh.points,
+                              plain.final.mesh.points)
+
     def test_empty_only_for_zero(self):
         assert doerfler_mark(np.zeros(5), 0.9).size == 0
         assert doerfler_mark(np.array([0.0, 1e-30]), 0.1).size == 1

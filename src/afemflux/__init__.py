@@ -30,6 +30,7 @@ from .equilibration import (
     EquilibratedFlux,
     EquilibrationReport,
     FluxField,
+    PatchOperators,
     equilibrate,
     gradient_flux,
     prager_synge_terms,
@@ -74,6 +75,7 @@ __all__ = [
     "HypothesisRow",
     "LevelState",
     "Mesh",
+    "PatchOperators",
     "ProblemSpec",
     "RunResult",
     "ScalarField",

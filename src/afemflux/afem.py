@@ -27,6 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .equilibration import PatchOperators
 from .estimators import EstimatorReport, estimate
 from .galerkin import (
     FeSpace,
@@ -65,7 +66,8 @@ def doerfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     order = np.argsort(-sq, kind="stable")
     s = sq[order]
-    group = np.cumsum(np.concatenate([[True], s[:-1] - s[1:] > 1e-10 * s[:-1]]))
+    gap = s[:-1] - s[1:] > 1e-10 * s[:-1]
+    group = np.cumsum(np.concatenate([[True], gap]))
     order = order[np.lexsort((order, group))]
     csum = np.cumsum(sq[order])
     nsel = int(np.searchsorted(csum, theta * theta * total, side="left")) + 1
@@ -161,10 +163,10 @@ class RunResult:
 
 
 def _solve_level(prob: ProblemSpec, config: AfemConfig, mesh: Mesh,
-                 level: int, b: int) -> LevelState:
+                 level: int, b: int, cache: PatchOperators) -> LevelState:
     space = FeSpace(mesh, config.degree)
     u = solve_poisson(space, prob.f)
-    rep = estimate(u, prob.f)
+    rep = estimate(u, prob.f, cache=cache)
     err = energy_error(u, prob.grad_exact) if prob.has_exact \
         else float("nan")
     marked = doerfler_mark(rep.indicator(config.estimator), config.theta)
@@ -206,8 +208,10 @@ def run(config: AfemConfig,
 
     records: list[ConvergenceRecord] = []
     stop = "max_levels"
+    # patch-class operators, built once per run and kept while in use
+    cache = PatchOperators()
     for level in range(config.max_levels + 1):
-        state = _solve_level(prob, config, mesh, level, b)
+        state = _solve_level(prob, config, mesh, level, b, cache)
         rec = state.record
         records.append(rec)
         if on_level is not None:

@@ -33,15 +33,18 @@ class when their edge vectors, scaled by a power of two, agree bit for bit
 and the lower global id sits at the same end of each local edge.  The
 basis uses centred, diameter-scaled monomials, so the whitened divergence
 and trace blocks are invariant under translation and scaling, and L^-T
-scales as the inverse of the element size.  The mass matrix, its factor,
-the raw and whitened blocks and the rotation below are therefore computed
-on the first element of each class only; every member takes its class's
-blocks as they are, and maps its rotated coordinates to flux coefficients
-with its class's L^-T Q times the exact power of two 2^(ex_first - ex_t),
-ex being the exponent of the element's size.  What stays per element is
-the data: the hat-weighted divergence right-hand sides, from f and
-lap u_h at the element's own points.  On a mesh with no repeated shape
-each element is its own class.
+scales as the inverse of the element size.  The blocks are computed from
+the normalised edge vectors alone, the class key itself, never from
+absolute coordinates: members of one class get the same blocks bit for
+bit, on any level of a run.  The mass matrix, its factor, the raw and
+whitened blocks and the rotation below are therefore computed on the
+first element of each class only; every member takes its class's blocks
+as they are, and maps its rotated coordinates to flux coefficients with
+its class's L^-T Q times the exact power of two 2^(ex_first - ex_t), ex
+being the exponent of the element's size.  What stays per element is the
+data: the hat-weighted divergence right-hand sides, from f and lap u_h at
+the element's own points.  On a mesh with no repeated shape each element
+is its own class.
 
 The divergence rows are condensed out element by element.  The whitened
 coordinates of each class are rotated, w = Q^T z, by a complete QR factor
@@ -53,27 +56,41 @@ the other N - n_p coordinates of each element, with the traces of the
 fixed coordinates moved to the right-hand side.  Rotations preserve the
 norm, so the minimal-norm solution of this reduced system is that of the
 full one.  On a fully interior patch (every rim edge constrained) the
-divergence theorem makes the first element's constant divergence moment a
-combination of the other rows; that row is dropped, and the coordinate it
-would fix, the last of the n_p, joins the free ones.  Each reduced system
-is solved for its minimal-norm solution by semi-normal equations on the
-row Gram matrix (batched LU) with residual refinement sweeps.  The patch
+divergence theorem makes the constant divergence moment of its lowest-id
+element a combination of the other rows; that row is dropped, and the
+coordinate it would fix, the last of the n_p, joins the free ones.  Each
+reduced system is solved for its minimal-norm solution by semi-normal
+equations on the row Gram matrix (batched LU) with residual refinement
+sweeps.  The patch
 residual covers every row of the full system: the reduced rows, the
 forward-substituted divergence rows and the dropped row, in which a u_h
 without Galerkin orthogonality shows.
 
 Patches are grouped by their sizes (elements, interior spokes, constrained
-rim edges) and batched within a group.  Within a group, patches that are
+rim edges) and batched within a group.  Each patch lists its elements
+counterclockwise around its vertex (`_fan_layout`), so that the order does
+not depend on how triangles and edges are numbered: an open fan starts at
+the domain boundary; a fully interior patch starts at its lowest-id
+element, the one whose row is dropped, so that its sequence read from
+there records where the dropped row sits; any other closed fan starts at
+its lexicographically smallest rotation.  Within a group, patches that are
 exact copies of one another up to translation and a power-of-two scale
 form a class: position by position their elements share a shape class,
-and their slots, rim constraints and spoke connections agree.  Such
-patches have one and the same reduced constraint matrix, since their
-elements take the very blocks and rotation of their classes.  Each class
-of two or more patches assembles its first patch once, forms the
-min-norm operator from it and solves every member with one matrix product
-on its own right-hand sides; the same residual check and sweeps apply.
-Patches alone in their class take the batched LU path, as do all patches
-of a mesh in which no element shape repeats.
+the patch vertex sits in the same slot and the rim edge is constrained
+alike.  Such patches have one and the same reduced constraint matrix.
+The min-norm operator of a class, Y = (A A^T)^-1 A for its row-scaled
+matrix A, is kept in a `PatchOperators` cache that `afem.run` passes from
+level to level, keyed by the exact bytes of the class, so that it is
+built once per run: a patch whose class is in the cache is solved with
+the stored operator even when it is alone on its level, and a new class
+of two or more patches is built once and stored.  Each call keeps only
+the entries it used, so the cache holds one level's classes.  Patches
+solved with an operator take one gathered product per batch, followed by
+the same residual check and sweeps as the others.  Patches alone in a
+new class take the batched LU path and are not stored, as do all patches
+of a mesh in which no element shape repeats and every patch of a group
+in which some vertex is not a single fan; those keep triangle-id order
+(`_patch_layout`).
 
 `verify_equilibration` measures each element's divergence residual against
 the terms that cancel in it, the projected load and lap u_h.
@@ -98,7 +115,6 @@ from .galerkin import (
     monomial_projection,
     monomial_values,
     normal_jumps,
-    scaled_coordinates,
 )
 from .mesh import Mesh
 from .quadrature import triangle_rule
@@ -159,26 +175,64 @@ def rt_values(k: int, xhat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_traces(mesh: Mesh, k: int, s: np.ndarray, els: np.ndarray,
+_REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def _element_shapes(mesh: Mesh, els=None):
+    """Normalised shapes of the elements els (all by default).
+
+    Returns e (t, 2, 2), the edge vectors p1 - p0 and p2 - p0 scaled by the
+    exact power of two 2^-ex that brings their largest component into
+    [0.5, 1); the exponents ex (t,); and lower (t, 3), whether the lower
+    global id of local edge le, which runs from local vertex le+1 to le+2,
+    sits at its end.
+    """
+    t = mesh.triangles if els is None else mesh.triangles[els]
+    p = mesh.points[t]
+    e = p[:, 1:] - p[:, :1]
+    _, ex = np.frexp(np.abs(e).max(axis=(1, 2)))
+    return (np.ldexp(e, -ex[:, None, None]), ex,
+            t[:, [2, 0, 1]] < t[:, [1, 2, 0]])
+
+
+def _local_geometry(e):
+    """Local edges (t, 3, 2), each directed from local vertex le+1 to le+2,
+    their lengths (t, 3), the areas (t,) and the diameters (t,) of
+    elements with edge vectors e."""
+    tang = np.stack([e[:, 1] - e[:, 0], -e[:, 1], e[:, 0]], axis=1)
+    elen = np.hypot(tang[..., 0], tang[..., 1])
+    area = 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+    return tang, elen, area, elen.max(axis=1)
+
+
+def _scaled_points(e, h, ref):
+    """Reference points ref, (nq, 2) or (t, nq, 2), of elements with edge
+    vectors e and diameters h, centred at the centroid and divided by the
+    diameter: `scaled_coordinates` formed from the edge vectors alone, so
+    exact under translation."""
+    return ((ref - 1.0 / 3.0) @ e) / h[:, None, None]
+
+
+def _edge_traces(k: int, s: np.ndarray, e: np.ndarray, lower: np.ndarray,
                  le: int):
-    """Normal traces of the local flux basis of the elements els on their
-    local edge le, at the points s of the edge parameter running from the
-    edge's lower global vertex id to its higher one.
+    """Normal traces of the local flux basis of elements with edge vectors
+    e and lower-end flags lower (`_element_shapes`) on their local edge le,
+    at the points s of the edge parameter running from the edge's lower
+    global vertex id to its higher one.
 
     Returns the traces (t, len(s), N), with the outward unit normal, and
     the edge lengths (t,).
     """
-    tris = mesh.triangles[els]
-    ga, gb = tris[:, (le + 1) % 3], tris[:, (le + 2) % 3]
-    pl = mesh.points[np.minimum(ga, gb)]
-    ph = mesh.points[np.maximum(ga, gb)]
-    ep = pl[:, None, :] + s[None, :, None] * (ph - pl)[:, None, :]
-    Ve = rt_values(k, scaled_coordinates(mesh, ep, els))
-    tang = mesh.points[gb] - mesh.points[ga]  # directed local edge
-    elen = np.hypot(tang[:, 0], tang[:, 1])
-    nrm = np.column_stack([tang[:, 1], -tang[:, 0]]) / elen[:, None]
-    tr = (Ve.reshape(els.size, -1, 2) @ nrm[:, :, None])
-    return tr.reshape(els.size, -1, rt_dim(k)), elen
+    tang, elen, _, h = _local_geometry(e)
+    a, b = _REF_VERTICES[(le + 1) % 3], _REF_VERTICES[(le + 2) % 3]
+    flip = lower[:, le, None, None]
+    ref = np.where(flip, b, a) + s[None, :, None] * np.where(flip, a - b,
+                                                              b - a)
+    Ve = rt_values(k, _scaled_points(e, h, ref))
+    nrm = np.column_stack([tang[:, le, 1], -tang[:, le, 0]]) \
+        / elen[:, le, None]
+    tr = (Ve.reshape(e.shape[0], -1, 2) @ nrm[:, :, None])
+    return tr.reshape(e.shape[0], -1, rt_dim(k)), elen[:, le]
 
 
 @dataclass(frozen=True)
@@ -300,23 +354,28 @@ def _shape_blocks(space: FeSpace, els: np.ndarray):
     Dt and Trt are invariant under translation and scaling of the element,
     while LiT scales as the inverse of its size.
 
+    Every block is computed on the element's normalised edge vectors
+    (`_element_shapes`), its exact shape key, and scaled back to the
+    element's size by exact powers of two: elements of one exact class
+    get Dt, Trt and the rotated blocks below bit for bit alike, whatever
+    their position and size.
+
     The rotated blocks act on the coordinates w = Q^T z, with Q a complete
     QR factor of Dt^T whose divergence moments are taken in `_const_last`
     order: DQ = Dt Q, in that order, is [R^T 0] with R^T lower triangular;
     TrQ = Trt Q holds the rotated trace blocks and LiTQ = LiT Q maps
     rotated coordinates to flux coefficients.
     """
-    mesh = space.mesh
     k = space.degree
     rule = space.rule_main
     er = space.edge_rule_main
     n_p = len(monomial_exponents(k))
     N = rt_dim(k)
-    areas = mesh.areas[els]
-    h = mesh.diameters[els]
+    e, ex, lower = _element_shapes(space.mesh, els)
+    _, _, areas, h = _local_geometry(e)
     w = rule.weights
 
-    V = rt_values(k, element_batch(mesh, rule.points, els).xh)
+    V = rt_values(k, _scaled_points(e, h, rule.points))
     # mass in matmul form: rows are the flattened (point, component) axis
     Vf = V.transpose(0, 1, 3, 2).reshape(els.size, -1, N)
     M = Vf.transpose(0, 2, 1) @ (Vf * np.repeat(w, 2)[None, :, None])
@@ -332,18 +391,24 @@ def _shape_blocks(space: FeSpace, els: np.ndarray):
     wspow = (er.weights[:, None] * spow).T  # (k+1, nq_e) moment weights
     Traw = np.empty((els.size, 3, k + 1, N))
     for le in range(3):
-        tr, elen = _edge_traces(mesh, k, er.points, els, le)
+        tr, elen = _edge_traces(k, er.points, e, lower, le)
         Traw[:, le] = (wspow[None] @ tr) * elen[:, None, None]
 
     Dt = Draw @ LiT
     Trt = (Traw.reshape(els.size, -1, N) @ LiT).reshape(Traw.shape)
     Dp = Dt[:, _const_last(n_p)]
     Q = np.linalg.qr(Dp.transpose(0, 2, 1), mode="complete")[0]
-    return {
-        "mass": M, "LiT": LiT, "Draw": Draw, "Dt": Dt, "Traw": Traw,
-        "Trt": Trt, "Q": Q, "DQ": Dp @ Q, "TrQ": Trt @ Q[:, None],
-        "LiTQ": LiT @ Q,
-    }
+    blocks = {"mass": M, "LiT": LiT, "Draw": Draw, "Dt": Dt, "Traw": Traw,
+              "Trt": Trt, "Q": Q, "DQ": Dp @ Q, "TrQ": Trt @ Q[:, None],
+              "LiTQ": LiT @ Q}
+    # back to the element's size by exact powers of two, in place
+    size = np.ldexp(1.0, ex)[:, None, None]
+    M *= size * size
+    LiT /= size
+    Draw *= size
+    Traw *= size[..., None]
+    blocks["LiTQ"] /= size
+    return blocks
 
 
 def _divergence_rhs(u_h: ScalarField, f, els: np.ndarray):
@@ -430,26 +495,31 @@ def _element_classes(mesh: Mesh):
     in local vertex order and scaled by 2^-ex (an exact scaling), agree bit
     for bit, and the lower global id sits at the same end of each local
     edge, which fixes the edge parameter of the trace blocks.  The whitened
-    blocks Dt and Trt of such elements then agree up to the round-off of
-    their translation, and LiT of element t is that of its class's first
+    blocks Dt and Trt of such elements then agree bit for bit
+    (`_shape_blocks`), and LiT of element t is that of its class's first
     element times 2^(ex_first - ex_t).
     """
-    t = mesh.triangles
-    p = mesh.points[t]
-    e = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=1)
-    _, ex = np.frexp(np.abs(e).max(axis=1))
-    e = np.ldexp(e, -ex[:, None])
-    lower = t[:, [2, 0, 1]] < t[:, [1, 2, 0]]  # local edge le runs le+1 -> le+2
-    key = np.column_stack([e.view(np.int64), lower @ np.array([1, 2, 4])])
-    first, cls, counts = _row_classes(key)
+    key, ex = _element_keys(mesh)
+    first, cls, counts, _ = _row_classes(key)
     return first, cls, counts, ex
+
+
+def _element_keys(mesh: Mesh):
+    """Exact shape key of each element, (nt, 5) int64: the bits of its
+    normalised edge vectors and its lower-end flags (`_element_shapes`);
+    and the exponents ex of the element sizes."""
+    e, ex, lower = _element_shapes(mesh)
+    return (np.column_stack([e.reshape(-1, 4).view(np.int64),
+                             lower @ np.array([1, 2, 4])]), ex)
 
 
 def _row_classes(key):
     """First row, class and class size of each distinct row of an integer
-    array, rows compared as raw bytes (faster than np.unique on axis 0).
-    Classes are numbered in the order of their first rows, so that on
-    distinct rows class i is row i."""
+    array, rows compared as raw bytes (faster than np.unique on axis 0),
+    and the rank of each class in the byte order of its row, an order that
+    does not depend on the other rows present.  Classes are numbered in
+    the order of their first rows, so that on distinct rows class i is
+    row i."""
     key = np.ascontiguousarray(key, dtype=np.int64)
     rows = key.view(np.dtype((np.void, 8 * key.shape[1]))).ravel()
     _, first, cls, counts = np.unique(rows, return_index=True,
@@ -457,7 +527,7 @@ def _row_classes(key):
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return first[order], rank[cls], counts[order]
+    return first[order], rank[cls], counts[order], order
 
 
 def _patch_layout(vs, mg, sg, mesh, sptr, sind):
@@ -483,21 +553,99 @@ def _take(layout, sel):
     return tuple(a[sel] for a in layout)
 
 
-def _patch_classes(layout, ecls):
-    """Exact class of each patch in one (m, s, t) group.
+def _fan_links(mesh: Mesh):
+    """The counterclockwise walk around each vertex, one step per entry
+    of the vertex-triangle table `mesh._vertex_triangles`.
 
-    Patches share a class when, position by position, their elements share
-    an exact shape class, the patch vertex sits in the same slot and the
-    rim edge is constrained alike, and their spokes join the same positions
-    through the same local edges.  Their reduced constraint matrices are
-    then equal, assembled from the same class blocks.  Returns the first
-    patch of each class, the class of each patch and the class sizes.
+    For entry i (triangle t, slot of the vertex nu) returns: nxt[i], the
+    entry of nu in the triangle beyond the edge of t through nu that comes
+    next counterclockwise, or -1 where that edge is on the boundary;
+    has_prev[i], whether some entry steps to i; spoke[i], that edge, and
+    le[i], its local edge in t and in the triangle beyond; imposed[i],
+    whether the rim edge of t opposite nu carries a zero-trace constraint.
     """
-    els, slots, imposed, spokes, pos, le = layout
-    P = els.shape[0]
-    key = np.concatenate([ecls[els], slots, imposed, pos.reshape(P, -1),
-                          le.reshape(P, -1)], axis=1)
-    return _row_classes(key)
+    ptr, ind, slot = mesh._vertex_triangles
+    nt = mesh.n_triangles
+    fwd = (slot + np.where(mesh.signed_areas[ind] > 0, 1, 2)) % 3
+    spoke = mesh.edge_of_triangle[ind, fwd]
+    other = (mesh.edge_triangles[spoke, 0] == ind).astype(np.int64)
+    beyond = mesh.edge_triangles[spoke, other]
+    le = mesh.edge_local[spoke, other]
+    # nu is one end of local edge le of the triangle beyond
+    nu = np.repeat(np.arange(mesh.n_vertices), np.diff(ptr))
+    head = (le + 1) % 3
+    slot2 = np.where(mesh.triangles[beyond, head] == nu, head, (le + 2) % 3)
+    entry = np.empty(3 * nt, dtype=np.int64)
+    entry[ind * 3 + slot] = np.arange(3 * nt)
+    bed = mesh.boundary_edge
+    nxt = np.where(bed[spoke], -1, entry[beyond * 3 + slot2])
+    has_prev = np.zeros(3 * nt, dtype=bool)
+    has_prev[nxt[nxt >= 0]] = True
+    return (nxt, has_prev, spoke, np.stack([fwd, le], axis=1),
+            ~bed[mesh.edge_of_triangle[ind, slot]])
+
+
+def _fan_layout(vs, mg, sg, rotate, mesh, links, erank):
+    """The tables of `_patch_layout` for the patches vs, which share the
+    sizes (mg, sg), with each patch in canonical order; None if some patch
+    is not a single fan of triangles around its vertex.
+
+    The elements follow each other counterclockwise around the vertex
+    (links: `_fan_links`), and spoke i joins positions i and i+1 (mod mg on
+    a closed fan).  An open fan starts at the domain boundary.  A closed
+    fan starts at its lowest-id element, whose constant-divergence row a
+    fully interior patch drops, unless rotate is set: then it starts at
+    the rotation whose sequence of per-position keys (element class in the
+    byte order erank, slot, rim constraint) is lexicographically smallest.
+    Patches that are copies of one another thus list their elements alike,
+    whatever the numbering of their triangles and edges.
+    """
+    if sg < mg - 1:
+        return None
+    nxt, has_prev, spoke, le, imposed = links
+    ptr, ind, slotv = mesh._vertex_triangles
+    P = vs.size
+    closed = sg == mg
+    if closed:
+        start = ptr[vs]
+    else:
+        take = ptr[vs][:, None] + np.arange(mg)[None, :]
+        first = ~has_prev[take]
+        if (first.sum(axis=1) != 1).any():
+            return None
+        start = take[np.arange(P), np.argmax(first, axis=1)]
+    idx = np.empty((P, mg), dtype=np.int64)
+    idx[:, 0] = start
+    for i in range(1, mg):
+        idx[:, i] = nxt[idx[:, i - 1]]
+    if (idx < 0).any():
+        return None
+    last = nxt[idx[:, -1]]
+    if closed and ((last != start).any()
+                   or (idx[:, 1:] == start[:, None]).any()):
+        return None
+    if not closed and (last >= 0).any():
+        return None
+    if rotate:
+        r = _min_rotation((erank[ind[idx]] * 3 + slotv[idx]) * 2
+                          + imposed[idx])
+        idx = np.take_along_axis(
+            idx, (r[:, None] + np.arange(mg)[None, :]) % mg, axis=1)
+    s = idx[:, :sg]
+    pos = np.stack([np.arange(sg), (np.arange(sg) + 1) % mg], axis=1)
+    return (ind[idx], slotv[idx], imposed[idx], spoke[s],
+            np.broadcast_to(pos, (P, sg, 2)), le[s])
+
+
+def _min_rotation(q):
+    """Start of the lexicographically smallest rotation of each row of q."""
+    m = q.shape[1]
+    rot = q[:, (np.arange(m)[:, None] + np.arange(m)[None, :]) % m]
+    best = np.ones(rot.shape[:2], dtype=bool)
+    for i in range(m):
+        v = np.where(best, rot[..., i], np.iinfo(np.int64).max)
+        best &= v == v.min(axis=1, keepdims=True)
+    return np.argmax(best, axis=1)
 
 
 def _assemble_patches(layout, tg, blocks, deficient):
@@ -519,31 +667,24 @@ def _assemble_patches(layout, tg, blocks, deficient):
     K1, N = TrQ.shape[2:]
     Nf = N - n_p
     A = np.zeros((P, (sg + tg) * K1, mg * Nf + deficient))
-    pidx = np.arange(P)[:, None, None]
-    ncols = np.arange(Nf)[None, None, :]
-    for sidx in range(sg):
-        rows = sidx * K1 + np.arange(K1)
-        for side in (0, 1):
-            at = pos[:, sidx, side]
-            blk = TrQ[cls[np.arange(P), at], le[:, sidx, side]]
-            A[pidx, rows[None, :, None], at[:, None, None] * Nf + ncols] = \
-                blk[..., n_p:]
-            if deficient:
-                A[at == 0, rows[0]:rows[-1] + 1, -1] = blk[at == 0, :, n_p - 1]
-
+    p = np.arange(P)[:, None, None]
+    cols = np.arange(Nf)
+    # the jump rows of each spoke, from the elements on its two sides
+    blk = TrQ[cls[p, pos], le]  # (P, sg, 2, K1, N)
+    rows = np.arange(sg)[:, None, None, None] * K1 + np.arange(K1)[:, None]
+    A[p[..., None, None], rows, pos[..., None, None] * Nf + cols] = \
+        blk[..., n_p:]
+    if deficient:
+        A[:, :sg * K1, -1] = np.where(pos[..., None] == 0, blk[..., n_p - 1],
+                                      0.0).sum(axis=2).reshape(P, -1)
+    # the trace rows of the constrained rim edges, in patch order
     row1 = sg * K1
-    if tg:
-        rank = np.cumsum(imposed, axis=1) - imposed
-        for j in range(mg):
-            selp = np.nonzero(imposed[:, j])[0]
-            if selp.size == 0:
-                continue
-            rows = row1 + rank[selp, j, None] * K1 + np.arange(K1)[None, :]
-            cols = (j * Nf + np.arange(Nf))[None, None, :]
-            A[selp[:, None, None], rows[:, :, None], cols] = \
-                TrQ[cls[selp, j], slots[selp, j], :, n_p:]
-        if deficient:  # every rim edge is constrained, the first one first
-            A[:, row1:row1 + K1, -1] = TrQ[cls[:, 0], slots[:, 0], :, n_p - 1]
+    pp, jj = np.nonzero(imposed)
+    rows = row1 + (np.cumsum(imposed, axis=1) - imposed)[pp, jj, None] * K1
+    A[pp[:, None, None], (rows + np.arange(K1))[..., None],
+      jj[:, None, None] * Nf + cols] = TrQ[cls[pp, jj], slots[pp, jj], :, n_p:]
+    if deficient:  # every rim edge is constrained, the first one first
+        A[:, row1:row1 + K1, -1] = TrQ[cls[:, 0], slots[:, 0], :, n_p - 1]
     return A
 
 
@@ -557,21 +698,19 @@ def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient):
     element set to zero — and the scale of the patch data.
     """
     els, slots, imposed, spokes, pos, le = layout
-    cls = blocks["ecls"][els]
-    TrQ = blocks["TrQ"]
-    P = vs.size
+    P, mg = els.shape
     n_p = blocks["U"].shape[2]
     fixed = blocks["U"][els, slots]
     if deficient:
         fixed[:, 0, -1] = 0.0
+    # their traces on the three local edges of each element
+    ft = np.einsum("pmlkj,pmj->pmlk",
+                   blocks["TrQ"][blocks["ecls"][els], :, :, :n_p], fixed)
     var = (mesh.edges[spokes, 0] != vs[:, None]).astype(np.int64)
     jumps = Jr[spokes, var]
-    b = jumps.copy()
     p = np.arange(P)[:, None]
-    for side in (0, 1):
-        at = pos[:, :, side]
-        b -= _apply(TrQ[cls[p, at], le[:, :, side], :, :n_p], fixed[p, at])
-    tr = -_apply(TrQ[cls, slots, :, :n_p], fixed)[imposed]
+    b = jumps - ft[p, pos[..., 0], le[..., 0]] - ft[p, pos[..., 1], le[..., 1]]
+    tr = -ft[p, np.arange(mg), slots][imposed]
     scale = 1.0 + np.maximum(
         np.abs(blocks["rdiv"][els, slots]).max(axis=(1, 2)),
         np.abs(jumps).max(axis=(1, 2), initial=0.0))
@@ -642,26 +781,35 @@ def _minnorm_solve(A, bb):
     return _refine(bb / D, D, lambda sel, z: _apply(As[sel], z), correct)
 
 
-def _class_solve(A, bb, sizes):
-    """Minimal-norm solutions of patches that share their class's matrix.
+def _operator_solve(As, D, Y, bb):
+    """Minimal-norm solutions and row residuals of reduced systems, one per
+    right-hand side of bb, given by their row-scaled matrices As, row norms
+    D and the operators Y = (As As^T)^-1 As, the semi-normal equations of
+    `_minnorm_solve` formed once, which map a scaled right-hand side b to
+    the solution b @ Y.  Each patch is solved alike whatever the others in
+    the batch."""
+    return _refine(bb / D, D, lambda sel, z: _apply(As[sel], z),
+                   lambda sel, r: (r[:, None, :] @ Y[sel])[:, 0])
 
-    A holds one reduced matrix per class, bb the reduced right-hand sides
-    of the members, class by class with the given class sizes.  For a
-    class's scaled matrix As the operator Y = (As As^T)^-1 As, the
-    semi-normal equations of `_minnorm_solve` formed once, maps each scaled
-    right-hand side b to the solution b @ Y.
+
+class PatchOperators:
+    """Min-norm operators of exact patch classes, kept from one
+    `equilibrate` call to the next; `afem.run` passes one from level to
+    level.
+
+    `operators` maps the bytes of a patch class (the degree, the patch
+    sizes and, position by position in canonical order, the element's
+    exact shape key, the slot of the vertex and the rim constraint) to the
+    min-norm operator Y of its row-scaled reduced matrix
+    (`_operator_solve`).  Each call keeps only the entries it used.
     """
-    As, D = _scale_rows(A)
-    Y = np.linalg.solve(As @ As.transpose(0, 2, 1), As)
-    z = np.empty((bb.shape[0], A.shape[2]))
-    resid = np.empty(bb.shape[0])
-    end = np.cumsum(sizes)
-    for c, e in enumerate(end):
-        rows = slice(e - sizes[c], e)
-        z[rows], resid[rows] = _refine(bb[rows] / D[c], D[c],
-                                       lambda _, x: x @ As[c].T,
-                                       lambda _, r: r @ Y[c])
-    return z, resid
+
+    def __init__(self):
+        self.operators: dict[bytes, tuple] = {}
+
+    @property
+    def nbytes(self) -> int:
+        return sum(Y.nbytes for Y in self.operators.values())
 
 
 @dataclass(frozen=True)
@@ -694,8 +842,10 @@ class EquilibratedFlux:
     jumps[e] holds the normal jumps of grad u_h across edge e at the points
     of u_h.space.edge_rule_main (zero on boundary edges): the data the jump
     rows were solved against, which the residual estimators reuse.
-    patch_classes counts the class operators built, shared_patches the
-    patches solved with one.
+    patch_classes counts the patch classes solved with a class operator,
+    shared_patches the patches solved with one, and built_classes the
+    operators this call built; the others came from the `PatchOperators`
+    cache passed in.
     """
 
     u_h: ScalarField = dc_field(repr=False)
@@ -706,6 +856,7 @@ class EquilibratedFlux:
     jumps: np.ndarray = dc_field(repr=False)
     patch_classes: int
     shared_patches: int
+    built_classes: int
 
     @property
     def mesh(self) -> Mesh:
@@ -723,13 +874,16 @@ class EquilibratedFlux:
         return verify_equilibration(self, f)
 
 
-def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
+def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8,
+                cache: PatchOperators | None = None) -> EquilibratedFlux:
     """Reconstruct the equilibrated flux correction for a discrete solution.
 
-    f is the load, called as f(x, y) on arrays.  Raises EquilibrationError
-    if any patch problem is inconsistent beyond rtol, which indicates that
-    u_h is not the Galerkin solution of the assembled system (or that data
-    were changed between solve and equilibration).
+    f is the load, called as f(x, y) on arrays.  cache holds the class
+    operators of earlier calls of the same run; the result does not depend
+    on its contents.  Raises EquilibrationError if any patch problem is
+    inconsistent beyond rtol, which indicates that u_h is not the Galerkin
+    solution of the assembled system (or that data were changed between
+    solve and equilibration).
     """
     space = u_h.space
     mesh = space.mesh
@@ -739,8 +893,12 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
     K1 = k + 1
     Nf = N - n_p
     nt, nv = mesh.n_triangles, mesh.n_vertices
+    if cache is None:
+        cache = PatchOperators()
 
-    efirst, ecls, _, ex = _element_classes(mesh)
+    ekey, ex = _element_keys(mesh)
+    efirst, ecls, _, crank = _row_classes(ekey)
+    erank = crank[ecls]
     nc = efirst.size
     # without a repeated element no two patches can share a class
     keyed = nc < nt
@@ -762,6 +920,7 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
         blocks["U"][els] = _forward(blocks["DQ"][ecls[els]], rdiv)
 
     sptr, sind, tcnt, scnt = _patch_tables(mesh)
+    links = _fan_links(mesh) if keyed else None
     J, _ = normal_jumps(u_h, 2 * k + 2)
     Jr = _edge_rhs(space, J, mesh.edge_lengths)
 
@@ -774,7 +933,8 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
     patch_res = np.zeros(nv)
     worst_ratio = 0.0
     worst_vertex = -1
-    n_classes = n_shared = 0
+    n_classes = n_shared = n_built = 0
+    kept = {}  # the cache entries this call uses
 
     def accept(vs, layout, fixed, scale, z, resid, deficient):
         nonlocal worst_ratio, worst_vertex
@@ -800,35 +960,58 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
 
     for g, (mg, sg, tg) in enumerate(uniq):
         members = np.nonzero(ginv == g)[0]
-        layout = _patch_layout(members, mg, sg, mesh, sptr, sind)
         deficient = bool(sg == mg and tg == mg)
         R, C = (sg + tg) * K1, mg * Nf + deficient
         step = max(8, int(_SOLVE_BYTES / (max(R, 1) * C * 8)))
+        layout = _fan_layout(members, mg, sg, sg == mg and not deficient,
+                             mesh, links, erank) if keyed else None
         single = np.arange(members.size)
-        if keyed:
-            first, cls, counts = _patch_classes(layout, ecls)
-            multi = np.nonzero(counts > 1)[0]
-            in_class = counts[cls] > 1
-            single = np.nonzero(~in_class)[0]
-            n_classes += multi.size
-            n_shared += members.size - single.size
-        if keyed and multi.size:
-            # members of shared classes, class by class in class-id order
-            sel = np.nonzero(in_class)[0]
-            sel = sel[np.argsort(cls[sel], kind="stable")]
-            end = np.cumsum(counts[multi])
-            start = end - counts[multi]
-            for c0 in range(0, multi.size, step):
-                cs = multi[c0:c0 + step]
-                rows = sel[start[c0]:end[c0 + cs.size - 1]]
-                part = _take(layout, rows)
-                bb, fixed, scale = _patch_rhs(part, members[rows], mesh,
+        if layout is None:
+            layout = _patch_layout(members, mg, sg, mesh, sptr, sind)
+        else:
+            els, slots, imposed = layout[:3]
+            first, cls, counts, _ = _row_classes(
+                (erank[els] * 3 + slots) * 2 + imposed)
+            names = [row.tobytes() for row in np.concatenate([
+                np.broadcast_to([k, mg, sg, tg], (first.size, 4)),
+                ekey[els[first]].reshape(first.size, -1), slots[first],
+                imposed[first]], axis=1)]
+            ops = [cache.operators.get(name) for name in names]
+            use = np.array([c for c, Y in enumerate(ops)
+                            if Y is not None or counts[c] > 1], dtype=np.int64)
+            opi = np.full(first.size, -1)
+            opi[use] = np.arange(use.size)
+            shared = np.nonzero(opi[cls] >= 0)[0]
+            single = np.nonzero(opi[cls] < 0)[0]
+            if use.size:
+                # class matrices are cheap to assemble again, bit for bit
+                # alike; only the operators Y are kept from call to call
+                As, D = _scale_rows(_assemble_patches(
+                    _take(layout, first[use]), tg, blocks, deficient))
+                new = np.array([ops[c] is None for c in use])
+                Y = np.empty_like(As)
+                Y[new] = np.linalg.solve(
+                    As[new] @ As[new].transpose(0, 2, 1), As[new])
+                for i, c in enumerate(use):
+                    if new[i]:
+                        ops[c] = Y[i].copy()
+                    else:
+                        Y[i] = ops[c]
+                    kept[names[c]] = ops[c]
+                n_built += int(new.sum())
+                n_classes += use.size
+                n_shared += shared.size
+            # two operators are gathered per patch: a quarter of the
+            # batch of the LU path keeps the transient memory below its own
+            quarter = max(8, step // 4)
+            for s0 in range(0, shared.size, quarter):
+                sel = shared[s0:s0 + quarter]
+                part = _take(layout, sel)
+                bb, fixed, scale = _patch_rhs(part, members[sel], mesh,
                                               blocks, Jr, deficient)
-                A = _assemble_patches(_take(layout, first[cs]), tg, blocks,
-                                      deficient)
-                z, resid = _class_solve(A, bb, counts[cs])
-                accept(members[rows], part, fixed, scale, z, resid,
-                       deficient)
+                o = opi[cls[sel]]
+                z, resid = _operator_solve(As[o], D[o], Y[o], bb)
+                accept(members[sel], part, fixed, scale, z, resid, deficient)
         for s0 in range(0, single.size, step):
             sel = single[s0:s0 + step]
             part = _take(layout, sel)
@@ -837,6 +1020,7 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
             A = _assemble_patches(part, tg, blocks, deficient)
             z, resid = _minnorm_solve(A, bb)
             accept(members[sel], part, fixed, scale, z, resid, deficient)
+    cache.operators = kept
 
     if worst_ratio > rtol:
         raise EquilibrationError(
@@ -854,7 +1038,8 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8) -> EquilibratedFlux:
         qcoef[els] = np.ldexp(_apply(blocks["LiTQ"][ecls[els]], w_delta[els]),
                               d[els, None])
     return EquilibratedFlux(u_h, FluxField(mesh, k, qcoef), eta_delta,
-                            eta_star, patch_res, J, n_classes, n_shared)
+                            eta_star, patch_res, J, n_classes, n_shared,
+                            n_built)
 
 
 # -- verification -------------------------------------------------------
@@ -899,7 +1084,8 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
             if rows.size == 0:
                 continue
             t = et[rows, side]
-            tr, _ = _edge_traces(mesh, k, er.points, t, le)
+            e, _, lower = _element_shapes(mesh, t)
+            tr, _ = _edge_traces(k, er.points, e, lower, le)
             qn[rows] += np.einsum("tqj,tj->tq", tr, flux.q_delta.coeffs[t])
     jump_res = float(np.abs((qn + J)[interior]).max()) if interior.any() else 0.0
     jscale = 1.0 + (float(np.abs(J[interior]).max()) if interior.any() else 0.0)

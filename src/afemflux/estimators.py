@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .equilibration import EquilibratedFlux, equilibrate
+from .equilibration import EquilibratedFlux, PatchOperators, equilibrate
 from .galerkin import (
     ScalarField,
     element_batches,
@@ -238,15 +238,17 @@ class EstimatorReport:
         raise ValueError(f"unknown estimator family {which!r}")
 
 
-def estimate(u_h: ScalarField, f,
-             flux: EquilibratedFlux | None = None) -> EstimatorReport:
+def estimate(u_h: ScalarField, f, flux: EquilibratedFlux | None = None,
+             cache: PatchOperators | None = None) -> EstimatorReport:
     """Compute every indicator family for a discrete solution.
 
     The residual families reuse the normal jumps of the flux, so a flux
-    passed in must be that of u_h itself.
+    passed in must be that of u_h itself.  Without one, the flux is
+    equilibrated here with the class operators of cache (see
+    `equilibrate`).
     """
     if flux is None:
-        flux = equilibrate(u_h, f)
+        flux = equilibrate(u_h, f, cache=cache)
     elif flux.u_h is not u_h:
         raise ValueError("flux was equilibrated for another field than u_h")
     mesh = u_h.space.mesh

@@ -448,6 +448,74 @@ class TestGlobalReconstruction:
         assert fl.shared_patches == 0
         assert_matches_local_solves(fl)
 
+    def test_congruent_patches_share_whatever_their_numbering(self):
+        # patches listed counterclockwise from a canonical start: in
+        # triangle-id order 44 of the 81 patches of the uniform square
+        # shared a class, for every degree
+        fl = equilibrated(uniform_square(), 2)
+        assert fl.shared_patches == 66
+        assert_matches_local_solves(fl)
+
+    def test_vertex_joining_two_fans(self):
+        # two triangles that touch at one vertex: its patch is no single
+        # fan and keeps triangle-id order, while the two corner patches
+        # that are translates of each other still share a class
+        pts = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                        [-1.0, 1.0]])
+        fl = equilibrated(Mesh(pts, np.array([[1, 2, 3], [0, 1, 4]])), 3)
+        assert fl.shared_patches == 2
+        assert fl.verify(f_sine).ok
+        assert_matches_local_solves(fl)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_cache_leaves_the_flux_unchanged(self, k):
+        # a second call on the same u_h finds every operator it needs in
+        # the cache and builds none; cold and warm give the same bits
+        u = solve_poisson(FeSpace(graded_lshape(), k), f_sine)
+        cold = equilibrate(u, f_sine)
+        cache = equilibration.PatchOperators()
+        first = equilibrate(u, f_sine, cache=cache)
+        assert first.built_classes == first.patch_classes == len(
+            cache.operators) > 0
+        warm = equilibrate(u, f_sine, cache=cache)
+        assert warm.built_classes == 0
+        assert (warm.patch_classes, warm.shared_patches) == \
+            (cold.patch_classes, cold.shared_patches)
+        for fl in (first, warm):
+            for name in ("eta_delta", "eta_star", "patch_residuals"):
+                assert np.array_equal(getattr(fl, name), getattr(cold, name))
+            assert np.array_equal(fl.q_delta.coeffs, cold.q_delta.coeffs)
+
+    def test_cached_operators_equal_rebuilt_ones(self):
+        # a copy of the mesh halved and shifted, with its edge vectors
+        # halved exactly, has the same patch classes: the operators built
+        # on the copy are those the original left in the cache, bit for bit
+        mesh = uniform_square()
+        base = Mesh(mesh.points / 8, mesh.triangles)
+        copy = Mesh(base.points / 2 + 0.37, base.triangles)
+        caches = [equilibration.PatchOperators() for _ in range(2)]
+        for m, cache in zip((base, copy), caches):
+            equilibrate(solve_poisson(FeSpace(m, 2), f_sine), f_sine,
+                        cache=cache)
+        a, b = (c.operators for c in caches)
+        assert a.keys() == b.keys() and len(a) > 0
+        assert all(np.array_equal(a[key], b[key]) for key in a)
+        fl = equilibrate(solve_poisson(FeSpace(copy, 2), f_sine), f_sine,
+                         cache=caches[0])
+        assert fl.built_classes == 0 and fl.patch_classes == len(a)
+
+    def test_cache_keeps_only_the_classes_in_use(self):
+        cache = equilibration.PatchOperators()
+        square = solve_poisson(FeSpace(uniform_square(), 1), f_sine)
+        fl = equilibrate(square, f_sine, cache=cache)
+        assert len(cache.operators) == fl.patch_classes
+        before = set(cache.operators)
+        lshaped = solve_poisson(FeSpace(graded_lshape(), 1), f_sine)
+        fl = equilibrate(lshaped, f_sine, cache=cache)
+        assert len(cache.operators) == fl.patch_classes
+        assert before - set(cache.operators)
+        assert cache.nbytes == sum(Y.nbytes for Y in cache.operators.values())
+
     def test_jittered_mesh_shares_no_patch(self):
         fl = equilibrated(jittered_square(), 2)
         assert fl.shared_patches == 0
@@ -502,11 +570,9 @@ class TestGlobalReconstruction:
     def test_class_blocks_match_element_blocks(self, make_mesh, k):
         # the blocks of each class's first element, gathered to its members,
         # against the blocks computed on every element; on the graded
-        # L-shape classes mix element sizes, so LiT takes its 2^d scale.  At
-        # k = 4 the mass matrices' condition (about 5e9) amplifies the
-        # round-off of an element's position: translating the whole mesh
-        # by 0.37 moves its own blocks by up to 3.7e-12 relative
-        tol = 1e-12 if k < 4 else 1e-11
+        # L-shape classes mix element sizes, so LiT takes its 2^d scale.
+        # Blocks are computed on the normalised edge vectors, the class key
+        # itself, so they agree bit for bit
         mesh = make_mesh()
         space = FeSpace(mesh, k)
         first, cls, _, ex = _element_classes(mesh)
@@ -514,16 +580,28 @@ class TestGlobalReconstruction:
         assert np.any(d != 0) == (make_mesh is graded_lshape)
         own = _shape_blocks(space, np.arange(mesh.n_triangles))
         shared = _shape_blocks(space, first)
+        assert np.array_equal(shared["Dt"][cls], own["Dt"])
+        assert np.array_equal(shared["Trt"][cls], own["Trt"])
+        assert np.array_equal(np.ldexp(shared["LiTQ"][cls], d[:, None, None]),
+                              own["LiT"] @ shared["Q"][cls])
 
-        def assert_close(a, b):
-            axes = tuple(range(1, a.ndim))
-            assert (np.abs(a - b).max(axis=axes)
-                    <= tol * np.abs(b).max(axis=axes)).all()
-
-        assert_close(shared["Dt"][cls], own["Dt"])
-        assert_close(shared["Trt"][cls], own["Trt"])
-        assert_close(np.ldexp(shared["LiTQ"][cls], d[:, None, None]),
-                     own["LiT"] @ shared["Q"][cls])
+    def test_shape_blocks_are_exact_under_translation(self):
+        # at k = 4 the mass matrices' condition (about 5e9) amplifies any
+        # round-off of an element's position; blocks formed from absolute
+        # coordinates moved by up to 3.7e-12 relative under this shift.
+        # Here every coordinate stays in one binade, so the shift leaves
+        # the edge vectors, and with them every block, exactly as they were
+        mesh = uniform_square()
+        base = Mesh(mesh.points / 8, mesh.triangles)
+        moved = Mesh(base.points + 0.37, base.triangles)
+        edges = [m.points[m.triangles[:, 1:]] - m.points[m.triangles[:, :1]]
+                 for m in (base, moved)]
+        assert np.array_equal(*edges)
+        els = np.arange(mesh.n_triangles)
+        a = _shape_blocks(FeSpace(base, 4), els)
+        b = _shape_blocks(FeSpace(moved, 4), els)
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("make_mesh", [uniform_square, jittered_square])

@@ -486,28 +486,19 @@ def _patch_tables(mesh: Mesh):
     return sptr, sind, tcnt, scnt
 
 
-def _element_classes(mesh: Mesh):
-    """Exact shape classes of the elements: first element, class of each
-    element and class sizes, as `_row_classes` returns them, and the
+def _element_keys(mesh: Mesh):
+    """Exact shape key of each element, (nt, 5) int64, and the
     power-of-two exponent ex of each element's size.
 
-    Two elements share a class only if their edge vectors p1 - p0, p2 - p0,
-    in local vertex order and scaled by 2^-ex (an exact scaling), agree bit
-    for bit, and the lower global id sits at the same end of each local
-    edge, which fixes the edge parameter of the trace blocks.  The whitened
+    Two elements share a class (`_row_classes` of the keys) only if their
+    edge vectors p1 - p0, p2 - p0, in local vertex order and scaled by
+    2^-ex (an exact scaling), agree bit for bit, and the lower global id
+    sits at the same end of each local edge, which fixes the edge
+    parameter of the trace blocks (`_element_shapes`).  The whitened
     blocks Dt and Trt of such elements then agree bit for bit
     (`_shape_blocks`), and LiT of element t is that of its class's first
     element times 2^(ex_first - ex_t).
     """
-    key, ex = _element_keys(mesh)
-    first, cls, counts, _ = _row_classes(key)
-    return first, cls, counts, ex
-
-
-def _element_keys(mesh: Mesh):
-    """Exact shape key of each element, (nt, 5) int64: the bits of its
-    normalised edge vectors and its lower-end flags (`_element_shapes`);
-    and the exponents ex of the element sizes."""
     e, ex, lower = _element_shapes(mesh)
     return (np.column_stack([e.reshape(-1, 4).view(np.int64),
                              lower @ np.array([1, 2, 4])]), ex)
@@ -924,9 +915,14 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8,
     J, _ = normal_jumps(u_h, 2 * k + 2)
     Jr = _edge_rhs(space, J, mesh.edge_lengths)
 
+    # the sizes (m, s, t) of each patch packed into one integer that sorts
+    # alike, as s, t <= m
     m = np.diff(mesh._vertex_triangles[0])
-    keys = np.stack([m, scnt, tcnt], axis=1)
-    uniq, ginv = np.unique(keys, axis=0, return_inverse=True)
+    base = int(m.max()) + 1
+    code, ginv = np.unique((m * base + scnt) * base + tcnt,
+                           return_inverse=True)
+    uniq = np.stack([code // base ** 2, code // base % base, code % base],
+                    axis=1)
 
     w_delta = np.zeros((nt, N))
     eta_star = np.zeros(nv)

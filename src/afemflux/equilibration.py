@@ -67,30 +67,22 @@ forward-substituted divergence rows and the dropped row, in which a u_h
 without Galerkin orthogonality shows.
 
 Patches are grouped by their sizes (elements, interior spokes, constrained
-rim edges) and batched within a group.  Each patch lists its elements
-counterclockwise around its vertex (`_fan_layout`), so that the order does
-not depend on how triangles and edges are numbered: an open fan starts at
-the domain boundary; a fully interior patch starts at its lowest-id
-element, the one whose row is dropped, so that its sequence read from
-there records where the dropped row sits; any other closed fan starts at
-its lexicographically smallest rotation.  Within a group, patches that are
-exact copies of one another up to translation and a power-of-two scale
-form a class: position by position their elements share a shape class,
-the patch vertex sits in the same slot and the rim edge is constrained
-alike.  Such patches have one and the same reduced constraint matrix.
-The min-norm operator of a class, Y = (A A^T)^-1 A for its row-scaled
-matrix A, is kept in a `PatchOperators` cache that `afem.run` passes from
-level to level, keyed by the exact bytes of the class, so that it is
-built once per run: a patch whose class is in the cache is solved with
-the stored operator even when it is alone on its level, and a new class
-of two or more patches is built once and stored.  Each call keeps only
-the entries it used, so the cache holds one level's classes.  Patches
-solved with an operator take one gathered product per batch, followed by
-the same residual check and sweeps as the others.  Patches alone in a
-new class take the batched LU path and are not stored, as do all patches
-of a mesh in which no element shape repeats and every patch of a group
-in which some vertex is not a single fan; those keep triangle-id order
-(`_patch_layout`).
+rim edges) and batched within a group.  Each patch lists its elements fan
+after fan, counterclockwise around its vertex (`_fan_layout`), so that the
+order does not depend on how triangles and edges are numbered.  Within a
+group, patches that are exact copies of one another up to translation and
+a power-of-two scale form a class: position by position their elements
+share a shape class, the patch vertex sits in the same slot, the rim edge
+is constrained alike and a spoke joins the next element alike.  Such
+patches have one and the same reduced constraint matrix.  The min-norm
+operator of a class, Y = (A A^T)^-1 A for its row-scaled matrix A, is kept
+in a `PatchOperators` cache that `afem.run` passes from level to level, so
+that it is built once per run; each call keeps only the entries it used.
+Patches of a class found in the cache or of a new class of two or more
+patches are solved with its operator, one gathered product per batch.  A
+patch alone in a new class takes the batched LU path, and its operator is
+neither built nor stored: building it costs about twice the whole LU
+solve.  Both paths end with the same residual check and sweeps.
 
 `verify_equilibration` measures each element's divergence residual against
 the terms that cancel in it, the projected load and lap u_h.
@@ -100,6 +92,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -119,9 +112,12 @@ from .galerkin import (
 from .mesh import Mesh
 from .quadrature import triangle_rule
 
-# patch-matrix bytes per solver batch, and per batch of class representatives
-# assembled at once; cache-sized chunks win
+# patch-matrix bytes per solver batch; cache-sized chunks win.  The class
+# representatives of a group are assembled in one call, not in such batches.
 _SOLVE_BYTES = 8e6
+
+# the largest scaled residual of a patch or defining condition: round-off
+_TOLERANCE = 1e-8
 
 
 class EquilibrationError(RuntimeError):
@@ -465,27 +461,6 @@ def _forward(DQ, rdiv):
 # -- patch systems ------------------------------------------------------
 
 
-def _patch_tables(mesh: Mesh):
-    """Flat per-vertex tables: interior spokes and trace counts."""
-    ptr, ind, slot = mesh._vertex_triangles
-    eptr, eind = mesh._vertex_edges
-    bed = mesh.boundary_edge
-    nv = mesh.n_vertices
-
-    vert_of = np.repeat(np.arange(nv), np.diff(eptr))
-    keep = ~bed[eind]
-    scnt = np.bincount(vert_of[keep], minlength=nv)
-    sptr = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(scnt, out=sptr[1:])
-    sind = eind[keep]
-
-    rim = mesh.edge_of_triangle[ind, slot]  # edge opposite nu in each element
-    imposed = ~bed[rim]
-    vt = np.repeat(np.arange(nv), np.diff(ptr))
-    tcnt = np.bincount(vt, weights=imposed, minlength=nv).astype(np.int64)
-    return sptr, sind, tcnt, scnt
-
-
 def _element_keys(mesh: Mesh):
     """Exact shape key of each element, (nt, 5) int64, and the
     power-of-two exponent ex of each element's size.
@@ -504,6 +479,12 @@ def _element_keys(mesh: Mesh):
                              lower @ np.array([1, 2, 4])]), ex)
 
 
+def _void_rows(key):
+    """Each row of an integer array as one np.void of its int64 bytes."""
+    key = np.ascontiguousarray(key, dtype=np.int64)
+    return key.view(np.dtype((np.void, 8 * key.shape[1]))).ravel()
+
+
 def _row_classes(key):
     """First row, class and class size of each distinct row of an integer
     array, rows compared as raw bytes (faster than np.unique on axis 0),
@@ -511,37 +492,12 @@ def _row_classes(key):
     does not depend on the other rows present.  Classes are numbered in
     the order of their first rows, so that on distinct rows class i is
     row i."""
-    key = np.ascontiguousarray(key, dtype=np.int64)
-    rows = key.view(np.dtype((np.void, 8 * key.shape[1]))).ravel()
-    _, first, cls, counts = np.unique(rows, return_index=True,
+    _, first, cls, counts = np.unique(_void_rows(key), return_index=True,
                                       return_inverse=True, return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return first[order], rank[cls], counts[order], order
-
-
-def _patch_layout(vs, mg, sg, mesh, sptr, sind):
-    """Index tables of the patches vs, which share the sizes (mg, sg).
-
-    els, slots (P, mg): the elements in triangle-id order and the slot of
-    the patch vertex in each; imposed (P, mg): whether the rim edge carries
-    a zero-trace constraint; spokes (P, sg): the interior edges through the
-    vertex in edge-id order; pos, le (P, sg, 2): the patch position and the
-    local edge of each spoke on its two sides.
-    """
-    ptr, ind, slotv = mesh._vertex_triangles
-    take = ptr[vs][:, None] + np.arange(mg)[None, :]
-    els, slots = ind[take], slotv[take]
-    imposed = ~mesh.boundary_edge[mesh.edge_of_triangle[els, slots]]
-    spokes = sind[sptr[vs][:, None] + np.arange(sg)[None, :]]
-    sides = mesh.edge_triangles[spokes]
-    pos = (els[:, None, None, :] < sides[..., None]).sum(axis=3)
-    return els, slots, imposed, spokes, pos, mesh.edge_local[spokes]
-
-
-def _take(layout, sel):
-    return tuple(a[sel] for a in layout)
 
 
 def _fan_links(mesh: Mesh):
@@ -576,56 +532,61 @@ def _fan_links(mesh: Mesh):
             ~bed[mesh.edge_of_triangle[ind, slot]])
 
 
-def _fan_layout(vs, mg, sg, rotate, mesh, links, erank):
-    """The tables of `_patch_layout` for the patches vs, which share the
-    sizes (mg, sg), with each patch in canonical order; None if some patch
-    is not a single fan of triangles around its vertex.
-
-    The elements follow each other counterclockwise around the vertex
-    (links: `_fan_links`), and spoke i joins positions i and i+1 (mod mg on
-    a closed fan).  An open fan starts at the domain boundary.  A closed
-    fan starts at its lowest-id element, whose constant-divergence row a
-    fully interior patch drops, unless rotate is set: then it starts at
-    the rotation whose sequence of per-position keys (element class in the
+def _fan_layout(vs, mg, sg, tg, mesh, links, erank):
+    """Index tables of the patches vs, which share the sizes (mg, sg, tg),
+    each listed fan after fan, counterclockwise within a fan (links:
+    `_fan_links`).  Open fans start at the domain boundary, in the
+    triangle-id order of their starts.  A closed fan with every rim edge
+    constrained, a fully interior patch, starts at its lowest-id element,
+    whose constant-divergence row is dropped; any other closed fan at the
+    rotation whose sequence of per-position keys (element class in the
     byte order erank, slot, rim constraint) is lexicographically smallest.
-    Patches that are copies of one another thus list their elements alike,
-    whatever the numbering of their triangles and edges.
+    Copies of one patch thus list their elements alike, whatever the
+    numbering of their triangles and edges (up to the order of the fans).
+    Raises EquilibrationError if a walk does not list each element of its
+    patch exactly once.
+
+    Returns the layout and link (P, mg), whether a spoke joins a position
+    to the next.  The layout holds els, slots (P, mg), the elements and the
+    slot of the patch vertex in each; imposed (P, mg), whether the rim edge
+    carries a zero-trace constraint; spokes (P, sg), the interior edges
+    through the vertex at the linked positions; pos, le (P, sg, 2), the
+    positions each spoke joins, its own and the next, and its local edge
+    in each.
     """
-    if sg < mg - 1:
-        return None
     nxt, has_prev, spoke, le, imposed = links
     ptr, ind, slotv = mesh._vertex_triangles
     P = vs.size
-    closed = sg == mg
-    if closed:
-        start = ptr[vs]
-    else:
-        take = ptr[vs][:, None] + np.arange(mg)[None, :]
-        first = ~has_prev[take]
-        if (first.sum(axis=1) != 1).any():
-            return None
-        start = take[np.arange(P), np.argmax(first, axis=1)]
+    p = np.arange(P)[:, None]
+    take = ptr[vs][:, None] + np.arange(mg)[None, :]
+    first = ~has_prev[take]
+    first[:, 0] |= ~first.any(axis=1)  # a closed fan: its lowest id
+    # the starts of the fans in triangle-id order, then -1
+    order = np.argsort(~first, axis=1, kind="stable")
+    starts = np.where(first[p, order], take[p, order], -1)
     idx = np.empty((P, mg), dtype=np.int64)
-    idx[:, 0] = start
-    for i in range(1, mg):
-        idx[:, i] = nxt[idx[:, i - 1]]
-    if (idx < 0).any():
-        return None
-    last = nxt[idx[:, -1]]
-    if closed and ((last != start).any()
-                   or (idx[:, 1:] == start[:, None]).any()):
-        return None
-    if not closed and (last >= 0).any():
-        return None
-    if rotate:
+    cur = starts[:, 0]
+    fan = np.zeros(P, dtype=np.int64)
+    for i in range(mg):
+        idx[:, i] = cur
+        cur = nxt[cur]
+        end = cur < 0
+        fan += end
+        cur[end] = starts[end, np.minimum(fan[end], mg - 1)]
+    bad = (np.sort(idx, axis=1) != take).any(axis=1)
+    if bad.any():
+        raise EquilibrationError(f"the patch of vertex {vs[np.argmax(bad)]}"
+                                 " is no union of fans around it")
+    if sg == mg and tg < mg:
         r = _min_rotation((erank[ind[idx]] * 3 + slotv[idx]) * 2
                           + imposed[idx])
         idx = np.take_along_axis(
             idx, (r[:, None] + np.arange(mg)[None, :]) % mg, axis=1)
-    s = idx[:, :sg]
-    pos = np.stack([np.arange(sg), (np.arange(sg) + 1) % mg], axis=1)
-    return (ind[idx], slotv[idx], imposed[idx], spoke[s],
-            np.broadcast_to(pos, (P, sg, 2)), le[s])
+    link = nxt[idx] >= 0
+    j = np.nonzero(link)[1].reshape(P, sg)
+    s = idx[p, j]
+    return ((ind[idx], slotv[idx], imposed[idx], spoke[s],
+             np.stack([j, (j + 1) % mg], axis=2), le[s]), link)
 
 
 def _min_rotation(q):
@@ -789,10 +750,11 @@ class PatchOperators:
     level.
 
     `operators` maps the bytes of a patch class (the degree, the patch
-    sizes and, position by position in canonical order, the element's
-    exact shape key, the slot of the vertex and the rim constraint) to the
-    min-norm operator Y of its row-scaled reduced matrix
-    (`_operator_solve`).  Each call keeps only the entries it used.
+    sizes and, for each position in canonical order, the element's exact
+    shape key, the slot of the vertex, the rim constraint and the link, a
+    spoke to the next position or none) to the min-norm operator Y of its
+    row-scaled reduced matrix (`_operator_solve`).  Each call keeps only
+    the entries it used.
     """
 
     def __init__(self):
@@ -805,12 +767,16 @@ class PatchOperators:
 
 @dataclass(frozen=True)
 class EquilibrationReport:
-    """Residuals of the defining conditions of an equilibrated flux."""
+    """Residuals of the defining conditions of an equilibrated flux and
+    where each is worst (jump_edge -1 on a mesh without interior edges)."""
 
     div_residual: float
     jump_residual: float
     patch_residual: float
-    tolerance: float = 1e-8
+    div_element: int
+    jump_edge: int
+    patch_vertex: int
+    tolerance: ClassVar[float] = _TOLERANCE
 
     @property
     def ok(self) -> bool:
@@ -865,16 +831,16 @@ class EquilibratedFlux:
         return verify_equilibration(self, f)
 
 
-def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8,
+def equilibrate(u_h: ScalarField, f,
                 cache: PatchOperators | None = None) -> EquilibratedFlux:
     """Reconstruct the equilibrated flux correction for a discrete solution.
 
     f is the load, called as f(x, y) on arrays.  cache holds the class
     operators of earlier calls of the same run; the result does not depend
     on its contents.  Raises EquilibrationError if any patch problem is
-    inconsistent beyond rtol, which indicates that u_h is not the Galerkin
-    solution of the assembled system (or that data were changed between
-    solve and equilibration).
+    inconsistent beyond `_TOLERANCE`, which indicates that u_h is not the
+    Galerkin solution of the assembled system (or that data were changed
+    between solve and equilibration).
     """
     space = u_h.space
     mesh = space.mesh
@@ -891,8 +857,6 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8,
     efirst, ecls, _, crank = _row_classes(ekey)
     erank = crank[ecls]
     nc = efirst.size
-    # without a repeated element no two patches can share a class
-    keyed = nc < nt
     # DQ, TrQ and LiTQ per element class, from its first element; rdiv and
     # U per element
     blocks = {"ecls": ecls, "DQ": np.empty((nc, n_p, N)),
@@ -910,14 +874,16 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8,
         blocks["rdiv"][els] = rdiv
         blocks["U"][els] = _forward(blocks["DQ"][ecls[els]], rdiv)
 
-    sptr, sind, tcnt, scnt = _patch_tables(mesh)
-    links = _fan_links(mesh) if keyed else None
+    links = _fan_links(mesh)
     J, _ = normal_jumps(u_h, 2 * k + 2)
     Jr = _edge_rhs(space, J, mesh.edge_lengths)
 
     # the sizes (m, s, t) of each patch packed into one integer that sorts
     # alike, as s, t <= m
     m = np.diff(mesh._vertex_triangles[0])
+    vt = np.repeat(np.arange(nv), m)
+    scnt = np.bincount(vt[links[0] >= 0], minlength=nv)
+    tcnt = np.bincount(vt[links[4]], minlength=nv)
     base = int(m.max()) + 1
     code, ginv = np.unique((m * base + scnt) * base + tcnt,
                            return_inverse=True)
@@ -959,69 +925,67 @@ def equilibrate(u_h: ScalarField, f, rtol: float = 1e-8,
         deficient = bool(sg == mg and tg == mg)
         R, C = (sg + tg) * K1, mg * Nf + deficient
         step = max(8, int(_SOLVE_BYTES / (max(R, 1) * C * 8)))
-        layout = _fan_layout(members, mg, sg, sg == mg and not deficient,
-                             mesh, links, erank) if keyed else None
-        single = np.arange(members.size)
-        if layout is None:
-            layout = _patch_layout(members, mg, sg, mesh, sptr, sind)
-        else:
-            els, slots, imposed = layout[:3]
-            first, cls, counts, _ = _row_classes(
-                (erank[els] * 3 + slots) * 2 + imposed)
-            names = [row.tobytes() for row in np.concatenate([
-                np.broadcast_to([k, mg, sg, tg], (first.size, 4)),
-                ekey[els[first]].reshape(first.size, -1), slots[first],
-                imposed[first]], axis=1)]
-            ops = [cache.operators.get(name) for name in names]
-            use = np.array([c for c, Y in enumerate(ops)
-                            if Y is not None or counts[c] > 1], dtype=np.int64)
-            opi = np.full(first.size, -1)
-            opi[use] = np.arange(use.size)
-            shared = np.nonzero(opi[cls] >= 0)[0]
-            single = np.nonzero(opi[cls] < 0)[0]
-            if use.size:
-                # class matrices are cheap to assemble again, bit for bit
-                # alike; only the operators Y are kept from call to call
-                As, D = _scale_rows(_assemble_patches(
-                    _take(layout, first[use]), tg, blocks, deficient))
-                new = np.array([ops[c] is None for c in use])
-                Y = np.empty_like(As)
-                Y[new] = np.linalg.solve(
-                    As[new] @ As[new].transpose(0, 2, 1), As[new])
-                for i, c in enumerate(use):
-                    if new[i]:
-                        ops[c] = Y[i].copy()
-                    else:
-                        Y[i] = ops[c]
-                    kept[names[c]] = ops[c]
-                n_built += int(new.sum())
-                n_classes += use.size
-                n_shared += shared.size
-            # two operators are gathered per patch: a quarter of the
-            # batch of the LU path keeps the transient memory below its own
-            quarter = max(8, step // 4)
-            for s0 in range(0, shared.size, quarter):
-                sel = shared[s0:s0 + quarter]
-                part = _take(layout, sel)
+        layout, link = _fan_layout(members, mg, sg, tg, mesh, links, erank)
+        els, slots, imposed = layout[:3]
+        first, cls, counts, _ = _row_classes(
+            ((erank[els] * 3 + slots) * 2 + imposed) * 2 + link)
+        # a class takes an operator if it has two or more patches or the
+        # cache holds it: a patch alone in a new class is solved faster by
+        # batched LU.  Only classes that may take one are named, so that a
+        # mesh without repeated patches makes no name per patch.
+        cand = np.nonzero((counts > 1) | bool(cache.operators))[0]
+        rep = first[cand]
+        names = _void_rows(np.concatenate([
+            np.broadcast_to([k, mg, sg, tg], (cand.size, 4)),
+            ekey[els[rep]].reshape(cand.size, mg * ekey.shape[1]),
+            slots[rep], imposed[rep], link[rep]], axis=1)).tolist()
+        ops = list(map(cache.operators.get, names))
+        hit = np.array([Y is not None for Y in ops], dtype=bool)
+        keep = np.nonzero(hit | (counts[cand] > 1))[0]
+        use = cand[keep]
+        opi = np.full(first.size, -1)
+        opi[use] = np.arange(use.size)
+        shared = np.nonzero(opi[cls] >= 0)[0]
+        single = np.nonzero(opi[cls] < 0)[0]
+        if use.size:
+            # class matrices are cheap to assemble again, bit for bit
+            # alike; only the operators Y are kept from call to call
+            As, D = _scale_rows(_assemble_patches(
+                tuple(a[first[use]] for a in layout), tg, blocks, deficient))
+            new = ~hit[keep]
+            Y = np.empty_like(As)
+            Y[new] = np.linalg.solve(
+                As[new] @ As[new].transpose(0, 2, 1), As[new])
+            for i, c in enumerate(keep):
+                if new[i]:
+                    ops[c] = Y[i].copy()
+                else:
+                    Y[i] = ops[c]
+                kept[names[c]] = ops[c]
+            n_built += int(new.sum())
+            n_classes += use.size
+            n_shared += shared.size
+        # two operators are gathered per patch: a quarter of the batch of
+        # the LU path keeps the transient memory below its own
+        for todo, size in ((shared, max(8, step // 4)), (single, step)):
+            for s0 in range(0, todo.size, size):
+                sel = todo[s0:s0 + size]
+                part = tuple(a[sel] for a in layout)
                 bb, fixed, scale = _patch_rhs(part, members[sel], mesh,
                                               blocks, Jr, deficient)
-                o = opi[cls[sel]]
-                z, resid = _operator_solve(As[o], D[o], Y[o], bb)
+                if todo is shared:
+                    o = opi[cls[sel]]
+                    z, resid = _operator_solve(As[o], D[o], Y[o], bb)
+                else:
+                    z, resid = _minnorm_solve(_assemble_patches(
+                        part, tg, blocks, deficient), bb)
                 accept(members[sel], part, fixed, scale, z, resid, deficient)
-        for s0 in range(0, single.size, step):
-            sel = single[s0:s0 + step]
-            part = _take(layout, sel)
-            bb, fixed, scale = _patch_rhs(part, members[sel], mesh, blocks,
-                                          Jr, deficient)
-            A = _assemble_patches(part, tg, blocks, deficient)
-            z, resid = _minnorm_solve(A, bb)
-            accept(members[sel], part, fixed, scale, z, resid, deficient)
     cache.operators = kept
 
-    if worst_ratio > rtol:
+    if worst_ratio > _TOLERANCE:
         raise EquilibrationError(
             f"patch problem at vertex {worst_vertex} is inconsistent: "
-            f"scaled residual {worst_ratio:.3e} exceeds {rtol:.1e}; the "
+            f"scaled residual {worst_ratio:.3e} exceeds {_TOLERANCE:.1e}; the "
             "input field does not satisfy Galerkin orthogonality")
 
     eta_delta = np.sqrt(np.einsum("tc,tc->t", w_delta, w_delta))
@@ -1058,7 +1022,7 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
     k = space.degree
     rule = space.rule_main
 
-    div_res = 0.0
+    div_res = np.empty(mesh.n_triangles)
     for batch in element_batches(mesh, rule.points, degree=k):
         X, mono = batch.X, batch.mono
         fX = f(X[..., 0], X[..., 1])
@@ -1067,8 +1031,7 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
         lap = element_laplacians(u_h, rule.points, batch.els)
         dv = flux.q_delta._divergence(batch)
         scale = np.abs([pf, lap]).max(axis=(0, 2), initial=1.0)
-        div_res = max(div_res, float(
-            (np.abs(dv + pf + lap).max(axis=1) / scale).max()))
+        div_res[batch.els] = np.abs(dv + pf + lap).max(axis=1) / scale
 
     er = space.edge_rule_main
     J, interior = normal_jumps(u_h, 2 * k + 2)
@@ -1083,11 +1046,13 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
             e, _, lower = _element_shapes(mesh, t)
             tr, _ = _edge_traces(k, er.points, e, lower, le)
             qn[rows] += np.einsum("tqj,tj->tq", tr, flux.q_delta.coeffs[t])
-    jump_res = float(np.abs((qn + J)[interior]).max()) if interior.any() else 0.0
-    jscale = 1.0 + (float(np.abs(J[interior]).max()) if interior.any() else 0.0)
+    jump_res = np.abs(qn + J).max(axis=1) / (1.0 + np.abs(J).max())
 
-    return EquilibrationReport(div_res, jump_res / jscale,
-                               float(flux.patch_residuals.max()))
+    t, e, nu = (int(np.argmax(r))
+                for r in (div_res, jump_res, flux.patch_residuals))
+    return EquilibrationReport(float(div_res[t]), float(jump_res[e]),
+                               float(flux.patch_residuals[nu]), t,
+                               e if interior.any() else -1, nu)
 
 
 def prager_synge_terms(u_h: ScalarField, flux: EquilibratedFlux, grad_exact,

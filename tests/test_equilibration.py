@@ -458,15 +458,43 @@ class TestGlobalReconstruction:
         assert_matches_local_solves(fl)
 
     def test_vertex_joining_two_fans(self):
-        # two triangles that touch at one vertex: its patch is no single
-        # fan and keeps triangle-id order, while the two corner patches
-        # that are translates of each other still share a class
+        # two triangles that touch at one vertex: its patch is two fans,
+        # listed in the triangle-id order of their starts, while the two
+        # corner patches that are translates of each other share a class
         pts = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                         [-1.0, 1.0]])
         fl = equilibrated(Mesh(pts, np.array([[1, 2, 3], [0, 1, 4]])), 3)
         assert fl.shared_patches == 2
         assert fl.verify(f_sine).ok
         assert_matches_local_solves(fl)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_vertex_joining_fans_of_one_and_two(self, k):
+        # the origin joins a one-triangle fan, listed first by its lower
+        # id, and a two-triangle fan (m = 3, s = 1): its one spoke sits at
+        # the second position, not at the first
+        pts = np.array([[0.0, 0.0], [-0.5, -1.0], [0.5, -1.0], [1.0, 0.0],
+                        [0.0, 1.0], [-1.0, 0.0]])
+        mesh = Mesh(pts, np.array([[0, 1, 2], [0, 3, 4], [0, 4, 5]]))
+        (els, *_, pos, _), link = equilibration._fan_layout(
+            np.array([0]), 3, 1, 0, mesh,
+            equilibration._fan_links(mesh), np.zeros(3, dtype=np.int64))
+        assert els.tolist() == [[0, 1, 2]]
+        assert link.tolist() == [[False, True, False]]
+        assert pos.tolist() == [[[1, 2]]]
+        fl = equilibrated(mesh, k)
+        assert fl.verify(f_sine).ok
+        assert_matches_local_solves(fl)
+
+    def test_patch_beyond_the_fan_walk_raises(self):
+        # overlapping triangles: a closed fan around the origin and one
+        # more triangle at it, which no walk around the origin reaches
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                        [0.0, -1.0], [2.0, 0.5], [2.0, -0.5]])
+        mesh = Mesh(pts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4],
+                                   [0, 4, 1], [0, 6, 5]]))
+        with pytest.raises(EquilibrationError, match="vertex 0 "):
+            equilibrated(mesh, 2)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_cache_leaves_the_flux_unchanged(self, k):
@@ -525,11 +553,11 @@ class TestGlobalReconstruction:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_interior_patches_drop_first_constant_divergence_row(self, k):
-        # a perturbation of u_h below rtol makes every fully interior patch
-        # system inconsistent by about 1e-10, so the solution depends on
-        # which redundant row is left out; dropping the first spoke's
-        # constant jump moment instead moves q_delta by 4e-9 (k = 1) to
-        # 8e-7 (k = 3) relative
+        # a perturbation of u_h below the tolerance makes every fully
+        # interior patch system inconsistent by about 1e-10, so the solution
+        # depends on which redundant row is left out; dropping the first
+        # spoke's constant jump moment instead moves q_delta by 4e-9
+        # (k = 1) to 8e-7 (k = 3) relative
         u = solve_poisson(FeSpace(uniform_square(), k), f_sine)
         rng = np.random.default_rng(k)
         free = ~u.space.boundary_dofs
@@ -788,6 +816,7 @@ class TestVerification:
             fl, q_delta=FluxField(space.mesh, 4, coeffs))
         rep = verify_equilibration(bad, f_one)
         assert rep.div_residual > rep.tolerance
+        assert rep.div_element == t
         assert not rep.ok
 
 

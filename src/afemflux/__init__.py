@@ -17,7 +17,6 @@ Typical use::
 from .afem import (
     AfemConfig,
     ConvergenceRecord,
-    HypothesisReport,
     HypothesisRow,
     LevelState,
     RunResult,
@@ -71,7 +70,6 @@ __all__ = [
     "EstimatorReport",
     "FeSpace",
     "FluxField",
-    "HypothesisReport",
     "HypothesisRow",
     "LevelState",
     "Mesh",

@@ -56,6 +56,10 @@ def doerfler_mark(indicators: np.ndarray, theta: float) -> np.ndarray:
     ind = np.asarray(indicators, dtype=np.float64)
     if ind.ndim != 1:
         raise ValueError("indicators must be a 1-d array")
+    bad = np.flatnonzero(~np.isfinite(ind))
+    if bad.size:
+        raise ValueError(f"indicator of element {bad[0]} is {ind[bad[0]]}, "
+                         "not finite")
     if ind.size and float(ind.min()) < 0:
         raise ValueError("indicators must be nonnegative")
     if not 0.0 < theta <= 1.0:
@@ -259,21 +263,6 @@ class HypothesisRow:
     lam2: float
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Rows of a run's consecutive level pairs; j* of its initial mesh."""
-
-    rows: list[HypothesisRow]
-    j_star: int
-
-    def extrema(self, name: str) -> tuple[float, float]:
-        vals = np.array([getattr(r, name) for r in self.rows])
-        vals = vals[np.isfinite(vals)]
-        if vals.size == 0:
-            return float("nan"), float("nan")
-        return float(vals.min()), float(vals.max())
-
-
 def _ratio(num: float, den: float) -> float:
     if den == 0.0 or not math.isfinite(den):
         return float("nan")
@@ -287,8 +276,8 @@ def check_hypotheses(problem: ProblemSpec, coarse: LevelState,
     rep_c, rep_f = coarse.report, fine.report
     diff = energy_norm(fine.field - prolong(coarse.field, fine.field.space))
 
-    r1 = refined_set(coarse.mesh, fine.mesh, 1).elements
-    rj = refined_set(coarse.mesh, fine.mesh, j_star).elements
+    r1 = refined_set(coarse.mesh, fine.mesh, 1)
+    rj = refined_set(coarse.mesh, fine.mesh, j_star)
 
     eta_c = rep_c.eta_delta_total
     osc_c, osc_f = rep_c.osc_total, rep_f.osc_total

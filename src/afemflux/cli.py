@@ -19,7 +19,8 @@ Writes a fixed set of files into the output directory:
   mesh_final.tri / mesh_final.vtk, flux_delta.txt / flux_total.txt
                   optional exports of the final level
 
-A key=value config file can preset any option; explicit flags win.
+A key=value config file can preset any option, its values checked as the
+flags' values are; explicit flags win.
 """
 
 from __future__ import annotations
@@ -76,10 +77,9 @@ _DEFAULTS = {
     "hypotheses": "off",
 }
 
-_CASTS = {
-    "degree": int, "theta": float, "max_dofs": int, "max_levels": int,
-    "export_flux": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
-}
+# config-file spellings of the --export-flux switch
+_SWITCH = {"1": True, "true": True, "yes": True, "on": True,
+           "0": False, "false": False, "no": False, "off": False}
 
 
 def _fmt(v) -> str:
@@ -123,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config_file(path: str) -> dict:
-    out = {}
+    """The options a key=value file presets, each value parsed and checked
+    by its flag's type and choices."""
+    argv = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -136,8 +138,22 @@ def parse_config_file(path: str) -> dict:
             key = key.replace("-", "_")
             if key not in _DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            out[key] = _CASTS.get(key, str)(value)
-    return out
+            flag = "--" + key.replace("_", "-")
+            if key != "export_flux":
+                argv.append(f"{flag}={value}")
+            elif value.lower() not in _SWITCH:
+                raise ValueError(f"{path}:{lineno}: {key} must be one of "
+                                 f"{', '.join(_SWITCH)}, got {value!r}")
+            elif _SWITCH[value.lower()]:
+                argv.append(flag)
+    parser = build_parser()
+    parser.exit_on_error = False
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as err:
+        raise ValueError(f"{path}: {err}") from err
+    return {key: value for key, value in vars(args).items()
+            if key in _DEFAULTS and value is not None}
 
 
 def _merge_options(args: argparse.Namespace) -> dict:

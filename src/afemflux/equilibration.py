@@ -265,11 +265,6 @@ class FluxField:
         dcoef = dcoef / self.mesh.diameters[batch.els][:, None]
         return np.einsum("tqc,tc->tq", batch.mono, dcoef)
 
-    def divergence(self, ref_pts: np.ndarray, elements=None) -> np.ndarray:
-        """div of the field at reference points -> (nt, nq)."""
-        return self._divergence(element_batch(self.mesh, ref_pts, elements,
-                                              self.degree))
-
     def element_norms(self) -> np.ndarray:
         """L2 norm of the field on each element."""
         rule = triangle_rule(2 * self.degree + 2)
@@ -421,14 +416,13 @@ def _divergence_rhs(u_h: ScalarField, f, els: np.ndarray):
                       batch.mono, mesh.areas[els], optimize=True)
 
 
-def _edge_rhs(space: FeSpace, J: np.ndarray, hE: np.ndarray):
+def _edge_rhs(space: FeSpace, J: np.ndarray):
     """Hat-weighted jump moments per edge.
 
     J holds normal jumps at the points of space.edge_rule_main, one row per
-    edge, and hE the lengths of those edges.  Returns (ne, 2, k+1): variant
-    0 weights with the hat of the lower endpoint (1 - s in the global edge
-    parameter), variant 1 with s.  Boundary edge rows are zero and never
-    used.
+    edge of the mesh.  Returns (ne, 2, k+1): variant 0 weights with the hat
+    of the lower endpoint (1 - s in the global edge parameter), variant 1
+    with s.  Boundary edge rows are zero and never used.
     """
     k = space.degree
     er = space.edge_rule_main
@@ -436,9 +430,7 @@ def _edge_rhs(space: FeSpace, J: np.ndarray, hE: np.ndarray):
     phis = np.column_stack([1.0 - s, s])
     spow = s[:, None] ** np.arange(k + 1)[None, :]
     W = er.weights[:, None, None] * phis[:, :, None] * spow[:, None, :]
-    # one unoptimised contraction, so that each edge's row is computed alike
-    # for any set of edges
-    return -np.einsum("eq,qvb->evb", J * hE[:, None], W)
+    return -np.einsum("eq,qvb->evb", J * space.mesh.edge_lengths[:, None], W)
 
 
 def _const_last(n_p: int) -> np.ndarray:
@@ -758,11 +750,7 @@ class PatchOperators:
     """
 
     def __init__(self):
-        self.operators: dict[bytes, tuple] = {}
-
-    @property
-    def nbytes(self) -> int:
-        return sum(Y.nbytes for Y in self.operators.values())
+        self.operators: dict[bytes, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -875,8 +863,8 @@ def equilibrate(u_h: ScalarField, f,
         blocks["U"][els] = _forward(blocks["DQ"][ecls[els]], rdiv)
 
     links = _fan_links(mesh)
-    J, _ = normal_jumps(u_h, 2 * k + 2)
-    Jr = _edge_rhs(space, J, mesh.edge_lengths)
+    J, _ = normal_jumps(u_h)
+    Jr = _edge_rhs(space, J)
 
     # the sizes (m, s, t) of each patch packed into one integer that sorts
     # alike, as s, t <= m
@@ -1034,7 +1022,7 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
         div_res[batch.els] = np.abs(dv + pf + lap).max(axis=1) / scale
 
     er = space.edge_rule_main
-    J, interior = normal_jumps(u_h, 2 * k + 2)
+    J, interior = normal_jumps(u_h)
     qn = np.zeros_like(J)
     et, el = mesh.edge_triangles, mesh.edge_local
     for side in (0, 1):
@@ -1055,8 +1043,7 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
                                e if interior.any() else -1, nu)
 
 
-def prager_synge_terms(u_h: ScalarField, flux: EquilibratedFlux, grad_exact,
-                       qdeg: int | None = None):
+def prager_synge_terms(u_h: ScalarField, flux: EquilibratedFlux, grad_exact):
     """The three sides of the hypercircle identity.
 
     Returns (error, flux_distance, bound): the energy error of u_h, the L2
@@ -1065,9 +1052,7 @@ def prager_synge_terms(u_h: ScalarField, flux: EquilibratedFlux, grad_exact,
     div sigma = -f holds exactly, error^2 + flux_distance^2 = bound^2.
     """
     space = u_h.space
-    k = space.degree
-    if qdeg is None:
-        qdeg = 2 * k + 8
+    qdeg = 2 * space.degree + 8
     rule = triangle_rule(qdeg)
     sigma = flux.total_flux()
     dist_sq = 0.0

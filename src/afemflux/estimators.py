@@ -34,6 +34,7 @@ import numpy as np
 
 from .equilibration import EquilibratedFlux, PatchOperators, equilibrate
 from .galerkin import (
+    FeSpace,
     ScalarField,
     element_batches,
     element_laplacians,
@@ -104,40 +105,30 @@ def patch_residual_indicators(mesh: Mesh, vol_hat: np.ndarray,
     return np.sqrt(eta_sq)
 
 
-def oscillation(u_h_or_space, f, degree: int | None = None) -> np.ndarray:
+def oscillation(space: FeSpace, f) -> np.ndarray:
     """Elementwise data oscillation h_T |f - (projection of f)|_T.
 
-    The projection degree defaults to k - 1 for a degree-k space.  The
-    projection is evaluated pointwise and the squared remainder integrated,
+    The projection is onto polynomials of degree k - 1 for a degree-k
+    space.  It is evaluated pointwise and the squared remainder integrated,
     so resolved data give zero to round-off rather than a sqrt(eps) floor.
     """
-    space = u_h_or_space.space if isinstance(u_h_or_space, ScalarField) \
-        else u_h_or_space
     mesh = space.mesh
-    if degree is None:
-        degree = space.degree - 1
     rule = space.rule_fine
     h = mesh.diameters
     out = np.empty(mesh.n_triangles)
-    for batch in element_batches(mesh, rule.points,
-                                 degree=degree if degree >= 0 else None):
+    for batch in element_batches(mesh, rule.points, degree=space.degree - 1):
         els, X, mono = batch.els, batch.X, batch.mono
         fX = f(X[..., 0], X[..., 1])
-        if mono is None:
-            rem = fX
-        else:
-            coef = monomial_projection(rule.weights, mono, fX)[..., 0]
-            rem = fX - np.einsum("tqa,ta->tq", mono, coef)
+        coef = monomial_projection(rule.weights, mono, fX)[..., 0]
+        rem = fX - np.einsum("tqa,ta->tq", mono, coef)
         sq = np.einsum("q,tq,t->t", rule.weights, rem * rem, mesh.areas[els])
         out[els] = h[els] * np.sqrt(sq)
     return out
 
 
-def patch_oscillation(u_h_or_space, f, degree: int | None = None) -> np.ndarray:
+def patch_oscillation(space: FeSpace, f) -> np.ndarray:
     """Patchwise oscillation: root sum of squares over each vertex patch."""
-    space = u_h_or_space.space if isinstance(u_h_or_space, ScalarField) \
-        else u_h_or_space
-    osc = oscillation(space, f, degree)
+    osc = oscillation(space, f)
     return np.sqrt(_patch_sums(space.mesh, osc[:, None] ** 2))
 
 
@@ -208,11 +199,6 @@ class EstimatorReport:
         """eta_delta total over a subset of elements."""
         return float(np.sqrt((self.eta_delta[elements] ** 2).sum()))
 
-    def restricted_star(self, elements: np.ndarray) -> float:
-        """Element-major starwise total over a subset of elements."""
-        verts = self.mesh.triangles[np.asarray(elements, dtype=np.int64)]
-        return float(np.sqrt((self.eta_star[verts] ** 2).sum()))
-
     def restricted_osc(self, elements: np.ndarray) -> float:
         return float(np.sqrt((self.osc[elements] ** 2).sum()))
 
@@ -253,7 +239,7 @@ def estimate(u_h: ScalarField, f, flux: EquilibratedFlux | None = None,
         raise ValueError("flux was equilibrated for another field than u_h")
     mesh = u_h.space.mesh
     vol, vol_hat, edge, edge_hat = _residual_squares(u_h, f, flux.jumps)
-    osc = oscillation(u_h, f)
+    osc = oscillation(u_h.space, f)
     return EstimatorReport(
         mesh=mesh,
         eta_delta=flux.eta_delta,

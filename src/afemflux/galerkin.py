@@ -8,8 +8,15 @@ basis on the reference triangle is computed once per degree by inverting the
 monomial Vandermonde matrix in exact rational arithmetic.
 
 Homogeneous Dirichlet data is imposed by eliminating boundary rows/columns;
-the reduced SPD system is factorised directly up to `direct_limit` unknowns
-and solved with Jacobi-preconditioned conjugate gradients beyond that.
+the reduced SPD system is factorised directly (`splu`) up to `_DIRECT_LIMIT`
+free unknowns and solved with Jacobi-preconditioned conjugate gradients to
+the relative residual `_CG_RTOL` beyond that.  Each solver wins on some
+input (BLAS on one thread, one run each).  On a uniform P2 square with
+261,121 unknowns `splu` took 13.2 s and 1,085 MB peak RSS, conjugate
+gradients 251 iterations, 2.45 s and 376 MB.  On the adaptive P1 L-shape
+mesh with 38,818 unknowns conjugate gradients took 859 iterations, and the
+solve 0.65 s against 0.33 s with `splu`.
+
 Element contributions are accumulated in COO form and merged by scipy's
 deterministic duplicate summation, so repeated runs are bitwise reproducible.
 
@@ -28,11 +35,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Mesh, MeshError, ancestor_map
+from .mesh import Mesh, ancestor_map
 from .quadrature import EdgeRule, QuadratureRule, edge_rule, triangle_rule
 
 # elements per batch of every element loop
 _BATCH = 2048
+
+# free unknowns up to which solve_poisson factorises (see the module
+# docstring), and the relative residual at which conjugate gradients stop
+_DIRECT_LIMIT = 200_000
+_CG_RTOL = 1e-12
 
 
 class SolveError(RuntimeError):
@@ -402,13 +414,12 @@ def edge_restriction(k: int, qdeg: int):
     return out
 
 
-def edge_flips(mesh: Mesh, edges=None) -> np.ndarray:
-    """(ne, 2) flip flags for the two sides of each edge, or of the given
-    edge ids only (see edge_restriction)."""
+def edge_flips(mesh: Mesh) -> np.ndarray:
+    """(ne, 2) flip flags for the two sides of each edge (see
+    edge_restriction)."""
     tris = mesh.triangles
-    sub = slice(None) if edges is None else edges
-    et = mesh.edge_triangles[sub]
-    el = mesh.edge_local[sub]
+    et = mesh.edge_triangles
+    el = mesh.edge_local
     flips = np.zeros_like(et)
     for side in (0, 1):
         ok = et[:, side] >= 0
@@ -419,29 +430,26 @@ def edge_flips(mesh: Mesh, edges=None) -> np.ndarray:
     return flips
 
 
-def normal_jumps(field: ScalarField, qdeg: int | None = None, edges=None):
+def normal_jumps(field: ScalarField):
     """Jump of the normal gradient across each interior edge.
 
-    Returns (jumps (ne, nq), interior mask); rows of boundary edges are zero.
-    The jump is grad u|T+ . n+ + grad u|T- . n- with outward normals, so it is
-    independent of which side is called plus.  edges, if given, limits both
-    to those edge ids, in that order; each row is computed as for the whole
-    mesh.
+    Returns (jumps (ne, nq), interior mask), the jumps at the points of
+    field.space.edge_rule_main; rows of boundary edges are zero.  The jump
+    is grad u|T+ . n+ + grad u|T- . n- with outward normals, so it is
+    independent of which side is called plus.
     """
     space = field.space
     mesh = space.mesh
-    if qdeg is None:
-        qdeg = 2 * space.degree + 2
+    qdeg = 2 * space.degree + 2
     tabs = edge_restriction(space.degree, qdeg)
-    sub = slice(None) if edges is None else edges
-    flips = edge_flips(mesh, edges)
+    flips = edge_flips(mesh)
     nq = edge_rule(qdeg).points.size
-    et, el = mesh.edge_triangles[sub], mesh.edge_local[sub]
+    et, el = mesh.edge_triangles, mesh.edge_local
     ne = et.shape[0]
     jumps = np.zeros((ne, nq))
     tris = mesh.triangles
     pts = mesh.points
-    interior = ~mesh.boundary_edge[sub]
+    interior = ~mesh.boundary_edge
     for side in (0, 1):
         sel = interior if side == 1 else np.ones(ne, dtype=bool)
         sel = sel & (et[:, side] >= 0)
@@ -454,8 +462,8 @@ def normal_jumps(field: ScalarField, qdeg: int | None = None, edges=None):
                 _, _, G = tabs[(le, flip)]
                 nq = G.shape[0]
                 # numpy multiplies a lone row by gemv, which rounds unlike
-                # gemm: pad it to a pair, so that no row depends on which
-                # edges are asked for
+                # gemm: pad it to a pair, so that a row does not depend on
+                # how many edges share its side, local edge and flip
                 ec = field.element_coeffs(t if t.size > 1
                                           else np.repeat(t, 2))
                 Gm = G.transpose(1, 0, 2).reshape(G.shape[1], -1)
@@ -513,8 +521,7 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
     return b
 
 
-def solve_poisson(space: FeSpace, f, direct_limit: int = 200_000,
-                  cg_rtol: float = 1e-12) -> ScalarField:
+def solve_poisson(space: FeSpace, f) -> ScalarField:
     """Galerkin solution of -Laplace(u) = f with u = 0 on the boundary."""
     A = assemble_stiffness(space)
     b = assemble_load(space, f)
@@ -525,7 +532,7 @@ def solve_poisson(space: FeSpace, f, direct_limit: int = 200_000,
     x = np.zeros(space.n_dofs)
     if n == 0:
         raise SolveError("no free unknowns: the mesh has only boundary dofs")
-    if n <= direct_limit:
+    if n <= _DIRECT_LIMIT:
         try:
             lu = spla.splu(Af)
         except RuntimeError as err:
@@ -539,7 +546,7 @@ def solve_poisson(space: FeSpace, f, direct_limit: int = 200_000,
             count[0] += 1
 
         M = sp.diags(1.0 / Af.diagonal())
-        xf, info = spla.cg(Af.tocsr(), bf, rtol=cg_rtol, atol=0.0,
+        xf, info = spla.cg(Af.tocsr(), bf, rtol=_CG_RTOL, atol=0.0,
                            maxiter=20 * n, M=M, callback=cb)
         if info != 0:
             raise SolveError(f"conjugate gradients did not converge (info={info})")
@@ -582,55 +589,6 @@ def energy_error(field: ScalarField, grad_exact, qdeg: int | None = None) -> flo
                                  field.space.mesh.areas[batch.els],
                                  optimize=True))
     return float(np.sqrt(total))
-
-
-@dataclass(frozen=True)
-class LocalPolynomial:
-    """Polynomial on one element in centred, diameter-scaled monomials."""
-
-    mesh: Mesh = field(repr=False)
-    element: int
-    degree: int
-    coeffs: np.ndarray
-    center: np.ndarray
-    scale: float
-
-    def __call__(self, x, y):
-        exps = monomial_exponents(self.degree)
-        m = monomial_values(exps, (np.asarray(x) - self.center[0]) / self.scale,
-                            (np.asarray(y) - self.center[1]) / self.scale)
-        return m @ self.coeffs
-
-
-def l2_project(element, g, m: int) -> LocalPolynomial:
-    """L2-orthogonal projection of g onto P^m on a single triangle.
-
-    `element` is a Triangle view (mesh.triangle(t)).  Exact for polynomial
-    data of degree <= m up to rounding.
-    """
-    mesh, t = element.mesh, element.id
-    if m < 0:
-        raise ValueError("projection degree must be >= 0")
-    rule = triangle_rule(2 * m + 4)
-    batch = element_batch(mesh, rule.points, [t], m)
-    X = batch.X[0]
-    gv = np.asarray(g(X[:, 0], X[:, 1]), dtype=np.float64)
-    gv = np.broadcast_to(gv, (1, rule.n_points))
-    coeffs = monomial_projection(rule.weights, batch.mono, gv)[0, :, 0]
-    return LocalPolynomial(mesh=mesh, element=t, degree=m, coeffs=coeffs,
-                           center=mesh.centroids[t],
-                           scale=float(mesh.diameters[t]))
-
-
-def hat_function(space: FeSpace, nu: int) -> ScalarField:
-    """Piecewise-linear basis function of vertex nu (a degree-1 field)."""
-    mesh = space.mesh
-    if not 0 <= nu < mesh.n_vertices:
-        raise MeshError(f"vertex id {nu} out of range")
-    p1 = space if space.degree == 1 else FeSpace(mesh, 1)
-    coeffs = np.zeros(p1.n_dofs)
-    coeffs[nu] = 1.0
-    return ScalarField(p1, coeffs)
 
 
 # -- transfer between nested meshes ------------------------------------

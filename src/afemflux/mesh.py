@@ -20,6 +20,11 @@ Only meshes carry points and triangles.  The chain is what `ancestor_map`,
 `refined_set` and the depth diagnostics walk; `level` counts rounds from the
 root.
 
+Connectivity lives in arrays, not in per-vertex or per-triangle objects:
+`edges`, `edge_of_triangle`, `edge_triangles` and `edge_local` for edges,
+and the CSR table `_vertex_triangles` for the patch of each vertex, its
+incident triangles in triangle-id order with the vertex's slot in each.
+
 Mesh files use a small ASCII format: a header line `nv nt`, then nv vertex
 lines `x y boundary_flag`, then nt triangle lines `v0 v1 v2 generation` with
 the refinement-edge convention above.  Legacy-format VTK export is provided
@@ -28,7 +33,7 @@ for visualisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -41,53 +46,6 @@ class MeshError(ValueError):
 
 class LineageError(MeshError):
     """Raised when two meshes are not related by a refinement chain."""
-
-
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    x: float
-    y: float
-    on_boundary: bool
-
-
-@dataclass(frozen=True)
-class Triangle:
-    id: int
-    vertices: tuple[int, int, int]
-    generation: int
-    parent: int | None
-    area: float
-    diameter: float
-    mesh: "Mesh" = field(repr=False)
-
-    @property
-    def refinement_edge(self) -> tuple[int, int]:
-        return (self.vertices[0], self.vertices[1])
-
-
-@dataclass(frozen=True)
-class Patch:
-    """Star of triangles around a vertex.
-
-    interior_edges are the mesh-interior edges incident to the vertex (the
-    "spokes", each shared by two patch triangles); boundary_edges collects the
-    rim plus any incident domain-boundary edges.
-    """
-
-    vertex: int
-    elements: np.ndarray
-    interior_edges: np.ndarray
-    boundary_edges: np.ndarray
-
-
-@dataclass(frozen=True)
-class RefinedSet:
-    """Coarse-mesh triangles all of whose descendants gained >= j generations."""
-
-    j: int
-    elements: np.ndarray
-    n_coarse: int
 
 
 @dataclass
@@ -251,58 +209,8 @@ class Mesh:
         return _lock(ptr), _lock(ind), _lock(local)
 
     @cached_property
-    def _vertex_edges(self):
-        """CSR vertex -> incident edges (sorted by edge id)."""
-        flat = self.edges.ravel()
-        order = np.argsort(flat, kind="stable")
-        ind = order // 2
-        ptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=self.n_vertices), out=ptr[1:])
-        return _lock(ptr), _lock(ind)
-
-    @cached_property
     def valences(self) -> np.ndarray:
         return _lock(np.bincount(self.triangles.ravel(), minlength=self.n_vertices))
-
-    # -- views ----------------------------------------------------------
-
-    def vertex(self, i: int) -> Vertex:
-        i = int(i)
-        if not 0 <= i < self.n_vertices:
-            raise MeshError(f"vertex id {i} out of range")
-        x, y = self.points[i]
-        return Vertex(i, float(x), float(y), bool(self.boundary_vertex[i]))
-
-    def triangle(self, t: int) -> Triangle:
-        t = int(t)
-        if not 0 <= t < self.n_triangles:
-            raise MeshError(f"triangle id {t} out of range")
-        parent = int(self.parents[t])
-        return Triangle(
-            id=t,
-            vertices=tuple(int(v) for v in self.triangles[t]),
-            generation=int(self.generations[t]),
-            parent=None if parent < 0 else parent,
-            area=float(self.areas[t]),
-            diameter=float(self.diameters[t]),
-            mesh=self,
-        )
-
-    def patch(self, nu: int) -> Patch:
-        nu = int(nu)
-        if not 0 <= nu < self.n_vertices:
-            raise MeshError(f"vertex id {nu} out of range")
-        ptr, ind, local = self._vertex_triangles
-        elems = ind[ptr[nu]:ptr[nu + 1]]
-        if elems.size == 0:
-            raise MeshError(f"vertex {nu} has no incident triangles")
-        lv = local[ptr[nu]:ptr[nu + 1]]
-        eptr, eind = self._vertex_edges
-        spokes = eind[eptr[nu]:eptr[nu + 1]]
-        interior = spokes[~self.boundary_edge[spokes]]
-        rim = self.edge_of_triangle[elems, lv]
-        bnd = np.unique(np.concatenate([rim, spokes[self.boundary_edge[spokes]]]))
-        return Patch(nu, elems.copy(), interior.copy(), bnd)
 
     def root(self) -> "Mesh":
         m = self
@@ -313,16 +221,10 @@ class Mesh:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_arrays(
-        cls,
-        points: np.ndarray,
-        triangles: np.ndarray,
-        generations: np.ndarray | None = None,
-        relabel: bool = True,
-    ) -> "Mesh":
-        """Build a root mesh; orients triangles counterclockwise and (by
-        default) rotates each triple so the longest edge is the refinement
-        edge, ties broken by the smallest opposite-vertex id."""
+    def from_arrays(cls, points: np.ndarray, triangles: np.ndarray) -> "Mesh":
+        """Build a root mesh; orients triangles counterclockwise and rotates
+        each triple so the longest edge is the refinement edge, ties broken
+        by the smallest opposite-vertex id."""
         points = np.array(points, dtype=np.float64)
         tris = np.array(triangles, dtype=np.int64)
         if tris.ndim != 2 or tris.shape[1] != 3:
@@ -337,24 +239,20 @@ class Mesh:
             raise MeshError("degenerate (zero-area) triangle")
         flip = sgn < 0
         tris[flip] = tris[flip][:, [1, 0, 2]]
-        if relabel:
-            p = points[tris]
-            # squared length of the edge opposite each local vertex
-            l2 = np.stack([
-                ((p[:, 2] - p[:, 1]) ** 2).sum(axis=1),
-                ((p[:, 0] - p[:, 2]) ** 2).sum(axis=1),
-                ((p[:, 1] - p[:, 0]) ** 2).sum(axis=1),
-            ], axis=1)
-            near = l2 >= l2.max(axis=1, keepdims=True) * (1.0 - 1e-12)
-            opp = np.where(near, tris, np.iinfo(np.int64).max)
-            r = np.argmin(opp, axis=1)
-            rolled = np.stack([
-                tris[np.arange(len(tris)), (r + 1) % 3],
-                tris[np.arange(len(tris)), (r + 2) % 3],
-                tris[np.arange(len(tris)), r],
-            ], axis=1)
-            tris = rolled
-        return cls(points, tris, generations=generations)
+        p = points[tris]
+        # squared length of the edge opposite each local vertex
+        l2 = np.stack([
+            ((p[:, 2] - p[:, 1]) ** 2).sum(axis=1),
+            ((p[:, 0] - p[:, 2]) ** 2).sum(axis=1),
+            ((p[:, 1] - p[:, 0]) ** 2).sum(axis=1),
+        ], axis=1)
+        near = l2 >= l2.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+        opp = np.where(near, tris, np.iinfo(np.int64).max)
+        r = np.argmin(opp, axis=1)
+        rows = np.arange(len(tris))
+        return cls(points, np.stack([tris[rows, (r + 1) % 3],
+                                     tris[rows, (r + 2) % 3],
+                                     tris[rows, r]], axis=1))
 
     # -- file formats ---------------------------------------------------
 
@@ -484,9 +382,13 @@ def bisect(mesh: Mesh, marked: Iterable[int], b: int = 1) -> Mesh:
     split edges.  A split edge is left unused; its halves and the new
     interior edges are appended.
     """
-    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
+    marked = np.asarray(list(marked))
     if marked.size == 0:
         raise MeshError("empty marked set")
+    if marked.dtype.kind not in "iu":
+        raise MeshError(f"marked triangles must be integer ids, not "
+                        f"{marked.dtype} values")
+    marked = np.unique(marked.astype(np.int64))
     if marked.min() < 0 or marked.max() >= mesh.n_triangles:
         raise MeshError(f"marked triangle id out of range [0, {mesh.n_triangles})")
     b = int(b)
@@ -575,9 +477,9 @@ def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
-def refined_set(coarse: Mesh, fine: Mesh, j: int) -> RefinedSet:
-    """Triangles of `coarse` whose every descendant in `fine` gained at least
-    j generations."""
+def refined_set(coarse: Mesh, fine: Mesh, j: int) -> np.ndarray:
+    """Sorted ids of the triangles of `coarse` whose every descendant in
+    `fine` gained at least j generations."""
     j = int(j)
     if j < 1:
         raise MeshError(f"refined_set needs j >= 1, got {j}")
@@ -585,8 +487,7 @@ def refined_set(coarse: Mesh, fine: Mesh, j: int) -> RefinedSet:
     gains = fine.generations - coarse.generations[anc]
     min_gain = np.full(coarse.n_triangles, np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(min_gain, anc, gains)
-    elems = np.nonzero(min_gain >= j)[0]
-    return RefinedSet(j=j, elements=elems, n_coarse=coarse.n_triangles)
+    return np.nonzero(min_gain >= j)[0]
 
 
 def interior_node_depth(mesh: Mesh) -> int:

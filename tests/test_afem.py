@@ -11,7 +11,6 @@ import pytest
 from afemflux import afem
 from afemflux.afem import (
     AfemConfig,
-    HypothesisReport,
     check_hypotheses,
     doerfler_mark,
     fit_rate,
@@ -133,6 +132,12 @@ class TestDoerflerMarking:
         with pytest.raises(ValueError, match="1-d"):
             doerfler_mark(np.ones((2, 2)), 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_indicators_named(self, bad):
+        # a nan or inf would otherwise mark [0, 1, 3] or [1] at theta 0.5
+        with pytest.raises(ValueError, match="element 1 .*not finite"):
+            doerfler_mark(np.array([1.0, bad, 0.5, 2.0]), 0.5)
+
 
 class TestFitRate:
     def test_recovers_power_law(self):
@@ -147,9 +152,19 @@ class TestFitRate:
         assert np.isnan(fit_rate(n[:1], v[:1]))
 
 
+def extrema(rows, name):
+    """Smallest and largest finite value of one ratio over the rows, nan
+    for both when there is none."""
+    vals = np.array([getattr(r, name) for r in rows])
+    vals = vals[np.isfinite(vals)]
+    if vals.size == 0:
+        return float("nan"), float("nan")
+    return float(vals.min()), float(vals.max())
+
+
 def run_with_hypotheses(config):
     """Run the loop, checking each consecutive pair as its finer level
-    finishes; returns the result and the hypothesis report."""
+    finishes; returns the result and the hypothesis rows."""
     prob = config.resolve_problem()
     rows, prev = [], []
 
@@ -158,9 +173,7 @@ def run_with_hypotheses(config):
             rows.append(check_hypotheses(prob, prev.pop(), state))
         prev.append(state)
 
-    res = run(config, on_level)
-    j_star = interior_node_depth(res.final.mesh.root())
-    return res, HypothesisReport(rows, j_star)
+    return run(config, on_level), rows
 
 
 @pytest.fixture(scope="module")
@@ -203,28 +216,28 @@ class TestDriver:
         assert lshape_run[0].rate("eta_delta") > 0.4
 
     def test_hypothesis_ratios(self, lshape_run):
-        res, hyp = lshape_run
-        assert hyp.j_star == 5
-        assert [(r.level_coarse, r.level_fine) for r in hyp.rows] == \
+        res, rows = lshape_run
+        assert interior_node_depth(res.final.mesh.root()) == 5
+        assert [(r.level_coarse, r.level_fine) for r in rows] == \
             [(i, i + 1) for i in range(len(res.records) - 1)]
-        lo3, hi3 = hyp.extrema("h3")
-        lo4, hi4 = hyp.extrema("h4")
+        lo3, hi3 = extrema(rows, "h3")
+        lo4, hi4 = extrema(rows, "h4")
         assert 0 < lo3 and hi3 < 1.1  # localised reliability, constant one
         assert 0 < lo4 and hi4 < 2.0
         # f = 1 is resolved exactly: oscillation ratios are 0/0
-        assert np.isnan(hyp.extrema("lam1")[0])
+        assert np.isnan(extrema(rows, "lam1")[0])
 
     def test_lambda_ratios_with_oscillating_data(self):
-        _, hyp = run_with_hypotheses(AfemConfig(
+        _, rows = run_with_hypotheses(AfemConfig(
             problem="square_sine", degree=1, theta=0.6, max_dofs=1200))
-        lo1, hi1 = hyp.extrema("lam1")
-        lo2, hi2 = hyp.extrema("lam2")
+        lo1, hi1 = extrema(rows, "lam1")
+        lo2, hi2 = extrema(rows, "lam2")
         assert 0 < lo1 <= hi1 < 1.5
         # the patchwise drop is global while its denominator is restricted
         # to the deeply refined set, so values above one are legitimate
         assert 0 < lo2 <= hi2 < 100.0
-        h1lo, h1hi = hyp.extrema("h1")
-        h2lo, h2hi = hyp.extrema("h2")
+        h1lo, h1hi = extrema(rows, "h1")
+        h2lo, h2hi = extrema(rows, "h2")
         assert 0 < h1lo and h1hi < 1.2  # reliability (constant one family)
         assert 0 < h2lo and h2hi < 1.2  # efficiency of the delta estimator
 
@@ -268,10 +281,9 @@ class TestDriver:
                 run(AfemConfig(**bad))
 
     def test_hypotheses_need_levels(self):
-        res, hyp = run_with_hypotheses(AfemConfig(problem="square_sine",
-                                                  max_levels=0))
-        assert len(res.records) == 1 and hyp.rows == []
-        assert np.isnan(hyp.extrema("h3")).all()
+        res, rows = run_with_hypotheses(AfemConfig(problem="square_sine",
+                                                   max_levels=0))
+        assert len(res.records) == 1 and rows == []
 
     def test_run_keeps_only_the_final_level(self):
         refs = []

@@ -191,6 +191,14 @@ class TestOptions:
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--out", str(tmp_path / "x")])
             assert exc.value.code == 2
+        # config values take the checks of their flags
+        for i, text in enumerate(["export_mesh = vtkk\n", "hypotheses = yes\n",
+                                  "degree = 7\n", "export_flux = maybe\n"]):
+            cfg = tmp_path / f"bad{i}.cfg"
+            cfg.write_text(text)
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", str(cfg), "--out", str(tmp_path / "x")])
+            assert exc.value.code == 2
 
     def test_explicit_bisections(self, tmp_path):
         out = run_cli(tmp_path, "i", ["--bisections", "1"])

@@ -19,11 +19,11 @@ from afemflux.galerkin import (
     element_values,
     energy_error,
     energy_norm,
-    hat_function,
-    l2_project,
+    element_batch,
     element_batches,
     element_gradients,
     monomial_exponents,
+    monomial_projection,
     monomial_values,
     physical_points,
     prolong,
@@ -145,6 +145,19 @@ class TestSpaceStructure:
         assert space.rule_fine.degree >= 10
 
 
+def project_on_element(mesh, t, g, m):
+    """The L2 projection of g onto P^m on triangle t, by
+    `monomial_projection`, as a function of physical points."""
+    rule = triangle_rule(2 * m + 4)
+    batch = element_batch(mesh, rule.points, [t], m)
+    X = batch.X[0]
+    gv = np.broadcast_to(g(X[:, 0], X[:, 1]), (1, rule.n_points))
+    coef = monomial_projection(rule.weights, batch.mono, gv)[0, :, 0]
+    c, h = mesh.centroids[t], mesh.diameters[t]
+    return lambda x, y: monomial_values(
+        monomial_exponents(m), (x - c[0]) / h, (y - c[1]) / h) @ coef
+
+
 class TestNormsAndProjection:
     def test_energy_norm_of_linear(self):
         space = FeSpace(unit_square_crisscross(), 1)
@@ -166,10 +179,10 @@ class TestNormsAndProjection:
             total += float(((gx - g[:, 0]) ** 2 + (gy - g[:, 1]) ** 2) @ wts)
         assert got == pytest.approx(np.sqrt(total), rel=1e-12)
 
-    def test_l2_project_exact_normal_equations(self):
+    def test_projection_exact_normal_equations(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         mesh = Mesh.from_arrays(pts, np.array([[0, 1, 2]]))
-        proj = l2_project(mesh.triangle(0), lambda x, y: x ** 2, 1)
+        proj = project_on_element(mesh, 0, lambda x, y: x ** 2, 1)
         # oracle: exact integrals of monomials over the reference triangle
         M = np.array([[1 / 2, 1 / 6, 1 / 6],
                       [1 / 6, 1 / 12, 1 / 24],
@@ -182,49 +195,17 @@ class TestNormsAndProjection:
         assert np.allclose(proj(xs, ys), expected, atol=1e-12)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    def test_l2_project_idempotent(self, m):
+    def test_projection_idempotent(self, m):
         mesh = lshape()
-        tri = mesh.triangle(5)
 
         def g(x, y):
             return (0.3 + x - 0.5 * y) ** m
 
-        proj = l2_project(tri, g, m)
+        proj = project_on_element(mesh, 5, g, m)
         p = mesh.points[mesh.triangles[5]]
         xs = p[:, 0].mean() + np.linspace(-0.05, 0.05, 7)
         ys = p[:, 1].mean() + np.linspace(-0.04, 0.04, 7)
         assert np.allclose(proj(xs, ys), g(xs, ys), atol=1e-13)
-
-    def test_hat_functions_partition_of_unity(self):
-        mesh = bisect(lshape(), [2, 9], 2)
-        space = FeSpace(mesh, 2)
-        total = np.zeros(mesh.n_vertices)
-        for nu in range(mesh.n_vertices):
-            h = hat_function(space, nu)
-            assert h.space.degree == 1
-            assert h.coeffs[nu] == 1.0
-            total += h.coeffs
-        assert np.allclose(total, 1.0)
-
-    def test_hat_function_support(self):
-        mesh = lshape()
-        space = FeSpace(mesh, 1)
-        nu = 4  # centre of the first square
-        h = hat_function(space, nu)
-        patch = mesh.patch(nu)
-        vals = element_values(h, space.ref.nodes)
-        outside = np.setdiff1d(np.arange(mesh.n_triangles), patch.elements)
-        assert np.allclose(vals[outside], 0.0)
-        assert np.any(vals[patch.elements] != 0.0)
-
-    def test_hat_function_leaves_mesh_unchanged(self):
-        mesh = bisect(lshape(), [2, 9], 2)
-        space = FeSpace(mesh, 2)
-        before = dict(vars(mesh))
-        hat_function(space, 3)
-        after = vars(mesh)
-        assert after.keys() == before.keys()
-        assert all(after[key] is value for key, value in before.items())
 
 
 class TestElementBatches:
@@ -271,11 +252,12 @@ class TestElementBatches:
 
 
 class TestSolverPaths:
-    def test_cg_matches_direct(self):
+    def test_cg_matches_direct(self, monkeypatch):
         mesh = bisect(unit_square_crisscross(), np.arange(4), 3)
         space = FeSpace(mesh, 2)
         ud = solve_poisson(space, f_sine)
-        uc = solve_poisson(space, f_sine, direct_limit=1)
+        monkeypatch.setattr(galerkin, "_DIRECT_LIMIT", 1)
+        uc = solve_poisson(space, f_sine)
         assert ud.system.report.method == "splu"
         assert uc.system.report.method == "cg"
         assert uc.system.report.iterations > 0
@@ -310,7 +292,7 @@ class TestNormalJumps:
         space = FeSpace(mesh, 1)
         nodal = np.array([0.0, 1.0, 0.0, 2.0])
         fld = ScalarField(space, nodal)
-        jumps, interior = normal_jumps(fld, 2)
+        jumps, interior = normal_jumps(fld)
         # hand gradients: solve the 2x2 system (p_i - p_0) . g = u_i - u_0
         grads = []
         for tri in mesh.triangles:
@@ -334,7 +316,7 @@ class TestNormalJumps:
             space = FeSpace(m, 2)
             fld = space.interpolate(u_sine)
             from afemflux.galerkin import normal_jumps
-            jumps, interior = normal_jumps(fld, 6)
+            jumps, interior = normal_jumps(fld)
             er = space.edge_rule_main
             sq = (jumps ** 2) @ er.weights * m.edge_lengths
             tots.append(float(np.sqrt(sq[interior].sum())))

@@ -25,7 +25,7 @@ from afemflux.mesh import (
     refined_set,
     unit_square_crisscross,
 )
-from test_equilibration import jittered_square
+from test_equilibration import jittered_square, vertex_patch
 
 
 def right_triangle_grid(n):
@@ -176,16 +176,13 @@ class TestConstruction:
         with pytest.raises(MeshError):
             Mesh.from_arrays(pts, np.array([[0, 1, 2]]))
 
-    def test_vertex_and_triangle_views(self):
+    def test_vertex_and_triangle_arrays(self):
         m = unit_square_crisscross()
-        v = m.vertex(4)
-        assert (v.x, v.y) == (0.5, 0.5) and not v.on_boundary
-        assert m.vertex(0).on_boundary
-        t = m.triangle(0)
-        assert t.area == pytest.approx(0.25)
-        assert t.diameter == pytest.approx(1.0)
-        assert t.generation == 0 and t.parent is None
-        assert t.refinement_edge == (t.vertices[0], t.vertices[1])
+        assert tuple(m.points[4]) == (0.5, 0.5) and not m.boundary_vertex[4]
+        assert m.boundary_vertex[0]
+        assert m.areas[0] == pytest.approx(0.25)
+        assert m.diameters[0] == pytest.approx(1.0)
+        assert m.generations[0] == 0 and m.parents[0] == -1
 
 
 class TestBisection:
@@ -236,8 +233,7 @@ class TestBisection:
         m = unit_square_crisscross()
         for b in (1, 2, 3):
             f = bisect(m, [1], b)
-            rs = refined_set(m, f, b)
-            assert 1 in rs.elements
+            assert 1 in refined_set(m, f, b)
             assert conformity_check(f).ok
 
     def test_parent_chain_length_equals_generation(self):
@@ -266,8 +262,20 @@ class TestBisection:
             bisect(m, [17], 1)
         with pytest.raises(MeshError):
             bisect(m, [0], 0)
-        with pytest.raises(MeshError):
+        with pytest.raises(MeshError, match="empty"):
             bisect(m, [], 1)
+
+    def test_rejects_masks_and_non_integer_ids(self):
+        # a boolean mask of triangles 5 and 7 would otherwise be read as
+        # the ids 0 and 1, and 2.7 as triangle 2
+        mask = np.zeros(12, dtype=bool)
+        mask[[5, 7]] = True
+        with pytest.raises(MeshError, match="integer ids"):
+            bisect(lshape(), mask, 1)
+        with pytest.raises(MeshError, match="integer ids"):
+            bisect(unit_square_crisscross(), [2.7], 1)
+        assert bisect(lshape(), np.array([5, 7], dtype=np.uint8),
+                      1).n_triangles > 12
 
     def test_deadlock_names_blocked_edge(self):
         # fan around vertex 0 whose triangle i has as refinement edge the
@@ -278,7 +286,7 @@ class TestBisection:
         pts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
         rim = 1 + np.arange(n)
         tris = np.column_stack([np.roll(rim, -1), np.zeros(n, dtype=int), rim])
-        m = Mesh.from_arrays(pts, tris, relabel=False)
+        m = Mesh(pts, tris)
         with pytest.raises(MeshError, match="deadlock") as err:
             bisect(m, [0], 1)
         # spoke (0, 1) is the refinement edge of triangle 5 = (1, 0, 6)
@@ -340,8 +348,8 @@ class TestAgainstRoundByRound:
         assert anc.dtype == np.int64
         assert np.array_equal(anc, ancestor_map(refs[1], refs[-1]))
         for j in (1, 2, 3):
-            assert np.array_equal(refined_set(coarse, fine, j).elements,
-                                  refined_set(refs[1], refs[-1], j).elements)
+            assert np.array_equal(refined_set(coarse, fine, j),
+                                  refined_set(refs[1], refs[-1], j))
         rng = np.random.default_rng(0)
         space = FeSpace(coarse, 2)
         u = rng.standard_normal(space.n_dofs)
@@ -375,19 +383,19 @@ class TestRefinedSet:
             marked = rng.choice(fine.n_triangles, size=k, replace=False)
             fine = bisect(fine, marked, int(rng.integers(1, 3)))
         for j in (1, 2, 3):
-            rs = refined_set(coarse, fine, j)
-            assert rs.elements.tolist() == self.oracle(coarse, fine, j)
+            assert refined_set(coarse, fine, j).tolist() == \
+                self.oracle(coarse, fine, j)
 
     def test_r1_is_split_elements(self):
         m = unit_square_crisscross()
         f = bisect(m, [2], 1)
         anc = ancestor_map(m, f)
         split = np.unique(anc[np.bincount(anc, minlength=m.n_triangles)[anc] > 1])
-        assert refined_set(m, f, 1).elements.tolist() == split.tolist()
+        assert refined_set(m, f, 1).tolist() == split.tolist()
 
     def test_identity_and_errors(self):
         m = unit_square_crisscross()
-        assert refined_set(m, m, 1).elements.size == 0
+        assert refined_set(m, m, 1).size == 0
         other = lshape()
         with pytest.raises(LineageError):
             refined_set(m, other, 1)
@@ -400,28 +408,30 @@ class TestPatchesAndDepth:
         m = right_triangle_grid(3)
         interior = np.nonzero(~m.boundary_vertex)[0]
         for v in interior:
-            p = m.patch(int(v))
-            assert p.elements.size == 6
-            assert p.interior_edges.size == 6
-            assert (m.triangles[p.elements] == v).any(axis=1).all()
+            els, _, spokes = vertex_patch(m, v)
+            assert els.size == m.valences[v] == 6
+            assert spokes.size == 6
+            assert (m.triangles[els] == v).any(axis=1).all()
 
     def test_patch_edges_relations(self):
         m = bisect(lshape(), np.arange(12), 1)
         for v in range(m.n_vertices):
-            p = m.patch(v)
+            els, slots, spokes = vertex_patch(m, v)
+            assert els.size == m.valences[v]
             # every interior spoke is shared by exactly two patch triangles
-            for e in p.interior_edges:
-                inc = set(m.edge_triangles[e]) & set(p.elements.tolist())
+            for e in spokes:
+                inc = set(m.edge_triangles[e]) & set(els.tolist())
                 assert len(inc) == 2
             # the rim has one patch triangle per edge
-            rim = [e for e in p.boundary_edges if v not in m.edges[e]]
-            assert len(rim) == p.elements.size
+            rim = m.edge_of_triangle[els, slots]
+            assert not (m.edges[rim] == v).any()
+            assert np.unique(rim).size == els.size
 
     def test_lshape_patch_table(self):
         # hand-listed stars of the initial 12-triangle L-shape
         m = lshape()
         # vertex 0 = (-1,-1): corner of one square -> 2 triangles
-        assert m.patch(0).elements.size == 2
+        assert vertex_patch(m, 0)[0].size == 2
         # the centre of each square has all four of its triangles
         centers = [v for v in range(m.n_vertices) if m.valences[v] == 4
                    and not m.boundary_vertex[v]]
@@ -430,8 +440,8 @@ class TestPatchesAndDepth:
         corner = [v for v in range(m.n_vertices)
                   if np.allclose(m.points[v], [0.0, 0.0])][0]
         assert m.valences[corner] == 6
-        p = m.patch(corner)
-        assert p.elements.size == 6 and p.interior_edges.size == 5
+        els, _, spokes = vertex_patch(m, corner)
+        assert els.size == 6 and spokes.size == 5
 
     def test_interior_node_depth_values(self):
         assert interior_node_depth(unit_square_crisscross()) == 3

@@ -28,23 +28,23 @@ solved in the whitened coordinates z = L^T q, where the squared L2 norm is
 the plain Euclidean norm and corrections from different patches add
 linearly.
 
-Element blocks are built once per exact shape class.  Two elements share a
-class when their edge vectors, scaled by a power of two, agree bit for bit
-and the lower global id sits at the same end of each local edge.  The
-basis uses centred, diameter-scaled monomials, so the whitened divergence
-and trace blocks are invariant under translation and scaling, and L^-T
-scales as the inverse of the element size.  The blocks are computed from
-the normalised edge vectors alone, the class key itself, never from
-absolute coordinates: members of one class get the same blocks bit for
-bit, on any level of a run.  The mass matrix, its factor, the raw and
-whitened blocks and the rotation below are therefore computed on the
-first element of each class only; every member takes its class's blocks
-as they are, and maps its rotated coordinates to flux coefficients with
-its class's L^-T Q times the exact power of two 2^(ex_first - ex_t), ex
-being the exponent of the element's size.  What stays per element is the
-data: the hat-weighted divergence right-hand sides, from f and lap u_h at
-the element's own points.  On a mesh with no repeated shape each element
-is its own class.
+Element blocks are built once per exact shape class and run.  Two elements
+share a class when their edge vectors, scaled by a power of two, agree bit
+for bit and the lower global id sits at the same end of each local edge.
+The basis uses centred, diameter-scaled monomials, so the whitened
+divergence and trace blocks are invariant under translation and scaling,
+and L^-T scales as the inverse of the element size.  The blocks are
+computed from the normalised edge vectors alone, the class key itself,
+never from absolute coordinates: members of one class get the same blocks
+bit for bit, on any level of a run.  The mass matrix, its factor, the raw
+and whitened blocks and the rotation below are therefore computed on the
+first element of each class only, and only for a class that the
+`PatchOperators` cache passed in does not hold: the cache carries the
+rotated divergence and trace blocks of every class of the previous call,
+so an element that refinement leaves alone costs no block build on the
+next level.  What stays per element is the data: the hat-weighted
+divergence right-hand sides, from f and lap u_h at the element's own
+points.  On a mesh with no repeated shape each element is its own class.
 
 The divergence rows are condensed out element by element.  The whitened
 coordinates of each class are rotated, w = Q^T z, by a complete QR factor
@@ -65,6 +65,13 @@ sweeps.  The patch
 residual covers every row of the full system: the reduced rows, the
 forward-substituted divergence rows and the dropped row, in which a u_h
 without Galerkin orthogonality shows.
+
+The flux keeps the correction in these rotated coordinates, w_delta, in
+which its norm is the Euclidean one.  Its coefficients in the flux basis,
+q_delta, are formed only when asked for: each element maps its
+coordinates with its class's L^-T Q, built again for the purpose, times
+the exact power of two 2^(ex_first - ex_t), ex being the exponent of the
+element's size.  The adaptive loop never asks for them.
 
 Patches are grouped by their sizes (elements, interior spokes, constrained
 rim edges) and batched within a group.  Each patch lists its elements fan
@@ -91,7 +98,7 @@ the terms that cancel in it, the projected load and lap u_h.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -112,8 +119,9 @@ from .galerkin import (
 from .mesh import Mesh
 from .quadrature import triangle_rule
 
-# patch-matrix bytes per solver batch; cache-sized chunks win.  The class
-# representatives of a group are assembled in one call, not in such batches.
+# patch-matrix bytes per solver batch, and element-block bytes per batch of
+# `_fill_blocks`; cache-sized chunks win.  The class representatives of a
+# patch group are assembled in one call, not in such batches.
 _SOLVE_BYTES = 8e6
 
 # the largest scaled residual of a patch or defining condition: round-off
@@ -297,8 +305,8 @@ class FluxField:
         with open(path, "w") as fh:
             fh.write(f"# piecewise flux coefficients, degree {self.degree}\n")
             fh.write(f"{self.mesh.n_triangles} {rt_dim(self.degree)}\n")
-            for row in self.coeffs:
-                fh.write(" ".join(f"{float(v)!r}" for v in row) + "\n")
+            fh.writelines(" ".join(map(repr, row)) + "\n"
+                          for row in self.coeffs.tolist())
 
 
 def gradient_flux(u_h: ScalarField) -> FluxField:
@@ -400,6 +408,45 @@ def _shape_blocks(space: FeSpace, els: np.ndarray):
     Traw *= size[..., None]
     blocks["LiTQ"] /= size
     return blocks
+
+
+def _fill_blocks(space: FeSpace, els: np.ndarray, rows: np.ndarray, out):
+    """Write the `_shape_blocks` block named name of element els[i] to
+    out[name][rows[i]], for each name of the dict out.
+
+    The elements go in batches whose blocks, N (4 N + 3 n_p + 9 (k+1))
+    numbers per element, take at most `_SOLVE_BYTES`; the transients of
+    one batch come to less than twice that.
+    """
+    k = space.degree
+    N = rt_dim(k)
+    n_p = len(monomial_exponents(k))
+    step = max(8, int(_SOLVE_BYTES / (8 * N * (4 * N + 3 * n_p
+                                                + 9 * (k + 1)))))
+    for s0 in range(0, els.size, step):
+        part = _shape_blocks(space, els[s0:s0 + step])
+        for name, a in out.items():
+            a[rows[s0:s0 + step]] = part[name]
+        del part  # free before the next batch's transients
+
+
+def _flux_coefficients(space: FeSpace, w: np.ndarray) -> np.ndarray:
+    """Flux coefficients (nt, N) of the rotated coordinates w (nt, N):
+    those of element t are LiTQ of its class's first element
+    (`_shape_blocks`) applied to w[t], times the exact power of two
+    2^(ex_first - ex_t)."""
+    mesh = space.mesh
+    N = rt_dim(space.degree)
+    ekey, ex = _element_keys(mesh)
+    efirst, ecls, _, _ = _row_classes(ekey)
+    LiTQ = np.empty((efirst.size, N, N))
+    _fill_blocks(space, efirst, np.arange(efirst.size), {"LiTQ": LiTQ})
+    d = ex[efirst][ecls] - ex
+    out = np.empty_like(w)
+    for batch in element_batches(mesh):
+        els = batch.els
+        out[els] = np.ldexp(_apply(LiTQ[ecls[els]], w[els]), d[els, None])
+    return out
 
 
 def _divergence_rhs(u_h: ScalarField, f, els: np.ndarray):
@@ -737,20 +784,25 @@ def _operator_solve(As, D, Y, bb):
 
 
 class PatchOperators:
-    """Min-norm operators of exact patch classes, kept from one
-    `equilibrate` call to the next; `afem.run` passes one from level to
-    level.
+    """Min-norm operators of exact patch classes and rotated blocks of
+    exact element classes, kept from one `equilibrate` call to the next;
+    `afem.run` passes one from level to level.
 
     `operators` maps the bytes of a patch class (the degree, the patch
     sizes and, for each position in canonical order, the element's exact
     shape key, the slot of the vertex, the rim constraint and the link, a
     spoke to the next position or none) to the min-norm operator Y of its
-    row-scaled reduced matrix (`_operator_solve`).  Each call keeps only
-    the entries it used.
+    row-scaled reduced matrix (`_operator_solve`).  `shapes` maps the
+    bytes of an element class (the degree and the `_element_keys` row) to
+    its row in the arrays of `blocks`, the rotated divergence and trace
+    blocks "DQ" and "TrQ" of `_shape_blocks`.  Each call keeps only the
+    entries it used; its own block arrays become `blocks`.
     """
 
     def __init__(self):
         self.operators: dict[bytes, np.ndarray] = {}
+        self.shapes: dict[bytes, int] = {}
+        self.blocks: dict[str, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -776,6 +828,10 @@ class EquilibrationReport:
 class EquilibratedFlux:
     """Result of the patchwise flux equilibration.
 
+    w_delta[t] holds the correction on element t in the rotated whitened
+    coordinates of its class (`_shape_blocks`), in which the L2 norm is the
+    Euclidean one.  q_delta, the correction in the flux basis, is formed
+    from them on first access and kept.
     eta_delta[t] is the elementwise estimator, the L2 norm of the correction
     on element t; the bound |||u - u_h||| <= sqrt(sum eta_delta^2) holds up
     to data oscillation.  eta_star[nu] is the L2 norm of the patch
@@ -794,7 +850,7 @@ class EquilibratedFlux:
     """
 
     u_h: ScalarField = dc_field(repr=False)
-    q_delta: FluxField = dc_field(repr=False)
+    w_delta: np.ndarray = dc_field(repr=False)
     eta_delta: np.ndarray = dc_field(repr=False)
     eta_star: np.ndarray = dc_field(repr=False)
     patch_residuals: np.ndarray = dc_field(repr=False)
@@ -806,6 +862,12 @@ class EquilibratedFlux:
     @property
     def mesh(self) -> Mesh:
         return self.u_h.space.mesh
+
+    @cached_property
+    def q_delta(self) -> FluxField:
+        space = self.u_h.space
+        return FluxField(space.mesh, space.degree,
+                         _flux_coefficients(space, self.w_delta))
 
     def total_flux(self) -> FluxField:
         """sigma = grad u_h + correction; normal-continuous, equilibrated."""
@@ -823,12 +885,13 @@ def equilibrate(u_h: ScalarField, f,
                 cache: PatchOperators | None = None) -> EquilibratedFlux:
     """Reconstruct the equilibrated flux correction for a discrete solution.
 
-    f is the load, called as f(x, y) on arrays.  cache holds the class
-    operators of earlier calls of the same run; the result does not depend
-    on its contents.  Raises EquilibrationError if any patch problem is
-    inconsistent beyond `_TOLERANCE`, which indicates that u_h is not the
-    Galerkin solution of the assembled system (or that data were changed
-    between solve and equilibration).
+    f is the load, called as f(x, y) on arrays.  cache holds the patch
+    class operators and element class blocks of earlier calls of the same
+    run (`PatchOperators`); the result does not depend on its contents.
+    Raises EquilibrationError if any patch problem is inconsistent beyond
+    `_TOLERANCE`, which indicates that u_h is not the Galerkin solution of
+    the assembled system (or that data were changed between solve and
+    equilibration).
     """
     space = u_h.space
     mesh = space.mesh
@@ -841,20 +904,27 @@ def equilibrate(u_h: ScalarField, f,
     if cache is None:
         cache = PatchOperators()
 
-    ekey, ex = _element_keys(mesh)
+    ekey, _ = _element_keys(mesh)
     efirst, ecls, _, crank = _row_classes(ekey)
     erank = crank[ecls]
     nc = efirst.size
-    # DQ, TrQ and LiTQ per element class, from its first element; rdiv and
-    # U per element
-    blocks = {"ecls": ecls, "DQ": np.empty((nc, n_p, N)),
-              "TrQ": np.empty((nc, 3, K1, N)), "LiTQ": np.empty((nc, N, N)),
-              "rdiv": np.empty((nt, 3, n_p)), "U": np.empty((nt, 3, n_p))}
-    for batch in element_batches(mesh, ids=efirst):
-        part = _shape_blocks(space, batch.els)
-        for name in ("DQ", "TrQ", "LiTQ"):  # a first element's class is
-            blocks[name][ecls[batch.els]] = part[name]  # its position
-        del part  # free before the next batch's transients
+    # DQ and TrQ per element class, from the cache or built on its first
+    # element; the cache then holds these arrays and their classes alone
+    shape = {"DQ": np.empty((nc, n_p, N)), "TrQ": np.empty((nc, 3, K1, N))}
+    names = _void_rows(np.column_stack([np.full(nc, k),
+                                        ekey[efirst]])).tolist()
+    row = np.fromiter((cache.shapes.get(n, -1) for n in names), np.int64,
+                      nc)
+    hit = row >= 0
+    if hit.any():
+        for name, a in shape.items():
+            a[hit] = cache.blocks[name][row[hit]]
+    new = np.nonzero(~hit)[0]
+    _fill_blocks(space, efirst[new], new, shape)
+    cache.shapes, cache.blocks = dict(zip(names, range(nc))), shape
+    # rdiv and U per element
+    blocks = {"ecls": ecls, **shape, "rdiv": np.empty((nt, 3, n_p)),
+              "U": np.empty((nt, 3, n_p))}
     order = _const_last(n_p)
     for batch in element_batches(mesh):
         els = batch.els
@@ -977,17 +1047,8 @@ def equilibrate(u_h: ScalarField, f,
             "input field does not satisfy Galerkin orthogonality")
 
     eta_delta = np.sqrt(np.einsum("tc,tc->t", w_delta, w_delta))
-    # an element's LiTQ is its class's scaled by the exact power of two
-    # 2^(ex_first - ex_t), applied to the product
-    d = ex[efirst][ecls] - ex
-    qcoef = np.empty((nt, N))
-    for batch in element_batches(mesh):
-        els = batch.els
-        qcoef[els] = np.ldexp(_apply(blocks["LiTQ"][ecls[els]], w_delta[els]),
-                              d[els, None])
-    return EquilibratedFlux(u_h, FluxField(mesh, k, qcoef), eta_delta,
-                            eta_star, patch_res, J, n_classes, n_shared,
-                            n_built)
+    return EquilibratedFlux(u_h, w_delta, eta_delta, eta_star, patch_res, J,
+                            n_classes, n_shared, n_built)
 
 
 # -- verification -------------------------------------------------------

@@ -20,9 +20,11 @@ solve 0.65 s against 0.33 s with `splu`.
 Element contributions are accumulated in COO form and merged by scipy's
 deterministic duplicate summation, so repeated runs are bitwise reproducible.
 
-Every element loop of the package runs through `element_batches`: batches
-of `_BATCH` elements with their mapped quadrature points, the same points
-centred and diameter-scaled, and the monomials there when asked for.
+Every loop over the elements of a mesh runs through `element_batches`:
+batches of `_BATCH` elements with their mapped quadrature points, the same
+points centred and diameter-scaled, and the monomials there when asked
+for.  (Equilibration builds its shape blocks for a subset of the elements,
+in batches bounded by bytes.)
 """
 
 from __future__ import annotations
@@ -348,12 +350,12 @@ def element_batch(mesh: Mesh, ref_pts: np.ndarray, els=None,
     return ElementBatch(mesh, els, X, mono)
 
 
-def element_batches(mesh: Mesh, ref_pts: np.ndarray | None = None, ids=None,
+def element_batches(mesh: Mesh, ref_pts: np.ndarray | None = None,
                     degree: int | None = None):
-    """Yield the elements ids (all, in order, by default) in batches of
-    `_BATCH`, each an `element_batch` of ref_pts and degree, or its ids
-    alone when ref_pts is None."""
-    ids = np.arange(mesh.n_triangles) if ids is None else np.asarray(ids)
+    """Yield the elements, in order, in batches of `_BATCH`, each an
+    `element_batch` of ref_pts and degree, or its ids alone when ref_pts
+    is None."""
+    ids = np.arange(mesh.n_triangles)
     for lo in range(0, ids.size, _BATCH):
         els = ids[lo:lo + _BATCH]
         yield ElementBatch(mesh, els) if ref_pts is None \

@@ -257,16 +257,13 @@ class Mesh:
     # -- file formats ---------------------------------------------------
 
     def save_tri(self, path) -> None:
-        lines = [f"{self.n_vertices} {self.n_triangles}"]
-        bnd = self.boundary_vertex
-        for i in range(self.n_vertices):
-            x, y = self.points[i]
-            lines.append(f"{float(x)!r} {float(y)!r} {1 if bnd[i] else 0}")
-        for t in range(self.n_triangles):
-            v = self.triangles[t]
-            lines.append(f"{v[0]} {v[1]} {v[2]} {self.generations[t]}")
+        bnd = self.boundary_vertex.astype(np.int64).tolist()
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"{self.n_vertices} {self.n_triangles}\n")
+            fh.writelines(f"{x!r} {y!r} {b}\n"
+                          for (x, y), b in zip(self.points.tolist(), bnd))
+            fh.writelines(f"{a} {b} {c} {g}\n" for (a, b, c), g in zip(
+                self.triangles.tolist(), self.generations.tolist()))
 
     @classmethod
     def load_tri(cls, path) -> "Mesh":
@@ -287,29 +284,21 @@ class Mesh:
 
     def save_vtk(self, path) -> None:
         """Legacy ASCII VTK unstructured grid with generations as cell data."""
-        out = [
-            "# vtk DataFile Version 3.0",
-            "triangulation",
-            "ASCII",
-            "DATASET UNSTRUCTURED_GRID",
-            f"POINTS {self.n_vertices} double",
-        ]
-        for i in range(self.n_vertices):
-            x, y = self.points[i]
-            out.append(f"{float(x)!r} {float(y)!r} 0.0")
-        nt = self.n_triangles
-        out.append(f"CELLS {nt} {4 * nt}")
-        for t in range(nt):
-            v = self.triangles[t]
-            out.append(f"3 {v[0]} {v[1]} {v[2]}")
-        out.append(f"CELL_TYPES {nt}")
-        out.extend(["5"] * nt)
-        out.append(f"CELL_DATA {nt}")
-        out.append("SCALARS generation int 1")
-        out.append("LOOKUP_TABLE default")
-        out.extend(str(int(g)) for g in self.generations)
+        nv, nt = self.n_vertices, self.n_triangles
+        # each line is written as it is formatted: a list of them all
+        # would set the peak memory of a run that exports its final mesh
         with open(path, "w") as fh:
-            fh.write("\n".join(out) + "\n")
+            fh.write("# vtk DataFile Version 3.0\ntriangulation\nASCII\n"
+                     f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n")
+            fh.writelines(f"{x!r} {y!r} 0.0\n"
+                          for x, y in self.points.tolist())
+            fh.write(f"CELLS {nt} {4 * nt}\n")
+            fh.writelines(f"3 {a} {b} {c}\n"
+                          for a, b, c in self.triangles.tolist())
+            fh.write(f"CELL_TYPES {nt}\n" + "5\n" * nt
+                     + f"CELL_DATA {nt}\nSCALARS generation int 1\n"
+                     "LOOKUP_TABLE default\n")
+            fh.writelines(f"{g}\n" for g in self.generations.tolist())
 
 
 # -- reference domains --------------------------------------------------

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from afemflux import afem
+from afemflux import afem, equilibration
 from afemflux.afem import (
     AfemConfig,
     check_hypotheses,
@@ -184,6 +184,18 @@ def lshape_run():
 
 
 class TestDriver:
+    def test_run_never_forms_q_delta(self, monkeypatch):
+        # the loop reads eta_delta, eta_star and the jumps of each flux;
+        # the coefficients of q_delta are formed on first access alone
+        formed = []
+        real = equilibration._flux_coefficients
+        monkeypatch.setattr(equilibration, "_flux_coefficients",
+                            lambda space, w: formed.append(1) or real(space, w))
+        res = run(AfemConfig(problem="lshape_one", degree=2, max_dofs=1000))
+        assert len(res.records) >= 3 and formed == []
+        flux = res.final.report.flux
+        assert flux.q_delta is flux.q_delta and formed == [1]
+
     def test_auto_bisections_is_interior_node_depth(self, lshape_run):
         lshape_run, _ = lshape_run
         assert lshape_run.b == interior_node_depth(lshape())

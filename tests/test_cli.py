@@ -14,6 +14,13 @@ import afemflux
 from afemflux import cli
 from afemflux.afem import AfemConfig, run
 from afemflux.cli import _fmt, main, parse_config_file, write_level_indicators
+from afemflux.equilibration import (
+    _element_keys,
+    _row_classes,
+    _shape_blocks,
+    gradient_flux,
+    rt_dim,
+)
 from afemflux.mesh import Mesh
 
 
@@ -94,6 +101,31 @@ class TestEmission:
         assert delta.shape[0] == mesh.n_triangles
         total = np.loadtxt(out / "flux_total.txt", skiprows=2)
         assert total.shape == delta.shape
+
+    def test_flux_exports_match_eager_coefficients(self, tmp_path):
+        # q_delta is formed on demand from the rotated coordinates; the
+        # files hold what the eager formula gives, each element's own
+        # L^-T times its class's rotation applied to them, written value
+        # by value
+        argv = ["--problem", "lshape_one", "--degree", "2",
+                "--max-dofs", "600"]
+        assert main(argv + ["--export-flux", "--out", str(tmp_path)]) == 0
+        flux = run(AfemConfig(problem="lshape_one", degree=2,
+                              max_dofs=600)).final.report.flux
+        space = flux.u_h.space
+        mesh = space.mesh
+        first, cls, _, _ = _row_classes(_element_keys(mesh)[0])
+        assert first.size < mesh.n_triangles
+        LiT = _shape_blocks(space, np.arange(mesh.n_triangles))["LiT"]
+        Q = _shape_blocks(space, first)["Q"][cls]
+        q = ((LiT @ Q) @ flux.w_delta[..., None])[..., 0]
+        for name, coeffs in (("delta", q),
+                             ("total", gradient_flux(flux.u_h).coeffs + q)):
+            want = (f"# piecewise flux coefficients, degree 2\n"
+                    f"{mesh.n_triangles} {rt_dim(2)}\n")
+            want += "".join(" ".join(f"{float(v)!r}" for v in row) + "\n"
+                            for row in coeffs)
+            assert (tmp_path / f"flux_{name}.txt").read_text() == want, name
 
     def test_vtk_export(self, tmp_path):
         out = run_cli(tmp_path, "f", ["--export-mesh", "vtk"])

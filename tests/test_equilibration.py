@@ -374,6 +374,22 @@ def trapezoid():
     return Mesh.from_arrays(pts, np.array([[0, 1, 3], [1, 4, 3], [1, 2, 4]]))
 
 
+def element_class_names(k, keys):
+    """The `PatchOperators.shapes` names of element classes with the
+    `_element_keys` rows keys at degree k."""
+    return [np.concatenate([[k], row]).astype(np.int64).tobytes()
+            for row in keys]
+
+
+def spy_shape_blocks(monkeypatch):
+    """The element ids of each `_shape_blocks` call from now on."""
+    calls = []
+    real = equilibration._shape_blocks
+    monkeypatch.setattr(equilibration, "_shape_blocks", lambda space, els:
+                        calls.append(np.array(els)) or real(space, els))
+    return calls
+
+
 def equilibrated(mesh, k):
     return equilibrate(solve_poisson(FeSpace(mesh, k), f_sine), f_sine)
 
@@ -542,11 +558,69 @@ class TestGlobalReconstruction:
         square = solve_poisson(FeSpace(uniform_square(), 1), f_sine)
         fl = equilibrate(square, f_sine, cache=cache)
         assert len(cache.operators) == fl.patch_classes
-        before = set(cache.operators)
+        before = set(cache.operators), set(cache.shapes)
         lshaped = solve_poisson(FeSpace(graded_lshape(), 1), f_sine)
         fl = equilibrate(lshaped, f_sine, cache=cache)
         assert len(cache.operators) == fl.patch_classes
-        assert before - set(cache.operators)
+        assert before[0] - set(cache.operators)
+        # the element classes too: those of the L-shape, in class order
+        key = _element_keys(lshaped.space.mesh)[0]
+        first = _row_classes(key)[0]
+        assert list(cache.shapes) == element_class_names(1, key[first])
+        assert list(cache.shapes.values()) == list(range(first.size))
+        assert before[1] - set(cache.shapes)
+        for name in ("DQ", "TrQ"):
+            assert cache.blocks[name].shape[0] == first.size
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("make_mesh", [graded_lshape, jittered_square])
+    def test_element_blocks_carried_across_a_bisection(self, monkeypatch,
+                                                       make_mesh, k):
+        # the fine mesh keeps the classes of the elements left alone, so a
+        # warm cache builds blocks for the new classes alone, and cold and
+        # warm give the same bits.  The cold call gets the patch operators
+        # alone: a patch alone in its class takes one if the cache holds
+        # it, and is solved by LU otherwise, with other round-off
+        coarse = make_mesh()
+        cache = equilibration.PatchOperators()
+        equilibrate(solve_poisson(FeSpace(coarse, k), f_sine), f_sine,
+                    cache=cache)
+        old = set(cache.shapes)
+        assert old == set(element_class_names(k, np.unique(
+            _element_keys(coarse)[0], axis=0)))
+        u = solve_poisson(FeSpace(bisect(coarse, [0, 9, 30], 1), k), f_sine)
+        key = _element_keys(u.space.mesh)[0]
+        first = _row_classes(key)[0]
+        new = np.array([n not in old for n in
+                        element_class_names(k, key[first])])
+        assert 0 < new.sum() < new.size
+        operators = equilibration.PatchOperators()
+        operators.operators = dict(cache.operators)
+        cold = equilibrate(u, f_sine, cache=operators)
+        calls = spy_shape_blocks(monkeypatch)
+        warm = equilibrate(u, f_sine, cache=cache)
+        assert np.array_equal(np.concatenate(calls), first[new])
+        for name in ("eta_delta", "eta_star", "patch_residuals"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name))
+        monkeypatch.undo()
+        assert np.array_equal(warm.q_delta.coeffs, cold.q_delta.coeffs)
+
+    def test_element_blocks_never_cross_degrees(self, monkeypatch):
+        # the same mesh at another degree has the same element keys; the
+        # degree in the class names keeps the blocks apart
+        mesh = graded_lshape()
+        cache = equilibration.PatchOperators()
+        for k in (1, 2, 1):
+            u = solve_poisson(FeSpace(mesh, k), f_sine)
+            cold = equilibrate(u, f_sine)
+            calls = spy_shape_blocks(monkeypatch)
+            warm = equilibrate(u, f_sine, cache=cache)
+            monkeypatch.undo()
+            assert np.concatenate(calls).size == len(cache.shapes)
+            assert cache.blocks["DQ"].shape[1:] == (
+                len(monomial_exponents(k)), rt_dim(k))
+            assert np.array_equal(warm.w_delta, cold.w_delta)
+            assert np.array_equal(warm.q_delta.coeffs, cold.q_delta.coeffs)
 
     def test_jittered_mesh_shares_no_patch(self):
         fl = equilibrated(jittered_square(), 2)
@@ -627,17 +701,10 @@ class TestGlobalReconstruction:
         first, _, counts, _ = _row_classes(_element_keys(mesh)[0])
         assert (counts.size <= 8 if make_mesh is uniform_square
                 else counts.size == mesh.n_triangles)
-        calls = []
-        real = equilibration._shape_blocks
-
-        def spy(space, els):
-            calls.append(np.array(els))
-            return real(space, els)
-
-        monkeypatch.setattr(equilibration, "_shape_blocks", spy)
-        assert equilibrated(mesh, k).verify(f_sine).ok
-        assert [c.size for c in calls] == [counts.size]
-        assert np.array_equal(calls[0], first)
+        calls = spy_shape_blocks(monkeypatch)
+        fl = equilibrated(mesh, k)
+        assert np.array_equal(np.concatenate(calls), first)
+        assert fl.verify(f_sine).ok
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_triangular_inverse(self, k):
@@ -794,10 +861,9 @@ class TestVerification:
         space = fl.u_h.space
         lap = element_laplacians(fl.u_h, space.rule_main.points)
         t = int(np.argmax(np.abs(lap).max(axis=1)))
-        coeffs = fl.q_delta.coeffs.copy()
-        coeffs[t] *= 1 + 1e-7
-        bad = dataclasses.replace(
-            fl, q_delta=FluxField(space.mesh, 4, coeffs))
+        w = fl.w_delta.copy()
+        w[t] *= 1 + 1e-7  # scales q_delta[t] alike
+        bad = dataclasses.replace(fl, w_delta=w)
         rep = verify_equilibration(bad, f_one)
         assert rep.div_residual > rep.tolerance
         assert rep.div_element == t
@@ -813,6 +879,19 @@ class TestFluxFieldUtilities:
         fx.save_txt(path)
         back = np.loadtxt(path, skiprows=2)
         assert np.array_equal(back, fx.coeffs)
+
+    def test_save_txt_matches_per_value_formatting(self, tmp_path):
+        mesh = lshape()
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((12, rt_dim(2))) \
+            * 10.0 ** rng.integers(-300, 300, (12, 1))
+        coeffs[0, :3] = [0.0, -0.0, 1.0]
+        path = tmp_path / "flux.txt"
+        FluxField(mesh, 2, coeffs).save_txt(path)
+        want = f"# piecewise flux coefficients, degree 2\n12 {rt_dim(2)}\n"
+        want += "".join(" ".join(f"{float(v)!r}" for v in row) + "\n"
+                        for row in coeffs)
+        assert path.read_text() == want
 
     def test_shape_validation(self):
         mesh = lshape()

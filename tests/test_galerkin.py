@@ -229,11 +229,10 @@ class TestElementBatches:
             assert np.array_equal(b.xh, xh[b.els])
             assert np.array_equal(b.mono, mono[b.els])
 
-    def test_given_ids_in_their_order(self, monkeypatch):
-        monkeypatch.setattr(galerkin, "_BATCH", 2)
-        ids = np.array([3, 0, 2])
-        got = list(element_batches(unit_square_crisscross(), ids=ids))
-        assert [b.els.tolist() for b in got] == [[3, 0], [2]]
+    def test_ids_alone_without_points(self, monkeypatch):
+        monkeypatch.setattr(galerkin, "_BATCH", 3)
+        got = list(element_batches(unit_square_crisscross()))
+        assert [b.els.tolist() for b in got] == [[0, 1, 2], [3]]
         assert all(b.X is None and b.mono is None for b in got)
 
     def test_batch_size_does_not_change_estimators(self, monkeypatch):

@@ -564,3 +564,30 @@ class TestFileFormats:
         assert tok[line + 1].startswith("SCALARS generation")
         gens = [int(tok[line + 3 + i]) for i in range(ncell)]
         assert gens == m.generations.tolist()
+
+    def test_exports_match_per_row_formatting(self, tmp_path):
+        # the files are formatted from whole-array lists; each must equal
+        # the row-by-row formatting of the numpy scalars, byte for byte
+        m = bisect(jittered_square(), [0, 17, 40], 3)
+        pts, tris, gens = m.points, m.triangles, m.generations
+        bnd = m.boundary_vertex
+        tri = [f"{m.n_vertices} {m.n_triangles}"]
+        tri += [f"{float(pts[i, 0])!r} {float(pts[i, 1])!r} "
+                f"{1 if bnd[i] else 0}" for i in range(m.n_vertices)]
+        tri += [f"{tris[t, 0]} {tris[t, 1]} {tris[t, 2]} {gens[t]}"
+                for t in range(m.n_triangles)]
+        nt = m.n_triangles
+        vtk = ["# vtk DataFile Version 3.0", "triangulation", "ASCII",
+               "DATASET UNSTRUCTURED_GRID", f"POINTS {m.n_vertices} double"]
+        vtk += [f"{float(pts[i, 0])!r} {float(pts[i, 1])!r} 0.0"
+                for i in range(m.n_vertices)]
+        vtk += [f"CELLS {nt} {4 * nt}"]
+        vtk += [f"3 {tris[t, 0]} {tris[t, 1]} {tris[t, 2]}"
+                for t in range(nt)]
+        vtk += [f"CELL_TYPES {nt}"] + ["5"] * nt
+        vtk += [f"CELL_DATA {nt}", "SCALARS generation int 1",
+                "LOOKUP_TABLE default"] + [str(int(g)) for g in gens]
+        m.save_tri(tmp_path / "m.tri")
+        m.save_vtk(tmp_path / "m.vtk")
+        assert (tmp_path / "m.tri").read_text() == "\n".join(tri) + "\n"
+        assert (tmp_path / "m.vtk").read_text() == "\n".join(vtk) + "\n"

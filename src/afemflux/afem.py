@@ -283,7 +283,7 @@ def check_hypotheses(problem: ProblemSpec, coarse: LevelState,
     osc_c, osc_f = rep_c.osc_total, rep_f.osc_total
     oscs_c, oscs_f = rep_c.osc_star_total, rep_f.osc_star_total
     if problem.has_exact:
-        err_c = energy_error(coarse.field, problem.grad_exact)
+        err_c = coarse.record.energy_error  # stored by the level's solve
         h1 = _ratio(err_c ** 2, eta_c ** 2 + osc_c ** 2)
         h2 = _ratio(eta_c ** 2, err_c ** 2 + osc_c ** 2)
     else:

@@ -51,26 +51,42 @@ coordinates of each class are rotated, w = Q^T z, by a complete QR factor
 of its divergence block with the constant moment ordered last, so that the
 divergence acts as [R^T 0] with R^T lower triangular.  Forward substitution
 fixes the first n_p rotated coordinates, once per element and slot of the
-patch vertex; the patch problem keeps only its jump and trace rows, over
-the other N - n_p coordinates of each element, with the traces of the
-fixed coordinates moved to the right-hand side.  Rotations preserve the
-norm, so the minimal-norm solution of this reduced system is that of the
-full one.  On a fully interior patch (every rim edge constrained) the
-divergence theorem makes the constant divergence moment of its lowest-id
-element a combination of the other rows; that row is dropped, and the
-coordinate it would fix, the last of the n_p, joins the free ones.  Each
-reduced system is solved for its minimal-norm solution by semi-normal
-equations on the row Gram matrix (batched LU) with residual refinement
-sweeps.  The patch
-residual covers every row of the full system: the reduced rows, the
-forward-substituted divergence rows and the dropped row, in which a u_h
+patch vertex, with the traces of the fixed coordinates moved to the
+right-hand side.  On a fully interior patch (every rim edge constrained)
+the divergence theorem makes the constant divergence moment of its
+lowest-id element a combination of the other rows; that row is dropped,
+and the coordinate it would fix, the last of the n_p, stays free.
+
+The rim rows are condensed out the same way.  A rim row is the zero-trace
+condition on the patch edge opposite the vertex, and involves one element
+alone.  For each element and slot of the patch vertex, Householder steps
+on its rim trace block over its free coordinates (`_rim_rotation`) give a
+second rotation Q2, in which the rim rows act as [R2^T 0]; forward
+substitution fixes the first k+1 of the rotated coordinates where the rim
+edge is constrained.  The first element of a fully interior patch turns
+its free constant-divergence coordinate with the others.  The rotations
+are built element by element over the batch, in its last axis; the
+patches of one class take their representative's.  The patch problem
+keeps only the jump rows of its spokes, over the N - n_p - (k+1) free
+coordinates of each such element (`_assemble_patches`).  Rotations
+preserve the norm, so the minimal-norm solution of this reduced system is
+that of the full one.  Each reduced system is solved for its minimal-norm
+solution by semi-normal equations on the row Gram matrix (batched LU)
+with residual refinement sweeps, and each element's solution is turned
+back by Q2 into the rotated coordinates of its class.  The patch residual
+covers every row of the full system: the jump rows solved, the
+forward-substituted divergence and rim rows, computed in the class
+coordinates after the turn back, and the dropped row, in which a u_h
 without Galerkin orthogonality shows.
 
-The flux keeps the correction in these rotated coordinates, w_delta, in
-which its norm is the Euclidean one.  Its coefficients in the flux basis,
-q_delta, are formed only when asked for: each element maps its
-coordinates with its class's L^-T Q, built again for the purpose, times
-the exact power of two 2^(ex_first - ex_t), ex being the exponent of the
+The flux keeps the correction in the rotated coordinates of each element's
+class, w_delta, in which its norm is the Euclidean one.  Each (element,
+slot) pair belongs to one patch alone: its correction is written once, and
+the three slots of each element are summed at the end, so w_delta does not
+depend on the order of the patch groups.  Its coefficients in the flux
+basis, q_delta, are formed only when asked for: each element maps its
+coordinates with its class's L^-T Q, built again for the purpose, times the
+exact power of two 2^(ex_first - ex_t), ex being the exponent of the
 element's size.  The adaptive loop never asks for them.
 
 Patches are grouped by their sizes (elements, interior spokes, constrained
@@ -119,9 +135,10 @@ from .galerkin import (
 from .mesh import Mesh
 from .quadrature import triangle_rule
 
-# patch-matrix bytes per solver batch, and element-block bytes per batch of
-# `_fill_blocks`; cache-sized chunks win.  The class representatives of a
-# patch group are assembled in one call, not in such batches.
+# patch-matrix and rim-frame bytes per solver batch, and element-block
+# bytes per batch of `_fill_blocks`; cache-sized chunks win.  The class
+# representatives of a patch group are assembled in one call, not in such
+# batches.
 _SOLVE_BYTES = 8e6
 
 # the largest scaled residual of a patch or defining condition: round-off
@@ -489,7 +506,8 @@ def _forward(DQ, rdiv):
     """U, the first n_p rotated coordinates that meet the divergence rows
     rdiv (t, 3, n_p) of each slot, by forward substitution against the
     rotated blocks DQ (t, n_p, N); the constant moment comes last, so only
-    the last row involves the last of them."""
+    the last row involves the last of them.  The rim rows of
+    `_patch_rhs` take it too, one slot at a time."""
     U = np.empty_like(rdiv)
     for i in range(rdiv.shape[2]):
         U[..., i] = (rdiv[..., i] - np.einsum(
@@ -639,75 +657,177 @@ def _min_rotation(q):
     return np.argmax(best, axis=1)
 
 
-def _assemble_patches(layout, tg, blocks, deficient):
-    """Reduced constraint matrices of patches sharing one (m, s, t) group.
+def _rim_rotation(X):
+    """Householder steps that condense the rim rows, in place.
 
-    Rows are the k+1 jump moments of each spoke, then the k+1 trace
-    moments of each constrained rim edge.  Columns are the N - n_p free
-    rotated coordinates of each element in patch order and, on fully
-    interior patches, last, the constant-divergence coordinate of the
-    first element, whose divergence row is dropped.  Each element's
-    entries are the rotated trace blocks TrQ of its class.
+    X (3, K1, n, B) holds, for each (element, slot) pair of a batch, in its
+    last axis, the rotated trace rows of the element's three local edges
+    over n coordinates that the divergence leaves free, the rim edge first.
+    Reflectors H_i = I - v_i v_i^T, built on the rim rows and applied to
+    every row, turn X into X Q2, Q2 = H_0 ... H_(K1-1) orthogonal, whose rim
+    rows are [R2^T 0] with R2^T lower triangular.  Returns V (K1, n, B), the
+    v_i.  A column of X that is zero in every row stays zero, untouched by
+    every reflector.  Each pair is turned alike whatever the others.
     """
-    els, slots, imposed, spokes, pos, le = layout
-    cls = blocks["ecls"][els]
-    TrQ = blocks["TrQ"]
+    _, K1, n, B = X.shape
+    X = X.reshape(3 * K1, n, B)
+    V = np.zeros((K1, n, B))
+    for i in range(K1):
+        x = X[i, i:]
+        nx = np.sqrt((x * x).sum(axis=0))
+        alpha = np.where(x[0] < 0, nx, -nx)
+        v = V[i, i:]
+        v[...] = x
+        v[0] -= alpha
+        v /= np.sqrt(nx * (nx + np.abs(x[0])))
+        rest = X[i + 1:, i:]
+        rest -= (rest * v).sum(axis=1)[:, None] * v
+        X[i, i] = alpha
+        X[i, i + 1:] = 0.0
+    return V
+
+
+def _reflect(V, x):
+    """Q2 x for the reflectors V (K1, n, B) of `_rim_rotation` and vectors
+    x (n, B), in place: from the rim-rotated coordinates of each pair to
+    the coordinates it was turned from."""
+    for v in V[::-1]:
+        x -= (x * v).sum(axis=0) * v
+    return x
+
+
+def _rim_frames(layout, blocks, deficient):
+    """The rim condensation of each element of the patches layout.
+
+    Returns G (P, m, 3, K1, N), the rotated trace blocks TrQ of each
+    element's three local edges, the rim edge first; X (3, K1, Nf+1, P m),
+    their part on the Nf = N - n_p coordinates the divergence leaves free
+    and, last, the constant-divergence coordinate where it is free too (the
+    first element of a fully interior patch; a zero column elsewhere),
+    turned by `_rim_rotation`, with its reflectors V (K1, Nf+1, P m), the
+    elements in the last axis in patch order; and `_columns` of the layout.
+    """
+    els, slots, imposed = layout[:3]
     P, mg = els.shape
-    sg = spokes.shape[1]
+    TrQ = blocks["TrQ"]
     n_p = blocks["DQ"].shape[1]
     K1, N = TrQ.shape[2:]
     Nf = N - n_p
-    A = np.zeros((P, (sg + tg) * K1, mg * Nf + deficient))
-    p = np.arange(P)[:, None, None]
-    cols = np.arange(Nf)
-    # the jump rows of each spoke, from the elements on its two sides
-    blk = TrQ[cls[p, pos], le]  # (P, sg, 2, K1, N)
-    rows = np.arange(sg)[:, None, None, None] * K1 + np.arange(K1)[:, None]
-    A[p[..., None, None], rows, pos[..., None, None] * Nf + cols] = \
-        blk[..., n_p:]
+    row = blocks["ecls"][els][..., None] * 3 \
+        + (slots[..., None] + np.arange(3)) % 3
+    G = np.take(TrQ.reshape(-1, K1, N), row, axis=0)
+    X = np.empty((3, K1, Nf + 1, P * mg))
+    X[:, :, :Nf] = G[..., n_p:].reshape(-1, 3, K1, Nf).transpose(1, 2, 3, 0)
+    X[:, :, Nf] = 0.0
     if deficient:
-        A[:, :sg * K1, -1] = np.where(pos[..., None] == 0, blk[..., n_p - 1],
-                                      0.0).sum(axis=2).reshape(P, -1)
-    # the trace rows of the constrained rim edges, in patch order
-    row1 = sg * K1
-    pp, jj = np.nonzero(imposed)
-    rows = row1 + (np.cumsum(imposed, axis=1) - imposed)[pp, jj, None] * K1
-    A[pp[:, None, None], (rows + np.arange(K1))[..., None],
-      jj[:, None, None] * Nf + cols] = TrQ[cls[pp, jj], slots[pp, jj], :, n_p:]
-    if deficient:  # every rim edge is constrained, the first one first
-        A[:, row1:row1 + K1, -1] = TrQ[cls[:, 0], slots[:, 0], :, n_p - 1]
-    return A
+        X[:, :, Nf, ::mg] = G[:, 0, ..., n_p - 1].transpose(1, 2, 0)
+    V = _rim_rotation(X)
+    return G, X, V, _columns(imposed, deficient, K1, Nf)
 
 
-def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient):
+def _take_frames(frames, o):
+    """The `_rim_frames` of copies of the patches o of frames, with X cut
+    to the K1 columns that `_patch_rhs` reads."""
+    G, X, V, (cols, C) = frames
+    K1, mg = X.shape[1], G.shape[1]
+    b = (o[:, None] * mg + np.arange(mg)).ravel()
+    return (G[o], np.take(X[:, :, :K1], b, axis=3), np.take(V, b, axis=2),
+            (cols[o], C))
+
+
+def _columns(imposed, deficient, K1, Nf):
+    """Where each element's rim-rotated coordinates go among the columns
+    of the reduced system of its patch.
+
+    Element j of a patch keeps, in patch order, its rotated coordinates
+    from K1 on if its rim edge is constrained (the first K1 are fixed by
+    the rim rows) or from 0 on otherwise, up to Nf, or up to Nf + 1 with
+    the constant-divergence coordinate on the first element of a fully
+    interior patch.  Returns the column of each coordinate (P, m, Nf+1),
+    C for one that is fixed or absent, and the column count C.
+    """
+    P, mg = imposed.shape
+    nfix = K1 * imposed
+    top = np.full((P, mg), Nf)
+    top[:, 0] += deficient
+    width = top - nfix
+    off = np.cumsum(width, axis=1) - width - nfix
+    C = int(width[0].sum())
+    c = np.arange(Nf + 1)
+    return np.where((c >= nfix[..., None]) & (c < top[..., None]),
+                    off[..., None] + c, C), C
+
+
+def _spoke_sides(layout):
+    """Index arrays (P, 1, 1) and (P, s, 2) that pick, from arrays over
+    the positions of each patch and the local edges of each element in
+    `_rim_frames` order, the two sides of each spoke."""
+    slots, pos, le = layout[1], layout[4], layout[5]
+    p = np.arange(slots.shape[0])[:, None, None]
+    return p, pos, (le - slots[p, pos]) % 3
+
+
+def _assemble_patches(layout, frames):
+    """Reduced constraint matrices of patches sharing one (m, s, t) group.
+
+    Rows are the k+1 jump moments of each spoke; the divergence rows and
+    the trace rows of the constrained rim edges are condensed out.
+    Columns are the free rim-rotated coordinates of each element in patch
+    order (`_columns`), with the entries of the rotated trace blocks X of
+    `_rim_frames`.
+    """
+    _, X, _, (cols, C) = frames
+    P, sg = layout[3].shape
+    mg = cols.shape[1]
+    K1 = X.shape[1]
+    R = sg * K1
+    p, pos, r = _spoke_sides(layout)
+    # flat positions, one past the end for a column that is not kept
+    row = (p[..., None, None] * R + np.arange(sg)[:, None, None, None] * K1
+           + np.arange(K1)[:, None]) * C  # (P, sg, 1, K1, 1)
+    col = cols[p, pos][..., None, :]
+    flat = np.zeros(P * R * C + 1)
+    flat[np.where(col < C, row + col, P * R * C)] = X[r, :, :, p * mg + pos]
+    return flat[:-1].reshape(P, R, C)
+
+
+def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient, frames):
     """Reduced right-hand sides of the patches vs.
 
-    The jump moments and the zero traces, less the traces of the fixed
-    coordinates of each element.  Returns the right-hand sides, the fixed
-    coordinates (P, m, n_p) — U of the patch vertex's slot, with the free
-    constant-divergence coordinate of a fully interior patch's first
-    element set to zero — and the scale of the patch data.
+    The jump moments less the traces of the fixed coordinates of each
+    element: those the divergence rows fix and those the rim rows fix in
+    turn, by forward substitution against [R2^T 0].  Returns the
+    right-hand sides, the fixed coordinates (P, m, n_p) — U of the patch
+    vertex's slot, with the free constant-divergence coordinate of a fully
+    interior patch's first element set to zero — and y (K1, P m), the
+    rim-fixed rotated coordinates (zero where the rim edge is free), and
+    the scale of the patch data.
     """
-    els, slots, imposed, spokes, pos, le = layout
+    els, slots, imposed, spokes = layout[:4]
+    G, X = frames[:2]
     P, mg = els.shape
     n_p = blocks["U"].shape[2]
+    K1 = X.shape[1]
     fixed = blocks["U"][els, slots]
     if deficient:
         fixed[:, 0, -1] = 0.0
-    # their traces on the three local edges of each element
-    ft = np.einsum("pmlkj,pmj->pmlk",
-                   blocks["TrQ"][blocks["ecls"][els], :, :, :n_p], fixed)
+    # their traces on the three local edges of each element, rim first
+    ft = np.einsum("pmlkj,pmj->pmlk", G[..., :n_p], fixed)
+    # the rim rows [R2^T 0] fix the first K1 rim-rotated coordinates
+    rim = np.where(imposed[..., None], -ft[:, :, 0], 0.0)
+    y = _forward(np.moveaxis(X[0, :, :K1], 2, 0),
+                 rim.reshape(-1, 1, K1))[:, 0].T
+    ft[:, :, 1:] += (X[1:, :, :K1] * y).sum(axis=2).transpose(2, 0, 1) \
+        .reshape(P, mg, 2, K1)
     var = (mesh.edges[spokes, 0] != vs[:, None]).astype(np.int64)
     jumps = Jr[spokes, var]
-    p = np.arange(P)[:, None]
-    b = jumps - ft[p, pos[..., 0], le[..., 0]] - ft[p, pos[..., 1], le[..., 1]]
-    tr = -ft[p, np.arange(mg), slots][imposed]
+    p, pos, r = _spoke_sides(layout)
+    b = jumps - ft[p[..., 0], pos[..., 0], r[..., 0]] \
+        - ft[p[..., 0], pos[..., 1], r[..., 1]]
     scale = 1.0 + np.maximum(
         np.abs(blocks["rdiv"][els, slots]).max(axis=(1, 2)),
         np.abs(jumps).max(axis=(1, 2), initial=0.0))
-    return (np.concatenate([b.reshape(P, b[0].size),
-                            tr.reshape(P, tr.size // P)], axis=1),
-            fixed, scale)
+    return b.reshape(P, -1), fixed, y, scale
 
 
 def _apply(M, x):
@@ -752,15 +872,15 @@ def _minnorm_solve(A, bb):
     """Batched minimal-norm solutions and row residuals of reduced systems.
 
     The reduced systems (`_assemble_patches`) are underdetermined,
-    consistent and of full row rank: the divergence rows are gone, having
-    fixed their coordinates by forward substitution, and on fully interior
-    patches the one dependent row, the first element's constant-divergence
-    moment, is dropped and its coordinate solved for instead.  Rows are
-    scaled to unit norm, which changes neither the row space nor the
-    minimum-norm solution.  The row-space solution comes from semi-normal
-    equations on the row Gram matrix (batched LU), whose conditioning the
-    row scaling keeps far enough below 1/eps that a refinement sweep, when
-    one is triggered at all, reaches round-off.
+    consistent and of full row rank: the divergence and rim rows are gone,
+    having fixed their coordinates by forward substitution, and on fully
+    interior patches the one dependent row, the first element's
+    constant-divergence moment, is dropped and its coordinate solved for
+    instead.  Rows are scaled to unit norm, which changes neither the row
+    space nor the minimum-norm solution.  The row-space solution comes from
+    semi-normal equations on the row Gram matrix (batched LU), whose
+    conditioning the row scaling keeps far enough below 1/eps that a
+    refinement sweep, when one is triggered at all, reaches round-off.
     """
     As, D = _scale_rows(A)
     AT = As.transpose(0, 2, 1)
@@ -837,9 +957,10 @@ class EquilibratedFlux:
     to data oscillation.  eta_star[nu] is the L2 norm of the patch
     contribution of vertex nu, the localised (starwise) estimator.
     patch_residuals[nu] is the largest residual, in whitened coordinates,
-    of any row of the full patch system of nu: the jump and trace rows
-    solved, the divergence rows fixed by forward substitution, and on a
-    fully interior patch the dropped constant-divergence row.
+    of any row of the full patch system of nu: the jump rows solved, the
+    divergence rows and the trace rows of the constrained rim edges fixed
+    by forward substitution, and on a fully interior patch the dropped
+    constant-divergence row.
     jumps[e] holds the normal jumps of grad u_h across edge e at the points
     of u_h.space.edge_rule_main (zero on boundary edges): the data the jump
     rows were solved against, which the residual estimators reuse.
@@ -887,7 +1008,11 @@ def equilibrate(u_h: ScalarField, f,
 
     f is the load, called as f(x, y) on arrays.  cache holds the patch
     class operators and element class blocks of earlier calls of the same
-    run (`PatchOperators`); the result does not depend on its contents.
+    run (`PatchOperators`).  A patch alone in its class is solved with its
+    class operator if the cache holds one and by batched LU otherwise, so
+    a warm and a cold cache give the same result to round-off, not bit for
+    bit; a run that passes the same caches in the same order, as
+    `afem.run` does, is deterministic.
     Raises EquilibrationError if any patch problem is inconsistent beyond
     `_TOLERANCE`, which indicates that u_h is not the Galerkin solution of
     the assembled system (or that data were changed between solve and
@@ -948,7 +1073,9 @@ def equilibrate(u_h: ScalarField, f,
     uniq = np.stack([code // base ** 2, code // base % base, code % base],
                     axis=1)
 
-    w_delta = np.zeros((nt, N))
+    # the correction of each (element, slot) pair, which one patch alone
+    # writes; summed over the slots once all are in
+    w_slot = np.zeros((nt, 3, N))
     eta_star = np.zeros(nv)
     patch_res = np.zeros(nv)
     worst_ratio = 0.0
@@ -956,19 +1083,28 @@ def equilibrate(u_h: ScalarField, f,
     n_classes = n_shared = n_built = 0
     kept = {}  # the cache entries this call uses
 
-    def accept(vs, layout, fixed, scale, z, resid, deficient):
+    def accept(vs, layout, frames, fixed, y, scale, z, resid, deficient):
         nonlocal worst_ratio, worst_vertex
-        els, slots = layout[:2]
+        els, slots, imposed = layout[:3]
+        G, _, V, (cols, _) = frames
         P, mg = els.shape
+        # the rim-rotated coordinates, turned back to the class frame
+        om = np.concatenate([z, np.zeros((P, 1))], axis=1)[
+            np.arange(P).repeat(mg), cols.reshape(P * mg, -1).T]
+        om[:K1] += y
+        om = _reflect(V, om).T.reshape(P, mg, -1)
         w = np.empty((P, mg, N))
         w[..., :n_p] = fixed
-        w[..., n_p:] = z[:, :mg * Nf].reshape(P, mg, Nf)
+        w[..., n_p:] = om[..., :Nf]
         if deficient:
-            w[:, 0, n_p - 1] = z[:, -1]
+            w[:, 0, n_p - 1] = om[:, 0, Nf]
         # every divergence row, the dropped one included: that is where
-        # a u_h without Galerkin orthogonality shows
-        dres = _apply(blocks["DQ"][ecls[els]], w) - blocks["rdiv"][els, slots]
-        resid = np.maximum(resid, np.abs(dres).max(axis=(1, 2)))
+        # a u_h without Galerkin orthogonality shows; and every rim row
+        dres = np.einsum("pmij,pmj->pmi", blocks["DQ"][ecls[els]], w) \
+            - blocks["rdiv"][els, slots]
+        rres = np.einsum("pmij,pmj->pmi", G[:, :, 0], w) * imposed[..., None]
+        resid = np.maximum(resid, np.maximum(np.abs(dres).max(axis=(1, 2)),
+                                             np.abs(rres).max(axis=(1, 2))))
         ratio = resid / scale
         i = int(np.argmax(ratio))
         if ratio[i] > worst_ratio:
@@ -976,13 +1112,15 @@ def equilibrate(u_h: ScalarField, f,
             worst_vertex = int(vs[i])
         patch_res[vs] = resid
         eta_star[vs] = np.sqrt(np.einsum("pjc,pjc->p", w, w))
-        np.add.at(w_delta, els, w)
+        w_slot[els, slots] = w
 
     for g, (mg, sg, tg) in enumerate(uniq):
         members = np.nonzero(ginv == g)[0]
         deficient = bool(sg == mg and tg == mg)
-        R, C = (sg + tg) * K1, mg * Nf + deficient
-        step = max(8, int(_SOLVE_BYTES / (max(R, 1) * C * 8)))
+        # the reduced matrix and the element frames of one patch
+        size = sg * K1 * (mg * Nf - tg * K1 + deficient) \
+            + mg * 3 * K1 * (N + Nf + 1)
+        step = max(8, int(_SOLVE_BYTES / (8 * size)))
         layout, link = _fan_layout(members, mg, sg, tg, mesh, links, erank)
         els, slots, imposed = layout[:3]
         first, cls, counts, _ = _row_classes(
@@ -1008,8 +1146,9 @@ def equilibrate(u_h: ScalarField, f,
         if use.size:
             # class matrices are cheap to assemble again, bit for bit
             # alike; only the operators Y are kept from call to call
-            As, D = _scale_rows(_assemble_patches(
-                tuple(a[first[use]] for a in layout), tg, blocks, deficient))
+            part = tuple(a[first[use]] for a in layout)
+            rep_frames = _rim_frames(part, blocks, deficient)
+            As, D = _scale_rows(_assemble_patches(part, rep_frames))
             new = ~hit[keep]
             Y = np.empty_like(As)
             Y[new] = np.linalg.solve(
@@ -1029,15 +1168,21 @@ def equilibrate(u_h: ScalarField, f,
             for s0 in range(0, todo.size, size):
                 sel = todo[s0:s0 + size]
                 part = tuple(a[sel] for a in layout)
-                bb, fixed, scale = _patch_rhs(part, members[sel], mesh,
-                                              blocks, Jr, deficient)
                 if todo is shared:
+                    # a class's patches share its representative's frames
                     o = opi[cls[sel]]
+                    frames = _take_frames(rep_frames, o)
+                else:
+                    frames = _rim_frames(part, blocks, deficient)
+                bb, fixed, y, scale = _patch_rhs(part, members[sel], mesh,
+                                                 blocks, Jr, deficient, frames)
+                if todo is shared:
                     z, resid = _operator_solve(As[o], D[o], Y[o], bb)
                 else:
-                    z, resid = _minnorm_solve(_assemble_patches(
-                        part, tg, blocks, deficient), bb)
-                accept(members[sel], part, fixed, scale, z, resid, deficient)
+                    z, resid = _minnorm_solve(
+                        _assemble_patches(part, frames), bb)
+                accept(members[sel], part, frames, fixed, y, scale, z, resid,
+                       deficient)
     cache.operators = kept
 
     if worst_ratio > _TOLERANCE:
@@ -1046,6 +1191,8 @@ def equilibrate(u_h: ScalarField, f,
             f"scaled residual {worst_ratio:.3e} exceeds {_TOLERANCE:.1e}; the "
             "input field does not satisfy Galerkin orthogonality")
 
+    w_delta = w_slot.sum(axis=1)
+    del w_slot
     eta_delta = np.sqrt(np.einsum("tc,tc->t", w_delta, w_delta))
     return EquilibratedFlux(u_h, w_delta, eta_delta, eta_star, patch_res, J,
                             n_classes, n_shared, n_built)

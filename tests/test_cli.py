@@ -184,6 +184,21 @@ class TestStreaming:
         lines = (out / "hypotheses.csv").read_text().splitlines()
         assert len(lines) == 2 + len(refs) - 1  # j* line, header, pairs
 
+    def test_energy_error_once_per_level(self, tmp_path, monkeypatch):
+        # the hypothesis pairs read the coarse level's error from its
+        # record, which its solve stored, and compute it no second time
+        real, calls = afemflux.afem.energy_error, []
+        monkeypatch.setattr(afemflux.afem, "energy_error",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        out = run_cli(tmp_path, "e", ["--hypotheses", "on"])
+        rows = read_rows(out / "run.csv")
+        assert len(rows) >= 3 and len(calls) == len(rows)
+        pairs = (out / "hypotheses.csv").read_text().splitlines()[1:]
+        for row, pair in zip(rows, csv.DictReader(pairs)):
+            err, eta, osc = (float(row[name])
+                             for name in ("energy_error", "eta_delta", "osc"))
+            assert float(pair["h1"]) == err ** 2 / (eta ** 2 + osc ** 2)
+
 
 class TestOptions:
     def test_config_file_with_flag_override(self, tmp_path):

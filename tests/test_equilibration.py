@@ -394,26 +394,88 @@ def equilibrated(mesh, k):
     return equilibrate(solve_poisson(FeSpace(mesh, k), f_sine), f_sine)
 
 
+def whitened_system(u, f, nu):
+    """The full patch system of vertex nu, `local_equilibrate`'s raw one
+    whitened by the element mass: divergence, jump and rim rows over the
+    stacked whitened coordinates of the patch's elements.  Returns the
+    patch solution, the matrix, the inverse Cholesky factors of the
+    masses and the rows that stay when, on a fully interior patch, the
+    constant-divergence row of the first element (in triangle-id order) is
+    dropped."""
+    ps = local_equilibrate(u, f, nu)
+    m = ps.elements.size
+    N = rt_dim(u.space.degree)
+    Li = np.linalg.inv(np.linalg.cholesky(ps.mass))
+    A = np.concatenate([ps.matrix[:, j * N:(j + 1) * N] @ Li[j].T
+                        for j in range(m)], axis=1)
+    keep = np.ones(ps.rhs.size, dtype=bool)
+    if ps.spoke_edges.size == m and ps.trace_edges.size == m:
+        keep[0] = False
+    return ps, A, Li, keep
+
+
 def pinned_reference(u):
-    """Sum of the patch corrections solved from `local_equilibrate`'s raw
-    systems: whitened by the element mass, the constant-divergence row of
-    the first element (in triangle-id order) removed on fully interior
-    patches, minimal-norm solution by lstsq."""
+    """Sum of the patch corrections solved from `whitened_system`, the
+    dropped row left out, minimal-norm solution by lstsq."""
     mesh, k = u.space.mesh, u.space.degree
     N = rt_dim(k)
     q = np.zeros((mesh.n_triangles, N))
     for nu in range(mesh.n_vertices):
-        ps = local_equilibrate(u, f_sine, nu)
-        m = ps.elements.size
-        Li = np.linalg.inv(np.linalg.cholesky(ps.mass))
-        A = np.concatenate([ps.matrix[:, j * N:(j + 1) * N] @ Li[j].T
-                            for j in range(m)], axis=1)
-        keep = np.ones(ps.rhs.size, dtype=bool)
-        if ps.spoke_edges.size == m and ps.trace_edges.size == m:
-            keep[0] = False
+        ps, A, Li, keep = whitened_system(u, f_sine, nu)
         z = np.linalg.lstsq(A[keep], ps.rhs[keep], rcond=None)[0]
-        q[ps.elements] += np.einsum("tji,tj->ti", Li, z.reshape(m, N))
+        q[ps.elements] += np.einsum("tji,tj->ti", Li,
+                                    z.reshape(ps.elements.size, N))
     return FluxField(mesh, k, q)
+
+
+def unreduced_reference(u):
+    """w_delta and the patch residuals from dense per-patch solves of the
+    unreduced systems of `whitened_system`: the minimal-norm solution of
+    the rows that stay by lstsq, each element's part turned into the
+    rotated coordinates of its class (Q^T of `_shape_blocks`), and the
+    largest residual of any row, the dropped one included."""
+    mesh, k = u.space.mesh, u.space.degree
+    N = rt_dim(k)
+    Q = _shape_blocks(u.space, np.arange(mesh.n_triangles))["Q"]
+    w = np.zeros((mesh.n_triangles, N))
+    resid = np.empty(mesh.n_vertices)
+    for nu in range(mesh.n_vertices):
+        ps, A, _, keep = whitened_system(u, f_sine, nu)
+        z = np.linalg.lstsq(A[keep], ps.rhs[keep], rcond=None)[0]
+        resid[nu] = np.abs(A @ z - ps.rhs).max()
+        w[ps.elements] += np.einsum("tji,tj->ti", Q[ps.elements],
+                                    z.reshape(ps.elements.size, N))
+    return w, resid
+
+
+def jittered_workload_mesh(n_triangles=256, scale=0.2, seed=0):
+    """The mesh of the jittered benchmark workload (perfbench/workloads.py,
+    `jittered_mesh`), at a test size: the crisscross square bisected
+    uniformly to n_triangles, each interior vertex moved by a seeded offset
+    of length at most scale * h_min, drawn uniformly from that disc."""
+    depth = int(np.log2(n_triangles // 4))
+    fine = bisect(unit_square_crisscross(), np.arange(4), depth)
+    rng = np.random.default_rng(seed)
+    nv = fine.n_vertices
+    radius = scale * float(fine.edge_lengths.min()) * np.sqrt(rng.random(nv))
+    angle = 2.0 * np.pi * rng.random(nv)
+    offset = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    offset[fine.boundary_vertex] = 0.0
+    return Mesh(fine.points + offset, fine.triangles)
+
+
+def operators_for_all(u):
+    """A `PatchOperators` cache that holds the operator of every patch
+    class of u's mesh, built on two coincident copies of the mesh, where
+    each class has two patches."""
+    mesh = u.space.mesh
+    twice = Mesh(np.concatenate([mesh.points, mesh.points]),
+                 np.concatenate([mesh.triangles,
+                                 mesh.triangles + mesh.n_vertices]))
+    cache = equilibration.PatchOperators()
+    equilibrate(solve_poisson(FeSpace(twice, u.space.degree), f_sine),
+                f_sine, cache=cache)
+    return cache
 
 
 def assert_matches_local_solves(fl):
@@ -534,6 +596,96 @@ class TestGlobalReconstruction:
             for name in ("eta_delta", "eta_star", "patch_residuals"):
                 assert np.array_equal(getattr(fl, name), getattr(cold, name))
             assert np.array_equal(fl.q_delta.coeffs, cold.q_delta.coeffs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_warm_and_cold_caches_agree_to_round_off(self, k):
+        # a patch alone in its class takes batched LU from a cold cache and
+        # its class operator from a warm one, so the two agree to round-off
+        # (4.8e-13 at k = 4), not bit for bit; the same cache gives the
+        # same bits again, so a run that passes the same caches in the same
+        # order is deterministic
+        u = solve_poisson(FeSpace(jittered_square(), k), f_sine)
+        cold = equilibrate(u, f_sine)
+        warm = equilibrate(u, f_sine, cache=operators_for_all(u))
+        assert cold.shared_patches == 0
+        assert warm.shared_patches == u.space.mesh.n_vertices
+        assert np.abs(warm.eta_delta - cold.eta_delta).max() \
+            <= 1e-11 * cold.eta_delta.max()
+        again = equilibrate(u, f_sine, cache=operators_for_all(u))
+        assert np.array_equal(again.eta_delta, warm.eta_delta)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [jittered_workload_mesh,
+                                           graded_lshape])
+    def test_condensed_solve_matches_unreduced_lstsq(self, make_mesh, k):
+        # the divergence and rim rows condensed out element by element,
+        # against dense lstsq on the unreduced patch systems.  Cold, a
+        # patch alone in its class takes batched LU; warm, every patch
+        # takes its class operator
+        u = solve_poisson(FeSpace(make_mesh(), k), f_sine)
+        w, resid = unreduced_reference(u)
+        cold = equilibrate(u, f_sine)
+        warm = equilibrate(u, f_sine, cache=operators_for_all(u))
+        assert cold.shared_patches < warm.shared_patches \
+            == u.space.mesh.n_vertices
+        scale = np.linalg.norm(w, axis=1).max()
+        for fl in (cold, warm):
+            assert np.linalg.norm(fl.w_delta - w, axis=1).max() \
+                <= 1e-11 * scale
+            assert np.abs(fl.patch_residuals - resid).max() <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [jittered_workload_mesh,
+                                           graded_lshape])
+    def test_patch_residuals_cover_the_full_system(self, make_mesh, k):
+        # u_h perturbed below the tolerance leaves every fully interior
+        # patch with a defect of about 1e-10 in its dropped row, which the
+        # reduced systems never see; the patch residuals are those of
+        # every row of the unreduced systems all the same
+        u = solve_poisson(FeSpace(make_mesh(), k), f_sine)
+        rng = np.random.default_rng(k)
+        free = ~u.space.boundary_dofs
+        coeffs = u.coeffs.copy()
+        coeffs[free] += 1e-10 * np.abs(coeffs).max() * rng.uniform(
+            -1, 1, free.sum())
+        bad = ScalarField(u.space, coeffs)
+        _, resid = unreduced_reference(bad)
+        assert resid.max() > 1e-11
+        fl = equilibrate(bad, f_sine)
+        assert np.abs(fl.patch_residuals - resid).max() <= 1e-14
+
+    def test_rim_rows_count_in_the_patch_residuals(self, monkeypatch):
+        # no patch of the trapezoid is fully interior, and two have a
+        # constrained rim edge.  Without the turn back from the rim-rotated
+        # coordinates every reduced system is still solved and every
+        # divergence row still holds; only the rim rows show the leak
+        assert equilibrated(trapezoid(), 2).patch_residuals.max() < 1e-14
+        monkeypatch.setattr(equilibration, "_reflect", lambda V, x: x)
+        with pytest.raises(EquilibrationError, match="vertex"):
+            equilibrated(trapezoid(), 2)
+
+    def test_reduced_system_of_an_interior_patch(self, monkeypatch):
+        # P2, the centre of the jittered square, eight elements: three
+        # jump rows per spoke, and per element 9 - 3 coordinates left free
+        # by the divergence and rim rows, plus the first element's
+        # constant divergence
+        mesh = jittered_square()
+        centre = int(np.argmin(np.abs(mesh.points - 0.5).sum(axis=1)))
+        els = np.sort(vertex_patch(mesh, centre)[0])
+        assert els.size == 8
+        sizes = []
+        real = equilibration._assemble_patches
+
+        def spy(layout, frames):
+            A = real(layout, frames)
+            if layout[0].shape[1] == els.size:
+                hit = (np.sort(layout[0], axis=1) == els).all(axis=1)
+                sizes.extend([A.shape[1:]] * int(hit.sum()))
+            return A
+
+        monkeypatch.setattr(equilibration, "_assemble_patches", spy)
+        assert equilibrated(mesh, 2).verify(f_sine).ok
+        assert sizes == [(24, 49)]
 
     def test_cached_operators_equal_rebuilt_ones(self):
         # a copy of the mesh halved and shifted, with its edge vectors

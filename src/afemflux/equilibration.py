@@ -800,8 +800,9 @@ def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient, frames):
     right-hand sides, the fixed coordinates (P, m, n_p) — U of the patch
     vertex's slot, with the free constant-divergence coordinate of a fully
     interior patch's first element set to zero — and y (K1, P m), the
-    rim-fixed rotated coordinates (zero where the rim edge is free), and
-    the scale of the patch data.
+    rim-fixed rotated coordinates (zero where the rim edge is free), the
+    scale of the patch data and the divergence data rdiv (P, m, n_p) of
+    each slot.
     """
     els, slots, imposed, spokes = layout[:4]
     G, X = frames[:2]
@@ -824,10 +825,10 @@ def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient, frames):
     p, pos, r = _spoke_sides(layout)
     b = jumps - ft[p[..., 0], pos[..., 0], r[..., 0]] \
         - ft[p[..., 0], pos[..., 1], r[..., 1]]
-    scale = 1.0 + np.maximum(
-        np.abs(blocks["rdiv"][els, slots]).max(axis=(1, 2)),
-        np.abs(jumps).max(axis=(1, 2), initial=0.0))
-    return b.reshape(P, -1), fixed, y, scale
+    rdiv = blocks["rdiv"][els, slots]
+    scale = 1.0 + np.maximum(np.abs(rdiv).max(axis=(1, 2)),
+                             np.abs(jumps).max(axis=(1, 2), initial=0.0))
+    return b.reshape(P, -1), fixed, y, scale, rdiv
 
 
 def _apply(M, x):
@@ -1083,7 +1084,8 @@ def equilibrate(u_h: ScalarField, f,
     n_classes = n_shared = n_built = 0
     kept = {}  # the cache entries this call uses
 
-    def accept(vs, layout, frames, fixed, y, scale, z, resid, deficient):
+    def accept(vs, layout, frames, fixed, y, scale, rdiv, z, resid,
+               deficient):
         nonlocal worst_ratio, worst_vertex
         els, slots, imposed = layout[:3]
         G, _, V, (cols, _) = frames
@@ -1100,8 +1102,7 @@ def equilibrate(u_h: ScalarField, f,
             w[:, 0, n_p - 1] = om[:, 0, Nf]
         # every divergence row, the dropped one included: that is where
         # a u_h without Galerkin orthogonality shows; and every rim row
-        dres = np.einsum("pmij,pmj->pmi", blocks["DQ"][ecls[els]], w) \
-            - blocks["rdiv"][els, slots]
+        dres = np.einsum("pmij,pmj->pmi", blocks["DQ"][ecls[els]], w) - rdiv
         rres = np.einsum("pmij,pmj->pmi", G[:, :, 0], w) * imposed[..., None]
         resid = np.maximum(resid, np.maximum(np.abs(dres).max(axis=(1, 2)),
                                              np.abs(rres).max(axis=(1, 2))))
@@ -1174,15 +1175,15 @@ def equilibrate(u_h: ScalarField, f,
                     frames = _take_frames(rep_frames, o)
                 else:
                     frames = _rim_frames(part, blocks, deficient)
-                bb, fixed, y, scale = _patch_rhs(part, members[sel], mesh,
-                                                 blocks, Jr, deficient, frames)
+                bb, fixed, y, scale, rdiv = _patch_rhs(
+                    part, members[sel], mesh, blocks, Jr, deficient, frames)
                 if todo is shared:
                     z, resid = _operator_solve(As[o], D[o], Y[o], bb)
                 else:
                     z, resid = _minnorm_solve(
                         _assemble_patches(part, frames), bb)
-                accept(members[sel], part, frames, fixed, y, scale, z, resid,
-                       deficient)
+                accept(members[sel], part, frames, fixed, y, scale, rdiv, z,
+                       resid, deficient)
     cache.operators = kept
 
     if worst_ratio > _TOLERANCE:

@@ -14,11 +14,13 @@ edge (ties broken by the smallest opposite-vertex id).
 Meshes are immutable once built.  `bisect` returns a new mesh; internally it
 works in rounds that each split a compatible set of marked edges, so every
 parent link spans at most one generation.  The lineage chain (via `source`)
-holds a lightweight `Round` node for every round but the last of each
-`bisect` call: the parent and generation of each of that round's triangles.
-Only meshes carry points and triangles.  The chain is what `ancestor_map`,
-`refined_set` and the depth diagnostics walk; `level` counts rounds from the
-root.
+holds one kind of node, a `Round` link with the parent and generation of
+each triangle, and a link for every round: the input mesh enters through
+its own `link`, each round of `bisect` but the last adds one, and the
+result's `source` is the last of them.  The chain holds no mesh but the
+root, so a level mesh and its tables are freed once the caller drops it.
+The chain is what `ancestor_map`, `refined_set` and the depth diagnostics
+walk; `level` counts rounds from the root.
 
 Connectivity lives in arrays, not in per-vertex or per-triangle objects:
 `edges`, `edge_of_triangle`, `edge_triangles` and `edge_local` for edges,
@@ -70,8 +72,7 @@ class Mesh:
         triangles: np.ndarray,
         generations: np.ndarray | None = None,
         parents: np.ndarray | None = None,
-        source: "Mesh | None" = None,
-        level: int = 0,
+        source: "Round | Mesh | None" = None,
     ):
         self.points = _lock(np.ascontiguousarray(points, dtype=np.float64))
         self.triangles = _lock(np.ascontiguousarray(triangles, dtype=np.int64))
@@ -82,8 +83,7 @@ class Mesh:
         if parents is None:
             parents = np.full(nt, -1, dtype=np.int64)
         self.parents = _lock(np.ascontiguousarray(parents, dtype=np.int64))
-        self.source = source
-        self.level = level
+        self.source = source.link if isinstance(source, Mesh) else source
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise MeshError("points must be an (nv, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
@@ -92,6 +92,12 @@ class Mesh:
             raise MeshError("mesh has no triangles")
         if self.triangles.min() < 0 or self.triangles.max() >= self.n_vertices:
             raise MeshError("triangle vertex index out of range")
+        if self.generations.shape != (nt,) or self.parents.shape != (nt,):
+            raise MeshError(f"generations and parents must have shape ({nt},)")
+        src = self.source
+        if src is not None and (self.parents.min() < 0
+                                or self.parents.max() >= src.n_triangles):
+            raise MeshError(f"parent id out of range [0, {src.n_triangles})")
 
     # -- basic sizes ----------------------------------------------------
 
@@ -212,11 +218,19 @@ class Mesh:
     def valences(self) -> np.ndarray:
         return _lock(np.bincount(self.triangles.ravel(), minlength=self.n_vertices))
 
+    @property
+    def level(self) -> int:
+        return 0 if self.source is None else self.source.level + 1
+
+    @cached_property
+    def link(self) -> "Round":
+        """The `Round` that stands for this mesh in the lineage chain,
+        made on first access, as a rule when `bisect` first refines the
+        mesh: the chain keeps this link, not the mesh."""
+        return Round(self.parents, self.generations, self.source, self.root())
+
     def root(self) -> "Mesh":
-        m = self
-        while m.source is not None:
-            m = m.source
-        return m
+        return self if self.source is None else self.source.root
 
     # -- construction ---------------------------------------------------
 
@@ -232,6 +246,10 @@ class Mesh:
         if (tris[:, 0] == tris[:, 1]).any() or (tris[:, 1] == tris[:, 2]).any() \
                 or (tris[:, 0] == tris[:, 2]).any():
             raise MeshError("triangle with repeated vertex")
+        bad = (tris < 0) | (tris >= len(points))
+        if bad.any():
+            raise MeshError(f"triangle vertex index {tris[bad][0]} out of range "
+                            f"[0, {len(points)})")
         p = points[tris]
         sgn = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
@@ -342,18 +360,21 @@ _MAX_TRIANGLES = np.iinfo(np.int32).max
 
 
 class Round:
-    """One closure round of `bisect`, kept as a link of the lineage chain.
+    """A link of the lineage chain: one closure round of `bisect`, or the
+    mesh a `bisect` call starts from (`Mesh.link`).
 
     It holds only what lineage walks read: each triangle's parent in
-    `source` and its generation, both int32.  Its points and triangles are
-    not kept.
+    `source` and its generation, both int32, its level, and the root mesh
+    of the chain.  Its points and triangles are not kept.
     """
 
-    def __init__(self, parents: np.ndarray, generations: np.ndarray, source):
+    def __init__(self, parents: np.ndarray, generations: np.ndarray,
+                 source: "Round | None", root: Mesh):
         self.parents = _lock(parents.astype(np.int32))
         self.generations = _lock(generations.astype(np.int32))
         self.source = source
-        self.level = source.level + 1
+        self.level = 0 if source is None else source.level + 1
+        self.root = root
 
     @property
     def n_triangles(self) -> int:
@@ -388,13 +409,13 @@ def bisect(mesh: Mesh, marked: Iterable[int], b: int = 1) -> Mesh:
     degree = np.bincount(eot.ravel())
     desc = np.zeros(mesh.n_triangles, dtype=bool)
     desc[marked] = True
-    chain, parents = mesh, None
+    chain, parents = mesh.link, None
     for _ in range(b):
         marks = np.zeros(len(ends), dtype=bool)
         marks[eot[desc, 2]] = True
         while marks.any():
             if parents is not None:
-                chain = Round(parents, gens, chain)
+                chain = Round(parents, gens, chain, chain.root)
             ref = eot[:, 2]
             # closure: a triangle with a marked edge has its refinement edge marked
             while (grow := marks[eot].any(axis=1) & ~marks[ref]).any():
@@ -437,8 +458,7 @@ def bisect(mesh: Mesh, marked: Iterable[int], b: int = 1) -> Mesh:
             degree = np.concatenate([degree, np.repeat(degree[s], 2),
                                      np.full(sid.size, 2)])
             marks = np.concatenate([marks, np.zeros(len(ends) - ne, dtype=bool)])
-    return Mesh(points, tris, generations=gens, parents=parents, source=chain,
-                level=chain.level + 1)
+    return Mesh(points, tris, generations=gens, parents=parents, source=chain)
 
 
 def _deadlock(tris, eot, ends, marks) -> str:
@@ -453,16 +473,11 @@ def _deadlock(tris, eot, ends, marks) -> str:
 
 def ancestor_map(coarse: Mesh, fine: Mesh) -> np.ndarray:
     """For each fine triangle, the id of its ancestor in `coarse`."""
-    chain = []
-    m = fine
-    while m is not coarse:
+    ids, m = np.arange(fine.n_triangles, dtype=np.int64), fine
+    while m is not coarse and m is not coarse.link:
         if m.source is None:
             raise LineageError("meshes are not related by refinement")
-        chain.append(m)
-        m = m.source
-    ids = np.arange(fine.n_triangles, dtype=np.int64)
-    for m in chain:
-        ids = m.parents[ids]
+        ids, m = m.parents[ids], m.source
     return ids.astype(np.int64, copy=False)
 
 
@@ -561,14 +576,11 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
             if len(bad) > 20:
                 break
 
+    # the constructor has checked that each parent id lies in the source
     if mesh.source is not None:
-        src = mesh.source
-        if mesh.parents.min() < 0 or mesh.parents.max() >= src.n_triangles:
-            bad.append("parent id out of range")
-        else:
-            dg = mesh.generations - src.generations[mesh.parents]
-            for t in np.nonzero((dg != 0) & (dg != 1))[0][:10]:
-                bad.append(f"triangle {t} generation skips a level (gain {dg[t]})")
+        dg = mesh.generations - mesh.source.generations[mesh.parents]
+        for t in np.nonzero((dg != 0) & (dg != 1))[0][:10]:
+            bad.append(f"triangle {t} generation skips a level (gain {dg[t]})")
 
     min_angle = _min_angle(mesh)
     root = mesh.root()

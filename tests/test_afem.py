@@ -16,7 +16,7 @@ from afemflux.afem import (
     fit_rate,
     run,
 )
-from afemflux.mesh import interior_node_depth, lshape
+from afemflux.mesh import ancestor_map, interior_node_depth, lshape, refined_set
 from afemflux.problems import ProblemSpec, REGISTRY, get_problem, register_problem
 
 
@@ -160,6 +160,20 @@ def extrema(rows, name):
     if vals.size == 0:
         return float("nan"), float("nan")
     return float(vals.min()), float(vals.max())
+
+
+def containing_triangle(mesh, xy):
+    """Id of the triangle of `mesh` that holds each point strictly inside."""
+    a, b, c = (mesh.points[mesh.triangles[:, i]][None] for i in range(3))
+    p = xy[:, None]
+
+    def left(o, d):
+        return (d[..., 0] - o[..., 0]) * (p[..., 1] - o[..., 1]) \
+            - (d[..., 1] - o[..., 1]) * (p[..., 0] - o[..., 0]) > 0
+
+    inside = left(a, b) & left(b, c) & left(c, a)
+    assert (inside.sum(axis=1) == 1).all()
+    return inside.argmax(axis=1)
 
 
 def run_with_hypotheses(config):
@@ -311,6 +325,32 @@ class TestDriver:
         alive = [(f() is not None, q() is not None) for f, q in refs]
         assert alive == [(False, False)] * 3 + [(True, True)]
         assert refs[-1][0]() is res.final.field
+
+    def test_run_releases_the_level_meshes(self):
+        states = []
+        res = run(AfemConfig(problem="lshape_one", max_levels=3,
+                             max_dofs=10 ** 6), states.append)
+        final = res.final.mesh
+        assert len(states) == 4 and states[-1] is res.final
+        # while a level is held, its lineage to the final mesh is intact:
+        # each final triangle's centroid lies in its ancestor, and a
+        # bisection halves the area, so a gain of j generations divides it
+        # by 2^j
+        for state in states[:-1]:
+            anc = ancestor_map(state.mesh, final)
+            assert np.array_equal(anc, containing_triangle(state.mesh,
+                                                           final.centroids))
+            gains = np.rint(np.log2(state.mesh.areas[anc] / final.areas))
+            least = np.full(state.mesh.n_triangles, np.inf)
+            np.minimum.at(least, anc, gains)
+            for j in (1, 2, 5):
+                assert np.array_equal(refined_set(state.mesh, final, j),
+                                      np.nonzero(least >= j)[0])
+        refs = [weakref.ref(s.mesh) for s in states]
+        del states, state
+        gc.collect()
+        assert [r() is not None for r in refs] == [True, False, False, True]
+        assert refs[0]() is final.root() and refs[-1]() is final
 
     def test_degree_two_rate(self):
         res = run(AfemConfig(problem="square_sine", degree=2, theta=0.7,

@@ -1,5 +1,6 @@
 """Import hygiene of the package, checked on its syntax trees: no module
-imports a name it never uses, and every exported name resolves."""
+imports a name it never uses, no private module-level name goes unread, and
+every exported name resolves."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,69 @@ def test_unused_import_is_found():
                      "    return np.zeros(1)\n")
     names = imported_names(tree)
     assert sorted(set(names) - used_names(tree)) == ["MeshError", "field"]
+
+
+def defined_names(node):
+    """Names a top-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
+def read_names(node):
+    """Names read under a node: loaded names, attributes, imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def unread_private_names(trees):
+    """(module, name) of each module-level name with one leading underscore
+    that no top-level statement but its own definition reads."""
+    stmts = [(module, node) for module, tree in trees.items()
+             for node in tree.body]
+    reads = [read_names(node) for _, node in stmts]
+    return [(module, name) for i, (module, node) in enumerate(stmts)
+            for name in defined_names(node)
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in r for j, r in enumerate(reads) if j != i)]
+
+
+def test_every_private_name_is_read():
+    trees = {p.name: ast.parse(p.read_text(), str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    unread = unread_private_names(trees)
+    assert not unread, f"defined but never read: {unread}"
+
+
+def test_unread_private_name_is_found():
+    trees = {"a.py": ast.parse("__all__ = []\n"
+                               "_A, (_B, c) = 1, (2, 3)\n"
+                               "def _f():\n"
+                               "    return _f() + _A\n"
+                               "class _K:\n"
+                               "    _unread_in_class = 0\n"
+                               "def _g():\n"
+                               "    _local = 4\n"
+                               "_h: int = 5\n"),
+             "b.py": ast.parse("from .a import _g\n"
+                               "from . import a\n"
+                               "x = a._h\n")}
+    assert unread_private_names(trees) == [("a.py", "_B"), ("a.py", "_f"),
+                                           ("a.py", "_K")]
 
 
 def test_every_exported_name_resolves():

@@ -96,7 +96,7 @@ def _reference_round(mesh, pairs):
             par.append(t)
     new = Mesh(np.vstack([mesh.points, mids]), np.array(out),
                generations=np.array(gen), parents=np.array(par),
-               source=mesh, level=mesh.level + 1)
+               source=mesh)
     return new, mesh.edges[marked & ~splitting]
 
 
@@ -118,7 +118,7 @@ def reference_bisect(mesh, marked, b):
 
 def lineage(fine, coarse):
     links = []
-    while fine is not coarse:
+    while fine is not coarse.link:
         links.append(fine)
         fine = fine.source
     return links
@@ -175,6 +175,33 @@ class TestConstruction:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(MeshError):
             Mesh.from_arrays(pts, np.array([[0, 1, 2]]))
+
+    def test_lineage_arrays_have_one_entry_per_triangle(self):
+        # one generation for two triangles would be saved as a file that
+        # load_tri rejects
+        m = compatible_pair()
+        with pytest.raises(MeshError, match=r"shape \(2,\)"):
+            Mesh(m.points, m.triangles, generations=np.array([3]))
+        with pytest.raises(MeshError, match=r"shape \(2,\)"):
+            Mesh(m.points, m.triangles, parents=np.zeros((2, 1), dtype=int))
+
+    def test_parents_lie_in_the_source(self):
+        m = compatible_pair()
+        f = bisect(m, [0], 1)
+        for bad in (-1, 2):
+            with pytest.raises(MeshError, match=r"parent id out of range \[0, 2\)"):
+                Mesh(f.points, f.triangles, f.generations, [0, 0, 1, bad],
+                     source=m)
+        # a mesh given as source enters the chain through its link
+        g = Mesh(f.points, f.triangles, f.generations, f.parents, source=m)
+        assert g.source is m.link is f.source and g.level == 1
+        assert np.array_equal(ancestor_map(m, g), f.parents)
+
+    def test_from_arrays_names_an_out_of_range_vertex(self):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        for bad in (3, -1):
+            with pytest.raises(MeshError, match=f"vertex index {bad} out of range"):
+                Mesh.from_arrays(pts, np.array([[0, 1, bad]]))
 
     def test_vertex_and_triangle_arrays(self):
         m = unit_square_crisscross()
@@ -366,7 +393,7 @@ class TestRefinedSet:
         min_gain = {}
         for t in range(fine.n_triangles):
             cur, tid = fine, t
-            while cur is not coarse:
+            while cur is not coarse.link:
                 tid = int(cur.parents[tid])
                 cur = cur.source
             gain = int(fine.generations[t]) - int(coarse.generations[tid])

@@ -10,7 +10,7 @@ import pytest
 
 from afemflux import afem, cli, estimators
 from afemflux.afem import AfemConfig, run
-from afemflux.mesh import Mesh, Round
+from afemflux.mesh import Round
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ESTIMATE_PARTS = ("equilibrate", "residual_indicators",
@@ -63,7 +63,7 @@ def test_lineage_walks_cover_the_bisect_chain(tracer, monkeypatch):
     for coarse, fine in calls:
         # `mesh.bisect_rounds` reads the level gain as the number of rounds
         nodes, m = 0, fine.source
-        while m is not coarse:
+        while m is not coarse.link:
             assert isinstance(m, Round)
             assert tracer.mesh_bytes(m) == 8 * m.n_triangles
             nodes, m = nodes + 1, m.source
@@ -74,7 +74,7 @@ def test_lineage_walks_cover_the_bisect_chain(tracer, monkeypatch):
     while m is not None:
         chain.append(m)
         m = m.source
-    assert sum(isinstance(m, Mesh) for m in chain) == 2
+    assert all(isinstance(m, Round) for m in chain)
     assert tracer.lineage_bytes(final) == sum(map(tracer.mesh_bytes, chain))
 
 

@@ -26,10 +26,10 @@ from .afem import (
     run,
 )
 from .equilibration import (
+    ElementBlocks,
     EquilibratedFlux,
     EquilibrationReport,
     FluxField,
-    PatchOperators,
     equilibrate,
     gradient_flux,
     prager_synge_terms,
@@ -65,6 +65,7 @@ from .problems import ProblemSpec, get_problem, register_problem
 __all__ = [
     "AfemConfig",
     "ConvergenceRecord",
+    "ElementBlocks",
     "EquilibratedFlux",
     "EquilibrationReport",
     "EstimatorReport",
@@ -73,7 +74,6 @@ __all__ = [
     "HypothesisRow",
     "LevelState",
     "Mesh",
-    "PatchOperators",
     "ProblemSpec",
     "RunResult",
     "ScalarField",

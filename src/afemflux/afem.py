@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .equilibration import PatchOperators
+from .equilibration import ElementBlocks
 from .estimators import EstimatorReport, estimate
 from .galerkin import (
     FeSpace,
@@ -167,7 +167,7 @@ class RunResult:
 
 
 def _solve_level(prob: ProblemSpec, config: AfemConfig, mesh: Mesh,
-                 level: int, b: int, cache: PatchOperators) -> LevelState:
+                 level: int, b: int, cache: ElementBlocks) -> LevelState:
     space = FeSpace(mesh, config.degree)
     u = solve_poisson(space, prob.f)
     rep = estimate(u, prob.f, cache=cache)
@@ -212,8 +212,8 @@ def run(config: AfemConfig,
 
     records: list[ConvergenceRecord] = []
     stop = "max_levels"
-    # patch-class operators, built once per run and kept while in use
-    cache = PatchOperators()
+    # element-class blocks, built once per run and kept while in use
+    cache = ElementBlocks()
     for level in range(config.max_levels + 1):
         state = _solve_level(prob, config, mesh, level, b, cache)
         rec = state.record

@@ -26,6 +26,7 @@ flags' values are; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -63,14 +64,12 @@ _SCHEMA_NOTES = {
     "wall_ms": "always 0; see timings.csv for real timings",
 }
 
+# the AfemConfig fields that an option sets, with their defaults
+_CONFIG = {f.name: f.default for f in dataclasses.fields(AfemConfig)
+           if f.name != "estimator_floor"}
+
 _DEFAULTS = {
-    "problem": "lshape_one",
-    "degree": 1,
-    "estimator": "delta",
-    "theta": 0.5,
-    "bisections": "auto",
-    "max_dofs": 10_000,
-    "max_levels": 40,
+    **_CONFIG,
     "out": "afem_out",
     "export_mesh": "none",
     "export_flux": False,
@@ -97,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="registered model problem")
     p.add_argument("--degree", type=int, choices=[1, 2, 3, 4],
                    help="polynomial degree of the trial space")
-    p.add_argument("--estimator",
-                   choices=["delta", "star", "residual", "residual_star"],
+    p.add_argument("--estimator", choices=list(_TOTALS),
                    help="indicator family driving the marking")
     p.add_argument("--theta", type=float,
                    help="bulk marking parameter in (0, 1]")
@@ -231,19 +229,14 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
-    bis = opts["bisections"]
-    if bis != "auto":
+    if opts["bisections"] != "auto":
         try:
-            bis = int(bis)
+            opts["bisections"] = int(opts["bisections"])
         except ValueError:
             parser.error(f"--bisections must be an integer or 'auto', "
                          f"got {opts['bisections']!r}")
 
-    config = AfemConfig(
-        problem=opts["problem"], degree=opts["degree"],
-        estimator=opts["estimator"], theta=opts["theta"], bisections=bis,
-        max_dofs=opts["max_dofs"], max_levels=opts["max_levels"],
-    )
+    config = AfemConfig(**{key: opts[key] for key in _CONFIG})
 
     outdir = opts["out"]
     os.makedirs(outdir, exist_ok=True)

@@ -39,12 +39,14 @@ never from absolute coordinates: members of one class get the same blocks
 bit for bit, on any level of a run.  The mass matrix, its factor, the raw
 and whitened blocks and the rotation below are therefore computed on the
 first element of each class only, and only for a class that the
-`PatchOperators` cache passed in does not hold: the cache carries the
+`ElementBlocks` cache passed in does not hold: the cache carries the
 rotated divergence and trace blocks of every class of the previous call,
 so an element that refinement leaves alone costs no block build on the
-next level.  What stays per element is the data: the hat-weighted
-divergence right-hand sides, from f and lap u_h at the element's own
-points.  On a mesh with no repeated shape each element is its own class.
+next level.  Being the same bit for bit whichever element they are built
+on, cached blocks leave the result as a cold call gives it.  What stays
+per element is the data: the hat-weighted divergence right-hand sides,
+from f and lap u_h at the element's own points.  On a mesh with no
+repeated shape each element is its own class.
 
 The divergence rows are condensed out element by element.  The whitened
 coordinates of each class are rotated, w = Q^T z, by a complete QR factor
@@ -97,15 +99,12 @@ group, patches that are exact copies of one another up to translation and
 a power-of-two scale form a class: position by position their elements
 share a shape class, the patch vertex sits in the same slot, the rim edge
 is constrained alike and a spoke joins the next element alike.  Such
-patches have one and the same reduced constraint matrix.  The min-norm
-operator of a class, Y = (A A^T)^-1 A for its row-scaled matrix A, is kept
-in a `PatchOperators` cache that `afem.run` passes from level to level, so
-that it is built once per run; each call keeps only the entries it used.
-Patches of a class found in the cache or of a new class of two or more
-patches are solved with its operator, one gathered product per batch.  A
-patch alone in a new class takes the batched LU path, and its operator is
-neither built nor stored: building it costs about twice the whole LU
-solve.  Both paths end with the same residual check and sweeps.
+patches have one and the same reduced constraint matrix.  The patches of
+a class of two or more are solved with its min-norm operator,
+Y = (A A^T)^-1 A for its row-scaled matrix A, built anew in each call,
+one gathered product per batch.  A patch alone in its class takes the
+batched LU path: building its operator would cost about twice the whole
+LU solve.  Both paths end with the same residual check and sweeps.
 
 `verify_equilibration` measures each element's divergence residual against
 the terms that cancel in it, the projected load and lap u_h.
@@ -904,24 +903,18 @@ def _operator_solve(As, D, Y, bb):
                    lambda sel, r: (r[:, None, :] @ Y[sel])[:, 0])
 
 
-class PatchOperators:
-    """Min-norm operators of exact patch classes and rotated blocks of
-    exact element classes, kept from one `equilibrate` call to the next;
-    `afem.run` passes one from level to level.
+class ElementBlocks:
+    """Rotated blocks of exact element classes, kept from one `equilibrate`
+    call to the next; `afem.run` passes one from level to level.
 
-    `operators` maps the bytes of a patch class (the degree, the patch
-    sizes and, for each position in canonical order, the element's exact
-    shape key, the slot of the vertex, the rim constraint and the link, a
-    spoke to the next position or none) to the min-norm operator Y of its
-    row-scaled reduced matrix (`_operator_solve`).  `shapes` maps the
-    bytes of an element class (the degree and the `_element_keys` row) to
-    its row in the arrays of `blocks`, the rotated divergence and trace
-    blocks "DQ" and "TrQ" of `_shape_blocks`.  Each call keeps only the
-    entries it used; its own block arrays become `blocks`.
+    `shapes` maps the bytes of an element class (the degree and the
+    `_element_keys` row) to its row in the arrays of `blocks`, the rotated
+    divergence and trace blocks "DQ" and "TrQ" of `_shape_blocks`, which
+    are the same bit for bit whichever element of the class they are built
+    on.  Each call keeps only the classes of its own mesh.
     """
 
     def __init__(self):
-        self.operators: dict[bytes, np.ndarray] = {}
         self.shapes: dict[bytes, int] = {}
         self.blocks: dict[str, np.ndarray] = {}
 
@@ -964,11 +957,10 @@ class EquilibratedFlux:
     constant-divergence row.
     jumps[e] holds the normal jumps of grad u_h across edge e at the points
     of u_h.space.edge_rule_main (zero on boundary edges): the data the jump
-    rows were solved against, which the residual estimators reuse.
+    rows were solved against, which the residual estimators and
+    `verify_equilibration` reuse.
     patch_classes counts the patch classes solved with a class operator,
-    shared_patches the patches solved with one, and built_classes the
-    operators this call built; the others came from the `PatchOperators`
-    cache passed in.
+    shared_patches the patches solved with one.
     """
 
     u_h: ScalarField = dc_field(repr=False)
@@ -979,7 +971,6 @@ class EquilibratedFlux:
     jumps: np.ndarray = dc_field(repr=False)
     patch_classes: int
     shared_patches: int
-    built_classes: int
 
     @property
     def mesh(self) -> Mesh:
@@ -1004,16 +995,12 @@ class EquilibratedFlux:
 
 
 def equilibrate(u_h: ScalarField, f,
-                cache: PatchOperators | None = None) -> EquilibratedFlux:
+                cache: ElementBlocks | None = None) -> EquilibratedFlux:
     """Reconstruct the equilibrated flux correction for a discrete solution.
 
-    f is the load, called as f(x, y) on arrays.  cache holds the patch
-    class operators and element class blocks of earlier calls of the same
-    run (`PatchOperators`).  A patch alone in its class is solved with its
-    class operator if the cache holds one and by batched LU otherwise, so
-    a warm and a cold cache give the same result to round-off, not bit for
-    bit; a run that passes the same caches in the same order, as
-    `afem.run` does, is deterministic.
+    f is the load, called as f(x, y) on arrays.  cache holds the element
+    class blocks of earlier calls of the same run (`ElementBlocks`); the
+    result is the same bit for bit whatever it holds.
     Raises EquilibrationError if any patch problem is inconsistent beyond
     `_TOLERANCE`, which indicates that u_h is not the Galerkin solution of
     the assembled system (or that data were changed between solve and
@@ -1028,7 +1015,7 @@ def equilibrate(u_h: ScalarField, f,
     Nf = N - n_p
     nt, nv = mesh.n_triangles, mesh.n_vertices
     if cache is None:
-        cache = PatchOperators()
+        cache = ElementBlocks()
 
     ekey, _ = _element_keys(mesh)
     efirst, ecls, _, crank = _row_classes(ekey)
@@ -1081,8 +1068,7 @@ def equilibrate(u_h: ScalarField, f,
     patch_res = np.zeros(nv)
     worst_ratio = 0.0
     worst_vertex = -1
-    n_classes = n_shared = n_built = 0
-    kept = {}  # the cache entries this call uses
+    n_classes = n_shared = 0
 
     def accept(vs, layout, frames, fixed, y, scale, rdiv, z, resid,
                deficient):
@@ -1126,41 +1112,22 @@ def equilibrate(u_h: ScalarField, f,
         els, slots, imposed = layout[:3]
         first, cls, counts, _ = _row_classes(
             ((erank[els] * 3 + slots) * 2 + imposed) * 2 + link)
-        # a class takes an operator if it has two or more patches or the
-        # cache holds it: a patch alone in a new class is solved faster by
-        # batched LU.  Only classes that may take one are named, so that a
-        # mesh without repeated patches makes no name per patch.
-        cand = np.nonzero((counts > 1) | bool(cache.operators))[0]
-        rep = first[cand]
-        names = _void_rows(np.concatenate([
-            np.broadcast_to([k, mg, sg, tg], (cand.size, 4)),
-            ekey[els[rep]].reshape(cand.size, mg * ekey.shape[1]),
-            slots[rep], imposed[rep], link[rep]], axis=1)).tolist()
-        ops = list(map(cache.operators.get, names))
-        hit = np.array([Y is not None for Y in ops], dtype=bool)
-        keep = np.nonzero(hit | (counts[cand] > 1))[0]
-        use = cand[keep]
+        # a class of two or more patches takes its operator; a patch alone
+        # in its class is solved faster by batched LU
+        use = np.nonzero(counts > 1)[0]
         opi = np.full(first.size, -1)
         opi[use] = np.arange(use.size)
         shared = np.nonzero(opi[cls] >= 0)[0]
         single = np.nonzero(opi[cls] < 0)[0]
         if use.size:
-            # class matrices are cheap to assemble again, bit for bit
-            # alike; only the operators Y are kept from call to call
             part = tuple(a[first[use]] for a in layout)
             rep_frames = _rim_frames(part, blocks, deficient)
             As, D = _scale_rows(_assemble_patches(part, rep_frames))
-            new = ~hit[keep]
-            Y = np.empty_like(As)
-            Y[new] = np.linalg.solve(
-                As[new] @ As[new].transpose(0, 2, 1), As[new])
-            for i, c in enumerate(keep):
-                if new[i]:
-                    ops[c] = Y[i].copy()
-                else:
-                    Y[i] = ops[c]
-                kept[names[c]] = ops[c]
-            n_built += int(new.sum())
+            # the copy makes the Gram matrix a product of two buffers, which
+            # numpy forms by gemm; on one buffer and its transpose it takes
+            # syrk, which rounds otherwise (on square_p3 it moved elements'
+            # eta_delta by up to 4.5e-14 relative)
+            Y = np.linalg.solve(As.copy() @ As.transpose(0, 2, 1), As)
             n_classes += use.size
             n_shared += shared.size
         # two operators are gathered per patch: a quarter of the batch of
@@ -1184,7 +1151,6 @@ def equilibrate(u_h: ScalarField, f,
                         _assemble_patches(part, frames), bb)
                 accept(members[sel], part, frames, fixed, y, scale, rdiv, z,
                        resid, deficient)
-    cache.operators = kept
 
     if worst_ratio > _TOLERANCE:
         raise EquilibrationError(
@@ -1196,7 +1162,7 @@ def equilibrate(u_h: ScalarField, f,
     del w_slot
     eta_delta = np.sqrt(np.einsum("tc,tc->t", w_delta, w_delta))
     return EquilibratedFlux(u_h, w_delta, eta_delta, eta_star, patch_res, J,
-                            n_classes, n_shared, n_built)
+                            n_classes, n_shared)
 
 
 # -- verification -------------------------------------------------------
@@ -1231,7 +1197,7 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
         div_res[batch.els] = np.abs(dv + pf + lap).max(axis=1) / scale
 
     er = space.edge_rule_main
-    J, interior = normal_jumps(u_h)
+    J, interior = flux.jumps, ~mesh.boundary_edge
     qn = np.zeros_like(J)
     et, el = mesh.edge_triangles, mesh.edge_local
     for side in (0, 1):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .equilibration import EquilibratedFlux, PatchOperators, equilibrate
+from .equilibration import ElementBlocks, EquilibratedFlux, equilibrate
 from .galerkin import (
     FeSpace,
     ScalarField,
@@ -225,12 +225,12 @@ class EstimatorReport:
 
 
 def estimate(u_h: ScalarField, f, flux: EquilibratedFlux | None = None,
-             cache: PatchOperators | None = None) -> EstimatorReport:
+             cache: ElementBlocks | None = None) -> EstimatorReport:
     """Compute every indicator family for a discrete solution.
 
     The residual families reuse the normal jumps of the flux, so a flux
     passed in must be that of u_h itself.  Without one, the flux is
-    equilibrated here with the class operators of cache (see
+    equilibrated here with the element blocks of cache (see
     `equilibrate`).
     """
     if flux is None:

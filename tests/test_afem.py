@@ -210,6 +210,23 @@ class TestDriver:
         flux = res.final.report.flux
         assert flux.q_delta is flux.q_delta and formed == [1]
 
+    def test_run_fluxes_equal_cold_calls(self):
+        # the loop carries its element blocks from level to level; each
+        # level's flux is the one a call without them gives, bit for bit
+        prob = get_problem("lshape_one")
+        same = []
+
+        def on_level(state):
+            warm = state.report.flux
+            cold = equilibration.equilibrate(state.field, prob.f)
+            same.append(all(
+                np.array_equal(getattr(warm, name), getattr(cold, name))
+                for name in ("w_delta", "eta_delta", "eta_star",
+                             "patch_residuals")))
+
+        run(AfemConfig(problem=prob, degree=1, max_dofs=1500), on_level)
+        assert len(same) >= 7 and all(same)
+
     def test_auto_bisections_is_interior_node_depth(self, lshape_run):
         lshape_run, _ = lshape_run
         assert lshape_run.b == interior_node_depth(lshape())

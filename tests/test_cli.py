@@ -64,7 +64,8 @@ class TestEmission:
 
     def test_schema_covers_all_columns(self, tmp_path):
         out = run_cli(tmp_path, "c", [])
-        header = open(out / "run.csv").readline().strip().split(",")
+        with open(out / "run.csv") as fh:
+            header = fh.readline().strip().split(",")
         schema = (out / "schema.txt").read_text()
         for col in header:
             assert f"{col}:" in schema

@@ -375,7 +375,7 @@ def trapezoid():
 
 
 def element_class_names(k, keys):
-    """The `PatchOperators.shapes` names of element classes with the
+    """The `ElementBlocks.shapes` names of element classes with the
     `_element_keys` rows keys at degree k."""
     return [np.concatenate([[k], row]).astype(np.int64).tobytes()
             for row in keys]
@@ -464,18 +464,19 @@ def jittered_workload_mesh(n_triangles=256, scale=0.2, seed=0):
     return Mesh(fine.points + offset, fine.triangles)
 
 
-def operators_for_all(u):
-    """A `PatchOperators` cache that holds the operator of every patch
-    class of u's mesh, built on two coincident copies of the mesh, where
-    each class has two patches."""
+def side_by_side(a, b):
+    """One mesh that holds meshes a and b, b's vertices numbered after a's."""
+    return Mesh(np.concatenate([a.points, b.points]),
+                np.concatenate([a.triangles, b.triangles + a.n_vertices]))
+
+
+def doubled(u):
+    """u's problem solved on two coincident copies of its mesh, where each
+    patch class has two patches, so that every patch takes its class
+    operator."""
     mesh = u.space.mesh
-    twice = Mesh(np.concatenate([mesh.points, mesh.points]),
-                 np.concatenate([mesh.triangles,
-                                 mesh.triangles + mesh.n_vertices]))
-    cache = equilibration.PatchOperators()
-    equilibrate(solve_poisson(FeSpace(twice, u.space.degree), f_sine),
-                f_sine, cache=cache)
-    return cache
+    return solve_poisson(FeSpace(side_by_side(mesh, mesh), u.space.degree),
+                         f_sine)
 
 
 def assert_matches_local_solves(fl):
@@ -579,60 +580,63 @@ class TestGlobalReconstruction:
             equilibrated(mesh, 2)
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_cache_leaves_the_flux_unchanged(self, k):
-        # a second call on the same u_h finds every operator it needs in
-        # the cache and builds none; cold and warm give the same bits
+    def test_cache_leaves_the_flux_unchanged(self, monkeypatch, k):
+        # a second call on the same u_h finds every element block it needs
+        # in the cache and builds none; cold and warm give the same bits
         u = solve_poisson(FeSpace(graded_lshape(), k), f_sine)
         cold = equilibrate(u, f_sine)
-        cache = equilibration.PatchOperators()
+        assert cold.shared_patches > 0
+        cache = equilibration.ElementBlocks()
         first = equilibrate(u, f_sine, cache=cache)
-        assert first.built_classes == first.patch_classes == len(
-            cache.operators) > 0
+        calls = spy_shape_blocks(monkeypatch)
         warm = equilibrate(u, f_sine, cache=cache)
-        assert warm.built_classes == 0
-        assert (warm.patch_classes, warm.shared_patches) == \
-            (cold.patch_classes, cold.shared_patches)
+        assert calls == []
+        monkeypatch.undo()
         for fl in (first, warm):
-            for name in ("eta_delta", "eta_star", "patch_residuals"):
+            assert (fl.patch_classes, fl.shared_patches) == \
+                (cold.patch_classes, cold.shared_patches)
+            for name in ("w_delta", "eta_delta", "eta_star",
+                         "patch_residuals"):
                 assert np.array_equal(getattr(fl, name), getattr(cold, name))
             assert np.array_equal(fl.q_delta.coeffs, cold.q_delta.coeffs)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_warm_and_cold_caches_agree_to_round_off(self, k):
-        # a patch alone in its class takes batched LU from a cold cache and
-        # its class operator from a warm one, so the two agree to round-off
-        # (4.8e-13 at k = 4), not bit for bit; the same cache gives the
-        # same bits again, so a run that passes the same caches in the same
-        # order is deterministic
+    def test_operator_and_lu_paths_agree_to_round_off(self, k):
+        # on the jittered square every patch is alone in its class and
+        # takes batched LU; on two coincident copies of it every patch
+        # takes its class operator.  The two agree to round-off (4.8e-13
+        # at k = 4), not bit for bit
         u = solve_poisson(FeSpace(jittered_square(), k), f_sine)
-        cold = equilibrate(u, f_sine)
-        warm = equilibrate(u, f_sine, cache=operators_for_all(u))
-        assert cold.shared_patches == 0
-        assert warm.shared_patches == u.space.mesh.n_vertices
-        assert np.abs(warm.eta_delta - cold.eta_delta).max() \
-            <= 1e-11 * cold.eta_delta.max()
-        again = equilibrate(u, f_sine, cache=operators_for_all(u))
-        assert np.array_equal(again.eta_delta, warm.eta_delta)
+        lu = equilibrate(u, f_sine)
+        two = equilibrate(doubled(u), f_sine)
+        assert lu.shared_patches == 0
+        assert two.shared_patches == two.mesh.n_vertices
+        nt = u.space.mesh.n_triangles
+        for half in (two.eta_delta[:nt], two.eta_delta[nt:]):
+            assert np.abs(half - lu.eta_delta).max() \
+                <= 1e-11 * lu.eta_delta.max()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("make_mesh", [jittered_workload_mesh,
                                            graded_lshape])
     def test_condensed_solve_matches_unreduced_lstsq(self, make_mesh, k):
         # the divergence and rim rows condensed out element by element,
-        # against dense lstsq on the unreduced patch systems.  Cold, a
-        # patch alone in its class takes batched LU; warm, every patch
-        # takes its class operator
+        # against dense lstsq on the unreduced patch systems.  On the mesh
+        # itself a patch alone in its class takes batched LU; on two
+        # coincident copies of it every patch takes its class operator
         u = solve_poisson(FeSpace(make_mesh(), k), f_sine)
         w, resid = unreduced_reference(u)
-        cold = equilibrate(u, f_sine)
-        warm = equilibrate(u, f_sine, cache=operators_for_all(u))
-        assert cold.shared_patches < warm.shared_patches \
-            == u.space.mesh.n_vertices
+        one = equilibrate(u, f_sine)
+        two = equilibrate(doubled(u), f_sine)
+        nt, nv = u.space.mesh.n_triangles, u.space.mesh.n_vertices
+        assert one.shared_patches < nv
+        assert two.shared_patches == 2 * nv
         scale = np.linalg.norm(w, axis=1).max()
-        for fl in (cold, warm):
-            assert np.linalg.norm(fl.w_delta - w, axis=1).max() \
-                <= 1e-11 * scale
-            assert np.abs(fl.patch_residuals - resid).max() <= 1e-14
+        for wd, pr in ((one.w_delta, one.patch_residuals),
+                       (two.w_delta[:nt], two.patch_residuals[:nv]),
+                       (two.w_delta[nt:], two.patch_residuals[nv:])):
+            assert np.linalg.norm(wd - w, axis=1).max() <= 1e-11 * scale
+            assert np.abs(pr - resid).max() <= 1e-14
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("make_mesh", [jittered_workload_mesh,
@@ -687,40 +691,36 @@ class TestGlobalReconstruction:
         assert equilibrated(mesh, 2).verify(f_sine).ok
         assert sizes == [(24, 49)]
 
-    def test_cached_operators_equal_rebuilt_ones(self):
+    def test_halved_and_shifted_copy_shares_every_class(self):
         # a copy of the mesh halved and shifted, with its edge vectors
-        # halved exactly, has the same patch classes: the operators built
-        # on the copy are those the original left in the cache, bit for bit
+        # halved exactly, has the same patch classes: on one mesh that
+        # holds both, every patch shares its class with its copy, and each
+        # class of the original, one patch alone included, is found once
         mesh = uniform_square()
         base = Mesh(mesh.points / 8, mesh.triangles)
         copy = Mesh(base.points / 2 + 0.37, base.triangles)
-        caches = [equilibration.PatchOperators() for _ in range(2)]
-        for m, cache in zip((base, copy), caches):
-            equilibrate(solve_poisson(FeSpace(m, 2), f_sine), f_sine,
-                        cache=cache)
-        a, b = (c.operators for c in caches)
-        assert a.keys() == b.keys() and len(a) > 0
-        assert all(np.array_equal(a[key], b[key]) for key in a)
-        fl = equilibrate(solve_poisson(FeSpace(copy, 2), f_sine), f_sine,
-                         cache=caches[0])
-        assert fl.built_classes == 0 and fl.patch_classes == len(a)
+        both = side_by_side(base, copy)
+        alone = equilibrated(base, 2)
+        assert 0 < alone.shared_patches < base.n_vertices
+        fl = equilibrated(both, 2)
+        assert fl.shared_patches == both.n_vertices
+        assert fl.patch_classes == alone.patch_classes + base.n_vertices \
+            - alone.shared_patches
+        assert fl.verify(f_sine).ok
 
     def test_cache_keeps_only_the_classes_in_use(self):
-        cache = equilibration.PatchOperators()
+        # the element classes of the last call, in class order
+        cache = equilibration.ElementBlocks()
         square = solve_poisson(FeSpace(uniform_square(), 1), f_sine)
-        fl = equilibrate(square, f_sine, cache=cache)
-        assert len(cache.operators) == fl.patch_classes
-        before = set(cache.operators), set(cache.shapes)
+        equilibrate(square, f_sine, cache=cache)
+        before = set(cache.shapes)
         lshaped = solve_poisson(FeSpace(graded_lshape(), 1), f_sine)
-        fl = equilibrate(lshaped, f_sine, cache=cache)
-        assert len(cache.operators) == fl.patch_classes
-        assert before[0] - set(cache.operators)
-        # the element classes too: those of the L-shape, in class order
+        equilibrate(lshaped, f_sine, cache=cache)
         key = _element_keys(lshaped.space.mesh)[0]
         first = _row_classes(key)[0]
         assert list(cache.shapes) == element_class_names(1, key[first])
         assert list(cache.shapes.values()) == list(range(first.size))
-        assert before[1] - set(cache.shapes)
+        assert before - set(cache.shapes)
         for name in ("DQ", "TrQ"):
             assert cache.blocks[name].shape[0] == first.size
 
@@ -730,11 +730,9 @@ class TestGlobalReconstruction:
                                                        make_mesh, k):
         # the fine mesh keeps the classes of the elements left alone, so a
         # warm cache builds blocks for the new classes alone, and cold and
-        # warm give the same bits.  The cold call gets the patch operators
-        # alone: a patch alone in its class takes one if the cache holds
-        # it, and is solved by LU otherwise, with other round-off
+        # warm give the same bits
         coarse = make_mesh()
-        cache = equilibration.PatchOperators()
+        cache = equilibration.ElementBlocks()
         equilibrate(solve_poisson(FeSpace(coarse, k), f_sine), f_sine,
                     cache=cache)
         old = set(cache.shapes)
@@ -746,13 +744,11 @@ class TestGlobalReconstruction:
         new = np.array([n not in old for n in
                         element_class_names(k, key[first])])
         assert 0 < new.sum() < new.size
-        operators = equilibration.PatchOperators()
-        operators.operators = dict(cache.operators)
-        cold = equilibrate(u, f_sine, cache=operators)
+        cold = equilibrate(u, f_sine)
         calls = spy_shape_blocks(monkeypatch)
         warm = equilibrate(u, f_sine, cache=cache)
         assert np.array_equal(np.concatenate(calls), first[new])
-        for name in ("eta_delta", "eta_star", "patch_residuals"):
+        for name in ("w_delta", "eta_delta", "eta_star", "patch_residuals"):
             assert np.array_equal(getattr(warm, name), getattr(cold, name))
         monkeypatch.undo()
         assert np.array_equal(warm.q_delta.coeffs, cold.q_delta.coeffs)
@@ -761,7 +757,7 @@ class TestGlobalReconstruction:
         # the same mesh at another degree has the same element keys; the
         # degree in the class names keeps the blocks apart
         mesh = graded_lshape()
-        cache = equilibration.PatchOperators()
+        cache = equilibration.ElementBlocks()
         for k in (1, 2, 1):
             u = solve_poisson(FeSpace(mesh, k), f_sine)
             cold = equilibrate(u, f_sine)
@@ -891,6 +887,16 @@ class TestGlobalReconstruction:
         assert rep.div_residual < 1e-10
         assert rep.jump_residual < 1e-10
         assert rep.patch_residual < 1e-12
+
+    def test_verification_reuses_the_flux_jumps(self, monkeypatch):
+        # the jump residuals are taken against the jumps the patch problems
+        # were solved for, which the flux holds; none are computed again
+        fl = equilibrated(graded_lshape(), 2)
+        calls = []
+        monkeypatch.setattr(equilibration, "normal_jumps", lambda *args:
+                            calls.append(args) or normal_jumps(*args))
+        assert fl.verify(f_sine).ok
+        assert calls == []
 
     def test_total_flux_normal_continuity(self):
         mesh = bisect(unit_square_crisscross(), np.arange(4), 3)

@@ -68,7 +68,7 @@ substitution fixes the first k+1 of the rotated coordinates where the rim
 edge is constrained.  The first element of a fully interior patch turns
 its free constant-divergence coordinate with the others.  The rotations
 are built element by element over the batch, in its last axis; the
-patches of one class take their representative's.  The patch problem
+patches of one class take those of its first.  The patch problem
 keeps only the jump rows of its spokes, over the N - n_p - (k+1) free
 coordinates of each such element (`_assemble_patches`).  Rotations
 preserve the norm, so the minimal-norm solution of this reduced system is
@@ -99,12 +99,12 @@ group, patches that are exact copies of one another up to translation and
 a power-of-two scale form a class: position by position their elements
 share a shape class, the patch vertex sits in the same slot, the rim edge
 is constrained alike and a spoke joins the next element alike.  Such
-patches have one and the same reduced constraint matrix.  The patches of
-a class of two or more are solved with its min-norm operator,
-Y = (A A^T)^-1 A for its row-scaled matrix A, built anew in each call,
-one gathered product per batch.  A patch alone in its class takes the
-batched LU path: building its operator would cost about twice the whole
-LU solve.  Both paths end with the same residual check and sweeps.
+patches have one and the same reduced constraint matrix.  A group's
+patches are batched in class order.  In each batch the rim frames and the
+reduced matrix of a class are built on its first patch and taken by the
+others, and its Gram matrix is factored once for all of its patches in
+the batch, solved as columns (`_minnorm_solve`); a patch alone in its
+class is a class of one.
 
 `verify_equilibration` measures each element's divergence residual against
 the terms that cancel in it, the projected load and lap u_h.
@@ -135,9 +135,7 @@ from .mesh import Mesh
 from .quadrature import triangle_rule
 
 # patch-matrix and rim-frame bytes per solver batch, and element-block
-# bytes per batch of `_fill_blocks`; cache-sized chunks win.  The class
-# representatives of a patch group are assembled in one call, not in such
-# batches.
+# bytes per batch of `_fill_blocks`; cache-sized chunks win
 _SOLVE_BYTES = 8e6
 
 # the largest scaled residual of a patch or defining condition: round-off
@@ -844,16 +842,12 @@ def _scale_rows(A):
     return A, D
 
 
-def _refine(bs, D, apply, correct):
-    """Minimal-norm solutions of scaled systems, refined to round-off.
-
-    bs holds the scaled right-hand sides, one row per patch; apply(sel, z)
-    multiplies the scaled matrices of patches sel with z, and
-    correct(sel, r) maps residuals to the row-space correction.  Returns
-    the solutions and the unscaled row residuals.
-    """
-    z = correct(slice(None), bs)
-    r = bs - apply(slice(None), z)
+def _refine(As, G, cls, bs, z, r):
+    """Residual refinement sweeps, in place, on the minimal-norm solutions
+    z of scaled systems with right-hand sides bs and residuals r, one row
+    per patch, until each residual is at round-off (three sweeps at most).
+    Patch p has the scaled matrix As[cls[p]] and its Gram matrix
+    G[cls[p]]; only the patches that take a sweep gather theirs."""
     resid = np.abs(r).max(axis=1, initial=0.0)
     # scaled rows have unit norm, so ||z|| sets the natural residual scale
     scale = np.sqrt(np.einsum("pc,pc->p", z, z)) \
@@ -862,45 +856,51 @@ def _refine(bs, D, apply, correct):
         bad = np.nonzero(resid > 1e-14 * scale)[0]
         if bad.size == 0:
             break
-        z[bad] += correct(bad, r[bad])
-        r[bad] = bs[bad] - apply(bad, z[bad])
+        Ab = As[cls[bad]]
+        z[bad] += _apply(Ab.transpose(0, 2, 1), np.linalg.solve(
+            G[cls[bad]], r[bad][..., None])[..., 0])
+        r[bad] = bs[bad] - _apply(Ab, z[bad])
         resid[bad] = np.abs(r[bad]).max(axis=1)
-    return z, np.abs(r * D).max(axis=1, initial=0.0)
 
 
-def _minnorm_solve(A, bb):
-    """Batched minimal-norm solutions and row residuals of reduced systems.
+def _minnorm_solve(A, bb, cls):
+    """Minimal-norm solutions and row residuals of reduced systems.
 
-    The reduced systems (`_assemble_patches`) are underdetermined,
-    consistent and of full row rank: the divergence and rim rows are gone,
-    having fixed their coordinates by forward substitution, and on fully
-    interior patches the one dependent row, the first element's
-    constant-divergence moment, is dropped and its coordinate solved for
-    instead.  Rows are scaled to unit norm, which changes neither the row
-    space nor the minimum-norm solution.  The row-space solution comes from
-    semi-normal equations on the row Gram matrix (batched LU), whose
-    conditioning the row scaling keeps far enough below 1/eps that a
-    refinement sweep, when one is triggered at all, reaches round-off.
+    A (c, R, C) holds the reduced matrices (`_assemble_patches`) of c
+    patch classes, bb (P, R) the right-hand sides of their patches, sorted
+    by class, and cls (P,) the class of each.  The systems are
+    underdetermined, consistent and of full row rank: the divergence and
+    rim rows are gone, having fixed their coordinates by forward
+    substitution, and on fully interior patches the one dependent row, the
+    first element's constant-divergence moment, is dropped and its
+    coordinate solved for instead.  Rows are scaled to unit norm, which
+    changes neither the row space nor the minimum-norm solution.  The
+    row-space solution comes from semi-normal equations on the row Gram
+    matrix, whose conditioning the row scaling keeps far enough below
+    1/eps that a refinement sweep (`_refine`), when one is triggered at
+    all, reaches round-off.  Each class's Gram matrix is factored once
+    and all its patches are solved as the columns of one right-hand side,
+    by one batched LU over the classes with as many patches; a class of
+    one is a plain batched LU solve.
     """
     As, D = _scale_rows(A)
-    AT = As.transpose(0, 2, 1)
-    G = As @ AT
-
-    def correct(sel, rhs):
-        return _apply(AT[sel], np.linalg.solve(G[sel], rhs[..., None])[..., 0])
-
-    return _refine(bb / D, D, lambda sel, z: _apply(As[sel], z), correct)
-
-
-def _operator_solve(As, D, Y, bb):
-    """Minimal-norm solutions and row residuals of reduced systems, one per
-    right-hand side of bb, given by their row-scaled matrices As, row norms
-    D and the operators Y = (As As^T)^-1 As, the semi-normal equations of
-    `_minnorm_solve` formed once, which map a scaled right-hand side b to
-    the solution b @ Y.  Each patch is solved alike whatever the others in
-    the batch."""
-    return _refine(bb / D, D, lambda sel, z: _apply(As[sel], z),
-                   lambda sel, r: (r[:, None, :] @ Y[sel])[:, 0])
+    G = As @ As.transpose(0, 2, 1)
+    D = D[cls]
+    bs = bb / D
+    z = np.empty((bs.shape[0], A.shape[2]))
+    r = np.empty_like(bs)
+    counts = np.bincount(cls)
+    start = np.cumsum(counts) - counts
+    for n in np.unique(counts):
+        q = np.nonzero(counts == n)[0]
+        p = start[q, None] + np.arange(n)
+        Aq, Gq = (As, G) if q.size == counts.size else (As[q], G[q])
+        B = bs[p].transpose(0, 2, 1)
+        Z = Aq.transpose(0, 2, 1) @ np.linalg.solve(Gq, B)
+        z[p] = Z.transpose(0, 2, 1)
+        r[p] = (B - Aq @ Z).transpose(0, 2, 1)
+    _refine(As, G, cls, bs, z, r)
+    return z, np.abs(r * D).max(axis=1, initial=0.0)
 
 
 class ElementBlocks:
@@ -959,8 +959,9 @@ class EquilibratedFlux:
     of u_h.space.edge_rule_main (zero on boundary edges): the data the jump
     rows were solved against, which the residual estimators and
     `verify_equilibration` reuse.
-    patch_classes counts the patch classes solved with a class operator,
-    shared_patches the patches solved with one.
+    patch_classes counts the patch classes of two or more patches, each
+    of whose Gram matrices is factored once for its patches in a solver
+    batch, and shared_patches the patches in them.
     """
 
     u_h: ScalarField = dc_field(repr=False)
@@ -1066,15 +1067,24 @@ def equilibrate(u_h: ScalarField, f,
     w_slot = np.zeros((nt, 3, N))
     eta_star = np.zeros(nv)
     patch_res = np.zeros(nv)
-    worst_ratio = 0.0
-    worst_vertex = -1
+    ratio = np.zeros(nv)  # patch residual over the scale of the patch data
     n_classes = n_shared = 0
 
-    def accept(vs, layout, frames, fixed, y, scale, rdiv, z, resid,
-               deficient):
-        nonlocal worst_ratio, worst_vertex
-        els, slots, imposed = layout[:3]
-        G, _, V, (cols, _) = frames
+    def solve_batch(vs, part, cls, deficient):
+        # the patches vs with the layout part, in class order: frames and
+        # matrix are built on the first patch of each class and taken by
+        # the others; every array of the batch is freed on return
+        ci = cls - cls[0]
+        head = np.nonzero(np.diff(ci, prepend=-1))[0]
+        alone = head.size == vs.size
+        rep = part if alone else tuple(a[head] for a in part)
+        frames = _rim_frames(rep, blocks, deficient)
+        each = frames if alone else _take_frames(frames, ci)
+        bb, fixed, y, scale, rdiv = _patch_rhs(
+            part, vs, mesh, blocks, Jr, deficient, each)
+        z, resid = _minnorm_solve(_assemble_patches(rep, frames), bb, ci)
+        els, slots, imposed = part[:3]
+        G, _, V, (cols, _) = each
         P, mg = els.shape
         # the rim-rotated coordinates, turned back to the class frame
         om = np.concatenate([z, np.zeros((P, 1))], axis=1)[
@@ -1090,14 +1100,9 @@ def equilibrate(u_h: ScalarField, f,
         # a u_h without Galerkin orthogonality shows; and every rim row
         dres = np.einsum("pmij,pmj->pmi", blocks["DQ"][ecls[els]], w) - rdiv
         rres = np.einsum("pmij,pmj->pmi", G[:, :, 0], w) * imposed[..., None]
-        resid = np.maximum(resid, np.maximum(np.abs(dres).max(axis=(1, 2)),
-                                             np.abs(rres).max(axis=(1, 2))))
-        ratio = resid / scale
-        i = int(np.argmax(ratio))
-        if ratio[i] > worst_ratio:
-            worst_ratio = float(ratio[i])
-            worst_vertex = int(vs[i])
-        patch_res[vs] = resid
+        patch_res[vs] = np.maximum(resid, np.maximum(
+            np.abs(dres).max(axis=(1, 2)), np.abs(rres).max(axis=(1, 2))))
+        ratio[vs] = patch_res[vs] / scale
         eta_star[vs] = np.sqrt(np.einsum("pjc,pjc->p", w, w))
         w_slot[els, slots] = w
 
@@ -1110,52 +1115,22 @@ def equilibrate(u_h: ScalarField, f,
         step = max(8, int(_SOLVE_BYTES / (8 * size)))
         layout, link = _fan_layout(members, mg, sg, tg, mesh, links, erank)
         els, slots, imposed = layout[:3]
-        first, cls, counts, _ = _row_classes(
+        _, cls, counts, _ = _row_classes(
             ((erank[els] * 3 + slots) * 2 + imposed) * 2 + link)
-        # a class of two or more patches takes its operator; a patch alone
-        # in its class is solved faster by batched LU
-        use = np.nonzero(counts > 1)[0]
-        opi = np.full(first.size, -1)
-        opi[use] = np.arange(use.size)
-        shared = np.nonzero(opi[cls] >= 0)[0]
-        single = np.nonzero(opi[cls] < 0)[0]
-        if use.size:
-            part = tuple(a[first[use]] for a in layout)
-            rep_frames = _rim_frames(part, blocks, deficient)
-            As, D = _scale_rows(_assemble_patches(part, rep_frames))
-            # the copy makes the Gram matrix a product of two buffers, which
-            # numpy forms by gemm; on one buffer and its transpose it takes
-            # syrk, which rounds otherwise (on square_p3 it moved elements'
-            # eta_delta by up to 4.5e-14 relative)
-            Y = np.linalg.solve(As.copy() @ As.transpose(0, 2, 1), As)
-            n_classes += use.size
-            n_shared += shared.size
-        # two operators are gathered per patch: a quarter of the batch of
-        # the LU path keeps the transient memory below its own
-        for todo, size in ((shared, max(8, step // 4)), (single, step)):
-            for s0 in range(0, todo.size, size):
-                sel = todo[s0:s0 + size]
-                part = tuple(a[sel] for a in layout)
-                if todo is shared:
-                    # a class's patches share its representative's frames
-                    o = opi[cls[sel]]
-                    frames = _take_frames(rep_frames, o)
-                else:
-                    frames = _rim_frames(part, blocks, deficient)
-                bb, fixed, y, scale, rdiv = _patch_rhs(
-                    part, members[sel], mesh, blocks, Jr, deficient, frames)
-                if todo is shared:
-                    z, resid = _operator_solve(As[o], D[o], Y[o], bb)
-                else:
-                    z, resid = _minnorm_solve(
-                        _assemble_patches(part, frames), bb)
-                accept(members[sel], part, frames, fixed, y, scale, rdiv, z,
-                       resid, deficient)
+        n_classes += int((counts > 1).sum())
+        n_shared += int(counts[counts > 1].sum())
+        # the patches in class order, classes numbered by their first patch
+        todo = np.argsort(cls, kind="stable")
+        for s0 in range(0, todo.size, step):
+            sel = todo[s0:s0 + step]
+            solve_batch(members[sel], tuple(a[sel] for a in layout),
+                        cls[sel], deficient)
 
-    if worst_ratio > _TOLERANCE:
+    worst = int(np.argmax(ratio))
+    if ratio[worst] > _TOLERANCE:
         raise EquilibrationError(
-            f"patch problem at vertex {worst_vertex} is inconsistent: "
-            f"scaled residual {worst_ratio:.3e} exceeds {_TOLERANCE:.1e}; the "
+            f"patch problem at vertex {worst} is inconsistent: scaled "
+            f"residual {ratio[worst]:.3e} exceeds {_TOLERANCE:.1e}; the "
             "input field does not satisfy Galerkin orthogonality")
 
     w_delta = w_slot.sum(axis=1)

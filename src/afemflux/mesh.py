@@ -92,6 +92,9 @@ class Mesh:
             raise MeshError("mesh has no triangles")
         if self.triangles.min() < 0 or self.triangles.max() >= self.n_vertices:
             raise MeshError("triangle vertex index out of range")
+        if not self.valences.all():
+            raise MeshError(f"vertex {np.argmin(self.valences)} is in no "
+                            "triangle")
         if self.generations.shape != (nt,) or self.parents.shape != (nt,):
             raise MeshError(f"generations and parents must have shape ({nt},)")
         src = self.source

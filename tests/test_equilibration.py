@@ -472,11 +472,19 @@ def side_by_side(a, b):
 
 def doubled(u):
     """u's problem solved on two coincident copies of its mesh, where each
-    patch class has two patches, so that every patch takes its class
-    operator."""
+    patch class has twice the patches it has on the mesh alone, factored
+    once and solved as the columns of one right-hand side."""
     mesh = u.space.mesh
     return solve_poisson(FeSpace(side_by_side(mesh, mesh), u.space.degree),
                          f_sine)
+
+
+def tripled(u):
+    """u's problem solved on three coincident copies of its mesh, as in
+    `doubled`."""
+    mesh = u.space.mesh
+    return solve_poisson(FeSpace(side_by_side(side_by_side(mesh, mesh), mesh),
+                                 u.space.degree), f_sine)
 
 
 def assert_matches_local_solves(fl):
@@ -511,9 +519,9 @@ class TestGlobalReconstruction:
     @pytest.mark.parametrize("make_mesh", [uniform_square, graded_lshape,
                                            jittered_square])
     def test_shared_patches_match_local_solves(self, make_mesh, k):
-        # patches of one exact class share a min-norm operator, the others
-        # (all of them on the jittered mesh) take the batched solve; the
-        # independent per-patch lstsq solves must give the same flux.  The
+        # patches of one exact class share a factored Gram matrix, and each
+        # patch of the jittered mesh is a class of one; the independent
+        # per-patch lstsq solves must give the same flux.  The
         # flux is compared in L2: its monomial coefficients amplify
         # round-off by the conditioning of the element mass matrices
         # (1e-9 at k = 4 for either solver).
@@ -601,42 +609,68 @@ class TestGlobalReconstruction:
             assert np.array_equal(fl.q_delta.coeffs, cold.q_delta.coeffs)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_operator_and_lu_paths_agree_to_round_off(self, k):
-        # on the jittered square every patch is alone in its class and
-        # takes batched LU; on two coincident copies of it every patch
-        # takes its class operator.  The two agree to round-off (4.8e-13
-        # at k = 4), not bit for bit
+    def test_classes_of_one_two_and_three_agree_to_round_off(self, k):
+        # on the jittered square every patch is alone in its class; on two
+        # and three coincident copies of it each class has two and three
+        # patches, whose Gram matrix is factored once and solved for all of
+        # them as columns.  Each copy agrees with the mesh alone to
+        # round-off, not bit for bit
         u = solve_poisson(FeSpace(jittered_square(), k), f_sine)
-        lu = equilibrate(u, f_sine)
-        two = equilibrate(doubled(u), f_sine)
-        assert lu.shared_patches == 0
-        assert two.shared_patches == two.mesh.n_vertices
-        nt = u.space.mesh.n_triangles
-        for half in (two.eta_delta[:nt], two.eta_delta[nt:]):
-            assert np.abs(half - lu.eta_delta).max() \
-                <= 1e-11 * lu.eta_delta.max()
+        one = equilibrate(u, f_sine)
+        assert one.shared_patches == one.patch_classes == 0
+        nt, nv = u.space.mesh.n_triangles, u.space.mesh.n_vertices
+        for n, copies in ((2, doubled(u)), (3, tripled(u))):
+            fl = equilibrate(copies, f_sine)
+            assert (fl.patch_classes, fl.shared_patches) == (nv, n * nv)
+            for c in range(n):
+                assert np.abs(fl.eta_delta[c * nt:(c + 1) * nt]
+                              - one.eta_delta).max() \
+                    <= 1e-11 * one.eta_delta.max()
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("make_mesh", [jittered_workload_mesh,
                                            graded_lshape])
     def test_condensed_solve_matches_unreduced_lstsq(self, make_mesh, k):
         # the divergence and rim rows condensed out element by element,
-        # against dense lstsq on the unreduced patch systems.  On the mesh
-        # itself a patch alone in its class takes batched LU; on two
-        # coincident copies of it every patch takes its class operator
+        # against dense lstsq on the unreduced patch systems, on the mesh
+        # itself and on two and three coincident copies of it, where every
+        # patch shares its class
         u = solve_poisson(FeSpace(make_mesh(), k), f_sine)
         w, resid = unreduced_reference(u)
-        one = equilibrate(u, f_sine)
-        two = equilibrate(doubled(u), f_sine)
         nt, nv = u.space.mesh.n_triangles, u.space.mesh.n_vertices
-        assert one.shared_patches < nv
-        assert two.shared_patches == 2 * nv
         scale = np.linalg.norm(w, axis=1).max()
-        for wd, pr in ((one.w_delta, one.patch_residuals),
-                       (two.w_delta[:nt], two.patch_residuals[:nv]),
-                       (two.w_delta[nt:], two.patch_residuals[nv:])):
-            assert np.linalg.norm(wd - w, axis=1).max() <= 1e-11 * scale
-            assert np.abs(pr - resid).max() <= 1e-14
+        for n, v in ((1, u), (2, doubled(u)), (3, tripled(u))):
+            fl = equilibrate(v, f_sine)
+            assert (fl.shared_patches == n * nv) == (n > 1)
+            for c in range(n):
+                wd = fl.w_delta[c * nt:(c + 1) * nt]
+                pr = fl.patch_residuals[c * nv:(c + 1) * nv]
+                assert np.linalg.norm(wd - w, axis=1).max() <= 1e-11 * scale
+                assert np.abs(pr - resid).max() <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_class_split_across_solver_batches(self, monkeypatch, k):
+        # batches of eight patches split classes of the graded L-shape
+        # between batches, each part of a class factoring its Gram matrix
+        # anew; the flux agrees with the default batching to round-off
+        u = solve_poisson(FeSpace(graded_lshape(), k), f_sine)
+        heads = []
+        real = equilibration._assemble_patches
+        monkeypatch.setattr(equilibration, "_assemble_patches",
+                            lambda layout, frames: heads.append(
+                                layout[0].shape[0]) or real(layout, frames))
+        ref = equilibrate(u, f_sine)
+        built = sum(heads)
+        heads.clear()
+        monkeypatch.setattr(equilibration, "_SOLVE_BYTES", 1.0)
+        fl = equilibrate(u, f_sine)
+        assert fl.shared_patches > 0
+        assert sum(heads) > built
+        scale = np.linalg.norm(ref.w_delta, axis=1).max()
+        assert np.linalg.norm(fl.w_delta - ref.w_delta, axis=1).max() \
+            <= 1e-11 * scale
+        assert np.abs(fl.patch_residuals - ref.patch_residuals).max() \
+            <= 1e-14
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("make_mesh", [jittered_workload_mesh,
@@ -866,7 +900,7 @@ class TestGlobalReconstruction:
 
     def test_class_keys_are_exact(self):
         # one ulp moved at one vertex separates its elements from their
-        # copies elsewhere, so fewer patches share an operator
+        # copies elsewhere, so fewer patches share a class
         mesh = uniform_square()
         centre = int(np.argmin(np.abs(mesh.points - 0.5).sum(axis=1)))
         moved = mesh.points.copy()

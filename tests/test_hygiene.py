@@ -1,8 +1,12 @@
 """Import hygiene of the package, checked on its syntax trees: no module
-imports a name it never uses, no private module-level name goes unread, and
-every exported name resolves."""
+imports a name it never uses, no private module-level name goes unread,
+every exported name resolves, and every private name the docs put in
+backticks is defined."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ import afemflux
 
 SRC = Path(afemflux.__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+README = SRC.parents[1] / "README.md"
 
 
 def imported_names(tree):
@@ -137,3 +142,58 @@ def test_every_exported_name_resolves():
                if not hasattr(afemflux, name)]
     assert not missing
     assert len(set(afemflux.__all__)) == len(afemflux.__all__)
+
+
+def bound_names(tree):
+    """Every name a module binds: definitions, assignment targets, stored
+    attributes, arguments and import aliases."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef)):
+            out.add(n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            out.add(n.attr)
+        elif isinstance(n, ast.arg):
+            out.add(n.arg)
+        elif isinstance(n, ast.alias):
+            out.add(n.asname or n.name)
+    return out
+
+
+def prose(source):
+    """The comments and string literals, docstrings among them, of a
+    module's source."""
+    return [tok.string for tok in tokenize.generate_tokens(
+        io.StringIO(source).readline)
+        if tok.type in (tokenize.COMMENT, tokenize.STRING)]
+
+
+def backticked_private_names(text):
+    """Names with a leading underscore inside backticks, also after a dot
+    as in `mesh._name`."""
+    return {name for span in re.findall(r"`([^`\n]+)`", text)
+            for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", span)}
+
+
+def test_every_backticked_private_name_is_defined():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    defined = set().union(*(bound_names(ast.parse(text))
+                            for text in sources.values()))
+    texts = {name: "\n".join(prose(text)) for name, text in sources.items()}
+    texts["README.md"] = README.read_text()
+    missing = {name: sorted(backticked_private_names(text) - defined)
+               for name, text in texts.items()}
+    missing = {name: names for name, names in missing.items() if names}
+    assert not missing, f"docs name undefined private names: {missing}"
+
+
+def test_undefined_backticked_name_is_found():
+    source = ("def _solve(_a):\n"
+              "    # `_solve` calls `_gone` with `x._a`, `__init__` and\n"
+              "    return '`_b` and `mesh._c`'\n")
+    text = "\n".join(prose(source))
+    assert backticked_private_names(text) - bound_names(ast.parse(source)) \
+        == {"_gone", "_b", "_c"}

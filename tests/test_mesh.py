@@ -203,6 +203,16 @@ class TestConstruction:
             with pytest.raises(MeshError, match=f"vertex index {bad} out of range"):
                 Mesh.from_arrays(pts, np.array([[0, 1, bad]]))
 
+    def test_names_a_vertex_in_no_triangle(self):
+        # a stray point would leave the stiffness matrix singular, and the
+        # sparse factorisation's error names no vertex
+        m = unit_square_crisscross()
+        pts = np.insert(m.points, 2, [2.0, 2.0], axis=0)
+        tris = m.triangles + (m.triangles >= 2)
+        for build in (Mesh, Mesh.from_arrays):
+            with pytest.raises(MeshError, match="vertex 2 is in no triangle"):
+                build(pts, tris)
+
     def test_vertex_and_triangle_arrays(self):
         m = unit_square_crisscross()
         assert tuple(m.points[4]) == (0.5, 0.5) and not m.boundary_vertex[4]

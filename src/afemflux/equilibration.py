@@ -93,13 +93,13 @@ element's size.  The adaptive loop never asks for them.
 
 Patches are grouped by their sizes (elements, interior spokes, constrained
 rim edges) and batched within a group.  Each patch lists its elements fan
-after fan, counterclockwise around its vertex (`_fan_layout`), so that the
-order does not depend on how triangles and edges are numbered.  Within a
-group, patches that are exact copies of one another up to translation and
-a power-of-two scale form a class: position by position their elements
-share a shape class, the patch vertex sits in the same slot, the rim edge
-is constrained alike and a spoke joins the next element alike.  Such
-patches have one and the same reduced constraint matrix.  A group's
+after fan, counterclockwise around its vertex from the first element of
+each fan (`_fan_layout`).  Within a group, patches that list alike form a
+class: position by position their elements share a shape class, the patch
+vertex sits in the same slot, the rim edge is constrained alike and a
+spoke joins the next element alike.  Such patches are exact copies of one
+another up to translation and a power-of-two scale, with one and the same
+reduced constraint matrix.  A group's
 patches are batched in class order.  In each batch the rim frames and the
 reduced matrix of a class are built on its first patch and taken by the
 others, and its Gram matrix is factored once for all of its patches in
@@ -452,7 +452,7 @@ def _flux_coefficients(space: FeSpace, w: np.ndarray) -> np.ndarray:
     mesh = space.mesh
     N = rt_dim(space.degree)
     ekey, ex = _element_keys(mesh)
-    efirst, ecls, _, _ = _row_classes(ekey)
+    efirst, ecls, _ = _row_classes(ekey)
     LiTQ = np.empty((efirst.size, N, N))
     _fill_blocks(space, efirst, np.arange(efirst.size), {"LiTQ": LiTQ})
     d = ex[efirst][ecls] - ex
@@ -541,17 +541,15 @@ def _void_rows(key):
 
 def _row_classes(key):
     """First row, class and class size of each distinct row of an integer
-    array, rows compared as raw bytes (faster than np.unique on axis 0),
-    and the rank of each class in the byte order of its row, an order that
-    does not depend on the other rows present.  Classes are numbered in
-    the order of their first rows, so that on distinct rows class i is
-    row i."""
+    array, rows compared as raw bytes (faster than np.unique on axis 0).
+    Classes are numbered in the order of their first rows, so that on
+    distinct rows class i is row i."""
     _, first, cls, counts = np.unique(_void_rows(key), return_index=True,
                                       return_inverse=True, return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return first[order], rank[cls], counts[order], order
+    return first[order], rank[cls], counts[order]
 
 
 def _fan_links(mesh: Mesh):
@@ -567,7 +565,7 @@ def _fan_links(mesh: Mesh):
     """
     ptr, ind, slot = mesh._vertex_triangles
     nt = mesh.n_triangles
-    fwd = (slot + np.where(mesh.signed_areas[ind] > 0, 1, 2)) % 3
+    fwd = (slot + 1) % 3
     spoke = mesh.edge_of_triangle[ind, fwd]
     other = (mesh.edge_triangles[spoke, 0] == ind).astype(np.int64)
     beyond = mesh.edge_triangles[spoke, other]
@@ -586,17 +584,13 @@ def _fan_links(mesh: Mesh):
             ~bed[mesh.edge_of_triangle[ind, slot]])
 
 
-def _fan_layout(vs, mg, sg, tg, mesh, links, erank):
-    """Index tables of the patches vs, which share the sizes (mg, sg, tg),
-    each listed fan after fan, counterclockwise within a fan (links:
-    `_fan_links`).  Open fans start at the domain boundary, in the
-    triangle-id order of their starts.  A closed fan with every rim edge
-    constrained, a fully interior patch, starts at its lowest-id element,
-    whose constant-divergence row is dropped; any other closed fan at the
-    rotation whose sequence of per-position keys (element class in the
-    byte order erank, slot, rim constraint) is lexicographically smallest.
-    Copies of one patch thus list their elements alike, whatever the
-    numbering of their triangles and edges (up to the order of the fans).
+def _fan_layout(vs, mg, sg, mesh, links):
+    """Index tables of the patches vs, which share their numbers of
+    elements mg and of spokes sg, each listed fan after fan, counterclockwise within a fan (links:
+    `_fan_links`).  Every fan starts at its first element: an open fan at
+    the domain boundary, in the triangle-id order of the starts, a closed
+    fan at its lowest-id element, whose constant-divergence row is dropped
+    if the patch is fully interior (every rim edge constrained).
     Raises EquilibrationError if a walk does not list each element of its
     patch exactly once.
 
@@ -631,27 +625,11 @@ def _fan_layout(vs, mg, sg, tg, mesh, links, erank):
     if bad.any():
         raise EquilibrationError(f"the patch of vertex {vs[np.argmax(bad)]}"
                                  " is no union of fans around it")
-    if sg == mg and tg < mg:
-        r = _min_rotation((erank[ind[idx]] * 3 + slotv[idx]) * 2
-                          + imposed[idx])
-        idx = np.take_along_axis(
-            idx, (r[:, None] + np.arange(mg)[None, :]) % mg, axis=1)
     link = nxt[idx] >= 0
     j = np.nonzero(link)[1].reshape(P, sg)
     s = idx[p, j]
     return ((ind[idx], slotv[idx], imposed[idx], spoke[s],
              np.stack([j, (j + 1) % mg], axis=2), le[s]), link)
-
-
-def _min_rotation(q):
-    """Start of the lexicographically smallest rotation of each row of q."""
-    m = q.shape[1]
-    rot = q[:, (np.arange(m)[:, None] + np.arange(m)[None, :]) % m]
-    best = np.ones(rot.shape[:2], dtype=bool)
-    for i in range(m):
-        v = np.where(best, rot[..., i], np.iinfo(np.int64).max)
-        best &= v == v.min(axis=1, keepdims=True)
-    return np.argmax(best, axis=1)
 
 
 def _rim_rotation(X):
@@ -693,42 +671,48 @@ def _reflect(V, x):
     return x
 
 
+def _edge_blocks(layout, blocks):
+    """The rotated trace blocks TrQ (P, m, 3, K1, N) of each element of the
+    patches layout on its three local edges, the rim edge first."""
+    els, slots = layout[:2]
+    TrQ = blocks["TrQ"]
+    row = blocks["ecls"][els][..., None] * 3 \
+        + (slots[..., None] + np.arange(3)) % 3
+    return np.take(TrQ.reshape(-1, *TrQ.shape[2:]), row, axis=0)
+
+
 def _rim_frames(layout, blocks, deficient):
     """The rim condensation of each element of the patches layout.
 
-    Returns G (P, m, 3, K1, N), the rotated trace blocks TrQ of each
-    element's three local edges, the rim edge first; X (3, K1, Nf+1, P m),
-    their part on the Nf = N - n_p coordinates the divergence leaves free
-    and, last, the constant-divergence coordinate where it is free too (the
-    first element of a fully interior patch; a zero column elsewhere),
-    turned by `_rim_rotation`, with its reflectors V (K1, Nf+1, P m), the
-    elements in the last axis in patch order; and `_columns` of the layout.
+    Returns X (3, K1, Nf+1, P m), the part of the rotated trace blocks of
+    each element's three local edges (`_edge_blocks`) on the Nf = N - n_p
+    coordinates the divergence leaves free and, last, the
+    constant-divergence coordinate where it is free too (the first element
+    of a fully interior patch; a zero column elsewhere), turned by
+    `_rim_rotation`, with its reflectors V (K1, Nf+1, P m), the elements in
+    the last axis in patch order; and `_columns` of the layout.
     """
-    els, slots, imposed = layout[:3]
-    P, mg = els.shape
-    TrQ = blocks["TrQ"]
+    P, mg = layout[0].shape
+    G = _edge_blocks(layout, blocks)
     n_p = blocks["DQ"].shape[1]
-    K1, N = TrQ.shape[2:]
+    K1, N = G.shape[3:]
     Nf = N - n_p
-    row = blocks["ecls"][els][..., None] * 3 \
-        + (slots[..., None] + np.arange(3)) % 3
-    G = np.take(TrQ.reshape(-1, K1, N), row, axis=0)
     X = np.empty((3, K1, Nf + 1, P * mg))
     X[:, :, :Nf] = G[..., n_p:].reshape(-1, 3, K1, Nf).transpose(1, 2, 3, 0)
     X[:, :, Nf] = 0.0
     if deficient:
         X[:, :, Nf, ::mg] = G[:, 0, ..., n_p - 1].transpose(1, 2, 0)
     V = _rim_rotation(X)
-    return G, X, V, _columns(imposed, deficient, K1, Nf)
+    return X, V, _columns(layout[2], deficient, K1, Nf)
 
 
 def _take_frames(frames, o):
     """The `_rim_frames` of copies of the patches o of frames, with X cut
     to the K1 columns that `_patch_rhs` reads."""
-    G, X, V, (cols, C) = frames
-    K1, mg = X.shape[1], G.shape[1]
+    X, V, (cols, C) = frames
+    K1, mg = X.shape[1], cols.shape[1]
     b = (o[:, None] * mg + np.arange(mg)).ravel()
-    return (G[o], np.take(X[:, :, :K1], b, axis=3), np.take(V, b, axis=2),
+    return (np.take(X[:, :, :K1], b, axis=3), np.take(V, b, axis=2),
             (cols[o], C))
 
 
@@ -773,7 +757,7 @@ def _assemble_patches(layout, frames):
     order (`_columns`), with the entries of the rotated trace blocks X of
     `_rim_frames`.
     """
-    _, X, _, (cols, C) = frames
+    X, _, (cols, C) = frames
     P, sg = layout[3].shape
     mg = cols.shape[1]
     K1 = X.shape[1]
@@ -802,7 +786,7 @@ def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient, frames):
     each slot.
     """
     els, slots, imposed, spokes = layout[:4]
-    G, X = frames[:2]
+    X = frames[0]
     P, mg = els.shape
     n_p = blocks["U"].shape[2]
     K1 = X.shape[1]
@@ -810,7 +794,8 @@ def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient, frames):
     if deficient:
         fixed[:, 0, -1] = 0.0
     # their traces on the three local edges of each element, rim first
-    ft = np.einsum("pmlkj,pmj->pmlk", G[..., :n_p], fixed)
+    ft = np.einsum("pmlkj,pmj->pmlk",
+                   _edge_blocks(layout, blocks)[..., :n_p], fixed)
     # the rim rows [R2^T 0] fix the first K1 rim-rotated coordinates
     rim = np.where(imposed[..., None], -ft[:, :, 0], 0.0)
     y = _forward(np.moveaxis(X[0, :, :K1], 2, 0),
@@ -1019,8 +1004,7 @@ def equilibrate(u_h: ScalarField, f,
         cache = ElementBlocks()
 
     ekey, _ = _element_keys(mesh)
-    efirst, ecls, _, crank = _row_classes(ekey)
-    erank = crank[ecls]
+    efirst, ecls, _ = _row_classes(ekey)
     nc = efirst.size
     # DQ and TrQ per element class, from the cache or built on its first
     # element; the cache then holds these arrays and their classes alone
@@ -1084,7 +1068,7 @@ def equilibrate(u_h: ScalarField, f,
             part, vs, mesh, blocks, Jr, deficient, each)
         z, resid = _minnorm_solve(_assemble_patches(rep, frames), bb, ci)
         els, slots, imposed = part[:3]
-        G, _, V, (cols, _) = each
+        _, V, (cols, _) = each
         P, mg = els.shape
         # the rim-rotated coordinates, turned back to the class frame
         om = np.concatenate([z, np.zeros((P, 1))], axis=1)[
@@ -1099,7 +1083,9 @@ def equilibrate(u_h: ScalarField, f,
         # every divergence row, the dropped one included: that is where
         # a u_h without Galerkin orthogonality shows; and every rim row
         dres = np.einsum("pmij,pmj->pmi", blocks["DQ"][ecls[els]], w) - rdiv
-        rres = np.einsum("pmij,pmj->pmi", G[:, :, 0], w) * imposed[..., None]
+        rim = np.take(blocks["TrQ"].reshape(-1, K1, N), ecls[els] * 3 + slots,
+                      axis=0)
+        rres = np.einsum("pmij,pmj->pmi", rim, w) * imposed[..., None]
         patch_res[vs] = np.maximum(resid, np.maximum(
             np.abs(dres).max(axis=(1, 2)), np.abs(rres).max(axis=(1, 2))))
         ratio[vs] = patch_res[vs] / scale
@@ -1109,14 +1095,15 @@ def equilibrate(u_h: ScalarField, f,
     for g, (mg, sg, tg) in enumerate(uniq):
         members = np.nonzero(ginv == g)[0]
         deficient = bool(sg == mg and tg == mg)
-        # the reduced matrix and the element frames of one patch
+        # the reduced matrix of one patch, and the trace blocks and rim
+        # frames that `_rim_frames` builds on it
         size = sg * K1 * (mg * Nf - tg * K1 + deficient) \
             + mg * 3 * K1 * (N + Nf + 1)
         step = max(8, int(_SOLVE_BYTES / (8 * size)))
-        layout, link = _fan_layout(members, mg, sg, tg, mesh, links, erank)
+        layout, link = _fan_layout(members, mg, sg, mesh, links)
         els, slots, imposed = layout[:3]
-        _, cls, counts, _ = _row_classes(
-            ((erank[els] * 3 + slots) * 2 + imposed) * 2 + link)
+        _, cls, counts = _row_classes(
+            ((ecls[els] * 3 + slots) * 2 + imposed) * 2 + link)
         n_classes += int((counts > 1).sum())
         n_shared += int(counts[counts > 1].sum())
         # the patches in class order, classes numbered by their first patch

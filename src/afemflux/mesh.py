@@ -11,14 +11,15 @@ the children's refinement edges are the parent's two remaining edges.  Initial
 meshes are labelled so the longest edge of every triangle is its refinement
 edge (ties broken by the smallest opposite-vertex id).
 
-Meshes are immutable once built.  `bisect` returns a new mesh; internally it
-works in rounds that each split a compatible set of marked edges, so every
-parent link spans at most one generation.  The lineage chain (via `source`)
-holds one kind of node, a `Round` link with the parent and generation of
-each triangle, and a link for every round: the input mesh enters through
-its own `link`, each round of `bisect` but the last adds one, and the
-result's `source` is the last of them.  The chain holds no mesh but the
-root, so a level mesh and its tables are freed once the caller drops it.
+Meshes are immutable once built, and built only from finite points, each in
+some triangle, and counterclockwise triangles; `bisect` returns a new mesh.
+Internally it works in rounds that each split a compatible set of marked
+edges, so every parent link spans at most one generation.  The lineage chain
+(via `source`) holds one kind of node, a `Round` link with the parent and
+generation of each triangle, and a link for every round: the input mesh
+enters through its own `link`, each round of `bisect` but the last adds one,
+and the result's `source` is the last of them.  The chain holds no mesh but
+the root, so a level mesh and its tables are freed once the caller drops it.
 The chain is what `ancestor_map`, `refined_set` and the depth diagnostics
 walk; `level` counts rounds from the root.
 
@@ -63,6 +64,13 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_finite(points: np.ndarray) -> None:
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise MeshError(f"vertex {np.argmin(finite)} has a non-finite "
+                        "coordinate")
+
+
 class Mesh:
     """Immutable conforming triangulation (see module docstring)."""
 
@@ -90,6 +98,7 @@ class Mesh:
             raise MeshError("triangles must be an (nt, 3) array")
         if nt == 0:
             raise MeshError("mesh has no triangles")
+        _require_finite(self.points)
         if self.triangles.min() < 0 or self.triangles.max() >= self.n_vertices:
             raise MeshError("triangle vertex index out of range")
         if not self.valences.all():
@@ -101,6 +110,9 @@ class Mesh:
         if src is not None and (self.parents.min() < 0
                                 or self.parents.max() >= src.n_triangles):
             raise MeshError(f"parent id out of range [0, {src.n_triangles})")
+        if not (self.signed_areas > 0).all():
+            raise MeshError(f"triangle {np.argmin(self.signed_areas > 0)} is "
+                            "not counterclockwise (signed area <= 0)")
 
     # -- basic sizes ----------------------------------------------------
 
@@ -253,6 +265,7 @@ class Mesh:
         if bad.any():
             raise MeshError(f"triangle vertex index {tris[bad][0]} out of range "
                             f"[0, {len(points)})")
+        _require_finite(points)
         p = points[tris]
         sgn = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
@@ -527,9 +540,6 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
     degree = mesh._edge_incidence[2]
     for e in np.nonzero(degree > 2)[0][:10]:
         bad.append(f"edge {e} {tuple(mesh.edges[e])} has {degree[e]} incident triangles")
-
-    for t in np.nonzero(mesh.signed_areas <= 0)[0][:10]:
-        bad.append(f"triangle {t} is not counterclockwise")
 
     # boundary must be a disjoint union of closed loops: every boundary vertex
     # has exactly one outgoing and one incoming directed boundary edge

@@ -115,7 +115,7 @@ class TestEmission:
                               max_dofs=600)).final.report.flux
         space = flux.u_h.space
         mesh = space.mesh
-        first, cls, _, _ = _row_classes(_element_keys(mesh)[0])
+        first, cls, _ = _row_classes(_element_keys(mesh)[0])
         assert first.size < mesh.n_triangles
         LiT = _shape_blocks(space, np.arange(mesh.n_triangles))["LiT"]
         Q = _shape_blocks(space, first)["Q"][cls]

@@ -540,13 +540,44 @@ class TestGlobalReconstruction:
         assert fl.shared_patches == 0
         assert_matches_local_solves(fl)
 
-    def test_congruent_patches_share_whatever_their_numbering(self):
-        # patches listed counterclockwise from a canonical start: in
-        # triangle-id order 44 of the 81 patches of the uniform square
-        # shared a class, for every degree
+    def test_congruent_patches_share_a_class(self):
+        # patches listed counterclockwise from the first element of each
+        # fan: in triangle-id order 44 of the 81 patches of the uniform
+        # square shared a class, for every degree
         fl = equilibrated(uniform_square(), 2)
-        assert fl.shared_patches == 66
+        assert fl.shared_patches == 58
         assert_matches_local_solves(fl)
+
+    def test_closed_fans_start_at_their_lowest_id_element(self):
+        # the centre of the crisscross square, a closed fan whose rim
+        # edges are all free, under every cyclic relabelling of its
+        # triangles; and every fully interior patch of the uniform
+        # square, whose first element is the one whose constant-divergence
+        # row is dropped
+        base = unit_square_crisscross()
+        for r in range(4):
+            mesh = Mesh(base.points, np.roll(base.triangles, r, axis=0))
+            (els, _, imposed, *_), link = equilibration._fan_layout(
+                np.array([4]), 4, 4, mesh, equilibration._fan_links(mesh))
+            assert els[0, 0] == 0
+            assert link.all() and not imposed.any()
+            c = mesh.centroids[els[0]] - mesh.points[4]
+            turn = np.diff(np.unwrap(np.arctan2(c[:, 1], c[:, 0])))
+            assert np.allclose(turn, np.pi / 2)
+        mesh = uniform_square()
+        links = equilibration._fan_links(mesh)
+        ptr, ind, _ = mesh._vertex_triangles
+        m = np.diff(ptr)
+        free_rims = np.bincount(np.repeat(np.arange(mesh.n_vertices), m),
+                                ~links[4], minlength=mesh.n_vertices)
+        inner = ~mesh.boundary_vertex & (free_rims == 0)
+        assert inner.sum() > 0
+        for mg in np.unique(m[inner]):
+            vs = np.nonzero(inner & (m == mg))[0]
+            (els, *_), link = equilibration._fan_layout(vs, mg, mg, mesh,
+                                                        links)
+            assert link.all()
+            assert np.array_equal(els[:, 0], ind[ptr[vs]])
 
     def test_vertex_joining_two_fans(self):
         # two triangles that touch at one vertex: its patch is two fans,
@@ -568,8 +599,7 @@ class TestGlobalReconstruction:
                         [0.0, 1.0], [-1.0, 0.0]])
         mesh = Mesh(pts, np.array([[0, 1, 2], [0, 3, 4], [0, 4, 5]]))
         (els, *_, pos, _), link = equilibration._fan_layout(
-            np.array([0]), 3, 1, 0, mesh,
-            equilibration._fan_links(mesh), np.zeros(3, dtype=np.int64))
+            np.array([0]), 3, 1, mesh, equilibration._fan_links(mesh))
         assert els.tolist() == [[0, 1, 2]]
         assert link.tolist() == [[False, True, False]]
         assert pos.tolist() == [[[1, 2]]]
@@ -845,7 +875,7 @@ class TestGlobalReconstruction:
         mesh = make_mesh()
         space = FeSpace(mesh, k)
         key, ex = _element_keys(mesh)
-        first, cls, _, _ = _row_classes(key)
+        first, cls, _ = _row_classes(key)
         d = ex[first][cls] - ex
         assert np.any(d != 0) == (make_mesh is graded_lshape)
         own = _shape_blocks(space, np.arange(mesh.n_triangles))
@@ -880,7 +910,7 @@ class TestGlobalReconstruction:
         # a handful of classes on the uniform square, one per element on
         # the jittered mesh
         mesh = make_mesh()
-        first, _, counts, _ = _row_classes(_element_keys(mesh)[0])
+        first, _, counts = _row_classes(_element_keys(mesh)[0])
         assert (counts.size <= 8 if make_mesh is uniform_square
                 else counts.size == mesh.n_triangles)
         calls = spy_shape_blocks(monkeypatch)

@@ -213,6 +213,29 @@ class TestConstruction:
             with pytest.raises(MeshError, match="vertex 2 is in no triangle"):
                 build(pts, tris)
 
+    def test_clockwise_triangle_rejected(self):
+        # triangle 5 of this mesh listed clockwise gave a P2 eta_delta of
+        # 0.1202 instead of 0.0983 (f = 1), and the flux still verified
+        m = bisect(lshape(), [0, 1, 2, 3], 2)
+        tris = m.triangles.copy()
+        tris[5] = tris[5, [1, 0, 2]]
+        with pytest.raises(MeshError, match="triangle 5 is not counterclockwise"):
+            Mesh(m.points, tris)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match="triangle 0 is not counterclockwise"):
+            Mesh(pts, np.array([[0, 2, 1]]))
+
+    def test_names_a_vertex_with_a_non_finite_coordinate(self):
+        # a NaN point used to surface only as a singular factorisation
+        m = unit_square_crisscross()
+        for bad in (np.nan, np.inf):
+            pts = m.points.copy()
+            pts[3, 1] = bad
+            for build in (Mesh, Mesh.from_arrays):
+                with pytest.raises(MeshError,
+                                   match="vertex 3 has a non-finite"):
+                    build(pts, m.triangles)
+
     def test_vertex_and_triangle_arrays(self):
         m = unit_square_crisscross()
         assert tuple(m.points[4]) == (0.5, 0.5) and not m.boundary_vertex[4]
@@ -541,16 +564,10 @@ class TestConformityDiagnostics:
         pts = np.array([
             [0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 0.0], [0.5, -1.0],
         ])
-        tris = np.array([[0, 1, 2], [0, 3, 4], [3, 1, 4]])
+        tris = np.array([[0, 1, 2], [0, 4, 3], [3, 4, 1]])
         rep = conformity_check(Mesh(pts, tris))
         assert not rep.ok
         assert any("hangs" in v for v in rep.violations)
-
-    def test_clockwise_triangle_flagged(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        rep = conformity_check(Mesh(pts, np.array([[0, 2, 1]])))
-        assert not rep.ok
-        assert any("counterclockwise" in v for v in rep.violations)
 
 
 class TestFileFormats:
@@ -571,6 +588,15 @@ class TestFileFormats:
         p = tmp_path / "bad.tri"
         p.write_text("3 1\n0 0 1\n1 0 1\n")
         with pytest.raises(MeshError):
+            Mesh.load_tri(p)
+
+    def test_tri_names_a_non_finite_vertex(self, tmp_path):
+        p = tmp_path / "nan.tri"
+        unit_square_crisscross().save_tri(p)
+        lines = p.read_text().splitlines()
+        lines[1 + 2] = "nan 0.0 1"  # vertex 2
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match="vertex 2 has a non-finite"):
             Mesh.load_tri(p)
 
     def test_vtk_against_reference_parser(self, tmp_path):

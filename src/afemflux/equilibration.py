@@ -43,21 +43,26 @@ first element of each class only, and only for a class that the
 rotated divergence and trace blocks of every class of the previous call,
 so an element that refinement leaves alone costs no block build on the
 next level.  Being the same bit for bit whichever element they are built
-on, cached blocks leave the result as a cold call gives it.  What stays
-per element is the data: the hat-weighted divergence right-hand sides,
-from f and lap u_h at the element's own points.  On a mesh with no
-repeated shape each element is its own class.
+on, cached blocks leave the result as a cold call gives it.  The cache
+holds one generation of blocks at a time: a call gathers the classes it
+finds there straight into its new arrays, empties the cache, which frees
+the old arrays, then builds the new classes, and registers its arrays
+once they are complete.  What stays per element is the data: the
+hat-weighted divergence right-hand sides, from f and lap u_h at the
+element's own points.  On a mesh with no repeated shape each element is
+its own class.
 
 The divergence rows are condensed out element by element.  The whitened
 coordinates of each class are rotated, w = Q^T z, by a complete QR factor
 of its divergence block with the constant moment ordered last, so that the
-divergence acts as [R^T 0] with R^T lower triangular.  Forward substitution
-fixes the first n_p rotated coordinates, once per element and slot of the
-patch vertex, with the traces of the fixed coordinates moved to the
-right-hand side.  On a fully interior patch (every rim edge constrained)
-the divergence theorem makes the constant divergence moment of its
-lowest-id element a combination of the other rows; that row is dropped,
-and the coordinate it would fix, the last of the n_p, stays free.
+divergence acts as [R^T 0] with R^T lower triangular.  The computed
+second block is round-off of that zero, so only R^T is kept, as DQ.  Forward
+substitution fixes the first n_p rotated coordinates, once per element and
+slot of the patch vertex, with the traces of the fixed coordinates moved
+to the right-hand side.  On a fully interior patch (every rim edge
+constrained) the divergence theorem makes the constant divergence moment
+of its lowest-id element a combination of the other rows; that row is
+dropped, and the coordinate it would fix, the last of the n_p, stays free.
 
 The rim rows are condensed out the same way.  A rim row is the zero-trace
 condition on the patch edge opposite the vertex, and involves one element
@@ -77,9 +82,9 @@ solution by semi-normal equations on the row Gram matrix (batched LU)
 with residual refinement sweeps, and each element's solution is turned
 back by Q2 into the rotated coordinates of its class.  The patch residual
 covers every row of the full system: the jump rows solved, the
-forward-substituted divergence and rim rows, computed in the class
-coordinates after the turn back, and the dropped row, in which a u_h
-without Galerkin orthogonality shows.
+forward-substituted divergence rows, against R^T, and rim rows, computed
+in the class coordinates after the turn back, and the dropped row, in
+which a u_h without Galerkin orthogonality shows.
 
 The flux keeps the correction in the rotated coordinates of each element's
 class, w_delta, in which its norm is the Euclidean one.  Each (element,
@@ -426,7 +431,8 @@ def _shape_blocks(space: FeSpace, els: np.ndarray):
 
 def _fill_blocks(space: FeSpace, els: np.ndarray, rows: np.ndarray, out):
     """Write the `_shape_blocks` block named name of element els[i] to
-    out[name][rows[i]], for each name of the dict out.
+    out[name][rows[i]], for each name of the dict out; "DQ" is written as
+    its lower triangular leading n_p x n_p block R^T alone.
 
     The elements go in batches whose blocks, N (4 N + 3 n_p + 9 (k+1))
     numbers per element, take at most `_SOLVE_BYTES`; the transients of
@@ -440,7 +446,8 @@ def _fill_blocks(space: FeSpace, els: np.ndarray, rows: np.ndarray, out):
     for s0 in range(0, els.size, step):
         part = _shape_blocks(space, els[s0:s0 + step])
         for name, a in out.items():
-            a[rows[s0:s0 + step]] = part[name]
+            b = part[name]
+            a[rows[s0:s0 + step]] = b[..., :n_p] if name == "DQ" else b
         del part  # free before the next batch's transients
 
 
@@ -502,7 +509,8 @@ def _const_last(n_p: int) -> np.ndarray:
 def _forward(DQ, rdiv):
     """U, the first n_p rotated coordinates that meet the divergence rows
     rdiv (t, 3, n_p) of each slot, by forward substitution against the
-    rotated blocks DQ (t, n_p, N); the constant moment comes last, so only
+    lower triangular R^T (t, n_p, n_p), the leading block of the rotated
+    divergence blocks DQ; the constant moment comes last, so only
     the last row involves the last of them.  The rim rows of
     `_patch_rhs` take it too, one slot at a time."""
     U = np.empty_like(rdiv)
@@ -834,9 +842,12 @@ def _refine(As, G, cls, bs, z, r):
     Patch p has the scaled matrix As[cls[p]] and its Gram matrix
     G[cls[p]]; only the patches that take a sweep gather theirs."""
     resid = np.abs(r).max(axis=1, initial=0.0)
-    # scaled rows have unit norm, so ||z|| sets the natural residual scale
-    scale = np.sqrt(np.einsum("pc,pc->p", z, z)) \
-        + np.abs(bs).max(axis=1, initial=0.0)
+    # scaled rows have unit norm, so ||z|| + max|bs| sets the natural
+    # residual scale; ||z|| >= 0, so it is formed only where the residual
+    # passes 1e-14 max|bs|
+    scale = np.abs(bs).max(axis=1, initial=0.0)
+    near = np.nonzero(resid > 1e-14 * scale)[0]
+    scale[near] += np.sqrt(np.einsum("pc,pc->p", z[near], z[near]))
     for _ in range(3):
         bad = np.nonzero(resid > 1e-14 * scale)[0]
         if bad.size == 0:
@@ -893,10 +904,13 @@ class ElementBlocks:
     call to the next; `afem.run` passes one from level to level.
 
     `shapes` maps the bytes of an element class (the degree and the
-    `_element_keys` row) to its row in the arrays of `blocks`, the rotated
-    divergence and trace blocks "DQ" and "TrQ" of `_shape_blocks`, which
-    are the same bit for bit whichever element of the class they are built
-    on.  Each call keeps only the classes of its own mesh.
+    `_element_keys` row) to its row in the arrays of `blocks`: "DQ", the
+    lower triangular leading n_p x n_p block R^T of the rotated divergence
+    block of `_shape_blocks`, and "TrQ", the rotated trace blocks, both
+    the same bit for bit whichever element of the class they are built on.
+    It holds one generation: each call keeps only the classes of its own
+    mesh, frees the previous call's arrays before it builds new classes,
+    and leaves the cache empty if the build raises.
     """
 
     def __init__(self):
@@ -1006,18 +1020,22 @@ def equilibrate(u_h: ScalarField, f,
     ekey, _ = _element_keys(mesh)
     efirst, ecls, _ = _row_classes(ekey)
     nc = efirst.size
-    # DQ and TrQ per element class, from the cache or built on its first
-    # element; the cache then holds these arrays and their classes alone
-    shape = {"DQ": np.empty((nc, n_p, N)), "TrQ": np.empty((nc, 3, K1, N))}
+    # DQ (its leading block R^T) and TrQ per element class: the cached
+    # classes in one gather, the new ones pointed at row 0 and then built
+    # on their first element once the old arrays are freed; a build that
+    # raises leaves the cache empty, never naming unfilled rows
     names = _void_rows(np.column_stack([np.full(nc, k),
                                         ekey[efirst]])).tolist()
     row = np.fromiter((cache.shapes.get(n, -1) for n in names), np.int64,
                       nc)
-    hit = row >= 0
-    if hit.any():
-        for name, a in shape.items():
-            a[hit] = cache.blocks[name][row[hit]]
-    new = np.nonzero(~hit)[0]
+    new = np.nonzero(row < 0)[0]
+    if new.size < nc:
+        shape = {name: np.take(a, np.maximum(row, 0), axis=0)
+                 for name, a in cache.blocks.items()}
+    else:
+        shape = {"DQ": np.empty((nc, n_p, n_p)),
+                 "TrQ": np.empty((nc, 3, K1, N))}
+    cache.shapes, cache.blocks = {}, {}
     _fill_blocks(space, efirst[new], new, shape)
     cache.shapes, cache.blocks = dict(zip(names, range(nc))), shape
     # rdiv and U per element
@@ -1082,7 +1100,8 @@ def equilibrate(u_h: ScalarField, f,
             w[:, 0, n_p - 1] = om[:, 0, Nf]
         # every divergence row, the dropped one included: that is where
         # a u_h without Galerkin orthogonality shows; and every rim row
-        dres = np.einsum("pmij,pmj->pmi", blocks["DQ"][ecls[els]], w) - rdiv
+        dres = np.einsum("pmij,pmj->pmi", blocks["DQ"][ecls[els]],
+                         w[..., :n_p]) - rdiv
         rim = np.take(blocks["TrQ"].reshape(-1, K1, N), ecls[els] * 3 + slots,
                       axis=0)
         rres = np.einsum("pmij,pmj->pmi", rim, w) * imposed[..., None]

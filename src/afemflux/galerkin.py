@@ -382,6 +382,9 @@ def element_gradients(field: ScalarField, ref_pts: np.ndarray, elements=None):
 
 
 def element_laplacians(field: ScalarField, ref_pts: np.ndarray, elements=None):
+    """Physical Laplacians at mapped points -> (nt, nq): the trace of
+    Ji^T H Ji for the reference Hessians H, formed as H : S with
+    S = Ji Ji^T."""
     sp_ = field.space
     H = sp_.ref.hessians(ref_pts)  # (nq, n_loc, 2, 2)
     Ji = sp_.jac_inv if elements is None else sp_.jac_inv[elements]
@@ -390,9 +393,9 @@ def element_laplacians(field: ScalarField, ref_pts: np.ndarray, elements=None):
     if not H.any():  # piecewise-linear fields have no second derivatives
         return np.zeros((ec.shape[0], nq))
     ref_hess = (ec @ H.transpose(1, 0, 2, 3).reshape(H.shape[1], -1))
-    ref_hess = ref_hess.reshape(-1, nq, 2, 2)
-    phys = Ji.transpose(0, 2, 1)[:, None] @ ref_hess @ Ji[:, None]
-    return phys[..., 0, 0] + phys[..., 1, 1]
+    S = Ji @ Ji.transpose(0, 2, 1)
+    return np.einsum("tqc,tc->tq", ref_hess.reshape(-1, nq, 4),
+                     S.reshape(-1, 4))
 
 
 @lru_cache(maxsize=None)

@@ -255,6 +255,8 @@ class Mesh:
         each triple so the longest edge is the refinement edge, ties broken
         by the smallest opposite-vertex id."""
         points = np.array(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise MeshError("points must be an (nv, 2) array")
         tris = np.array(triangles, dtype=np.int64)
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")

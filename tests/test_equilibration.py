@@ -8,6 +8,7 @@ pointwise, and minimality is verified through null-space orthogonality.
 
 import dataclasses
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -829,10 +830,85 @@ class TestGlobalReconstruction:
             warm = equilibrate(u, f_sine, cache=cache)
             monkeypatch.undo()
             assert np.concatenate(calls).size == len(cache.shapes)
-            assert cache.blocks["DQ"].shape[1:] == (
-                len(monomial_exponents(k)), rt_dim(k))
+            n_p = len(monomial_exponents(k))
+            assert cache.blocks["DQ"].shape[1:] == (n_p, n_p)
+            assert cache.blocks["TrQ"].shape[1:] == (3, k + 1, rt_dim(k))
             assert np.array_equal(warm.w_delta, cold.w_delta)
             assert np.array_equal(warm.q_delta.coeffs, cold.q_delta.coeffs)
+
+    def test_warm_call_frees_the_old_blocks_before_it_builds(self,
+                                                            monkeypatch):
+        # one generation of element blocks at a time: the carried classes
+        # are gathered into the new arrays, and the old ones are gone by
+        # the time the new classes are built
+        coarse = jittered_square()
+        cache = equilibration.ElementBlocks()
+        equilibrate(solve_poisson(FeSpace(coarse, 2), f_sine), f_sine,
+                    cache=cache)
+        old = [weakref.ref(a) for a in cache.blocks.values()]
+        u = solve_poisson(FeSpace(bisect(coarse, [0, 9, 30], 1), 2), f_sine)
+        alive = []
+        real = equilibration._shape_blocks
+
+        def spy(space, els):
+            alive.append([r() is not None for r in old])
+            return real(space, els)
+
+        monkeypatch.setattr(equilibration, "_shape_blocks", spy)
+        equilibrate(u, f_sine, cache=cache)
+        assert alive and alive[0] == [False, False]
+
+    def test_build_that_raises_leaves_the_cache_empty(self, monkeypatch):
+        # a build that fails in its second batch leaves no class names
+        # behind whose rows were never filled; the next call starts cold
+        coarse = jittered_square()
+        cache = equilibration.ElementBlocks()
+        equilibrate(solve_poisson(FeSpace(coarse, 2), f_sine), f_sine,
+                    cache=cache)
+        fine = bisect(coarse, np.arange(coarse.n_triangles), 1)
+        u = solve_poisson(FeSpace(fine, 2), f_sine)
+        calls = []
+        real = equilibration._shape_blocks
+
+        def failing(space, els):
+            calls.append(els.size)
+            if len(calls) == 2:
+                raise MemoryError("out of memory in the second batch")
+            return real(space, els)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(equilibration, "_SOLVE_BYTES", 1)
+            mp.setattr(equilibration, "_shape_blocks", failing)
+            with pytest.raises(MemoryError):
+                equilibrate(u, f_sine, cache=cache)
+        assert len(calls) == 2
+        assert cache.shapes == {} and cache.blocks == {}
+        cold = equilibrate(u, f_sine)
+        warm = equilibrate(u, f_sine, cache=cache)
+        for name in ("w_delta", "eta_delta", "eta_star", "patch_residuals"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name))
+        assert len(cache.shapes) == _row_classes(_element_keys(fine)[0])[0].size
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [graded_lshape, jittered_square])
+    def test_cache_keeps_the_triangle_of_the_divergence_blocks(self,
+                                                              make_mesh, k):
+        # in the rotated coordinates the divergence acts as [R^T 0]: the
+        # trailing N - n_p columns of DQ, like the upper triangle of the
+        # leading n_p, are round-off of exact zeros, and the cache keeps
+        # the leading n_p columns, R^T, bit for bit
+        mesh = make_mesh()
+        space = FeSpace(mesh, k)
+        n_p = len(monomial_exponents(k))
+        first = _row_classes(_element_keys(mesh)[0])[0]
+        DQ = _shape_blocks(space, first)["DQ"]
+        R = DQ[..., :n_p]
+        scale = 1e-14 * np.abs(R).max(axis=(1, 2))
+        assert np.all(np.abs(DQ[..., n_p:]).max(axis=(1, 2)) <= scale)
+        assert np.all(np.abs(np.triu(R, 1)).max(axis=(1, 2)) <= scale)
+        cache = equilibration.ElementBlocks()
+        equilibrate(solve_poisson(space, f_sine), f_sine, cache=cache)
+        assert np.array_equal(cache.blocks["DQ"], R)
 
     def test_jittered_mesh_shares_no_patch(self):
         fl = equilibrated(jittered_square(), 2)

@@ -31,6 +31,7 @@ from afemflux.galerkin import (
 )
 from afemflux.mesh import Mesh, bisect, lshape, unit_square_crisscross
 from afemflux.quadrature import triangle_rule
+from test_equilibration import graded_lshape, jittered_square
 
 
 def u_sine(x, y):
@@ -248,6 +249,35 @@ class TestElementBatches:
         monkeypatch.setattr(galerkin, "_BATCH", 7)
         for a, b in zip(estimators(), default):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
+
+class TestElementLaplacians:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [graded_lshape, jittered_square])
+    def test_trace_of_the_mapped_hessian(self, make_mesh, k):
+        # H : (Ji Ji^T) against the trace of Ji^T H Ji, taken explicitly.
+        # The reference Hessians H of the field are summed over the basis
+        # as the kernel sums them: that sum cancels to about 1e-12 of its
+        # terms at k = 4, in any order, so only the contraction is compared
+        space = FeSpace(make_mesh(), k)
+        fld = space.interpolate(lambda x, y: np.exp(x) * np.sin(2 * y))
+        pts = space.rule_fine.points
+        Hb = space.ref.hessians(pts)
+        H = (fld.element_coeffs() @ Hb.transpose(1, 0, 2, 3).reshape(
+            Hb.shape[1], -1)).reshape(-1, pts.shape[0], 2, 2)
+        Ji = space.jac_inv
+        want = np.einsum("tac,tqab,tbc->tq", Ji, H, Ji)
+        got = galerkin.element_laplacians(fld, pts)
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * np.abs(want).max(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [graded_lshape, jittered_square])
+    def test_laplacian_of_a_quadratic(self, make_mesh, k):
+        space = FeSpace(make_mesh(), k)
+        fld = space.interpolate(lambda x, y: x * x + y * y)
+        lap = galerkin.element_laplacians(fld, space.rule_main.points)
+        assert lap == pytest.approx(4.0, rel=1e-10)
 
 
 class TestSolverPaths:

@@ -203,6 +203,13 @@ class TestConstruction:
             with pytest.raises(MeshError, match=f"vertex index {bad} out of range"):
                 Mesh.from_arrays(pts, np.array([[0, 1, bad]]))
 
+    def test_from_arrays_rejects_points_of_the_wrong_shape(self):
+        # a 1-D array used to raise numpy's AxisError, and an (nv, 3) array
+        # went through orientation on its first two columns
+        for pts in (np.zeros(6), np.zeros((3, 3))):
+            with pytest.raises(MeshError, match=r"points must be an \(nv, 2\)"):
+                Mesh.from_arrays(pts, [[0, 1, 2]])
+
     def test_names_a_vertex_in_no_triangle(self):
         # a stray point would leave the stiffness matrix singular, and the
         # sparse factorisation's error names no vertex

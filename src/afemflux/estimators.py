@@ -23,7 +23,8 @@ evaluated once per level: the normal jumps of grad u_h, which `equilibrate`
 computes for its patch problems and keeps on the flux, and the volume
 residual f + lap u_h on the fine rule, from which `_residual_squares` forms
 the plain and the hat-weighted squares alike.  `residual_indicators` and
-`patch_residual_indicators` only combine those squares.
+`patch_residual_indicators` only combine those squares.  `oscillation`
+projects f by one `reference_projector`, with no system per element.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .galerkin import (
     ScalarField,
     element_batches,
     element_laplacians,
-    monomial_projection,
+    reference_projector,
 )
 from .mesh import Mesh
 
@@ -109,20 +110,23 @@ def oscillation(space: FeSpace, f) -> np.ndarray:
     """Elementwise data oscillation h_T |f - (projection of f)|_T.
 
     The projection is onto polynomials of degree k - 1 for a degree-k
-    space.  It is evaluated pointwise and the squared remainder integrated,
-    so resolved data give zero to round-off rather than a sqrt(eps) floor.
+    space, by one `reference_projector` P for all elements.  Each element's
+    values are shifted by their first one, a constant that cancels in the
+    remainder, so that constant data give exactly zero (P's rows sum to one
+    only to round-off).  The remainder is integrated pointwise, so other
+    resolved data give round-off rather than a sqrt(eps) floor.
     """
     mesh = space.mesh
     rule = space.rule_fine
-    h = mesh.diameters
+    P = reference_projector(rule, space.degree - 1)
     out = np.empty(mesh.n_triangles)
-    for batch in element_batches(mesh, rule.points, degree=space.degree - 1):
-        els, X, mono = batch.els, batch.X, batch.mono
+    for batch in element_batches(mesh, rule.points):
+        els, X = batch.els, batch.X
         fX = f(X[..., 0], X[..., 1])
-        coef = monomial_projection(rule.weights, mono, fX)[..., 0]
-        rem = fX - np.einsum("tqa,ta->tq", mono, coef)
+        c = fX - fX[:, :1]
+        rem = c - c @ P.T
         sq = np.einsum("q,tq,t->t", rule.weights, rem * rem, mesh.areas[els])
-        out[els] = h[els] * np.sqrt(sq)
+        out[els] = mesh.diameters[els] * np.sqrt(sq)
     return out
 
 

@@ -25,6 +25,10 @@ batches of `_BATCH` elements with their mapped quadrature points, the same
 points centred and diameter-scaled, and the monomials there when asked
 for.  (Equilibration builds its shape blocks for a subset of the elements,
 in batches bounded by bytes.)
+
+Elementwise L2 projections: `monomial_projection` solves each element's
+Gram system for coefficients; `reference_projector` gives the values of
+every element's projection at a rule's points by one reference matrix.
 """
 
 from __future__ import annotations
@@ -107,6 +111,19 @@ def monomial_projection(w, mono, *vals) -> np.ndarray:
     r = np.stack([np.einsum("q,tq,tqa->ta", w, v, mono, optimize=True)
                   for v in vals], axis=-1)
     return np.linalg.solve(M, r)
+
+
+def reference_projector(rule: QuadratureRule, degree: int) -> np.ndarray:
+    """(nq, nq) P: values at the points of rule -> those of the discrete L2
+    projection onto P^degree, for every element (fX (t, nq) -> fX @ P.T), as
+    the projection commutes with affine maps.  Built from Q, the orthonormal
+    factor of sqrt(w) V, V the monomials centred at the reference centroid:
+    no normal equations."""
+    x = rule.points - 1.0 / 3.0
+    V = monomial_values(monomial_exponents(degree), x[:, 0], x[:, 1])
+    sw = np.sqrt(rule.weights)
+    Q = np.linalg.qr(sw[:, None] * V)[0]
+    return (Q / sw[:, None]) @ (Q * sw[:, None]).T
 
 
 def _exact_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -416,6 +433,8 @@ def edge_restriction(k: int, qdeg: int):
             t = 1.0 - s if flip else s
             pts = verts[a][None, :] + t[:, None] * (verts[b] - verts[a])[None, :]
             out[(le, flip)] = (pts, ref.values(pts), ref.gradients(pts))
+            for arr in out[(le, flip)]:
+                arr.flags.writeable = False
     return out
 
 

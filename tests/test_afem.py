@@ -270,6 +270,15 @@ class TestDriver:
         # f = 1 is resolved exactly: oscillation ratios are 0/0
         assert np.isnan(extrema(rows, "lam1")[0])
 
+    def test_constant_data_leave_no_oscillation_at_p2(self):
+        # f = 1 lies in P^1: the oscillation is exactly zero, not round-off,
+        # so the lambda ratios are 0/0 rather than ratios of round-off
+        res, rows = run_with_hypotheses(AfemConfig(
+            problem="lshape_one", degree=2, max_dofs=400))
+        assert len(rows) >= 2
+        assert all(r.osc == 0.0 and r.osc_star == 0.0 for r in res.records)
+        assert all(np.isnan(r.lam1) and np.isnan(r.lam2) for r in rows)
+
     def test_lambda_ratios_with_oscillating_data(self):
         _, rows = run_with_hypotheses(AfemConfig(
             problem="square_sine", degree=1, theta=0.6, max_dofs=1200))

@@ -183,7 +183,7 @@ class TestOscillation:
         # h |x - 1/3| = sqrt2 * sqrt(1/36)
         assert osc[0] == pytest.approx(np.sqrt(2.0) / 6.0, rel=1e-10)
 
-    @pytest.mark.parametrize("k,deg", [(1, 0), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("k,deg", [(1, 0), (2, 1), (3, 2), (4, 3)])
     def test_resolved_data_has_zero_oscillation(self, k, deg):
         mesh = bisect(lshape(), [0, 4], 1)
         space = FeSpace(mesh, k)
@@ -192,6 +192,16 @@ class TestOscillation:
             return (x + 2 * y) ** deg
 
         assert np.abs(oscillation(space, f)).max() < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_constant_data_has_exactly_zero_oscillation(self, k):
+        # the weights of the 25- and 49-point fine rules (k = 2, 4) do not
+        # sum to one in floating point, nor does the projector reproduce a
+        # constant to the last bit: constant data must not leave either
+        # round-off in osc
+        space = FeSpace(graded_lshape(), k)
+        osc = oscillation(space, lambda x, y: np.ones_like(x))
+        assert np.all(osc == 0.0)
 
     def test_patch_oscillation_recombines(self):
         mesh = bisect(unit_square_crisscross(), np.arange(4), 2)

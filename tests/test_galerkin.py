@@ -27,6 +27,7 @@ from afemflux.galerkin import (
     monomial_values,
     physical_points,
     prolong,
+    reference_projector,
     solve_poisson,
 )
 from afemflux.mesh import Mesh, bisect, lshape, unit_square_crisscross
@@ -207,6 +208,24 @@ class TestNormsAndProjection:
         xs = p[:, 0].mean() + np.linspace(-0.05, 0.05, 7)
         ys = p[:, 1].mean() + np.linspace(-0.04, 0.04, 7)
         assert np.allclose(proj(xs, ys), g(xs, ys), atol=1e-13)
+
+    @pytest.mark.parametrize("rule_name", ["rule_main", "rule_fine"])
+    @pytest.mark.parametrize("make_mesh", [graded_lshape, jittered_square])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_reference_projector_matches_gram_solve(self, k, make_mesh,
+                                                    rule_name):
+        # one reference matrix gives the values of every element's
+        # projection, onto P^k as `verify` takes it and onto P^(k-1) as
+        # `oscillation` does
+        mesh = make_mesh()
+        rule = getattr(FeSpace(mesh, k), rule_name)
+        for m in (k - 1, k):
+            batch = element_batch(mesh, rule.points, degree=m)
+            fX = f_sine(batch.X[..., 0], batch.X[..., 1])
+            coef = monomial_projection(rule.weights, batch.mono, fX)[..., 0]
+            gram = np.einsum("tqa,ta->tq", batch.mono, coef)
+            got = fX @ reference_projector(rule, m).T
+            assert np.abs(got - gram).max() <= 1e-12 * np.abs(fX).max()
 
 
 class TestElementBatches:

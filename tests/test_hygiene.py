@@ -1,14 +1,17 @@
-"""Import hygiene of the package, checked on its syntax trees: no module
-imports a name it never uses, no private module-level name goes unread,
-every exported name resolves, and every private name the docs put in
-backticks is defined."""
+"""Hygiene of the package, checked on its syntax trees: no module imports
+a name it never uses, no private module-level name goes unread, every
+exported name resolves, every private name the docs put in backticks is
+defined, and every table a cached function returns is read-only."""
 
 import ast
+import dataclasses
+import importlib
 import io
 import re
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import afemflux
@@ -197,3 +200,82 @@ def test_undefined_backticked_name_is_found():
     text = "\n".join(prose(source))
     assert backticked_private_names(text) - bound_names(ast.parse(source)) \
         == {"_gone", "_b", "_c"}
+
+
+def cached_functions(tree):
+    """Names of the functions decorated by `functools.lru_cache` or
+    `functools.cache`, called or bare, by name or through the module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) \
+                    else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    out.append(node.name)
+    return out
+
+
+def arrays_in(value):
+    """Every ndarray in value, looking into dicts (keys and values),
+    tuples, lists and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif not isinstance(value, (tuple, list)):
+        return []
+    return [a for item in value for a in arrays_in(item)]
+
+
+# arguments each cached function is called with; a cached function that is
+# missing here fails the test, so that its tables get checked
+CACHED_CALLS = {
+    ("quadrature", "triangle_rule"): [(0,), (12,)],
+    ("quadrature", "edge_rule"): [(0,), (10,)],
+    ("galerkin", "reference_element"): [(1,), (4,)],
+    ("galerkin", "edge_restriction"): [(1, 4), (4, 10)],
+    ("equilibration", "rt_divergence_matrix"): [(1,), (4,)],
+}
+
+
+def test_cached_tables_are_read_only():
+    found = {(p.stem, name) for p in MODULES
+             for name in cached_functions(ast.parse(p.read_text(), str(p)))}
+    assert found <= set(CACHED_CALLS), \
+        f"cached functions without arguments in CACHED_CALLS: " \
+        f"{sorted(found - set(CACHED_CALLS))}"
+    writable = []
+    for (module, name), calls in sorted(CACHED_CALLS.items()):
+        func = getattr(importlib.import_module(f"afemflux.{module}"), name)
+        for args in calls:
+            arrays = arrays_in(func(*args))
+            assert arrays, f"{name}{args} returns no array"
+            if any(a.flags.writeable for a in arrays):
+                writable.append(f"{name}{args}")
+    assert not writable, f"writable cached arrays: {writable}"
+
+
+def test_cached_function_and_nested_array_are_found():
+    tree = ast.parse("import functools\n"
+                     "from functools import cache, lru_cache\n"
+                     "@lru_cache(maxsize=None)\n"
+                     "def a(k): pass\n"
+                     "@functools.lru_cache\n"
+                     "def b(k): pass\n"
+                     "@cache\n"
+                     "def c(k): pass\n"
+                     "@staticmethod\n"
+                     "def d(k): pass\n")
+    assert cached_functions(tree) == ["a", "b", "c"]
+
+    @dataclasses.dataclass
+    class Table:
+        rows: tuple
+
+    inner = np.zeros(2)
+    found = arrays_in({"t": Table(rows=(1, [inner]))})
+    assert len(found) == 1 and found[0] is inner

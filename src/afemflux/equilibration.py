@@ -206,18 +206,18 @@ _REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 def _element_shapes(mesh: Mesh, els=None):
     """Normalised shapes of the elements els (all by default).
 
-    Returns e (t, 2, 2), the edge vectors p1 - p0 and p2 - p0 scaled by the
-    exact power of two 2^-ex that brings their largest component into
-    [0.5, 1); the exponents ex (t,); and lower (t, 3), whether the lower
-    global id of local edge le, which runs from local vertex le+1 to le+2,
-    sits at its end.
+    Returns e (t, 2, 2), the edge vectors p1 - p0 and p2 - p0, the rows of
+    J^T for J in `Mesh.jacobians`, scaled by the exact power of two 2^-ex
+    that brings their largest component into [0.5, 1); the exponents ex
+    (t,); and lower (t, 3), `Mesh.edge_flips`: whether the lower global id
+    of local edge le sits at its end.
     """
-    t = mesh.triangles if els is None else mesh.triangles[els]
-    p = mesh.points[t]
-    e = p[:, 1:] - p[:, :1]
+    els = slice(None) if els is None else els
+    e = mesh.jacobians[els].transpose(0, 2, 1)
     _, ex = np.frexp(np.abs(e).max(axis=(1, 2)))
-    return (np.ldexp(e, -ex[:, None, None]), ex,
-            t[:, [2, 0, 1]] < t[:, [1, 2, 0]])
+    # C order: the blocks built on e then round as on a fresh array
+    return (np.ldexp(e, -ex[:, None, None], order="C"), ex,
+            mesh.edge_flips[els])
 
 
 def _local_geometry(e):

@@ -24,7 +24,8 @@ Every loop over the elements of a mesh runs through `element_batches`:
 batches of `_BATCH` elements with their mapped quadrature points, the same
 points centred and diameter-scaled, and the monomials there when asked
 for.  (Equilibration builds its shape blocks for a subset of the elements,
-in batches bounded by bytes.)
+in batches bounded by bytes.)  Affine maps and edge orientations come from
+the mesh: `Mesh.jacobians`, `Mesh.edge_flips`.
 
 Elementwise L2 projections: `monomial_projection` solves each element's
 Gram system for coefficients; `reference_projector` gives the values of
@@ -238,8 +239,7 @@ class FeSpace:
                 dof_map[:, idx] = tris[:, kind[1]]
             elif kind[0] == "e":
                 le, t = kind[1], kind[2]
-                a, b = _LOCAL_EDGES[le]
-                s = np.where(tris[:, a] < tris[:, b], t, k - t)
+                s = np.where(mesh.edge_flips[:, le], k - t, t)
                 dof_map[:, idx] = nv + eot[:, le] * (k - 1) + (s - 1)
             else:
                 dof_map[:, idx] = nv + ne * (k - 1) + \
@@ -254,17 +254,11 @@ class FeSpace:
         bnd.flags.writeable = False
         self.boundary_dofs = bnd
         self.n_free = int((~bnd).sum())
-        # affine maps
-        p = mesh.points[tris]
-        self.origins = p[:, 0]
-        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+        J = mesh.jacobians
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        inv = np.empty_like(J)
-        inv[:, 0, 0] = J[:, 1, 1]
-        inv[:, 0, 1] = -J[:, 0, 1]
-        inv[:, 1, 0] = -J[:, 1, 0]
-        inv[:, 1, 1] = J[:, 0, 0]
-        self.jac_inv = inv / det[:, None, None]
+        adj = np.stack([J[:, 1, 1], -J[:, 0, 1], -J[:, 1, 0], J[:, 0, 0]], 1)
+        self.jac_inv = adj.reshape(-1, 2, 2) / det[:, None, None]
+        self.jac_inv.flags.writeable = False
 
     @property
     def rule_main(self) -> QuadratureRule:
@@ -325,10 +319,9 @@ class ScalarField:
 
 def physical_points(mesh: Mesh, ref_pts: np.ndarray, elements=None):
     """Map reference points (nq, 2) into each element -> (nt, nq, 2)."""
-    p = mesh.points[mesh.triangles if elements is None
-                    else mesh.triangles[elements]]
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
-    return p[:, 0, None, :] + ref_pts @ J.transpose(0, 2, 1)
+    els = slice(None) if elements is None else elements
+    J = mesh.jacobians[els].transpose(0, 2, 1)
+    return mesh.points[mesh.triangles[els, 0], None] + ref_pts @ J
 
 
 def scaled_coordinates(mesh: Mesh, X: np.ndarray, els: np.ndarray):
@@ -438,22 +431,6 @@ def edge_restriction(k: int, qdeg: int):
     return out
 
 
-def edge_flips(mesh: Mesh) -> np.ndarray:
-    """(ne, 2) flip flags for the two sides of each edge (see
-    edge_restriction)."""
-    tris = mesh.triangles
-    et = mesh.edge_triangles
-    el = mesh.edge_local
-    flips = np.zeros_like(et)
-    for side in (0, 1):
-        ok = et[:, side] >= 0
-        t, le = et[ok, side], el[ok, side]
-        a = tris[t, (le + 1) % 3]
-        b = tris[t, (le + 2) % 3]
-        flips[ok, side] = (a > b).astype(np.int64)
-    return flips
-
-
 def normal_jumps(field: ScalarField):
     """Jump of the normal gradient across each interior edge.
 
@@ -466,7 +443,6 @@ def normal_jumps(field: ScalarField):
     mesh = space.mesh
     qdeg = 2 * space.degree + 2
     tabs = edge_restriction(space.degree, qdeg)
-    flips = edge_flips(mesh)
     nq = edge_rule(qdeg).points.size
     et, el = mesh.edge_triangles, mesh.edge_local
     ne = et.shape[0]
@@ -475,29 +451,26 @@ def normal_jumps(field: ScalarField):
     pts = mesh.points
     interior = ~mesh.boundary_edge
     for side in (0, 1):
+        # every edge has a first side; an interior edge has a second
         sel = interior if side == 1 else np.ones(ne, dtype=bool)
-        sel = sel & (et[:, side] >= 0)
-        for le in range(3):
-            for flip in (0, 1):
-                rows = np.nonzero(sel & (el[:, side] == le) & (flips[:, side] == flip))[0]
-                if rows.size == 0:
-                    continue
-                t = et[rows, side]
-                _, _, G = tabs[(le, flip)]
-                nq = G.shape[0]
-                # numpy multiplies a lone row by gemv, which rounds unlike
-                # gemm: pad it to a pair, so that a row does not depend on
-                # how many edges share its side, local edge and flip
-                ec = field.element_coeffs(t if t.size > 1
-                                          else np.repeat(t, 2))
-                Gm = G.transpose(1, 0, 2).reshape(G.shape[1], -1)
-                rg = (ec @ Gm)[:t.size]
-                grads = rg.reshape(-1, nq, 2) @ space.jac_inv[t]
-                a, b = _LOCAL_EDGES[le]
-                tang = pts[tris[t, b]] - pts[tris[t, a]]
-                nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
-                nrm /= np.hypot(nrm[:, 0], nrm[:, 1])[:, None]
-                jumps[rows] += (grads @ nrm[:, :, None])[..., 0]
+        flips = mesh.edge_flips[et[:, side], el[:, side]]
+        for (le, flip), (_, _, G) in tabs.items():
+            rows = np.nonzero(sel & (el[:, side] == le) & (flips == flip))[0]
+            if rows.size == 0:
+                continue
+            t = et[rows, side]
+            # numpy multiplies a lone row by gemv, which rounds unlike
+            # gemm: pad it to a pair, so that a row does not depend on
+            # how many edges share its side, local edge and flip
+            ec = field.element_coeffs(t if t.size > 1 else np.repeat(t, 2))
+            Gm = G.transpose(1, 0, 2).reshape(G.shape[1], -1)
+            rg = (ec @ Gm)[:t.size]
+            grads = rg.reshape(-1, nq, 2) @ space.jac_inv[t]
+            a, b = _LOCAL_EDGES[le]
+            tang = pts[tris[t, b]] - pts[tris[t, a]]
+            nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
+            nrm /= np.hypot(nrm[:, 0], nrm[:, 1])[:, None]
+            jumps[rows] += (grads @ nrm[:, :, None])[..., 0]
     jumps[~interior] = 0.0
     return jumps, interior
 
@@ -630,7 +603,7 @@ def prolong(fld: ScalarField, fine_space: FeSpace) -> ScalarField:
     anc = ancestor_map(coarse.mesh, fine_space.mesh)
     # (ntf, n_nodes, 2)
     X = physical_points(fine_space.mesh, fine_space.ref.nodes)
-    rel = X - coarse.origins[anc][:, None, :]
+    rel = X - coarse.mesh.points[coarse.mesh.triangles[anc, 0], None]
     xi = np.einsum("tcd,tqd->tqc", coarse.jac_inv[anc], rel)
     mono = monomial_values(coarse.ref.exponents, xi[..., 0], xi[..., 1])
     basis = mono @ coarse.ref.coeffs  # (ntf, n_nodes, n_loc_coarse)

@@ -11,8 +11,9 @@ the children's refinement edges are the parent's two remaining edges.  Initial
 meshes are labelled so the longest edge of every triangle is its refinement
 edge (ties broken by the smallest opposite-vertex id).
 
-Meshes are immutable once built, and built only from finite points, each in
-some triangle, and counterclockwise triangles; `bisect` returns a new mesh.
+A mesh owns its arrays, each a locked copy of its input, and refuses
+attribute assignment.  It is built only from finite points, each in some
+triangle, and counterclockwise triangles; `bisect` returns a new mesh.
 Internally it works in rounds that each split a compatible set of marked
 edges, so every parent link spans at most one generation.  The lineage chain
 (via `source`) holds one kind of node, a `Round` link with the parent and
@@ -27,6 +28,8 @@ Connectivity lives in arrays, not in per-vertex or per-triangle objects:
 `edges`, `edge_of_triangle`, `edge_triangles` and `edge_local` for edges,
 and the CSR table `_vertex_triangles` for the patch of each vertex, its
 incident triangles in triangle-id order with the vertex's slot in each.
+`jacobians` and `edge_flips` are the one source of each element's affine
+map and of its edges' orientation against the global vertex ids.
 
 Mesh files use a small ASCII format: a header line `nv nt`, then nv vertex
 lines `x y boundary_flag`, then nt triangle lines `v0 v1 v2 generation` with
@@ -64,11 +67,28 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _require_finite(points: np.ndarray) -> None:
+def _owned(a, dtype) -> np.ndarray:
+    """A locked, C-contiguous copy of a."""
+    return _lock(np.array(a, dtype=dtype, order="C"))
+
+
+def _check_arrays(points: np.ndarray, triangles: np.ndarray) -> None:
+    """Shapes, finite points, ids in range; failures name the offender."""
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise MeshError("points must be an (nv, 2) array")
+    if triangles.ndim != 2 or triangles.shape[1] != 3:
+        raise MeshError("triangles must be an (nt, 3) array")
+    if triangles.shape[0] == 0:
+        raise MeshError("mesh has no triangles")
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
         raise MeshError(f"vertex {np.argmin(finite)} has a non-finite "
                         "coordinate")
+    bad = np.argwhere((triangles < 0) | (triangles >= len(points)))
+    if bad.size:
+        t, i = bad[0]
+        raise MeshError(f"triangle {t} has vertex index {triangles[t, i]} "
+                        f"out of range [0, {len(points)})")
 
 
 class Mesh:
@@ -82,25 +102,17 @@ class Mesh:
         parents: np.ndarray | None = None,
         source: "Round | Mesh | None" = None,
     ):
-        self.points = _lock(np.ascontiguousarray(points, dtype=np.float64))
-        self.triangles = _lock(np.ascontiguousarray(triangles, dtype=np.int64))
-        nt = self.triangles.shape[0]
-        if generations is None:
-            generations = np.zeros(nt, dtype=np.int64)
-        self.generations = _lock(np.ascontiguousarray(generations, dtype=np.int64))
-        if parents is None:
-            parents = np.full(nt, -1, dtype=np.int64)
-        self.parents = _lock(np.ascontiguousarray(parents, dtype=np.int64))
-        self.source = source.link if isinstance(source, Mesh) else source
-        if self.points.ndim != 2 or self.points.shape[1] != 2:
-            raise MeshError("points must be an (nv, 2) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise MeshError("triangles must be an (nt, 3) array")
-        if nt == 0:
-            raise MeshError("mesh has no triangles")
-        _require_finite(self.points)
-        if self.triangles.min() < 0 or self.triangles.max() >= self.n_vertices:
-            raise MeshError("triangle vertex index out of range")
+        points = _owned(points, np.float64)
+        triangles = _owned(triangles, np.int64)
+        _check_arrays(points, triangles)
+        nt = triangles.shape[0]
+        vars(self).update(
+            points=points, triangles=triangles,
+            generations=_owned(np.zeros(nt) if generations is None
+                               else generations, np.int64),
+            parents=_owned(np.full(nt, -1) if parents is None else parents,
+                           np.int64),
+            source=source.link if isinstance(source, Mesh) else source)
         if not self.valences.all():
             raise MeshError(f"vertex {np.argmin(self.valences)} is in no "
                             "triangle")
@@ -113,6 +125,9 @@ class Mesh:
         if not (self.signed_areas > 0).all():
             raise MeshError(f"triangle {np.argmin(self.signed_areas > 0)} is "
                             "not counterclockwise (signed area <= 0)")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Mesh is immutable: cannot assign {name!r}")
 
     # -- basic sizes ----------------------------------------------------
 
@@ -195,11 +210,23 @@ class Mesh:
         return _lock(mask)
 
     @cached_property
+    def jacobians(self) -> np.ndarray:
+        """(nt, 2, 2) affine-map Jacobians, columns p1 - p0 and p2 - p0."""
+        p, t = self.points, self.triangles
+        p0 = p[t[:, 0]]
+        return _lock(np.stack([p[t[:, 1]] - p0, p[t[:, 2]] - p0], axis=2))
+
+    @cached_property
+    def edge_flips(self) -> np.ndarray:
+        """(nt, 3): whether local edge le, which runs from local vertex le+1
+        to le+2, starts at the higher global vertex id."""
+        t = self.triangles
+        return _lock(t[:, [1, 2, 0]] > t[:, [2, 0, 1]])
+
+    @cached_property
     def signed_areas(self) -> np.ndarray:
-        p = self.points[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return _lock(0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
+        J = self.jacobians
+        return _lock(0.5 * (J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1]))
 
     @cached_property
     def areas(self) -> np.ndarray:
@@ -254,41 +281,25 @@ class Mesh:
         """Build a root mesh; orients triangles counterclockwise and rotates
         each triple so the longest edge is the refinement edge, ties broken
         by the smallest opposite-vertex id."""
-        points = np.array(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise MeshError("points must be an (nv, 2) array")
-        tris = np.array(triangles, dtype=np.int64)
-        if tris.ndim != 2 or tris.shape[1] != 3:
-            raise MeshError("triangles must be an (nt, 3) array")
-        if (tris[:, 0] == tris[:, 1]).any() or (tris[:, 1] == tris[:, 2]).any() \
-                or (tris[:, 0] == tris[:, 2]).any():
+        points = np.asarray(points, dtype=np.float64)
+        tris = np.asarray(triangles, dtype=np.int64)
+        _check_arrays(points, tris)
+        if (tris == tris[:, [1, 2, 0]]).any():
             raise MeshError("triangle with repeated vertex")
-        bad = (tris < 0) | (tris >= len(points))
-        if bad.any():
-            raise MeshError(f"triangle vertex index {tris[bad][0]} out of range "
-                            f"[0, {len(points)})")
-        _require_finite(points)
         p = points[tris]
         sgn = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) \
             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
         if (sgn == 0).any():
             raise MeshError("degenerate (zero-area) triangle")
-        flip = sgn < 0
-        tris[flip] = tris[flip][:, [1, 0, 2]]
+        tris = np.where((sgn < 0)[:, None], tris[:, [1, 0, 2]], tris)
         p = points[tris]
         # squared length of the edge opposite each local vertex
-        l2 = np.stack([
-            ((p[:, 2] - p[:, 1]) ** 2).sum(axis=1),
-            ((p[:, 0] - p[:, 2]) ** 2).sum(axis=1),
-            ((p[:, 1] - p[:, 0]) ** 2).sum(axis=1),
-        ], axis=1)
+        l2 = ((p[:, [2, 0, 1]] - p[:, [1, 2, 0]]) ** 2).sum(axis=2)
         near = l2 >= l2.max(axis=1, keepdims=True) * (1.0 - 1e-12)
         opp = np.where(near, tris, np.iinfo(np.int64).max)
         r = np.argmin(opp, axis=1)
-        rows = np.arange(len(tris))
-        return cls(points, np.stack([tris[rows, (r + 1) % 3],
-                                     tris[rows, (r + 2) % 3],
-                                     tris[rows, r]], axis=1))
+        return cls(points, np.take_along_axis(
+            tris, (r[:, None] + [1, 2, 0]) % 3, axis=1))
 
     # -- file formats ---------------------------------------------------
 
@@ -307,16 +318,17 @@ class Mesh:
             tokens = fh.read().split()
         if len(tokens) < 2:
             raise MeshError(f"{path}: truncated mesh file")
-        nv, nt = int(tokens[0]), int(tokens[1])
+        nv, nt = _parse(path, tokens[:2], np.int64, 2, "the header")[0]
+        if min(nv, nt) < 0:
+            raise MeshError(f"{path}: the header has a negative count")
         need = 2 + 3 * nv + 4 * nt
         if len(tokens) != need:
             raise MeshError(f"{path}: expected {need} tokens, found {len(tokens)}")
-        vals = tokens[2:2 + 3 * nv]
-        pts = np.array(vals, dtype=np.float64).reshape(nv, 3)[:, :2]
-        rest = np.array(tokens[2 + 3 * nv:], dtype=np.int64).reshape(nt, 4)
+        pts = _parse(path, tokens[2:2 + 3 * nv], np.float64, 3, "vertex {}")
+        rest = _parse(path, tokens[2 + 3 * nv:], np.int64, 4, "triangle {}")
         # boundary flags are re-derived from connectivity; the triple ordering
         # in the file already encodes the refinement edges, so no relabelling.
-        return cls(pts, rest[:, :3], generations=rest[:, 3])
+        return cls(pts[:, :2], rest[:, :3], generations=rest[:, 3])
 
     def save_vtk(self, path) -> None:
         """Legacy ASCII VTK unstructured grid with generations as cell data."""
@@ -335,6 +347,21 @@ class Mesh:
                      + f"CELL_DATA {nt}\nSCALARS generation int 1\n"
                      "LOOKUP_TABLE default\n")
             fh.writelines(f"{g}\n" for g in self.generations.tolist())
+
+
+def _parse(path, tokens, dtype, width: int, row: str) -> np.ndarray:
+    """Tokens of a mesh file as rows of width numbers; a token that does
+    not parse raises a MeshError naming the file and row.format(index)."""
+    try:
+        return np.array(tokens, dtype=dtype).reshape(-1, width)
+    except (ValueError, OverflowError):
+        for i, tok in enumerate(tokens):
+            try:
+                dtype(tok)
+            except (ValueError, OverflowError):
+                raise MeshError(f"{path}: {row.format(i // width)} has a "
+                                f"malformed number {tok!r}") from None
+        raise
 
 
 # -- reference domains --------------------------------------------------

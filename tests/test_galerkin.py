@@ -15,7 +15,6 @@ from afemflux.galerkin import (
     FeSpace,
     ScalarField,
     edge_restriction,
-    edge_flips,
     element_values,
     energy_error,
     energy_norm,
@@ -113,15 +112,14 @@ class TestSpaceStructure:
         rng = np.random.default_rng(3)
         fld = ScalarField(space, rng.standard_normal(space.n_dofs))
         tabs = edge_restriction(k, 2 * k + 2)
-        flips = edge_flips(mesh)
         et, el = mesh.edge_triangles, mesh.edge_local
         inter = np.nonzero(~mesh.boundary_edge)[0]
         sides = []
         for side in (0, 1):
             vals = np.empty((inter.size, tabs[(0, 0)][1].shape[0]))
             for i, e in enumerate(inter):
-                t, le, fl = et[e, side], el[e, side], flips[e, side]
-                V = tabs[(le, fl)][1]
+                t, le = et[e, side], el[e, side]
+                V = tabs[(le, int(mesh.edge_flips[t, le]))][1]
                 vals[i] = fld.coeffs[space.dof_map[t]] @ V.T
             sides.append(vals)
         assert np.allclose(sides[0], sides[1], atol=1e-12)

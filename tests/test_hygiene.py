@@ -1,7 +1,8 @@
 """Hygiene of the package, checked on its syntax trees: no module imports
 a name it never uses, no private module-level name goes unread, every
 exported name resolves, every private name the docs put in backticks is
-defined, and every table a cached function returns is read-only."""
+defined, and every table a cached function returns, or a mesh or its
+finite element space exposes, is read-only."""
 
 import ast
 import dataclasses
@@ -9,12 +10,15 @@ import importlib
 import io
 import re
 import tokenize
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import afemflux
+from afemflux.galerkin import FeSpace
+from afemflux.mesh import Mesh, bisect, lshape
 
 SRC = Path(afemflux.__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -279,3 +283,27 @@ def test_cached_function_and_nested_array_are_found():
     inner = np.zeros(2)
     found = arrays_in({"t": Table(rows=(1, [inner]))})
     assert len(found) == 1 and found[0] is inner
+
+
+def test_mesh_and_space_tables_are_read_only():
+    mesh = bisect(bisect(lshape(), [0, 5], 2), [3], 1)
+    cached = [name for name, attr in vars(Mesh).items()
+              if isinstance(attr, cached_property)]
+    assert {"areas", "edges", "link"} <= set(cached)
+    for name in cached:
+        getattr(mesh, name)
+    owners = {"mesh": mesh, "space": FeSpace(mesh, 3)}
+    link, depth = mesh.link, 0
+    while link is not None:
+        owners[f"link {depth}"], link, depth = link, link.source, depth + 1
+    assert depth == mesh.level + 1
+    writable = [f"{owner}.{name}" for owner, obj in owners.items()
+                for name, value in vars(obj).items()
+                if any(a.flags.writeable for a in arrays_in(value))]
+    assert not writable, f"writable arrays: {writable}"
+    refused = []
+    for name, value in list(vars(mesh).items()):
+        with pytest.raises(AttributeError, match=repr(name)):
+            setattr(mesh, name, value)
+        refused.append(name)
+    assert {"points", "triangles", "source", *cached} <= set(refused)

@@ -171,6 +171,63 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m.triangles[0, 0] = 2
 
+    def test_caller_arrays_stay_writable_and_apart(self):
+        # the constructor used to lock the caller's own arrays in place
+        m = unit_square_crisscross()
+        for build in (Mesh, Mesh.from_arrays):
+            pts, tris = m.points.copy(), m.triangles.copy()
+            built = build(pts, tris)
+            assert pts.flags.writeable and tris.flags.writeable
+            pts *= 2.0
+            tris[:] = tris[::-1]
+            assert np.array_equal(built.points, m.points)
+            assert built.areas[0] == pytest.approx(0.25)
+            assert not np.shares_memory(built.points, pts)
+
+    def test_mesh_of_a_view_ignores_writes_to_its_base(self):
+        m = unit_square_crisscross()
+        base = np.vstack([m.points, [[7.0, 7.0]]])
+        built = Mesh(base[:-1], m.triangles)
+        base[:] = 0.0
+        assert np.array_equal(built.points, m.points)
+        assert built.points.flags.c_contiguous
+
+    def test_attribute_assignment_is_refused(self):
+        # rebinding points used to leave areas and every other cached
+        # table stale, so stiffness and load could see two meshes
+        m = unit_square_crisscross()
+        with pytest.raises(AttributeError, match="'points'"):
+            m.points = 2 * m.points
+        assert m.areas[0] == 0.25
+        with pytest.raises(AttributeError, match="'areas'"):
+            m.areas = m.areas * 4
+        assert m.areas[0] == 0.25
+
+    def test_geometry_tables(self):
+        m = bisect(lshape(), [0, 3, 7], 3)
+        J = m.jacobians
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        assert np.array_equal(2 * m.signed_areas, det)
+        p = m.points[m.triangles]
+        assert np.array_equal(J[:, :, 0], p[:, 1] - p[:, 0])
+        assert np.array_equal(J[:, :, 1], p[:, 2] - p[:, 0])
+        # edges rows run from the lower id: a flipped local edge starts
+        # at the second entry of its row
+        for le in range(3):
+            start = m.triangles[:, (le + 1) % 3]
+            row = m.edges[m.edge_of_triangle[:, le]]
+            assert np.array_equal(m.edge_flips[:, le], start == row[:, 1])
+            assert np.array_equal(~m.edge_flips[:, le], start == row[:, 0])
+
+    def test_out_of_range_index_names_the_triangle(self):
+        m = unit_square_crisscross()
+        tris = m.triangles.copy()
+        tris[2, 1] = 9
+        for build in (Mesh, Mesh.from_arrays):
+            with pytest.raises(MeshError, match=r"triangle 2 has vertex "
+                               r"index 9 out of range \[0, 5\)"):
+                build(m.points, tris)
+
     def test_degenerate_triangle_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(MeshError):
@@ -596,6 +653,11 @@ class TestFileFormats:
         p.write_text("3 1\n0 0 1\n1 0 1\n")
         with pytest.raises(MeshError):
             Mesh.load_tri(p)
+        # a negative count used to slice the tokens into numpy's bare
+        # reshape error
+        p.write_text("-1 1 0\n")
+        with pytest.raises(MeshError, match="negative count"):
+            Mesh.load_tri(p)
 
     def test_tri_names_a_non_finite_vertex(self, tmp_path):
         p = tmp_path / "nan.tri"
@@ -604,6 +666,25 @@ class TestFileFormats:
         lines[1 + 2] = "nan 0.0 1"  # vertex 2
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(MeshError, match="vertex 2 has a non-finite"):
+            Mesh.load_tri(p)
+
+    @pytest.mark.parametrize("line, text, where, bad", [
+        (1 + 2, "x 0.0 1", "vertex 2", "x"),           # header, 5 vertices
+        (1 + 5 + 1, "0 1 2.5 0", "triangle 1", "2.5"),  # then triangles
+        (1 + 5 + 3, "0 1 2 99999999999999999999", "triangle 3",
+         "99999999999999999999"),
+    ])
+    def test_tri_names_a_malformed_token(self, tmp_path, line, text, where,
+                                         bad):
+        # a bad token used to raise numpy's bare ValueError, and an integer
+        # past int64 its OverflowError, naming no file
+        p = tmp_path / "bad.tri"
+        unit_square_crisscross().save_tri(p)
+        lines = p.read_text().splitlines()
+        lines[line] = text
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=f"bad.tri: {where} has a "
+                           f"malformed number '{bad}'"):
             Mesh.load_tri(p)
 
     def test_vtk_against_reference_parser(self, tmp_path):

@@ -28,9 +28,11 @@ solved in the whitened coordinates z = L^T q, where the squared L2 norm is
 the plain Euclidean norm and corrections from different patches add
 linearly.
 
-Element blocks are built once per exact shape class and run.  Two elements
-share a class when their edge vectors, scaled by a power of two, agree bit
-for bit and the lower global id sits at the same end of each local edge.
+Element blocks are built once per exact shape class and run, on the
+mesh's class table `Mesh.shape_classes`, which the stiffness assembly
+reads too.  Two elements share a class when their edge vectors, scaled
+by a power of two, agree bit for bit and the lower global id sits at the
+same end of each local edge.
 The basis uses centred, diameter-scaled monomials, so the whitened
 divergence and trace blocks are invariant under translation and scaling,
 and L^-T scales as the inverse of the element size.  The blocks are
@@ -137,7 +139,7 @@ from .galerkin import (
     normal_jumps,
     reference_projector,
 )
-from .mesh import Mesh
+from .mesh import Mesh, _row_classes, _void_rows
 from .quadrature import triangle_rule
 
 # patch-matrix and rim-frame bytes per solver batch, and element-block
@@ -203,23 +205,6 @@ def rt_values(k: int, xhat: np.ndarray) -> np.ndarray:
 _REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def _element_shapes(mesh: Mesh, els=None):
-    """Normalised shapes of the elements els (all by default).
-
-    Returns e (t, 2, 2), the edge vectors p1 - p0 and p2 - p0, the rows of
-    J^T for J in `Mesh.jacobians`, scaled by the exact power of two 2^-ex
-    that brings their largest component into [0.5, 1); the exponents ex
-    (t,); and lower (t, 3), `Mesh.edge_flips`: whether the lower global id
-    of local edge le sits at its end.
-    """
-    els = slice(None) if els is None else els
-    e = mesh.jacobians[els].transpose(0, 2, 1)
-    _, ex = np.frexp(np.abs(e).max(axis=(1, 2)))
-    # C order: the blocks built on e then round as on a fresh array
-    return (np.ldexp(e, -ex[:, None, None], order="C"), ex,
-            mesh.edge_flips[els])
-
-
 def _local_geometry(e):
     """Local edges (t, 3, 2), each directed from local vertex le+1 to le+2,
     their lengths (t, 3), the areas (t,) and the diameters (t,) of
@@ -241,9 +226,10 @@ def _scaled_points(e, h, ref):
 def _edge_traces(k: int, s: np.ndarray, e: np.ndarray, lower: np.ndarray,
                  le: int):
     """Normal traces of the local flux basis of elements with edge vectors
-    e and lower-end flags lower (`_element_shapes`) on their local edge le,
-    at the points s of the edge parameter running from the edge's lower
-    global vertex id to its higher one.
+    e (`Mesh.scaled_edges`) and lower-end flags lower (`Mesh.edge_flips`:
+    whether the lower global id of a local edge sits at its end) on their
+    local edge le, at the points s of the edge parameter running from the
+    edge's lower global vertex id to its higher one.
 
     Returns the traces (t, len(s), N), with the outward unit normal, and
     the edge lengths (t,).
@@ -375,7 +361,7 @@ def _shape_blocks(space: FeSpace, els: np.ndarray):
     while LiT scales as the inverse of its size.
 
     Every block is computed on the element's normalised edge vectors
-    (`_element_shapes`), its exact shape key, and scaled back to the
+    (`Mesh.scaled_edges`), its exact shape key, and scaled back to the
     element's size by exact powers of two: elements of one exact class
     get Dt, Trt and the rotated blocks below bit for bit alike, whatever
     their position and size.
@@ -391,7 +377,8 @@ def _shape_blocks(space: FeSpace, els: np.ndarray):
     er = space.edge_rule_main
     n_p = len(monomial_exponents(k))
     N = rt_dim(k)
-    e, ex, lower = _element_shapes(space.mesh, els)
+    e, ex = space.mesh.scaled_edges(els)
+    lower = space.mesh.edge_flips[els]
     _, _, areas, h = _local_geometry(e)
     w = rule.weights
 
@@ -460,8 +447,7 @@ def _flux_coefficients(space: FeSpace, w: np.ndarray) -> np.ndarray:
     2^(ex_first - ex_t)."""
     mesh = space.mesh
     N = rt_dim(space.degree)
-    ekey, ex = _element_keys(mesh)
-    efirst, ecls, _ = _row_classes(ekey)
+    efirst, ecls, ex = mesh.shape_classes
     LiTQ = np.empty((efirst.size, N, N))
     _fill_blocks(space, efirst, np.arange(efirst.size), {"LiTQ": LiTQ})
     d = ex[efirst][ecls] - ex
@@ -523,43 +509,6 @@ def _forward(DQ, rdiv):
 
 
 # -- patch systems ------------------------------------------------------
-
-
-def _element_keys(mesh: Mesh):
-    """Exact shape key of each element, (nt, 5) int64, and the
-    power-of-two exponent ex of each element's size.
-
-    Two elements share a class (`_row_classes` of the keys) only if their
-    edge vectors p1 - p0, p2 - p0, in local vertex order and scaled by
-    2^-ex (an exact scaling), agree bit for bit, and the lower global id
-    sits at the same end of each local edge, which fixes the edge
-    parameter of the trace blocks (`_element_shapes`).  The whitened
-    blocks Dt and Trt of such elements then agree bit for bit
-    (`_shape_blocks`), and LiT of element t is that of its class's first
-    element times 2^(ex_first - ex_t).
-    """
-    e, ex, lower = _element_shapes(mesh)
-    return (np.column_stack([e.reshape(-1, 4).view(np.int64),
-                             lower @ np.array([1, 2, 4])]), ex)
-
-
-def _void_rows(key):
-    """Each row of an integer array as one np.void of its int64 bytes."""
-    key = np.ascontiguousarray(key, dtype=np.int64)
-    return key.view(np.dtype((np.void, 8 * key.shape[1]))).ravel()
-
-
-def _row_classes(key):
-    """First row, class and class size of each distinct row of an integer
-    array, rows compared as raw bytes (faster than np.unique on axis 0).
-    Classes are numbered in the order of their first rows, so that on
-    distinct rows class i is row i."""
-    _, first, cls, counts = np.unique(_void_rows(key), return_index=True,
-                                      return_inverse=True, return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[cls], counts[order]
 
 
 def _fan_links(mesh: Mesh):
@@ -906,10 +855,11 @@ class ElementBlocks:
     call to the next; `afem.run` passes one from level to level.
 
     `shapes` maps the bytes of an element class (the degree and the
-    `_element_keys` row) to its row in the arrays of `blocks`: "DQ", the
-    lower triangular leading n_p x n_p block R^T of the rotated divergence
-    block of `_shape_blocks`, and "TrQ", the rotated trace blocks, both
-    the same bit for bit whichever element of the class they are built on.
+    `Mesh.shape_keys` row of its first element) to its row in the arrays
+    of `blocks`: "DQ", the lower triangular leading n_p x n_p block R^T of
+    the rotated divergence block of `_shape_blocks`, and "TrQ", the
+    rotated trace blocks, both the same bit for bit whichever element of
+    the class they are built on.
     It holds one generation: each call keeps only the classes of its own
     mesh, frees the previous call's arrays before it builds new classes,
     and leaves the cache empty if the build raises.
@@ -1019,15 +969,14 @@ def equilibrate(u_h: ScalarField, f,
     if cache is None:
         cache = ElementBlocks()
 
-    ekey, _ = _element_keys(mesh)
-    efirst, ecls, _ = _row_classes(ekey)
+    efirst, ecls, _ = mesh.shape_classes
     nc = efirst.size
     # DQ (its leading block R^T) and TrQ per element class: the cached
     # classes in one gather, the new ones pointed at row 0 and then built
     # on their first element once the old arrays are freed; a build that
     # raises leaves the cache empty, never naming unfilled rows
     names = _void_rows(np.column_stack([np.full(nc, k),
-                                        ekey[efirst]])).tolist()
+                                        mesh.shape_keys(efirst)[0]])).tolist()
     row = np.fromiter((cache.shapes.get(n, -1) for n in names), np.int64,
                       nc)
     new = np.nonzero(row < 0)[0]
@@ -1188,8 +1137,8 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
             if rows.size == 0:
                 continue
             t = et[rows, side]
-            e, _, lower = _element_shapes(mesh, t)
-            tr, _ = _edge_traces(k, er.points, e, lower, le)
+            tr, _ = _edge_traces(k, er.points, mesh.scaled_edges(t)[0],
+                                 mesh.edge_flips[t], le)
             qn[rows] += np.einsum("tqj,tj->tq", tr, flux.q_delta.coeffs[t])
     jump_res = np.abs(qn + J).max(axis=1) / (1.0 + np.abs(J).max())
 

@@ -17,15 +17,26 @@ gradients 251 iterations, 2.45 s and 376 MB.  On the adaptive P1 L-shape
 mesh with 38,818 unknowns conjugate gradients took 859 iterations, and the
 solve 0.65 s against 0.33 s with `splu`.
 
-Element contributions are accumulated in COO form and merged by scipy's
-deterministic duplicate summation, so repeated runs are bitwise reproducible.
+The stiffness matrix is built once per exact shape class of the mesh
+(`Mesh.shape_classes`).  A member's Jacobian is its class's first
+element's times an exact power of two 2^d, so its mapped gradients scale
+exactly by 2^-d and its area by 2^2d, and its element matrix, the Gram
+matrix of the gradients times the area, equals the first element's bit for
+bit: numpy's stacked matmul runs one gemm per element whatever the batch.
+The element matrices are therefore computed on the first element of each
+class alone, in batches of `_BATCH` of them, and gathered to every
+element; the index triplets come straight from the dof map.
+Contributions are accumulated in COO form and merged by scipy's
+deterministic duplicate summation, so repeated runs are bitwise
+reproducible.
 
-Every loop over the elements of a mesh runs through `element_batches`:
-batches of `_BATCH` elements with their mapped quadrature points, the same
-points centred and diameter-scaled, and the monomials there when asked
-for.  (Equilibration builds its shape blocks for a subset of the elements,
-in batches bounded by bytes.)  Affine maps and edge orientations come from
-the mesh: `Mesh.jacobians`, `Mesh.edge_flips`.
+Every other loop over the elements of a mesh runs through
+`element_batches`: batches of `_BATCH` elements with their mapped
+quadrature points, the same points centred and diameter-scaled, and the
+monomials there when asked for.  (Equilibration builds its shape blocks on
+the first elements of the same classes, in batches bounded by bytes.)
+Affine maps and edge orientations come from the mesh: `Mesh.jacobians`,
+`Mesh.edge_flips`.
 
 Elementwise L2 projections: `monomial_projection` solves each element's
 Gram system for coefficients; `reference_projector` gives the values of
@@ -291,7 +302,10 @@ class SolveReport:
 
 @dataclass
 class LinearSystem:
-    matrix: sp.csr_matrix
+    """The free-dof system of a solve: its matrix in the CSC form that
+    `splu` factors, its right-hand side and the solver's report."""
+
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     report: SolveReport
 
@@ -478,27 +492,31 @@ def normal_jumps(field: ScalarField):
 # -- assembly and solve -------------------------------------------------
 
 
-def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
+def _element_stiffness(space: FeSpace, els: np.ndarray) -> np.ndarray:
+    """Element stiffness matrices (t, n_loc, n_loc) of the elements els."""
     rule = space.rule_main
     G = space.ref.gradients(rule.points)
+    nq, nl = G.shape[:2]
+    Gp = (G.reshape(nq * nl, 2) @ space.jac_inv[els]).reshape(-1, nq, nl, 2)
+    Gr = Gp.transpose(0, 1, 3, 2).reshape(-1, nq * 2, nl)
+    K = Gr.transpose(0, 2, 1) @ (Gr * np.repeat(rule.weights, 2)[:, None])
+    K *= space.mesh.areas[els, None, None]
+    return K
+
+
+def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
+    """The stiffness matrix: the element matrices of the first element of
+    each exact shape class (`Mesh.shape_classes`), taken by the others."""
+    first, cls, _ = space.mesh.shape_classes
     nl = space.ref.n_nodes
-    rows_all, cols_all, vals_all = [], [], []
-    nq = G.shape[0]
-    Gf = G.reshape(nq * nl, 2)
-    wrep = np.repeat(rule.weights, 2)
-    for batch in element_batches(space.mesh):
-        els = batch.els
-        Gp = (Gf @ space.jac_inv[els]).reshape(-1, nq, nl, 2)
-        Gr = Gp.transpose(0, 1, 3, 2).reshape(-1, nq * 2, nl)
-        K = Gr.transpose(0, 2, 1) @ (Gr * wrep[None, :, None])
-        K *= space.mesh.areas[els, None, None]
-        dm = space.dof_map[els]
-        rows_all.append(np.repeat(dm, nl, axis=1).ravel())
-        cols_all.append(np.tile(dm, (1, nl)).ravel())
-        vals_all.append(K.ravel())
+    Kc = np.empty((first.size, nl, nl))
+    for lo in range(0, first.size, _BATCH):
+        Kc[lo:lo + _BATCH] = _element_stiffness(space, first[lo:lo + _BATCH])
+    # triplet indices in the dtype scipy would convert them to
+    dm = space.dof_map.astype(sp.get_index_dtype(maxval=space.n_dofs))
     A = sp.coo_matrix(
-        (np.concatenate(vals_all),
-         (np.concatenate(rows_all), np.concatenate(cols_all))),
+        (Kc[cls].ravel(),
+         (np.repeat(dm, nl, axis=1).ravel(), np.tile(dm, (1, nl)).ravel())),
         shape=(space.n_dofs, space.n_dofs),
     )
     return A.tocsr()
@@ -520,11 +538,11 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
 
 def solve_poisson(space: FeSpace, f) -> ScalarField:
     """Galerkin solution of -Laplace(u) = f with u = 0 on the boundary."""
-    A = assemble_stiffness(space)
-    b = assemble_load(space, f)
     free = ~space.boundary_dofs
-    Af = A[free][:, free].tocsc()
-    bf = b[free]
+    # the full matrix is dropped once its free block is taken, so that it
+    # is not held through the factorisation
+    Af = assemble_stiffness(space)[free][:, free].tocsc()
+    bf = assemble_load(space, f)[free]
     n = bf.size
     x = np.zeros(space.n_dofs)
     if n == 0:
@@ -552,7 +570,7 @@ def solve_poisson(space: FeSpace, f) -> ScalarField:
     res = float(np.linalg.norm(bf - Af @ xf)) / (bnorm if bnorm > 0 else 1.0)
     x[free] = xf
     rep = SolveReport(method=method, n_unknowns=n, iterations=iters, residual=res)
-    return ScalarField(space, x, system=LinearSystem(Af.tocsr(), bf, rep))
+    return ScalarField(space, x, system=LinearSystem(Af, bf, rep))
 
 
 # -- norms and projections ---------------------------------------------

@@ -29,7 +29,9 @@ Connectivity lives in arrays, not in per-vertex or per-triangle objects:
 and the CSR table `_vertex_triangles` for the patch of each vertex, its
 incident triangles in triangle-id order with the vertex's slot in each.
 `jacobians` and `edge_flips` are the one source of each element's affine
-map and of its edges' orientation against the global vertex ids.
+map and of its edges' orientation against the global vertex ids, and
+`shape_classes` of its exact shape class, the table on which the stiffness
+assembly and the equilibration build what depends on shape alone.
 
 Mesh files use a small ASCII format: a header line `nv nt`, then nv vertex
 lines `x y boundary_flag`, then nt triangle lines `v0 v1 v2 generation` with
@@ -70,6 +72,25 @@ def _lock(a: np.ndarray) -> np.ndarray:
 def _owned(a, dtype) -> np.ndarray:
     """A locked, C-contiguous copy of a."""
     return _lock(np.array(a, dtype=dtype, order="C"))
+
+
+def _void_rows(key):
+    """Each row of an integer array as one np.void of its int64 bytes."""
+    key = np.ascontiguousarray(key, dtype=np.int64)
+    return key.view(np.dtype((np.void, 8 * key.shape[1]))).ravel()
+
+
+def _row_classes(key):
+    """First row, class and class size of each distinct row of an integer
+    array, rows compared as raw bytes (faster than np.unique on axis 0).
+    Classes are numbered in the order of their first rows, so that on
+    distinct rows class i is row i."""
+    _, first, cls, counts = np.unique(_void_rows(key), return_index=True,
+                                      return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[cls], counts[order]
 
 
 def _check_arrays(points: np.ndarray, triangles: np.ndarray) -> None:
@@ -222,6 +243,44 @@ class Mesh:
         to le+2, starts at the higher global vertex id."""
         t = self.triangles
         return _lock(t[:, [1, 2, 0]] > t[:, [2, 0, 1]])
+
+    def scaled_edges(self, els=slice(None)):
+        """Edge vectors p1 - p0 and p2 - p0 of the elements els (all by
+        default), (t, 2, 2): the rows of J^T for J in `jacobians`, scaled
+        by the exact power of two 2^-ex that brings their largest component
+        into [0.5, 1); and the exponents ex (t,)."""
+        e = self.jacobians[els].transpose(0, 2, 1)
+        _, ex = np.frexp(np.abs(e).max(axis=(1, 2)))
+        # C order: what is built on e then rounds as on a fresh array
+        return np.ldexp(e, -ex[:, None, None], order="C"), ex
+
+    def shape_keys(self, els=slice(None)):
+        """Exact shape keys (t, 5) int64 of the elements els (all by
+        default), the bits of their `scaled_edges` and their three
+        `edge_flips` bits, and the exponents ex (t,) of `scaled_edges`."""
+        e, ex = self.scaled_edges(els)
+        flips = self.edge_flips[els] @ np.array([1, 2, 4])
+        return np.column_stack([e.reshape(-1, 4).view(np.int64), flips]), ex
+
+    @cached_property
+    def shape_classes(self):
+        """Exact shape classes of the elements: first (nc,), the first
+        element of each class, classes numbered in that order; cls (nt,),
+        the class of each element; and ex (nt,), the exponent of each
+        element's size (`scaled_edges`).
+
+        Two elements share a class when their `shape_keys` agree: their
+        edge vectors, in local vertex order and scaled by 2^-ex, agree bit
+        for bit and the lower global id sits at the same end of each local
+        edge.  A member's Jacobian is then exactly its class's first
+        element's times 2^(ex_t - ex_first): whatever is computed from the
+        Jacobian alone and scales with it is the same bit for bit up to
+        that power of two.  The keys themselves are not kept: a caller
+        that names classes forms them for the first elements alone.
+        """
+        key, ex = self.shape_keys()
+        first, cls, _ = _row_classes(key)
+        return _lock(first), _lock(cls), _lock(ex)
 
     @cached_property
     def signed_areas(self) -> np.ndarray:

@@ -15,8 +15,6 @@ from afemflux import cli
 from afemflux.afem import AfemConfig, run
 from afemflux.cli import _fmt, main, parse_config_file, write_level_indicators
 from afemflux.equilibration import (
-    _element_keys,
-    _row_classes,
     _shape_blocks,
     gradient_flux,
     rt_dim,
@@ -115,7 +113,7 @@ class TestEmission:
                               max_dofs=600)).final.report.flux
         space = flux.u_h.space
         mesh = space.mesh
-        first, cls, _ = _row_classes(_element_keys(mesh)[0])
+        first, cls = mesh.shape_classes[:2]
         assert first.size < mesh.n_triangles
         LiT = _shape_blocks(space, np.arange(mesh.n_triangles))["LiT"]
         Q = _shape_blocks(space, first)["Q"][cls]

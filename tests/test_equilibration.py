@@ -8,21 +8,20 @@ pointwise, and minimality is verified through null-space orthogonality.
 
 import dataclasses
 import re
+import sys
 import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from afemflux import equilibration
+from afemflux import equilibration, mesh as mesh_module
 from afemflux.equilibration import (
     EquilibratedFlux,
     EquilibrationError,
     FluxField,
     _divergence_rhs,
     _edge_rhs,
-    _element_keys,
-    _row_classes,
     _shape_blocks,
     _tril_inverse,
     equilibrate,
@@ -377,7 +376,7 @@ def trapezoid():
 
 def element_class_names(k, keys):
     """The `ElementBlocks.shapes` names of element classes with the
-    `_element_keys` rows keys at degree k."""
+    `Mesh.shape_keys` rows keys at degree k."""
     return [np.concatenate([[k], row]).astype(np.int64).tobytes()
             for row in keys]
 
@@ -781,9 +780,10 @@ class TestGlobalReconstruction:
         before = set(cache.shapes)
         lshaped = solve_poisson(FeSpace(graded_lshape(), 1), f_sine)
         equilibrate(lshaped, f_sine, cache=cache)
-        key = _element_keys(lshaped.space.mesh)[0]
-        first = _row_classes(key)[0]
-        assert list(cache.shapes) == element_class_names(1, key[first])
+        mesh = lshaped.space.mesh
+        first = mesh.shape_classes[0]
+        assert list(cache.shapes) == element_class_names(
+            1, mesh.shape_keys(first)[0])
         assert list(cache.shapes.values()) == list(range(first.size))
         assert before - set(cache.shapes)
         for name in ("DQ", "TrQ"):
@@ -802,12 +802,12 @@ class TestGlobalReconstruction:
                     cache=cache)
         old = set(cache.shapes)
         assert old == set(element_class_names(k, np.unique(
-            _element_keys(coarse)[0], axis=0)))
+            coarse.shape_keys()[0], axis=0)))
         u = solve_poisson(FeSpace(bisect(coarse, [0, 9, 30], 1), k), f_sine)
-        key = _element_keys(u.space.mesh)[0]
-        first = _row_classes(key)[0]
+        fine = u.space.mesh
+        first = fine.shape_classes[0]
         new = np.array([n not in old for n in
-                        element_class_names(k, key[first])])
+                        element_class_names(k, fine.shape_keys(first)[0])])
         assert 0 < new.sum() < new.size
         cold = equilibrate(u, f_sine)
         calls = spy_shape_blocks(monkeypatch)
@@ -887,7 +887,7 @@ class TestGlobalReconstruction:
         warm = equilibrate(u, f_sine, cache=cache)
         for name in ("w_delta", "eta_delta", "eta_star", "patch_residuals"):
             assert np.array_equal(getattr(warm, name), getattr(cold, name))
-        assert len(cache.shapes) == _row_classes(_element_keys(fine)[0])[0].size
+        assert len(cache.shapes) == fine.shape_classes[0].size
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("make_mesh", [graded_lshape, jittered_square])
@@ -900,7 +900,7 @@ class TestGlobalReconstruction:
         mesh = make_mesh()
         space = FeSpace(mesh, k)
         n_p = len(monomial_exponents(k))
-        first = _row_classes(_element_keys(mesh)[0])[0]
+        first = mesh.shape_classes[0]
         DQ = _shape_blocks(space, first)["DQ"]
         R = DQ[..., :n_p]
         scale = 1e-14 * np.abs(R).max(axis=(1, 2))
@@ -950,8 +950,7 @@ class TestGlobalReconstruction:
         # itself, so they agree bit for bit
         mesh = make_mesh()
         space = FeSpace(mesh, k)
-        key, ex = _element_keys(mesh)
-        first, cls, _ = _row_classes(key)
+        first, cls, ex = mesh.shape_classes
         d = ex[first][cls] - ex
         assert np.any(d != 0) == (make_mesh is graded_lshape)
         own = _shape_blocks(space, np.arange(mesh.n_triangles))
@@ -979,6 +978,27 @@ class TestGlobalReconstruction:
         for name in a:
             assert np.array_equal(a[name], b[name]), name
 
+    def test_one_class_table_per_mesh(self, monkeypatch):
+        # the stiffness assembly, the equilibration and the flux
+        # coefficients all read the mesh's class table, which is built once
+        builds, readers = [], []
+        real = mesh_module._row_classes
+        monkeypatch.setattr(mesh_module, "_row_classes", lambda key:
+                            builds.append(key.shape[0]) or real(key))
+        table = Mesh.shape_classes
+
+        def read(mesh):
+            readers.append(sys._getframe(1).f_code.co_name)
+            return table.__get__(mesh, Mesh)
+
+        monkeypatch.setattr(Mesh, "shape_classes", property(read))
+        mesh = graded_lshape()
+        fl = equilibrated(mesh, 2)
+        assert fl.q_delta.coeffs.shape[0] == mesh.n_triangles
+        assert builds == [mesh.n_triangles]
+        assert set(readers) == {"assemble_stiffness", "equilibrate",
+                                "_flux_coefficients"}
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("make_mesh", [uniform_square, jittered_square])
     def test_shape_blocks_built_once_per_class(self, monkeypatch, make_mesh,
@@ -986,9 +1006,9 @@ class TestGlobalReconstruction:
         # a handful of classes on the uniform square, one per element on
         # the jittered mesh
         mesh = make_mesh()
-        first, _, counts = _row_classes(_element_keys(mesh)[0])
-        assert (counts.size <= 8 if make_mesh is uniform_square
-                else counts.size == mesh.n_triangles)
+        first = mesh.shape_classes[0]
+        assert (first.size <= 8 if make_mesh is uniform_square
+                else first.size == mesh.n_triangles)
         calls = spy_shape_blocks(monkeypatch)
         fl = equilibrated(mesh, k)
         assert np.array_equal(np.concatenate(calls), first)

@@ -6,14 +6,18 @@ test-local tensor-product Gauss rule (Duffy collapse built on numpy's
 leggauss, independent of the package quadrature) for error integrals.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from afemflux import galerkin
 from afemflux.estimators import estimate
 from afemflux.galerkin import (
     FeSpace,
     ScalarField,
+    assemble_stiffness,
     edge_restriction,
     element_values,
     energy_error,
@@ -31,7 +35,7 @@ from afemflux.galerkin import (
 )
 from afemflux.mesh import Mesh, bisect, lshape, unit_square_crisscross
 from afemflux.quadrature import triangle_rule
-from test_equilibration import graded_lshape, jittered_square
+from test_equilibration import graded_lshape, jittered_square, uniform_square
 
 
 def u_sine(x, y):
@@ -297,6 +301,91 @@ class TestElementLaplacians:
         assert lap == pytest.approx(4.0, rel=1e-10)
 
 
+def per_element_stiffness(space):
+    """The stiffness matrix with each element's matrix formed from its own
+    Jacobian, in batches of 2048 elements whose triplets are listed and
+    then concatenated: the assembly from before the element classes."""
+    rule = space.rule_main
+    G = space.ref.gradients(rule.points)
+    nq, nl = G.shape[:2]
+    Gf = G.reshape(nq * nl, 2)
+    wrep = np.repeat(rule.weights, 2)
+    rows, cols, vals = [], [], []
+    nt = space.mesh.n_triangles
+    for lo in range(0, nt, 2048):
+        els = np.arange(lo, min(lo + 2048, nt))
+        Gp = (Gf @ space.jac_inv[els]).reshape(-1, nq, nl, 2)
+        Gr = Gp.transpose(0, 1, 3, 2).reshape(-1, nq * 2, nl)
+        K = Gr.transpose(0, 2, 1) @ (Gr * wrep[None, :, None])
+        K *= space.mesh.areas[els, None, None]
+        dm = space.dof_map[els]
+        rows.append(np.repeat(dm, nl, axis=1).ravel())
+        cols.append(np.tile(dm, (1, nl)).ravel())
+        vals.append(K.ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.n_dofs, space.n_dofs)).tocsr()
+
+
+class TestStiffness:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [uniform_square, graded_lshape,
+                                           jittered_square])
+    def test_class_matrices_match_the_per_element_formula(self, make_mesh,
+                                                          k):
+        # a member's Jacobian is its class's first element's times 2^d, so
+        # its element matrix is the first element's bit for bit; on the
+        # graded L-shape classes mix element sizes, on the jittered square
+        # each element is its own class
+        mesh = make_mesh()
+        first, cls, ex = mesh.shape_classes
+        assert np.any(ex[first][cls] != ex) == (make_mesh is graded_lshape)
+        space = FeSpace(mesh, k)
+        got, want = assemble_stiffness(space), per_element_stiffness(space)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("make_mesh", [uniform_square, graded_lshape,
+                                           jittered_square])
+    def test_built_on_the_class_representatives_alone(self, monkeypatch,
+                                                      make_mesh):
+        mesh = make_mesh()
+        space = FeSpace(mesh, 2)
+        want = assemble_stiffness(space)
+        first = mesh.shape_classes[0]
+        if make_mesh is uniform_square:
+            assert first.size <= 8
+        elif make_mesh is jittered_square:
+            assert first.size == mesh.n_triangles
+        calls = []
+        real = galerkin._element_stiffness
+        monkeypatch.setattr(galerkin, "_element_stiffness", lambda s, els:
+                            calls.append(np.array(els)) or real(s, els))
+        monkeypatch.setattr(galerkin, "_BATCH", 5)
+        got = assemble_stiffness(space)
+        assert np.array_equal(np.concatenate(calls), first)
+        assert max(c.size for c in calls) <= 5
+        assert np.array_equal(got.data, want.data)
+
+    def test_peak_memory_is_bounded_by_the_matrix(self):
+        # on the uniform P3 square with 4,096 triangles the per-element
+        # assembly, with gradient tables for every element and triplets
+        # listed per batch, peaked at 10.3 times the bytes of its matrix;
+        # the class table counts here, as the assembly builds it
+        mesh = bisect(unit_square_crisscross(), np.arange(4), 10)
+        assert mesh.n_triangles == 4096
+        space = FeSpace(mesh, 3)
+        tracemalloc.start()
+        try:
+            A = assemble_stiffness(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (A.data.nbytes + A.indices.nbytes
+                            + A.indptr.nbytes)
+
+
 class TestSolverPaths:
     def test_cg_matches_direct(self, monkeypatch):
         mesh = bisect(unit_square_crisscross(), np.arange(4), 3)
@@ -321,6 +410,15 @@ class TestSolverPaths:
                                 lambda x, y: f_sine(x, y) ** 2)[0])
         scale = fnorm * np.sqrt(A.diagonal())
         assert (np.abs(r) <= 1e-10 * scale).all()
+
+    def test_system_keeps_the_factored_matrix(self, monkeypatch):
+        factored = []
+        real = galerkin.spla.splu
+        monkeypatch.setattr(galerkin.spla, "splu",
+                            lambda A: factored.append(A) or real(A))
+        u = solve_poisson(FeSpace(graded_lshape(), 2), f_sine)
+        assert len(factored) == 1 and u.system.matrix is factored[0]
+        assert u.system.matrix.format == "csc"
 
     def test_solve_report_residual(self):
         space = FeSpace(unit_square_crisscross(), 1)

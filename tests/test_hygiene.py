@@ -289,7 +289,7 @@ def test_mesh_and_space_tables_are_read_only():
     mesh = bisect(bisect(lshape(), [0, 5], 2), [3], 1)
     cached = [name for name, attr in vars(Mesh).items()
               if isinstance(attr, cached_property)]
-    assert {"areas", "edges", "link"} <= set(cached)
+    assert {"areas", "edges", "link", "shape_classes"} <= set(cached)
     for name in cached:
         getattr(mesh, name)
     owners = {"mesh": mesh, "space": FeSpace(mesh, 3)}

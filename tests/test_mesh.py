@@ -219,6 +219,28 @@ class TestConstruction:
             assert np.array_equal(m.edge_flips[:, le], start == row[:, 1])
             assert np.array_equal(~m.edge_flips[:, le], start == row[:, 0])
 
+    def test_shape_classes(self):
+        # graded, so classes mix sizes: each member's Jacobian is its
+        # class's first element's times an exact power of two, and its
+        # edges are oriented alike
+        m = bisect(bisect(lshape(), np.arange(12), 2), [0, 5], 2)
+        first, cls, ex = m.shape_classes
+        d = ex - ex[first][cls]
+        assert np.any(d != 0)
+        assert np.array_equal(m.jacobians, np.ldexp(m.jacobians[first][cls],
+                                                    d[:, None, None]))
+        assert np.array_equal(m.edge_flips, m.edge_flips[first][cls])
+        # classes numbered by their first elements, whose keys differ;
+        # a key holds the bits of the scaled edge vectors
+        assert np.array_equal(cls[first], np.arange(first.size))
+        assert np.all(np.diff(first) > 0)
+        keys, ex_first = m.shape_keys(first)
+        assert np.unique(keys, axis=0).shape == keys.shape
+        assert np.array_equal(ex_first, ex[first])
+        e = m.scaled_edges(first)[0]
+        assert np.array_equal(keys[:, :4].view(np.float64), e.reshape(-1, 4))
+        assert np.array_equal(m.shape_keys()[0], keys[cls])
+
     def test_out_of_range_index_names_the_triangle(self):
         m = unit_square_crisscross()
         tris = m.triangles.copy()

@@ -622,6 +622,33 @@ def _min_angle(mesh: Mesh) -> float:
     return float(np.min(ang))
 
 
+# bytes of one (edges, vertices, 2) float array of the hanging-node scan
+_SCAN_BYTES = 1 << 20
+
+
+def _hanging_nodes(mesh: Mesh):
+    """(edge, vertex) of each vertex inside an edge, in row-major order,
+    scanned over as many edges at a time as keep each array of the chunk
+    within `_SCAN_BYTES`; lazy, so a caller that stops early stops the scan."""
+    P, E = mesh.points, mesh.edges
+    step = max(1, _SCAN_BYTES // P.nbytes)
+    for lo in range(0, E.shape[0], step):
+        ends = E[lo:lo + step]
+        a = P[ends[:, 0]][:, None, :]
+        bvec = P[ends[:, 1]][:, None, :] - a
+        rel = P[None, :, :] - a
+        lb2 = np.maximum((bvec ** 2).sum(axis=2), 1e-300)
+        tpar = (rel * bvec).sum(axis=2) / lb2
+        perp = rel - tpar[:, :, None] * bvec
+        d2 = (perp ** 2).sum(axis=2)
+        inside = (d2 < 1e-24 * lb2) & (tpar > 1e-12) & (tpar < 1 - 1e-12)
+        rows = np.arange(ends.shape[0])
+        inside[rows, ends[:, 0]] = False
+        inside[rows, ends[:, 1]] = False
+        for e, v in zip(*np.nonzero(inside)):
+            yield lo + e, v
+
+
 def conformity_check(mesh: Mesh) -> ConformityReport:
     """Validate conformity and bookkeeping; every violation names an offender."""
     bad: list[str] = []
@@ -660,19 +687,7 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
     # hanging nodes / duplicate points: geometric scan, affordable on the
     # hand-built meshes this diagnostic targets
     if mesh.n_vertices <= 2000:
-        P = mesh.points
-        a = P[mesh.edges[:, 0]][:, None, :]
-        bvec = P[mesh.edges[:, 1]][:, None, :] - a
-        rel = P[None, :, :] - a
-        lb2 = np.maximum((bvec ** 2).sum(axis=2), 1e-300)
-        tpar = (rel * bvec).sum(axis=2) / lb2
-        perp = rel - tpar[:, :, None] * bvec
-        d2 = (perp ** 2).sum(axis=2)
-        inside = (d2 < 1e-24 * lb2) & (tpar > 1e-12) & (tpar < 1 - 1e-12)
-        rows = np.arange(mesh.edges.shape[0])
-        inside[rows, mesh.edges[:, 0]] = False
-        inside[rows, mesh.edges[:, 1]] = False
-        for e, v in zip(*np.nonzero(inside)):
+        for e, v in _hanging_nodes(mesh):
             bad.append(f"vertex {v} hangs on edge {e} {tuple(mesh.edges[e])}")
             if len(bad) > 20:
                 break

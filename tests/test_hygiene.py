@@ -2,13 +2,17 @@
 a name it never uses, no private module-level name goes unread, every
 exported name resolves, every private name the docs put in backticks is
 defined, and every table a cached function returns, or a mesh or its
-finite element space exposes, is read-only."""
+finite element space exposes, is read-only.  In a fresh interpreter, a
+run imports no module the package does not need."""
 
 import ast
 import dataclasses
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from functools import cached_property
 from pathlib import Path
@@ -238,8 +242,8 @@ def arrays_in(value):
 # arguments each cached function is called with; a cached function that is
 # missing here fails the test, so that its tables get checked
 CACHED_CALLS = {
-    ("quadrature", "triangle_rule"): [(0,), (12,)],
-    ("quadrature", "edge_rule"): [(0,), (10,)],
+    ("quadrature", "triangle_rule"): [(0,), (12,), (31,)],
+    ("quadrature", "edge_rule"): [(0,), (10,), (31,)],
     ("galerkin", "reference_element"): [(1,), (4,)],
     ("galerkin", "edge_restriction"): [(1, 4), (4, 10)],
     ("equilibration", "rt_divergence_matrix"): [(1,), (4,)],
@@ -307,3 +311,20 @@ def test_mesh_and_space_tables_are_read_only():
             setattr(mesh, name, value)
         refused.append(name)
     assert {"points", "triangles", "source", *cached} <= set(refused)
+
+
+def test_run_does_not_import_scipy_special():
+    """The Gauss rules come from the package's own tables, so neither the
+    import nor a small adaptive run pays for `scipy.special`."""
+    code = ("import sys\n"
+            "import afemflux\n"
+            "afemflux.run(afemflux.AfemConfig(degree=2, max_dofs=100))\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))\n")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True, timeout=300,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    loaded = out.stdout.split()
+    assert "scipy.sparse.linalg" in loaded, "the run did not solve"
+    assert not [m for m in loaded if m.startswith("scipy.special")], loaded

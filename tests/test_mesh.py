@@ -7,6 +7,8 @@ parent chains in plain Python, independently of the vectorised
 implementation.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -653,7 +655,51 @@ class TestConformityDiagnostics:
         tris = np.array([[0, 1, 2], [0, 4, 3], [3, 4, 1]])
         rep = conformity_check(Mesh(pts, tris))
         assert not rep.ok
-        assert any("hangs" in v for v in rep.violations)
+        hangs = [v for v in rep.violations if "hangs" in v]
+        assert len(hangs) == 1 and hangs[0].startswith("vertex 3 hangs on edge 0 ")
+
+    @staticmethod
+    def strip(n):
+        """n unit squares under 2n half-width squares: the midpoint of each
+        lower square's top edge hangs on it, 5n + 3 vertices."""
+        bottom = [(i, 0.0) for i in range(n + 1)]
+        middle = [(j / 2, 1.0) for j in range(2 * n + 1)]
+        top = [(j / 2, 2.0) for j in range(2 * n + 1)]
+        B, M, T = 0, n + 1, 3 * n + 2
+        tris = [t for i in range(n) for t in
+                ((B + i, B + i + 1, M + 2 * i + 2), (B + i, M + 2 * i + 2, M + 2 * i))]
+        tris += [t for j in range(2 * n) for t in
+                 ((M + j, M + j + 1, T + j + 1), (M + j, T + j + 1, T + j))]
+        return Mesh(np.array(bottom + middle + top), np.array(tris))
+
+    def test_hanging_node_scan_in_chunks(self, monkeypatch):
+        mesh = self.strip(25)
+        whole = conformity_check(mesh).violations
+        hangs = [v for v in whole if "hangs" in v]
+        assert len(whole) == 21 and hangs
+        assert [int(v.split()[1]) for v in hangs] == \
+            list(range(27, 27 + 2 * len(hangs), 2))  # M + 1, M + 3, ...
+        # one edge per chunk: the same violations in the same order
+        monkeypatch.setattr(mesh_module, "_SCAN_BYTES", 1)
+        assert conformity_check(mesh).violations == whole
+
+    def test_hanging_node_scan_memory(self):
+        # unchunked, the scan held 229 MB at 1,141 vertices of this family,
+        # growing with edges x vertices
+        mesh = lshape()
+        for _ in range(8):
+            mesh = bisect(mesh, range(mesh.n_triangles), 1)
+        mesh = bisect(mesh, range(600), 1)
+        assert 1800 < mesh.n_vertices <= 2000
+        mesh.edges, mesh.areas, mesh.edge_triangles  # tables the mesh keeps
+        tracemalloc.start()
+        try:
+            rep = conformity_check(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok, rep.violations
+        assert peak < 16 << 20, f"{peak / 2**20:.1f} MB"
 
 
 class TestFileFormats:

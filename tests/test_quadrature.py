@@ -8,11 +8,15 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
-from afemflux.quadrature import edge_rule, triangle_rule
+from afemflux.quadrature import (_GAUSS_JACOBI, _GAUSS_LEGENDRE, _gauss,
+                                 edge_rule, triangle_rule)
+
+MAX_DEGREE = 31  # n = 1..16 tabulated points
 
 
-@pytest.mark.parametrize("degree", range(15))
+@pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
 def test_triangle_rule_exact(degree):
     rule = triangle_rule(degree)
     assert (rule.weights > 0).all()
@@ -34,11 +38,12 @@ def test_barycentric_consistency():
     assert (rule.bary > 0).all()
 
 
-@pytest.mark.parametrize("degree", range(12))
+@pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
 def test_edge_rule_exact(degree):
     rule = edge_rule(degree)
     assert (rule.weights > 0).all()
     assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
+    assert rule.degree >= degree
     for a in range(degree + 1):
         got = float(np.sum(rule.weights * rule.points ** a))
         assert got == pytest.approx(1.0 / (a + 1), rel=1e-13), a
@@ -49,3 +54,19 @@ def test_invalid_degree():
         triangle_rule(-1)
     with pytest.raises(ValueError):
         edge_rule(-2)
+    for rule in (triangle_rule, edge_rule):
+        with pytest.raises(ValueError, match=r"0\.\.31, got 32"):
+            rule(MAX_DEGREE + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_tables_agree_with_scipy(n):
+    """The tables hold scipy.special's rules; within 4 ulps, so that a later
+    scipy that moves a last bit does not fail here.  Nodes lie in [-1, 1]
+    and are compared in ulps of 1, weights in their own ulps."""
+    for table, (x, w) in ((_GAUSS_JACOBI, roots_jacobi(n, 1.0, 0.0)),
+                          (_GAUSS_LEGENDRE, roots_legendre(n))):
+        nodes, weights = _gauss(table, n)
+        assert nodes.shape == weights.shape == (n,)
+        assert np.all(np.abs(nodes - x) <= 4 * np.spacing(1.0))
+        assert np.all(np.abs(weights - w) <= 4 * np.spacing(w))

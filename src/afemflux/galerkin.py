@@ -77,8 +77,9 @@ def monomial_exponents(k: int) -> list[tuple[int, int]]:
     return [(d - b, b) for d in range(k + 1) for b in range(d + 1)]
 
 
-def monomial_values(exps, x, y) -> np.ndarray:
-    """Evaluate the monomial list at arrays x, y -> shape x.shape + (n,)."""
+def _powers(exps, x, y):
+    """px, py: x ** i and y ** i, i = 0..max degree of exps, by repeated
+    products -> shape x.shape + (kmax + 1,) each."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     kmax = max(a + b for a, b in exps)
@@ -87,7 +88,13 @@ def monomial_values(exps, x, y) -> np.ndarray:
     for i in range(1, kmax + 1):
         px[..., i] = px[..., i - 1] * x
         py[..., i] = py[..., i - 1] * y
-    out = np.empty(x.shape + (len(exps),))
+    return px, py
+
+
+def monomial_values(exps, x, y) -> np.ndarray:
+    """Evaluate the monomial list at arrays x, y -> shape x.shape + (n,)."""
+    px, py = _powers(exps, x, y)
+    out = np.empty(px.shape[:-1] + (len(exps),))
     for j, (a, b) in enumerate(exps):
         out[..., j] = px[..., a] * py[..., b]
     return out
@@ -95,15 +102,8 @@ def monomial_values(exps, x, y) -> np.ndarray:
 
 def monomial_gradients(exps, x, y) -> np.ndarray:
     """-> shape x.shape + (n, 2)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    kmax = max(a + b for a, b in exps)
-    px = np.ones(x.shape + (kmax + 1,))
-    py = np.ones(y.shape + (kmax + 1,))
-    for i in range(1, kmax + 1):
-        px[..., i] = px[..., i - 1] * x
-        py[..., i] = py[..., i - 1] * y
-    out = np.zeros(x.shape + (len(exps), 2))
+    px, py = _powers(exps, x, y)
+    out = np.zeros(px.shape[:-1] + (len(exps), 2))
     for j, (a, b) in enumerate(exps):
         if a:
             out[..., j, 0] = a * px[..., a - 1] * py[..., b]
@@ -179,18 +179,17 @@ class ReferenceElement:
         return np.einsum("...ad,aj->...jd", g, self.coeffs)
 
     def hessians(self, pts: np.ndarray) -> np.ndarray:
-        x, y = pts[..., 0], pts[..., 1]
-        n = len(self.exponents)
-        H = np.zeros(x.shape + (n, 2, 2))
+        px, py = _powers(self.exponents, pts[..., 0], pts[..., 1])
+        H = np.zeros(px.shape[:-1] + (len(self.exponents), 2, 2))
         for j, (a, b) in enumerate(self.exponents):
             if a >= 2:
-                H[..., j, 0, 0] = a * (a - 1) * x ** (a - 2) * y ** b
+                H[..., j, 0, 0] = a * (a - 1) * px[..., a - 2] * py[..., b]
             if a >= 1 and b >= 1:
-                v = a * b * x ** (a - 1) * y ** (b - 1)
+                v = a * b * px[..., a - 1] * py[..., b - 1]
                 H[..., j, 0, 1] = v
                 H[..., j, 1, 0] = v
             if b >= 2:
-                H[..., j, 1, 1] = b * (b - 1) * x ** a * y ** (b - 2)
+                H[..., j, 1, 1] = b * (b - 1) * px[..., a] * py[..., b - 2]
         return np.einsum("...acd,aj->...jcd", H, self.coeffs)
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -622,31 +623,29 @@ def _min_angle(mesh: Mesh) -> float:
     return float(np.min(ang))
 
 
-# bytes of one (edges, vertices, 2) float array of the hanging-node scan
-_SCAN_BYTES = 1 << 20
-
-
 def _hanging_nodes(mesh: Mesh):
-    """(edge, vertex) of each vertex inside an edge, in row-major order,
-    scanned over as many edges at a time as keep each array of the chunk
-    within `_SCAN_BYTES`; lazy, so a caller that stops early stops the scan."""
+    """(edge, vertex) pairs, as ints, of each vertex strictly inside an edge,
+    in row-major order.  Such a vertex lies within |e|/2 of the edge's
+    midpoint, so a ball query per edge, widened by 1e-9 for rounding, finds
+    every candidate, and the exact test decides.  scipy.spatial is imported
+    here, not at module level, because no adaptive run calls this check."""
+    from scipy.spatial import KDTree
+
     P, E = mesh.points, mesh.edges
-    step = max(1, _SCAN_BYTES // P.nbytes)
-    for lo in range(0, E.shape[0], step):
-        ends = E[lo:lo + step]
-        a = P[ends[:, 0]][:, None, :]
-        bvec = P[ends[:, 1]][:, None, :] - a
-        rel = P[None, :, :] - a
-        lb2 = np.maximum((bvec ** 2).sum(axis=2), 1e-300)
-        tpar = (rel * bvec).sum(axis=2) / lb2
-        perp = rel - tpar[:, :, None] * bvec
-        d2 = (perp ** 2).sum(axis=2)
-        inside = (d2 < 1e-24 * lb2) & (tpar > 1e-12) & (tpar < 1 - 1e-12)
-        rows = np.arange(ends.shape[0])
-        inside[rows, ends[:, 0]] = False
-        inside[rows, ends[:, 1]] = False
-        for e, v in zip(*np.nonzero(inside)):
-            yield lo + e, v
+    a = P[E[:, 0]]
+    bvec = P[E[:, 1]] - a
+    lb2 = np.maximum((bvec ** 2).sum(axis=1), 1e-300)
+    radius = 0.5 * (1 + 1e-9) * np.sqrt(lb2)
+    near = KDTree(P).query_ball_point(a + 0.5 * bvec, radius, return_sorted=True)
+    counts = np.fromiter(map(len, near), np.intp, count=len(near))
+    e = np.repeat(np.arange(len(E)), counts)
+    v = np.fromiter(chain.from_iterable(near), np.intp, count=counts.sum())
+    rel = P[v] - a[e]
+    tpar = (rel * bvec[e]).sum(axis=1) / lb2[e]
+    d2 = ((rel - tpar[:, None] * bvec[e]) ** 2).sum(axis=1)
+    inside = ((d2 < 1e-24 * lb2[e]) & (tpar > 1e-12) & (tpar < 1 - 1e-12)
+              & (v != E[e, 0]) & (v != E[e, 1]))
+    return zip(e[inside].tolist(), v[inside].tolist())
 
 
 def conformity_check(mesh: Mesh) -> ConformityReport:
@@ -654,7 +653,8 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
     bad: list[str] = []
     degree = mesh._edge_incidence[2]
     for e in np.nonzero(degree > 2)[0][:10]:
-        bad.append(f"edge {e} {tuple(mesh.edges[e])} has {degree[e]} incident triangles")
+        bad.append(f"edge {e} {tuple(mesh.edges[e].tolist())} "
+                   f"has {degree[e]} incident triangles")
 
     # boundary must be a disjoint union of closed loops: every boundary vertex
     # has exactly one outgoing and one incoming directed boundary edge
@@ -684,13 +684,12 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
     else:
         bad.append("mesh has no boundary edges")
 
-    # hanging nodes / duplicate points: geometric scan, affordable on the
-    # hand-built meshes this diagnostic targets
-    if mesh.n_vertices <= 2000:
-        for e, v in _hanging_nodes(mesh):
-            bad.append(f"vertex {v} hangs on edge {e} {tuple(mesh.edges[e])}")
-            if len(bad) > 20:
-                break
+    # hanging nodes, on meshes of any size; a duplicate of an edge's endpoint
+    # has t = 0 there and is not caught
+    for e, v in _hanging_nodes(mesh):
+        bad.append(f"vertex {v} hangs on edge {e} {tuple(mesh.edges[e].tolist())}")
+        if len(bad) > 20:
+            break
 
     # the constructor has checked that each parent id lies in the source
     if mesh.source is not None:

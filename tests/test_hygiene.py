@@ -315,7 +315,8 @@ def test_mesh_and_space_tables_are_read_only():
 
 def test_run_does_not_import_scipy_special():
     """The Gauss rules come from the package's own tables, so neither the
-    import nor a small adaptive run pays for `scipy.special`."""
+    import nor a small adaptive run pays for `scipy.special`; nor for
+    `scipy.spatial`, which only `conformity_check` imports, on its call."""
     code = ("import sys\n"
             "import afemflux\n"
             "afemflux.run(afemflux.AfemConfig(degree=2, max_dofs=100))\n"
@@ -327,4 +328,5 @@ def test_run_does_not_import_scipy_special():
                          env={**os.environ, "PYTHONPATH": path})
     loaded = out.stdout.split()
     assert "scipy.sparse.linalg" in loaded, "the run did not solve"
-    assert not [m for m in loaded if m.startswith("scipy.special")], loaded
+    unwanted = ("scipy.special", "scipy.spatial")
+    assert not [m for m in loaded if m.startswith(unwanted)], loaded

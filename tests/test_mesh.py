@@ -8,11 +8,13 @@ implementation.
 """
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from afemflux import mesh as mesh_module
+from afemflux.afem import AfemConfig, run
 from afemflux.galerkin import FeSpace, ScalarField, prolong
 from afemflux.mesh import (
     Mesh,
@@ -28,6 +30,16 @@ from afemflux.mesh import (
     unit_square_crisscross,
 )
 from test_equilibration import jittered_square, vertex_patch
+
+
+@lru_cache(maxsize=None)
+def uniform_lshape(rounds):
+    """The L-shape bisected uniformly `rounds` times; meshes are immutable,
+    so tests may share it."""
+    mesh = lshape()
+    for _ in range(rounds):
+        mesh = bisect(mesh, range(mesh.n_triangles), 1)
+    return mesh
 
 
 def right_triangle_grid(n):
@@ -656,7 +668,15 @@ class TestConformityDiagnostics:
         rep = conformity_check(Mesh(pts, tris))
         assert not rep.ok
         hangs = [v for v in rep.violations if "hangs" in v]
-        assert len(hangs) == 1 and hangs[0].startswith("vertex 3 hangs on edge 0 ")
+        assert hangs == ["vertex 3 hangs on edge 0 (0, 1)"]
+
+    def test_edge_of_degree_three_flagged(self):
+        pts = np.array([
+            [0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0],
+        ])
+        tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+        rep = conformity_check(Mesh(pts, tris))
+        assert rep.violations[0] == "edge 0 (0, 1) has 3 incident triangles"
 
     @staticmethod
     def strip(n):
@@ -672,26 +692,20 @@ class TestConformityDiagnostics:
                  ((M + j, M + j + 1, T + j + 1), (M + j, T + j + 1, T + j))]
         return Mesh(np.array(bottom + middle + top), np.array(tris))
 
-    def test_hanging_node_scan_in_chunks(self, monkeypatch):
-        mesh = self.strip(25)
-        whole = conformity_check(mesh).violations
-        hangs = [v for v in whole if "hangs" in v]
-        assert len(whole) == 21 and hangs
+    def test_hanging_nodes_in_row_major_order_and_capped(self):
+        rep = conformity_check(self.strip(25))
+        hangs = [v for v in rep.violations if "hangs" in v]
+        assert len(rep.violations) == 21 and hangs
         assert [int(v.split()[1]) for v in hangs] == \
             list(range(27, 27 + 2 * len(hangs), 2))  # M + 1, M + 3, ...
-        # one edge per chunk: the same violations in the same order
-        monkeypatch.setattr(mesh_module, "_SCAN_BYTES", 1)
-        assert conformity_check(mesh).violations == whole
 
     def test_hanging_node_scan_memory(self):
-        # unchunked, the scan held 229 MB at 1,141 vertices of this family,
-        # growing with edges x vertices
-        mesh = lshape()
-        for _ in range(8):
-            mesh = bisect(mesh, range(mesh.n_triangles), 1)
-        mesh = bisect(mesh, range(600), 1)
+        # a scan of all (edge, vertex) pairs grows with edges x vertices:
+        # 229 MB at 1,141 vertices of this family
+        mesh = bisect(uniform_lshape(8), range(600), 1)
         assert 1800 < mesh.n_vertices <= 2000
         mesh.edges, mesh.areas, mesh.edge_triangles  # tables the mesh keeps
+        import scipy.spatial  # noqa: F401  its import alone traces about 26 MB
         tracemalloc.start()
         try:
             rep = conformity_check(mesh)
@@ -700,6 +714,34 @@ class TestConformityDiagnostics:
             tracemalloc.stop()
         assert rep.ok, rep.violations
         assert peak < 16 << 20, f"{peak / 2**20:.1f} MB"
+
+    def test_interior_hanging_node_past_2000_vertices(self):
+        # one triangle of the conforming 3,201-vertex mesh split alone: its
+        # midpoint hangs on the neighbour's edge
+        mesh = uniform_lshape(9)
+        t = int(np.flatnonzero(~mesh.boundary_edge[mesh.edge_of_triangle[:, 2]])[0])
+        v0, v1, v2 = mesh.triangles[t].tolist()
+        mid = mesh.n_vertices
+        pts = np.vstack([mesh.points, (mesh.points[v0] + mesh.points[v1]) / 2])
+        tris = np.vstack([np.delete(mesh.triangles, t, axis=0),
+                          [[v2, v0, mid], [v1, v2, mid]]])
+        split = Mesh(pts, tris)
+        assert split.n_vertices == 3202
+        lo, hi = min(v0, v1), max(v0, v1)
+        e = int(np.flatnonzero((split.edges == [lo, hi]).all(axis=1))[0])
+        assert conformity_check(split).violations == \
+            [f"vertex {mid} hangs on edge {e} ({lo}, {hi})"]
+
+    def test_uniform_mesh_past_2000_vertices_conforms(self):
+        mesh = uniform_lshape(9)
+        assert mesh.n_vertices == 3201
+        assert conformity_check(mesh).ok
+
+    def test_graded_adaptive_mesh_past_2000_vertices_conforms(self):
+        mesh = run(AfemConfig(problem="lshape_one", degree=1, max_dofs=3000)).final.mesh
+        assert mesh.n_vertices > 2000
+        rep = conformity_check(mesh)
+        assert rep.ok, rep.violations
 
 
 class TestFileFormats:

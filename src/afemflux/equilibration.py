@@ -98,20 +98,27 @@ coordinates with its class's L^-T Q, built again for the purpose, times the
 exact power of two 2^(ex_first - ex_t), ex being the exponent of the
 element's size.  The adaptive loop never asks for them.
 
-Patches are grouped by their sizes (elements, interior spokes, constrained
-rim edges) and batched within a group.  Each patch lists its elements fan
-after fan, counterclockwise around its vertex from the first element of
-each fan (`_fan_layout`).  Within a group, patches that list alike form a
-class: position by position their elements share a shape class, the patch
-vertex sits in the same slot, the rim edge is constrained alike and a
-spoke joins the next element alike.  Such patches are exact copies of one
-another up to translation and a power-of-two scale, with one and the same
-reduced constraint matrix.  A group's
-patches are batched in class order.  In each batch the rim frames and the
-reduced matrix of a class are built on its first patch and taken by the
-others, and its Gram matrix is factored once for all of its patches in
-the batch, solved as columns (`_minnorm_solve`); a patch alone in its
-class is a class of one.
+Patches are grouped by their sizes (elements, interior spokes) and
+batched within a group.  Each patch lists its elements fan after fan,
+counterclockwise around its vertex from the first element of each fan
+(`_fan_layout`).  Within a group, patches that list alike form a class:
+position by position their elements share a shape class, the patch vertex
+sits in the same slot, the rim edge is constrained alike and a spoke joins
+the next element alike.  Such patches are exact copies of one another up
+to translation and a power-of-two scale, with one and the same reduced
+constraint matrix.  The number of constrained rim edges, and with it the
+width of the reduced matrix and whether the patch is fully interior, is a
+property of each patch: the patches of one group share their rows, one
+per jump moment of a spoke, but not their columns.  A group's patches are
+batched by that number, then in class order, and each batch pads the
+reduced matrices of its narrower patches with trailing zero columns to
+the width of its widest (`_columns`), which leaves their minimal-norm
+solutions as they are; a batch holds patches of different widths only
+where the number changes.  In each batch the rim frames and the reduced
+matrix of a class are built on its first patch and taken by the others,
+and its Gram matrix is factored once for all of its patches in the
+batch, solved as columns (`_minnorm_solve`); a patch alone in its class
+is a class of one.
 
 `verify_equilibration` measures each element's divergence residual against
 the terms that cancel in it, the projected load and lap u_h.
@@ -142,7 +149,8 @@ from .galerkin import (
 from .mesh import Mesh, _row_classes, _void_rows
 from .quadrature import triangle_rule
 
-# patch-matrix and rim-frame bytes per solver batch, and element-block
+# patch-matrix and rim-frame bytes per solver batch, the patch matrices
+# counted at the width of the group's widest patch, and element-block
 # bytes per batch of `_fill_blocks`; cache-sized chunks win
 _SOLVE_BYTES = 8e6
 
@@ -640,7 +648,14 @@ def _edge_blocks(layout, blocks):
     return np.take(TrQ.reshape(-1, *TrQ.shape[2:]), row, axis=0)
 
 
-def _rim_frames(layout, blocks, deficient):
+def _interior(layout):
+    """Whether each of the patches layout is fully interior: one closed
+    fan, a spoke after every element, with every rim edge constrained."""
+    els, _, imposed, spokes = layout[:4]
+    return imposed.all(axis=1) & (spokes.shape[1] == els.shape[1])
+
+
+def _rim_frames(layout, blocks):
     """The rim condensation of each element of the patches layout.
 
     Returns X (3, K1, Nf+1, P m), the part of the rotated trace blocks of
@@ -659,10 +674,11 @@ def _rim_frames(layout, blocks, deficient):
     X = np.empty((3, K1, Nf + 1, P * mg))
     X[:, :, :Nf] = G[..., n_p:].reshape(-1, 3, K1, Nf).transpose(1, 2, 3, 0)
     X[:, :, Nf] = 0.0
-    if deficient:
-        X[:, :, Nf, ::mg] = G[:, 0, ..., n_p - 1].transpose(1, 2, 0)
+    interior = _interior(layout)
+    first = np.nonzero(interior)[0]
+    X[:, :, Nf, first * mg] = G[first, 0, ..., n_p - 1].transpose(1, 2, 0)
     V = _rim_rotation(X)
-    return X, V, _columns(layout[2], deficient, K1, Nf)
+    return X, V, _columns(layout[2], interior, K1, Nf)
 
 
 def _take_frames(frames, o):
@@ -675,24 +691,26 @@ def _take_frames(frames, o):
             (cols[o], C))
 
 
-def _columns(imposed, deficient, K1, Nf):
+def _columns(imposed, interior, K1, Nf):
     """Where each element's rim-rotated coordinates go among the columns
     of the reduced system of its patch.
 
     Element j of a patch keeps, in patch order, its rotated coordinates
     from K1 on if its rim edge is constrained (the first K1 are fixed by
     the rim rows) or from 0 on otherwise, up to Nf, or up to Nf + 1 with
-    the constant-divergence coordinate on the first element of a fully
-    interior patch.  Returns the column of each coordinate (P, m, Nf+1),
-    C for one that is fixed or absent, and the column count C.
+    the constant-divergence coordinate on the first element of a patch
+    that is fully interior (interior, (P,)).  Returns the column of each
+    coordinate (P, m, Nf+1), C for one that is fixed or absent, and the
+    column count C, that of the widest patch: a narrower patch leaves its
+    last columns empty.
     """
     P, mg = imposed.shape
     nfix = K1 * imposed
     top = np.full((P, mg), Nf)
-    top[:, 0] += deficient
+    top[:, 0] += interior
     width = top - nfix
     off = np.cumsum(width, axis=1) - width - nfix
-    C = int(width[0].sum())
+    C = int(width.sum(axis=1).max())
     c = np.arange(Nf + 1)
     return np.where((c >= nfix[..., None]) & (c < top[..., None]),
                     off[..., None] + c, C), C
@@ -708,13 +726,14 @@ def _spoke_sides(layout):
 
 
 def _assemble_patches(layout, frames):
-    """Reduced constraint matrices of patches sharing one (m, s, t) group.
+    """Reduced constraint matrices of patches sharing one (m, s) group.
 
     Rows are the k+1 jump moments of each spoke; the divergence rows and
     the trace rows of the constrained rim edges are condensed out.
     Columns are the free rim-rotated coordinates of each element in patch
     order (`_columns`), with the entries of the rotated trace blocks X of
-    `_rim_frames`.
+    `_rim_frames`, and then zero columns up to the width of the widest
+    patch.
     """
     X, _, (cols, C) = frames
     P, sg = layout[3].shape
@@ -731,7 +750,7 @@ def _assemble_patches(layout, frames):
     return flat[:-1].reshape(P, R, C)
 
 
-def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient, frames):
+def _patch_rhs(layout, vs, mesh, blocks, Jr, frames):
     """Reduced right-hand sides of the patches vs.
 
     The jump moments less the traces of the fixed coordinates of each
@@ -750,8 +769,7 @@ def _patch_rhs(layout, vs, mesh, blocks, Jr, deficient, frames):
     n_p = blocks["U"].shape[2]
     K1 = X.shape[1]
     fixed = blocks["U"][els, slots]
-    if deficient:
-        fixed[:, 0, -1] = 0.0
+    fixed[_interior(layout), 0, -1] = 0.0
     # their traces on the three local edges of each element, rim first
     ft = np.einsum("pmlkj,pmj->pmlk",
                    _edge_blocks(layout, blocks)[..., :n_p], fixed)
@@ -815,7 +833,8 @@ def _minnorm_solve(A, bb, cls):
 
     A (c, R, C) holds the reduced matrices (`_assemble_patches`) of c
     patch classes, bb (P, R) the right-hand sides of their patches, sorted
-    by class, and cls (P,) the class of each.  The systems are
+    by class, and cls (P,) the class of each.  A zero column, the padding
+    of a narrower patch, takes a zero in every solution.  The systems are
     underdetermined, consistent and of full row rank: the divergence and
     rim rows are gone, having fixed their coordinates by forward
     substitution, and on fully interior patches the one dependent row, the
@@ -1003,17 +1022,13 @@ def equilibrate(u_h: ScalarField, f,
     J, _ = normal_jumps(u_h)
     Jr = _edge_rhs(space, J)
 
-    # the sizes (m, s, t) of each patch packed into one integer that sorts
-    # alike, as s, t <= m
+    # the sizes (m, s) of each patch packed into one integer that sorts
+    # alike, as s <= m
     m = np.diff(mesh._vertex_triangles[0])
-    vt = np.repeat(np.arange(nv), m)
-    scnt = np.bincount(vt[links[0] >= 0], minlength=nv)
-    tcnt = np.bincount(vt[links[4]], minlength=nv)
+    scnt = np.bincount(np.repeat(np.arange(nv), m)[links[0] >= 0],
+                       minlength=nv)
     base = int(m.max()) + 1
-    code, ginv = np.unique((m * base + scnt) * base + tcnt,
-                           return_inverse=True)
-    uniq = np.stack([code // base ** 2, code // base % base, code % base],
-                    axis=1)
+    code, ginv = np.unique(m * base + scnt, return_inverse=True)
 
     # the correction of each (element, slot) pair, which one patch alone
     # writes; summed over the slots once all are in
@@ -1023,18 +1038,20 @@ def equilibrate(u_h: ScalarField, f,
     ratio = np.zeros(nv)  # patch residual over the scale of the patch data
     n_classes = n_shared = 0
 
-    def solve_batch(vs, part, cls, deficient):
-        # the patches vs with the layout part, in class order: frames and
-        # matrix are built on the first patch of each class and taken by
-        # the others; every array of the batch is freed on return
-        ci = cls - cls[0]
-        head = np.nonzero(np.diff(ci, prepend=-1))[0]
+    def solve_batch(vs, part, cls):
+        # the patches vs with the layout part, each class's patches next
+        # to each other: frames and matrix are built on the first patch of
+        # each class and taken by the others; every array of the batch is
+        # freed on return
+        new = np.diff(cls, prepend=-1) != 0
+        head = np.nonzero(new)[0]
+        ci = np.cumsum(new) - 1
         alone = head.size == vs.size
         rep = part if alone else tuple(a[head] for a in part)
-        frames = _rim_frames(rep, blocks, deficient)
+        frames = _rim_frames(rep, blocks)
         each = frames if alone else _take_frames(frames, ci)
         bb, fixed, y, scale, rdiv = _patch_rhs(
-            part, vs, mesh, blocks, Jr, deficient, each)
+            part, vs, mesh, blocks, Jr, each)
         z, resid = _minnorm_solve(_assemble_patches(rep, frames), bb, ci)
         els, slots, imposed = part[:3]
         _, V, (cols, _) = each
@@ -1047,8 +1064,8 @@ def equilibrate(u_h: ScalarField, f,
         w = np.empty((P, mg, N))
         w[..., :n_p] = fixed
         w[..., n_p:] = om[..., :Nf]
-        if deficient:
-            w[:, 0, n_p - 1] = om[:, 0, Nf]
+        interior = _interior(part)
+        w[interior, 0, n_p - 1] = om[interior, 0, Nf]
         # every divergence row, the dropped one included: that is where
         # a u_h without Galerkin orthogonality shows; and every rim row
         dres = np.einsum("pmij,pmj->pmi", blocks["DQ"][ecls[els]],
@@ -1062,26 +1079,28 @@ def equilibrate(u_h: ScalarField, f,
         eta_star[vs] = np.sqrt(np.einsum("pjc,pjc->p", w, w))
         w_slot[els, slots] = w
 
-    for g, (mg, sg, tg) in enumerate(uniq):
+    for g, (mg, sg) in enumerate(zip(code // base, code % base)):
         members = np.nonzero(ginv == g)[0]
-        deficient = bool(sg == mg and tg == mg)
-        # the reduced matrix of one patch, and the trace blocks and rim
-        # frames that `_rim_frames` builds on it
-        size = sg * K1 * (mg * Nf - tg * K1 + deficient) \
-            + mg * 3 * K1 * (N + Nf + 1)
-        step = max(8, int(_SOLVE_BYTES / (8 * size)))
         layout, link = _fan_layout(members, mg, sg, mesh, links)
         els, slots, imposed = layout[:3]
+        # the number of constrained rim edges of each patch; the reduced
+        # matrix of the widest patch (`_columns`), and the trace blocks
+        # and rim frames that `_rim_frames` builds on one patch
+        t = imposed.sum(axis=1)
+        width = int((mg * Nf - K1 * t + _interior(layout)).max())
+        size = sg * K1 * width + mg * 3 * K1 * (N + Nf + 1)
+        step = max(8, int(_SOLVE_BYTES / (8 * size)))
         _, cls, counts = _row_classes(
             ((ecls[els] * 3 + slots) * 2 + imposed) * 2 + link)
         n_classes += int((counts > 1).sum())
         n_shared += int(counts[counts > 1].sum())
-        # the patches in class order, classes numbered by their first patch
-        todo = np.argsort(cls, kind="stable")
+        # the patches by t, then in class order, classes numbered by their
+        # first patch: a batch is padded only where t changes
+        todo = np.lexsort((cls, t))
         for s0 in range(0, todo.size, step):
             sel = todo[s0:s0 + step]
             solve_batch(members[sel], tuple(a[sel] for a in layout),
-                        cls[sel], deficient)
+                        cls[sel])
 
     worst = int(np.argmax(ratio))
     if ratio[worst] > _TOLERANCE:

@@ -282,14 +282,6 @@ class FeSpace:
     def edge_rule_main(self) -> EdgeRule:
         return edge_rule(2 * self.degree + 2)
 
-    def interpolate(self, u) -> "ScalarField":
-        """Nodal interpolation of a callable u(x, y)."""
-        X = physical_points(self.mesh, self.ref.nodes)
-        vals = u(X[..., 0], X[..., 1])
-        coeffs = np.zeros(self.n_dofs)
-        coeffs[self.dof_map] = vals
-        return ScalarField(self, coeffs)
-
 
 @dataclass
 class SolveReport:

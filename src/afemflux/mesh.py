@@ -623,20 +623,18 @@ def _min_angle(mesh: Mesh) -> float:
     return float(np.min(ang))
 
 
-def _hanging_nodes(mesh: Mesh):
+def _hanging_nodes(mesh: Mesh, tree):
     """(edge, vertex) pairs, as ints, of each vertex strictly inside an edge,
-    in row-major order.  Such a vertex lies within |e|/2 of the edge's
-    midpoint, so a ball query per edge, widened by 1e-9 for rounding, finds
-    every candidate, and the exact test decides.  scipy.spatial is imported
-    here, not at module level, because no adaptive run calls this check."""
-    from scipy.spatial import KDTree
-
+    in row-major order, found with tree, a KDTree of the mesh's vertices.
+    Such a vertex lies within |e|/2 of the edge's midpoint, so a ball query
+    per edge, widened by 1e-9 for rounding, finds every candidate, and the
+    exact test decides."""
     P, E = mesh.points, mesh.edges
     a = P[E[:, 0]]
     bvec = P[E[:, 1]] - a
     lb2 = np.maximum((bvec ** 2).sum(axis=1), 1e-300)
     radius = 0.5 * (1 + 1e-9) * np.sqrt(lb2)
-    near = KDTree(P).query_ball_point(a + 0.5 * bvec, radius, return_sorted=True)
+    near = tree.query_ball_point(a + 0.5 * bvec, radius, return_sorted=True)
     counts = np.fromiter(map(len, near), np.intp, count=len(near))
     e = np.repeat(np.arange(len(E)), counts)
     v = np.fromiter(chain.from_iterable(near), np.intp, count=counts.sum())
@@ -650,6 +648,9 @@ def _hanging_nodes(mesh: Mesh):
 
 def conformity_check(mesh: Mesh) -> ConformityReport:
     """Validate conformity and bookkeeping; every violation names an offender."""
+    # imported here, not at module level: no adaptive run calls this check
+    from scipy.spatial import KDTree
+
     bad: list[str] = []
     degree = mesh._edge_incidence[2]
     for e in np.nonzero(degree > 2)[0][:10]:
@@ -684,9 +685,15 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
     else:
         bad.append("mesh has no boundary edges")
 
-    # hanging nodes, on meshes of any size; a duplicate of an edge's endpoint
-    # has t = 0 there and is not caught
-    for e, v in _hanging_nodes(mesh):
+    # coincident vertices, such as the two sides of a slit, which the
+    # hanging-node test below passes: an endpoint's duplicate has t = 0
+    tree = KDTree(mesh.points)
+    pairs = tree.query_pairs(0.0, output_type="ndarray")
+    for a, b in sorted(pairs.tolist())[:10]:
+        bad.append(f"vertices {a} and {b} coincide")
+
+    # hanging nodes, on meshes of any size
+    for e, v in _hanging_nodes(mesh, tree):
         bad.append(f"vertex {v} hangs on edge {e} {tuple(mesh.edges[e].tolist())}")
         if len(bad) > 20:
             break

@@ -679,6 +679,44 @@ class TestGlobalReconstruction:
                 assert np.abs(pr - resid).max() <= 1e-14
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [jittered_workload_mesh,
+                                           graded_lshape])
+    def test_batch_of_mixed_rim_counts_matches_unreduced_lstsq(
+            self, monkeypatch, make_mesh, k):
+        # one solver group per (elements, spokes) of a patch: a batch holds
+        # patches with different numbers of constrained rim edges, fully
+        # interior and not, their reduced matrices padded to the widest
+        u = solve_poisson(FeSpace(make_mesh(), k), f_sine)
+        mesh = u.space.mesh
+        groups, mixed = [], []
+        fan_layout = equilibration._fan_layout
+        monkeypatch.setattr(equilibration, "_fan_layout",
+                            lambda vs, mg, sg, *rest: groups.append(
+                                (mg, sg)) or fan_layout(vs, mg, sg, *rest))
+        assemble = equilibration._assemble_patches
+
+        def spy(layout, frames):
+            interior = layout[2].all(axis=1) \
+                & (layout[3].shape[1] == layout[0].shape[1])
+            rims = np.unique(layout[2].sum(axis=1))
+            mixed.append(rims.size > 1 and 0 < interior.sum() < interior.size)
+            return assemble(layout, frames)
+
+        monkeypatch.setattr(equilibration, "_assemble_patches", spy)
+        fl = equilibrate(u, f_sine)
+        monkeypatch.undo()
+        elements = np.bincount(mesh.triangles.ravel())
+        spokes = np.bincount(mesh.edges[~mesh.boundary_edge].ravel(),
+                             minlength=mesh.n_vertices)
+        assert sorted(groups) == sorted(set(zip(elements.tolist(),
+                                                spokes.tolist())))
+        assert any(mixed)
+        w, resid = unreduced_reference(u)
+        scale = np.linalg.norm(w, axis=1).max()
+        assert np.linalg.norm(fl.w_delta - w, axis=1).max() <= 1e-11 * scale
+        assert np.abs(fl.patch_residuals - resid).max() <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_class_split_across_solver_batches(self, monkeypatch, k):
         # batches of eight patches split classes of the graded L-shape
         # between batches, each part of a class factoring its Gram matrix
@@ -736,7 +774,9 @@ class TestGlobalReconstruction:
         # P2, the centre of the jittered square, eight elements: three
         # jump rows per spoke, and per element 9 - 3 coordinates left free
         # by the divergence and rim rows, plus the first element's
-        # constant divergence
+        # constant divergence.  Its batch may hold wider patches of the
+        # same (m, s) group, so its own width is that of its `_columns`,
+        # and the columns past it are zero padding
         mesh = jittered_square()
         centre = int(np.argmin(np.abs(mesh.points - 0.5).sum(axis=1)))
         els = np.sort(vertex_patch(mesh, centre)[0])
@@ -746,9 +786,14 @@ class TestGlobalReconstruction:
 
         def spy(layout, frames):
             A = real(layout, frames)
+            cols, C = frames[2]
             if layout[0].shape[1] == els.size:
                 hit = (np.sort(layout[0], axis=1) == els).all(axis=1)
-                sizes.extend([A.shape[1:]] * int(hit.sum()))
+                for p in np.nonzero(hit)[0]:
+                    kept = np.sort(cols[p][cols[p] < C])
+                    assert np.array_equal(kept, np.arange(kept.size))
+                    assert not A[p, :, kept.size:].any()
+                    sizes.append((A.shape[1], kept.size))
             return A
 
         monkeypatch.setattr(equilibration, "_assemble_patches", spy)

@@ -670,6 +670,17 @@ class TestConformityDiagnostics:
         hangs = [v for v in rep.violations if "hangs" in v]
         assert hangs == ["vertex 3 hangs on edge 0 (0, 1)"]
 
+    def test_slit_of_coincident_vertices_flagged(self):
+        # the unit square cut along its diagonal: vertices 4 and 5 copy 0
+        # and 2, so both boundary loops close, the areas agree and no
+        # vertex lies strictly inside an edge
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                        [0.0, 0.0], [1.0, 1.0]])
+        rep = conformity_check(Mesh(pts, np.array([[0, 1, 2], [4, 5, 3]])))
+        assert rep.violations == ["vertices 0 and 4 coincide",
+                                  "vertices 2 and 5 coincide"]
+        assert not rep.ok
+
     def test_edge_of_degree_three_flagged(self):
         pts = np.array([
             [0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0],

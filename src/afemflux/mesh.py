@@ -24,6 +24,20 @@ the root, so a level mesh and its tables are freed once the caller drops it.
 The chain is what `ancestor_map`, `refined_set` and the depth diagnostics
 walk; `level` counts rounds from the root.
 
+A round's work, apart from the per-triangle lineage it must record, is in
+proportion to the edges it splits.  The marks are closed (a triangle with a
+marked edge has its refinement edge marked) once, in the first round of each
+pass: a round unmarks only edges whose triangles it all splits, and a
+child's one old edge is its refinement edge, so no later round of the pass
+can open the closure.  The working tables grow in place, in append order: a
+split triangle's first child takes its row, the second is appended, and one
+index array keeps the mesh's own order, in which the children take their
+parent's place.  A bisected mesh receives its `edges` and
+`edge_of_triangle` from this bookkeeping, the split edges dropped and the
+new ones merged into the sorted old ones; the constructor checks such
+tables in O(nt + ne).  Other meshes, roots and `load_tri` meshes among them,
+build them from their triangles.
+
 Connectivity lives in arrays, not in per-vertex or per-triangle objects:
 `edges`, `edge_of_triangle`, `edge_triangles` and `edge_local` for edges,
 and the CSR table `_vertex_triangles` for the patch of each vertex, its
@@ -43,7 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -113,6 +126,47 @@ def _check_arrays(points: np.ndarray, triangles: np.ndarray) -> None:
                         f"out of range [0, {len(points)})")
 
 
+def _check_edges(triangles: np.ndarray, edges: np.ndarray, eot: np.ndarray,
+                 nv: int) -> None:
+    """Handed-over edge tables are what `Mesh._edge_data` would build: rows
+    sorted vertex pairs, lexsorted and distinct, each triangle's entries
+    its own local edges, every edge in some triangle.  O(nt + ne);
+    failures name the offender."""
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise MeshError("edges must be an (ne, 2) array")
+    if eot.shape != triangles.shape:
+        raise MeshError(f"edge_of_triangle must be an ({len(triangles)}, 3) "
+                        "array")
+    ne = len(edges)
+    if ne == 0 or eot.min() < 0 or eot.max() >= ne:
+        t, i = np.argwhere((eot < 0) | (eot >= ne))[0]
+        raise MeshError(f"triangle {t} has edge id {eot[t, i]} out of range "
+                        f"[0, {ne})")
+    lo, hi = edges.T
+    if lo.min() < 0 or hi.max() >= nv or (lo >= hi).any():
+        e = np.argmax((lo < 0) | (hi >= nv) | (lo >= hi))
+        raise MeshError(f"edge {e} {tuple(edges[e].tolist())} is not a "
+                        f"sorted pair of vertex ids in [0, {nv})")
+    # on such pairs, keys lo * nv + hi order the rows lexicographically
+    key = lo * nv + hi
+    if (key[1:] <= key[:-1]).any():
+        e = np.argmax(key[1:] <= key[:-1]) + 1
+        raise MeshError(f"edge {e} {tuple(edges[e].tolist())} is out of "
+                        "lexicographic order")
+    a, b = triangles[:, [1, 2, 0]], triangles[:, [2, 0, 1]]
+    bad = key[eot] != np.minimum(a, b) * nv + np.maximum(a, b)
+    if bad.any():
+        t = np.argmax(bad.any(axis=1))
+        raise MeshError(f"triangle {t} {tuple(triangles[t].tolist())} is not "
+                        f"bounded by its edges {tuple(eot[t].tolist())}")
+    used = np.zeros(ne, dtype=bool)
+    used[eot] = True
+    if not used.all():
+        e = np.argmin(used)
+        raise MeshError(f"edge {e} {tuple(edges[e].tolist())} is in no "
+                        "triangle")
+
+
 class Mesh:
     """Immutable conforming triangulation (see module docstring)."""
 
@@ -123,6 +177,8 @@ class Mesh:
         generations: np.ndarray | None = None,
         parents: np.ndarray | None = None,
         source: "Round | Mesh | None" = None,
+        edges: np.ndarray | None = None,
+        edge_of_triangle: np.ndarray | None = None,
     ):
         points = _owned(points, np.float64)
         triangles = _owned(triangles, np.int64)
@@ -147,6 +203,13 @@ class Mesh:
         if not (self.signed_areas > 0).all():
             raise MeshError(f"triangle {np.argmin(self.signed_areas > 0)} is "
                             "not counterclockwise (signed area <= 0)")
+        if (edges is None) != (edge_of_triangle is None):
+            raise MeshError("edges and edge_of_triangle come together")
+        if edges is not None:
+            edges = _owned(edges, np.int64)
+            eot = _owned(edge_of_triangle, np.int64)
+            _check_edges(triangles, edges, eot, len(points))
+            vars(self)["_edge_data"] = edges, eot
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Mesh is immutable: cannot assign {name!r}")
@@ -486,16 +549,27 @@ class Round:
         return self.parents.shape[0]
 
 
+def _grown(a: np.ndarray, n: int) -> np.ndarray:
+    """a if it has room for n rows, else a copy of it with zero rows
+    appended up to max(n, 2 len(a)), so that filling a working table row
+    by row costs amortised O(1) per row."""
+    if n <= len(a):
+        return a
+    out = np.zeros((max(n, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
 def bisect(mesh: Mesh, marked: Iterable[int], b: int = 1) -> Mesh:
     """Bisect every marked triangle b times (the full b-level subtree of each
     marked triangle is created), with recursive conforming closure.
 
-    Each pass marks the refinement edges of the descendants of `marked` and
-    splits them in rounds on working edge tables: a round closes the marks,
-    then splits every marked edge that is the refinement edge of all its
-    triangles, numbering new vertices in the lexicographic order of the
-    split edges.  A split edge is left unused; its halves and the new
-    interior edges are appended.
+    Each pass marks the refinement edges of the descendants of `marked`,
+    closes the marks, and splits them in rounds: a round splits every marked
+    edge that is the refinement edge of all its triangles, numbering new
+    vertices in the lexicographic order of the split edges.  A split edge
+    is left unused; its halves and the new interior edges are appended.
+    The result receives its edge tables from this bookkeeping.
     """
     marked = np.asarray(list(marked))
     if marked.size == 0:
@@ -509,67 +583,132 @@ def bisect(mesh: Mesh, marked: Iterable[int], b: int = 1) -> Mesh:
     b = int(b)
     if b < 1:
         raise MeshError(f"bisection count must be >= 1, got {b}")
-    points, tris, gens = mesh.points, mesh.triangles, mesh.generations
-    eot, ends = mesh.edge_of_triangle, mesh.edges
-    degree = np.bincount(eot.ravel())
-    desc = np.zeros(mesh.n_triangles, dtype=bool)
+    # the working tables are freed before the mesh copies what it keeps:
+    # alive, they leave holes under its arrays (0.9 MB of peak RSS on the
+    # L-shape P1 run)
+    return Mesh(**_split_rounds(mesh, marked, b))
+
+
+def _split_rounds(mesh: Mesh, marked: np.ndarray, b: int) -> dict:
+    """The `Mesh` arguments of `bisect(mesh, marked, b)`."""
+    # working tables: triangle rows in append order, where a split
+    # triangle's first child takes its row and its second is appended;
+    # perm lists the rows in the order of the mesh, where the children
+    # take their parent's place and the triangles after it move down
+    n, nv, ne = mesh.n_triangles, mesh.n_vertices, len(mesh.edges)
+    ne0 = ne
+    pts = _grown(mesh.points, 2 * nv)
+    tris = _grown(mesh.triangles, 2 * n)
+    eot = _grown(mesh.edge_of_triangle, 2 * n)
+    gens = _grown(mesh.generations, 2 * n)
+    desc = np.zeros(2 * n, dtype=bool)
     desc[marked] = True
+    ends = _grown(mesh.edges, 2 * ne)
+    degree = _grown(np.bincount(eot[:n].ravel(), minlength=ne), 2 * ne)
+    # refs[e]: the number of triangles whose refinement edge is e; vid[e]:
+    # the vertex at the midpoint of e once e is split, else 0.  Edge rows
+    # from ne on stay zero until they are appended.
+    refs = _grown(np.bincount(eot[:n, 2], minlength=ne), 2 * ne)
+    vid = np.zeros(2 * ne, dtype=np.int64)
+    perm = np.arange(n)
     chain, parents = mesh.link, None
     for _ in range(b):
-        marks = np.zeros(len(ends), dtype=bool)
-        marks[eot[desc, 2]] = True
-        while marks.any():
+        marks = np.zeros(ne, dtype=bool)
+        marks[eot[:n][desc[:n], 2]] = True
+        # closure: a triangle with a marked edge has its refinement edge
+        # marked.  A round keeps it closed: it unmarks only edges all of
+        # whose triangles it splits, and a child's one old edge is its
+        # refinement edge, so only the first round of a pass closes.
+        ref = eot[:n, 2]
+        while (grow := marks[eot[:n]].any(axis=1) & ~marks[ref]).any():
+            marks[ref[grow]] = True
+        pending = np.flatnonzero(marks)
+        while pending.size:
             if parents is not None:
-                chain = Round(parents, gens, chain, chain.root)
-            ref = eot[:, 2]
-            # closure: a triangle with a marked edge has its refinement edge marked
-            while (grow := marks[eot].any(axis=1) & ~marks[ref]).any():
-                marks[ref[grow]] = True
-            ne, nv = len(ends), len(points)
-            split = marks & (np.bincount(ref, minlength=ne) == degree)
-            if not split.any():
-                raise MeshError(_deadlock(tris, eot, ends, marks))
-            s = np.nonzero(split)[0]
+                chain = Round(parents, gens[perm], chain, chain.root)
+            ready = refs[pending] == degree[pending]
+            if not ready.any():
+                raise MeshError(_deadlock(tris[perm], eot[perm], ends,
+                                          pending[0]))
+            s, pending = pending[ready], pending[~ready]
             s = s[np.lexsort((ends[s, 1], ends[s, 0]))]
-            vid = np.zeros(ne, dtype=np.int64)
-            vid[s] = nv + np.arange(s.size)
-            points = np.vstack([points,
-                                0.5 * (points[ends[s, 0]] + points[ends[s, 1]])])
-            marks[s] = False
-            split_tri = split[ref]
-            sid = np.nonzero(split_tri)[0]
-            if len(tris) + sid.size > _MAX_TRIANGLES:
+            ks = s.size
+            vid[s] = nv + np.arange(ks)
+            # the triangles split now are those whose refinement edge gets
+            # a vertex now: an edge split before is in no triangle
+            split_tri = vid[eot[perm, 2]] >= nv
+            at = np.flatnonzero(split_tri)
+            sid = perm[at]
+            k = sid.size
+            if n + k > _MAX_TRIANGLES:
                 raise MeshError(f"bisection would pass {_MAX_TRIANGLES} triangles")
-            # a split triangle (v0, v1, v2) becomes (v2, v0, m), (v1, v2, m)
-            # in its own place, and the triangles after it move down
-            parents = np.repeat(np.arange(len(tris)), 1 + split_tri)
-            first = sid + np.arange(sid.size)
+            ne1 = ne + 2 * ks + k
+            pts = _grown(pts, nv + ks)
+            tris, eot, gens, desc = (_grown(a, n + k)
+                                     for a in (tris, eot, gens, desc))
+            ends, degree, refs, vid = (_grown(a, ne1)
+                                       for a in (ends, degree, refs, vid))
+            pts[nv:nv + ks] = 0.5 * (pts[ends[s, 0]] + pts[ends[s, 1]])
+            # a split triangle (v0, v1, v2) becomes (v2, v0, m) in its row
+            # and (v1, v2, m) in a new one
             v0, v1, v2 = tris[sid].T
-            m = vid[ref[sid]]
+            m = vid[eot[sid, 2]]
             # split edge k leaves halves (lo, m) and (hi, m) as edges
             # ne + 2k and ne + 2k + 1; split triangle j adds (v2, m) as
             # edge ne + 2 * len(s) + j
             half = ne + 2 * (m - nv)
-            inner = ne + 2 * s.size + np.arange(sid.size)
+            inner = ne + 2 * ks + np.arange(k)
             e0, e1 = eot[sid, 0], eot[sid, 1]
-            tris, eot, desc = tris[parents], eot[parents], desc[parents]
-            tris[first] = np.column_stack([v2, v0, m])
-            tris[first + 1] = np.column_stack([v1, v2, m])
-            eot[first] = np.column_stack([half + (v0 > v1), inner, e1])
-            eot[first + 1] = np.column_stack([inner, half + (v1 > v0), e0])
-            gens = gens[parents] + split_tri[parents]
-            halves = np.column_stack([ends[s].ravel(), np.repeat(vid[s], 2)])
-            ends = np.concatenate([ends, halves, np.column_stack([v2, m])])
-            degree = np.concatenate([degree, np.repeat(degree[s], 2),
-                                     np.full(sid.size, 2)])
-            marks = np.concatenate([marks, np.zeros(len(ends) - ne, dtype=bool)])
-    return Mesh(points, tris, generations=gens, parents=parents, source=chain)
+            new = n + np.arange(k)
+            tris[sid] = np.column_stack([v2, v0, m])
+            tris[new] = np.column_stack([v1, v2, m])
+            eot[sid] = np.column_stack([half + (v0 > v1), inner, e1])
+            eot[new] = np.column_stack([inner, half + (v1 > v0), e0])
+            gens[sid] += 1
+            gens[new] = gens[sid]
+            desc[new] = desc[sid]
+            ends[ne:ne + 2 * ks] = np.column_stack([ends[s].ravel(),
+                                                    np.repeat(vid[s], 2)])
+            ends[ne + 2 * ks:ne1] = np.column_stack([v2, m])
+            degree[ne:ne + 2 * ks] = np.repeat(degree[s], 2)
+            degree[ne + 2 * ks:ne1] = 2
+            np.add.at(refs, e0, 1)
+            np.add.at(refs, e1, 1)
+            reps = 1 + split_tri
+            parents = np.repeat(np.arange(n), reps)
+            perm = np.repeat(perm, reps)
+            perm[at + np.arange(1, k + 1)] = new
+            n, nv, ne = n + k, nv + ks, ne1
+    edges, renumber = _merged_edges(ends[:ne], ne0, vid[:ne] == 0, nv)
+    return dict(points=pts[:nv].copy(), triangles=tris[perm],
+                generations=gens[perm], parents=parents, source=chain,
+                edges=edges, edge_of_triangle=renumber[eot[perm]])
 
 
-def _deadlock(tris, eot, ends, marks) -> str:
-    """Name a marked edge that cannot be split and an incident triangle
-    whose refinement edge is another edge."""
-    e = np.nonzero(marks)[0][0]
+def _merged_edges(ends, ne0, live, nv):
+    """The live rows of ends in lexicographic order, and each row's new id.
+    Rows below ne0, the input mesh's edges, are lexsorted already: the
+    sorted new rows are merged into them."""
+    old = np.flatnonzero(live[:ne0])
+    new = ne0 + np.flatnonzero(live[ne0:])
+    new_keys = ends[new, 0] * nv + ends[new, 1]
+    order = np.argsort(new_keys)
+    new = new[order]
+    at = np.searchsorted(ends[old, 0] * nv + ends[old, 1], new_keys[order])
+    at += np.arange(new.size)
+    ids = np.empty(old.size + new.size, dtype=np.int64)
+    is_new = np.zeros(ids.size, dtype=bool)
+    is_new[at] = True
+    ids[at] = new
+    ids[~is_new] = old
+    renumber = np.empty(len(ends), dtype=np.int64)
+    renumber[ids] = np.arange(ids.size)
+    return ends[ids], renumber
+
+
+def _deadlock(tris, eot, ends, e) -> str:
+    """Name the marked edge e, which cannot be split, and the first
+    incident triangle whose refinement edge is another edge."""
     t = np.nonzero((eot == e).any(axis=1) & (eot[:, 2] != e))[0][0]
     tri = tuple(int(v) for v in tris[t])
     return (f"bisection deadlock: marked edge {tuple(int(v) for v in ends[e])} "
@@ -626,24 +765,35 @@ def _min_angle(mesh: Mesh) -> float:
 def _hanging_nodes(mesh: Mesh, tree):
     """(edge, vertex) pairs, as ints, of each vertex strictly inside an edge,
     in row-major order, found with tree, a KDTree of the mesh's vertices.
-    Such a vertex lies within |e|/2 of the edge's midpoint, so a ball query
-    per edge, widened by 1e-9 for rounding, finds every candidate, and the
-    exact test decides."""
+    Such a vertex lies within |e|/2 of the edge's midpoint.  The edges are
+    queried in classes of one power of two of that radius, widened by 1e-9
+    for rounding: one tree-against-tree query per class, of its midpoints
+    within its largest radius, finds every candidate, and the exact test
+    decides."""
+    from scipy.spatial import KDTree
+
     P, E = mesh.points, mesh.edges
     a = P[E[:, 0]]
     bvec = P[E[:, 1]] - a
     lb2 = np.maximum((bvec ** 2).sum(axis=1), 1e-300)
     radius = 0.5 * (1 + 1e-9) * np.sqrt(lb2)
-    near = tree.query_ball_point(a + 0.5 * bvec, radius, return_sorted=True)
-    counts = np.fromiter(map(len, near), np.intp, count=len(near))
-    e = np.repeat(np.arange(len(E)), counts)
-    v = np.fromiter(chain.from_iterable(near), np.intp, count=counts.sum())
+    size = np.frexp(radius)[1]
+    by_size = np.argsort(size, kind="stable")
+    e, v = [], []
+    for c in np.split(by_size, np.flatnonzero(np.diff(size[by_size])) + 1):
+        near = KDTree(a[c] + 0.5 * bvec[c]).sparse_distance_matrix(
+            tree, radius[c].max(), output_type="ndarray")
+        e.append(c[near["i"]])
+        v.append(near["j"])
+    e, v = np.concatenate(e), np.concatenate(v)
     rel = P[v] - a[e]
     tpar = (rel * bvec[e]).sum(axis=1) / lb2[e]
     d2 = ((rel - tpar[:, None] * bvec[e]) ** 2).sum(axis=1)
     inside = ((d2 < 1e-24 * lb2[e]) & (tpar > 1e-12) & (tpar < 1 - 1e-12)
               & (v != E[e, 0]) & (v != E[e, 1]))
-    return zip(e[inside].tolist(), v[inside].tolist())
+    e, v = e[inside], v[inside]
+    order = np.lexsort((v, e))
+    return zip(e[order].tolist(), v[order].tolist())
 
 
 def conformity_check(mesh: Mesh) -> ConformityReport:

@@ -305,6 +305,10 @@ def test_mesh_and_space_tables_are_read_only():
                 for name, value in vars(obj).items()
                 if any(a.flags.writeable for a in arrays_in(value))]
     assert not writable, f"writable arrays: {writable}"
+    # bisection hands its edge tables over: each owns its data, where a
+    # view would keep a whole working buffer alive, uncounted
+    assert "_edge_data" in vars(mesh)
+    assert all(a.base is None for a in mesh._edge_data)
     refused = []
     for name, value in list(vars(mesh).items()):
         with pytest.raises(AttributeError, match=repr(name)):

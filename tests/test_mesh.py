@@ -8,7 +8,7 @@ implementation.
 """
 
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -150,6 +150,32 @@ def random_levels(make_mesh, seed, bisect_fn):
     return meshes
 
 
+@lru_cache(maxsize=None)
+def lshape_p1_path():
+    """b and the marked set of each refined level of the L-shape P1 run to
+    8,000 dofs: Dörfler markings that concentrate at the re-entrant
+    corner, bisected b = 5 times, the L-shape's interior-node depth."""
+    marks = []
+    result = run(AfemConfig(problem="lshape_one", degree=1, max_dofs=8000),
+                 on_level=lambda state: marks.append(state.marked))
+    assert result.b == interior_node_depth(lshape()) == 5
+    # on the last level every triangle at the corner is of the smallest size
+    last = result.final.mesh
+    corner, = np.flatnonzero((last.points == 0.0).all(axis=1))
+    assert last.areas[(last.triangles == corner).any(axis=1)].max() \
+        == last.areas.min()
+    return result.b, marks[:-1]
+
+
+def lshape_p1_levels(bisect_fn):
+    """The levels of the L-shape P1 run, refined by bisect_fn."""
+    b, marks = lshape_p1_path()
+    meshes = [lshape()]
+    for marked in marks:
+        meshes.append(bisect_fn(meshes[-1], marked, b))
+    return meshes
+
+
 class TestConstruction:
     def test_unit_square_crisscross(self):
         m = unit_square_crisscross()
@@ -263,6 +289,39 @@ class TestConstruction:
             with pytest.raises(MeshError, match=r"triangle 2 has vertex "
                                r"index 9 out of range \[0, 5\)"):
                 build(m.points, tris)
+
+    def test_handed_over_edge_tables_are_checked(self):
+        # bisection hands its edge tables over (TestAgainstRoundByRound
+        # compares them with a rebuild); inconsistent ones name the offender
+        fine = bisect(lshape(), [0, 5], 2)
+        assert "_edge_data" in vars(fine)
+        pts, tris = fine.points, fine.triangles
+        edges, eot = fine.edges, fine.edge_of_triangle
+        assert "_edge_data" in vars(Mesh(pts, tris, edges=edges,
+                                         edge_of_triangle=eot))
+        swapped = eot.copy()
+        swapped[3, [0, 1]] = eot[3, [1, 0]]
+        tri = tuple(tris[3].tolist())
+        with pytest.raises(MeshError, match=rf"^triangle 3 \({tri[0]}, "
+                           rf"{tri[1]}, {tri[2]}\) is not bounded"):
+            Mesh(pts, tris, edges=edges, edge_of_triangle=swapped)
+        unsorted = edges.copy()
+        unsorted[4] = edges[4, ::-1]
+        hi, lo = unsorted[4].tolist()
+        with pytest.raises(MeshError, match=rf"^edge 4 \({hi}, {lo}\) is "
+                           "not a sorted pair"):
+            Mesh(pts, tris, edges=unsorted, edge_of_triangle=eot)
+        # the pair (0, nv - 1) is no edge; inserted in its lexicographic
+        # place, it is used by no triangle
+        nv = fine.n_vertices
+        assert not ((edges == [0, nv - 1]).all(axis=1)).any()
+        k = int(np.searchsorted(edges[:, 0] * nv + edges[:, 1], nv - 1))
+        with pytest.raises(MeshError, match=rf"^edge {k} \(0, {nv - 1}\) is "
+                           "in no triangle"):
+            Mesh(pts, tris, edges=np.insert(edges, k, [0, nv - 1], axis=0),
+                 edge_of_triangle=eot + (eot >= k))
+        with pytest.raises(MeshError, match="come together"):
+            Mesh(pts, tris, edges=edges)
 
     def test_degenerate_triangle_rejected(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -479,12 +538,14 @@ class TestBisection:
 
 
 class TestAgainstRoundByRound:
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("make_mesh", [lshape, unit_square_crisscross,
-                                           jittered_square])
-    def test_same_meshes_and_lineage(self, make_mesh, seed):
-        ours = random_levels(make_mesh, seed, bisect)
-        refs = random_levels(make_mesh, seed, reference_bisect)
+    @pytest.mark.parametrize("levels", [
+        *(pytest.param(partial(random_levels, make_mesh, seed),
+                       id=f"{make_mesh.__name__}-{seed}")
+          for make_mesh in (lshape, unit_square_crisscross, jittered_square)
+          for seed in (0, 1)),
+        pytest.param(lshape_p1_levels, id="lshape_p1")])
+    def test_same_meshes_and_lineage(self, levels):
+        ours, refs = levels(bisect), levels(reference_bisect)
         assert len(ours) == len(refs)
         for i in range(1, len(ours)):
             a, r = ours[i], refs[i]
@@ -499,6 +560,11 @@ class TestAgainstRoundByRound:
                 assert np.array_equal(la.generations, lr.generations)
                 assert la.level == lr.level
             assert all(isinstance(link, Round) for link in links_a[1:])
+            # the edge tables bisection hands over are those a fresh mesh
+            # of the same points and triangles builds
+            fresh = Mesh(a.points, a.triangles)
+            for name in ("edges", "edge_of_triangle", "edge_triangles"):
+                assert np.array_equal(getattr(a, name), getattr(fresh, name)), name
 
     def test_lineage_walks_unchanged(self):
         ours = random_levels(lshape, 3, bisect)
@@ -726,22 +792,63 @@ class TestConformityDiagnostics:
         assert rep.ok, rep.violations
         assert peak < 16 << 20, f"{peak / 2**20:.1f} MB"
 
+    @staticmethod
+    def split_alone(mesh, ts):
+        """mesh with each triangle of ts, whose refinement edges are
+        interior and distinct, bisected alone, and the violations that
+        name the midpoints hanging on the neighbours' edges."""
+        v0, v1, v2 = mesh.triangles[ts].T
+        mid = mesh.n_vertices + np.arange(len(ts))
+        pts = np.vstack([mesh.points, (mesh.points[v0] + mesh.points[v1]) / 2])
+        tris = np.vstack([np.delete(mesh.triangles, ts, axis=0),
+                          np.column_stack([v2, v0, mid]),
+                          np.column_stack([v1, v2, mid])])
+        split = Mesh(pts, tris)
+        lo, hi = np.minimum(v0, v1), np.maximum(v0, v1)
+        rows = [np.flatnonzero((split.edges == pair).all(axis=1))[0]
+                for pair in zip(lo, hi)]
+        return split, [f"vertex {m} hangs on edge {e} ({a}, {b})" for e, m, a, b
+                       in sorted(zip(rows, mid.tolist(), lo.tolist(), hi.tolist()))]
+
     def test_interior_hanging_node_past_2000_vertices(self):
         # one triangle of the conforming 3,201-vertex mesh split alone: its
         # midpoint hangs on the neighbour's edge
         mesh = uniform_lshape(9)
         t = int(np.flatnonzero(~mesh.boundary_edge[mesh.edge_of_triangle[:, 2]])[0])
-        v0, v1, v2 = mesh.triangles[t].tolist()
-        mid = mesh.n_vertices
-        pts = np.vstack([mesh.points, (mesh.points[v0] + mesh.points[v1]) / 2])
-        tris = np.vstack([np.delete(mesh.triangles, t, axis=0),
-                          [[v2, v0, mid], [v1, v2, mid]]])
-        split = Mesh(pts, tris)
+        split, hangs = self.split_alone(mesh, [t])
         assert split.n_vertices == 3202
-        lo, hi = min(v0, v1), max(v0, v1)
-        e = int(np.flatnonzero((split.edges == [lo, hi]).all(axis=1))[0])
-        assert conformity_check(split).violations == \
-            [f"vertex {mid} hangs on edge {e} ({lo}, {hi})"]
+        assert conformity_check(split).violations == hangs
+
+    @staticmethod
+    def jittered_lshape():
+        """uniform_lshape(9) with its interior vertices moved by a seeded
+        offset: edges of every length."""
+        mesh = uniform_lshape(9)
+        rng = np.random.default_rng(5)
+        offset = 0.2 * mesh.edge_lengths.min() * rng.uniform(-1, 1, mesh.points.shape)
+        offset[mesh.boundary_vertex] = 0.0
+        return Mesh(mesh.points + offset, mesh.triangles)
+
+    @pytest.mark.parametrize("make_mesh, classes", [
+        (lambda: lshape_p1_levels(bisect)[-1], 3),
+        (jittered_lshape, 1)], ids=["graded", "jittered"])
+    def test_hanging_nodes_on_edges_of_many_lengths(self, make_mesh, classes):
+        # the scan queries the edges by power-of-two length class, each
+        # within its largest radius: split triangles of sizes from the
+        # smallest to the largest alone, with refinement edges that share
+        # no vertex, so that the boundary loops each split leaves close
+        mesh = make_mesh()
+        interior = np.flatnonzero(~mesh.boundary_edge[mesh.edge_of_triangle[:, 2]])
+        by_area = interior[np.argsort(mesh.areas[interior], kind="stable")]
+        ts, used = [], set()
+        for t in by_area[np.linspace(0, by_area.size - 1, 10).astype(int)]:
+            if not used & set(mesh.triangles[t, :2].tolist()):
+                ts.append(t)
+                used |= set(mesh.triangles[t, :2].tolist())
+        split, hangs = self.split_alone(mesh, ts)
+        sizes = np.frexp(mesh.edge_lengths[mesh.edge_of_triangle[ts, 2]])[1]
+        assert len(ts) >= 8 and np.unique(sizes).size >= classes
+        assert conformity_check(split).violations == hangs
 
     def test_uniform_mesh_past_2000_vertices_conforms(self):
         mesh = uniform_lshape(9)

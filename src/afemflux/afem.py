@@ -34,6 +34,7 @@ from .galerkin import (
     ScalarField,
     energy_error,
     energy_norm,
+    load_values,
     prolong,
     solve_poisson,
 )
@@ -206,8 +207,7 @@ def run(config: AfemConfig,
 
     floor = config.estimator_floor
     if floor is None:
-        probe = mesh.centroids
-        fmax = float(np.abs(prob.f(probe[:, 0], probe[:, 1])).max())
+        fmax = float(np.abs(load_values(prob.f, mesh.centroids)).max())
         floor = 1e-9 * (1.0 + fmax)
 
     records: list[ConvergenceRecord] = []

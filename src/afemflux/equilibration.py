@@ -140,6 +140,7 @@ from .galerkin import (
     element_gradients,
     element_laplacians,
     energy_error,
+    load_values,
     monomial_exponents,
     monomial_projection,
     monomial_values,
@@ -294,7 +295,7 @@ class FluxField:
         out = np.empty(self.mesh.n_triangles)
         for batch in element_batches(self.mesh, rule.points):
             v = self._values(batch)
-            sq = np.einsum("q,tqc,tqc->t", rule.weights, v, v)
+            sq = (v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]) @ rule.weights
             out[batch.els] = np.sqrt(sq * self.mesh.areas[batch.els])
         return out
 
@@ -474,10 +475,10 @@ def _divergence_rhs(u_h: ScalarField, f, els: np.ndarray):
     mesh = space.mesh
     rule = space.rule_main
     batch = element_batch(mesh, rule.points, els, space.degree)
-    X = batch.X
-    res = f(X[..., 0], X[..., 1]) + element_laplacians(u_h, rule.points, els)
-    return -np.einsum("q,qs,tq,tqa,t->tsa", rule.weights, rule.bary, res,
-                      batch.mono, mesh.areas[els], optimize=True)
+    lap = element_laplacians(u_h, rule.points, els)
+    res = (load_values(f, batch.X) + lap) * mesh.areas[els, None]
+    wb = (rule.weights[:, None] * rule.bary).T
+    return -np.matmul(wb, res[:, :, None] * batch.mono)
 
 
 def _edge_rhs(space: FeSpace, J: np.ndarray):
@@ -494,7 +495,8 @@ def _edge_rhs(space: FeSpace, J: np.ndarray):
     phis = np.column_stack([1.0 - s, s])
     spow = s[:, None] ** np.arange(k + 1)[None, :]
     W = er.weights[:, None, None] * phis[:, :, None] * spow[:, None, :]
-    return -np.einsum("eq,qvb->evb", J * space.mesh.edge_lengths[:, None], W)
+    JW = (J * space.mesh.edge_lengths[:, None]) @ W.reshape(s.size, -1)
+    return -JW.reshape(-1, 2, k + 1)
 
 
 def _const_last(n_p: int) -> np.ndarray:
@@ -1139,8 +1141,7 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
 
     div_res = np.empty(mesh.n_triangles)
     for batch in element_batches(mesh, rule.points, degree=k):
-        X = batch.X
-        pf = f(X[..., 0], X[..., 1]) @ P.T
+        pf = load_values(f, batch.X) @ P.T
         lap = element_laplacians(u_h, rule.points, batch.els)
         dv = flux.q_delta._divergence(batch)
         scale = np.abs([pf, lap]).max(axis=(0, 2), initial=1.0)
@@ -1186,8 +1187,7 @@ def prager_synge_terms(u_h: ScalarField, flux: EquilibratedFlux, grad_exact):
         sv = sigma._values(batch)
         d0 = np.asarray(gx) - sv[..., 0]
         d1 = np.asarray(gy) - sv[..., 1]
-        dist_sq += float(np.einsum("q,tq,t->", rule.weights,
-                                   d0 * d0 + d1 * d1,
-                                   space.mesh.areas[batch.els]))
+        dist_sq += float(((d0 * d0 + d1 * d1) @ rule.weights)
+                         @ space.mesh.areas[batch.els])
     err = energy_error(u_h, grad_exact, qdeg=qdeg)
     return err, float(np.sqrt(dist_sq)), flux.eta_delta_total

@@ -39,6 +39,7 @@ from .galerkin import (
     ScalarField,
     element_batches,
     element_laplacians,
+    load_values,
     reference_projector,
 )
 from .mesh import Mesh
@@ -58,22 +59,23 @@ def _residual_squares(u_h: ScalarField, f, jumps: np.ndarray):
     space = u_h.space
     mesh = space.mesh
     rule = space.rule_fine
+    w_hat = rule.weights[:, None] * rule.bary ** 2
     vol = np.empty(mesh.n_triangles)
     vol_hat = np.empty((mesh.n_triangles, 3))
     for batch in element_batches(mesh, rule.points):
-        els, X = batch.els, batch.X
-        r = f(X[..., 0], X[..., 1]) + element_laplacians(u_h, rule.points, els)
+        els = batch.els
+        lap = element_laplacians(u_h, rule.points, els)
+        r = load_values(f, batch.X) + lap
         rr = r * r
-        vol[els] = np.einsum("q,tq,t->t", rule.weights, rr, mesh.areas[els])
-        vol_hat[els] = np.einsum("q,qs,tq,t->ts", rule.weights,
-                                 rule.bary ** 2, rr, mesh.areas[els])
+        vol[els] = (rr @ rule.weights) * mesh.areas[els]
+        vol_hat[els] = (rr @ w_hat) * mesh.areas[els, None]
     er = space.edge_rule_main
     hE = mesh.edge_lengths
     s = er.points
     phis = np.column_stack([1.0 - s, s]) ** 2
     JJ = jumps * jumps
     edge = JJ @ er.weights * hE
-    edge_hat = np.einsum("q,qv,eq->ev", er.weights, phis, JJ) * hE[:, None]
+    edge_hat = (JJ @ (er.weights[:, None] * phis)) * hE[:, None]
     return vol, vol_hat, edge, edge_hat
 
 
@@ -121,11 +123,11 @@ def oscillation(space: FeSpace, f) -> np.ndarray:
     P = reference_projector(rule, space.degree - 1)
     out = np.empty(mesh.n_triangles)
     for batch in element_batches(mesh, rule.points):
-        els, X = batch.els, batch.X
-        fX = f(X[..., 0], X[..., 1])
+        els = batch.els
+        fX = load_values(f, batch.X)
         c = fX - fX[:, :1]
         rem = c - c @ P.T
-        sq = np.einsum("q,tq,t->t", rule.weights, rem * rem, mesh.areas[els])
+        sq = ((rem * rem) @ rule.weights) * mesh.areas[els]
         out[els] = mesh.diameters[els] * np.sqrt(sq)
     return out
 

@@ -36,7 +36,20 @@ quadrature points, the same points centred and diameter-scaled, and the
 monomials there when asked for.  (Equilibration builds its shape blocks on
 the first elements of the same classes, in batches bounded by bytes.)
 Affine maps and edge orientations come from the mesh: `Mesh.jacobians`,
-`Mesh.edge_flips`.
+`Mesh.edge_flips`.  The load is evaluated by `load_values` wherever f is
+called, so f may return a scalar or anything that broadcasts to the points.
+
+Each weighted sum over the points of a batch is one BLAS product on
+contiguous data: the pointwise values times the weights (a gemv, or a gemm
+for the hat-weighted variants), times the areas.  The monomials of a batch
+are computed monomial-major, one contiguous (t, nq) table per monomial, and
+`monomial_values` returns them as a (t, nq, n) view; the points are mapped
+with a contiguous copy of J^T.  Neither moves a bit: the tables equal
+those of a loop over the monomials, the points those of the product with
+the strided J^T.  `assemble_load` keeps `np.add.at`, which adds the
+element vectors into b element by element: a `np.bincount` per batch would
+sum a dof's contributions in another grouping and move u_h in its last
+bits.
 
 Elementwise L2 projections: `monomial_projection` solves each element's
 Gram system for coefficients; `reference_projector` gives the values of
@@ -79,36 +92,38 @@ def monomial_exponents(k: int) -> list[tuple[int, int]]:
 
 def _powers(exps, x, y):
     """px, py: x ** i and y ** i, i = 0..max degree of exps, by repeated
-    products -> shape x.shape + (kmax + 1,) each."""
+    products -> shape (kmax + 1,) + x.shape each, power-major."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     kmax = max(a + b for a, b in exps)
-    px = np.ones(x.shape + (kmax + 1,))
-    py = np.ones(y.shape + (kmax + 1,))
+    px = np.empty((kmax + 1,) + x.shape)
+    py = np.empty((kmax + 1,) + y.shape)
+    px[0] = py[0] = 1.0
     for i in range(1, kmax + 1):
-        px[..., i] = px[..., i - 1] * x
-        py[..., i] = py[..., i - 1] * y
+        np.multiply(px[i - 1], x, out=px[i])
+        np.multiply(py[i - 1], y, out=py[i])
     return px, py
 
 
 def monomial_values(exps, x, y) -> np.ndarray:
-    """Evaluate the monomial list at arrays x, y -> shape x.shape + (n,)."""
+    """Evaluate the monomial list at arrays x, y -> shape x.shape + (n,),
+    a view of a monomial-major buffer."""
     px, py = _powers(exps, x, y)
-    out = np.empty(px.shape[:-1] + (len(exps),))
+    out = np.empty((len(exps),) + px.shape[1:])
     for j, (a, b) in enumerate(exps):
-        out[..., j] = px[..., a] * py[..., b]
-    return out
+        np.multiply(px[a], py[b], out=out[j])
+    return np.moveaxis(out, 0, -1)
 
 
 def monomial_gradients(exps, x, y) -> np.ndarray:
     """-> shape x.shape + (n, 2)."""
     px, py = _powers(exps, x, y)
-    out = np.zeros(px.shape[:-1] + (len(exps), 2))
+    out = np.zeros(px.shape[1:] + (len(exps), 2))
     for j, (a, b) in enumerate(exps):
         if a:
-            out[..., j, 0] = a * px[..., a - 1] * py[..., b]
+            out[..., j, 0] = a * px[a - 1] * py[b]
         if b:
-            out[..., j, 1] = b * px[..., a] * py[..., b - 1]
+            out[..., j, 1] = b * px[a] * py[b - 1]
     return out
 
 
@@ -119,9 +134,9 @@ def monomial_projection(w, mono, *vals) -> np.ndarray:
     points of each element and each of vals (t, nq) a function there.
     Returns (t, n, len(vals)), one column per function.
     """
-    M = np.einsum("q,tqa,tqb->tab", w, mono, mono, optimize=True)
-    r = np.stack([np.einsum("q,tq,tqa->ta", w, v, mono, optimize=True)
-                  for v in vals], axis=-1)
+    wm = w[:, None] * mono
+    M = mono.transpose(0, 2, 1) @ wm
+    r = wm.transpose(0, 2, 1) @ np.stack(vals, axis=-1)
     return np.linalg.solve(M, r)
 
 
@@ -180,16 +195,16 @@ class ReferenceElement:
 
     def hessians(self, pts: np.ndarray) -> np.ndarray:
         px, py = _powers(self.exponents, pts[..., 0], pts[..., 1])
-        H = np.zeros(px.shape[:-1] + (len(self.exponents), 2, 2))
+        H = np.zeros(px.shape[1:] + (len(self.exponents), 2, 2))
         for j, (a, b) in enumerate(self.exponents):
             if a >= 2:
-                H[..., j, 0, 0] = a * (a - 1) * px[..., a - 2] * py[..., b]
+                H[..., j, 0, 0] = a * (a - 1) * px[a - 2] * py[b]
             if a >= 1 and b >= 1:
-                v = a * b * px[..., a - 1] * py[..., b - 1]
+                v = a * b * px[a - 1] * py[b - 1]
                 H[..., j, 0, 1] = v
                 H[..., j, 1, 0] = v
             if b >= 2:
-                H[..., j, 1, 1] = b * (b - 1) * px[..., a] * py[..., b - 2]
+                H[..., j, 1, 1] = b * (b - 1) * px[a] * py[b - 2]
         return np.einsum("...acd,aj->...jcd", H, self.coeffs)
 
 
@@ -325,8 +340,17 @@ class ScalarField:
 def physical_points(mesh: Mesh, ref_pts: np.ndarray, elements=None):
     """Map reference points (nq, 2) into each element -> (nt, nq, 2)."""
     els = slice(None) if elements is None else elements
-    J = mesh.jacobians[els].transpose(0, 2, 1)
+    # a contiguous copy of J^T: the stacked product then reads each
+    # element's matrix in place, with the same bits as the strided view
+    J = np.ascontiguousarray(mesh.jacobians[els].transpose(0, 2, 1))
     return mesh.points[mesh.triangles[els, 0], None] + ref_pts @ J
+
+
+def load_values(f, X: np.ndarray) -> np.ndarray:
+    """The load f(x, y) at the points X (..., 2), as float64 of shape
+    X.shape[:-1]: f may return a scalar or anything that broadcasts."""
+    fv = np.asarray(f(X[..., 0], X[..., 1]), dtype=np.float64)
+    return np.broadcast_to(fv, X.shape[:-1])
 
 
 def scaled_coordinates(mesh: Mesh, X: np.ndarray, els: np.ndarray):
@@ -469,13 +493,16 @@ def normal_jumps(field: ScalarField):
             # how many edges share its side, local edge and flip
             ec = field.element_coeffs(t if t.size > 1 else np.repeat(t, 2))
             Gm = G.transpose(1, 0, 2).reshape(G.shape[1], -1)
-            rg = (ec @ Gm)[:t.size]
-            grads = rg.reshape(-1, nq, 2) @ space.jac_inv[t]
+            rg = (ec @ Gm)[:t.size].reshape(-1, nq, 2)
             a, b = _LOCAL_EDGES[le]
             tang = pts[tris[t, b]] - pts[tris[t, a]]
             nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
             nrm /= np.hypot(nrm[:, 0], nrm[:, 1])[:, None]
-            jumps[rows] += (grads @ nrm[:, :, None])[..., 0]
+            # grad u . n is the reference gradient dotted with Ji n, which
+            # is formed once per element
+            Ji = space.jac_inv[t]
+            gn = Ji[:, :, 0] * nrm[:, :1] + Ji[:, :, 1] * nrm[:, 1:]
+            jumps[rows] += rg[..., 0] * gn[:, :1] + rg[..., 1] * gn[:, 1:]
     jumps[~interior] = 0.0
     return jumps, interior
 
@@ -518,9 +545,7 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
     V = space.ref.values(rule.points)
     b = np.zeros(space.n_dofs)
     for batch in element_batches(space.mesh, rule.points):
-        X = batch.X
-        fv = np.asarray(f(X[..., 0], X[..., 1]), dtype=np.float64)
-        fv = np.broadcast_to(fv, X.shape[:2])
+        fv = load_values(f, batch.X)
         loc = (fv * rule.weights[None, :]) @ V
         loc = loc * space.mesh.areas[batch.els, None]
         np.add.at(b, space.dof_map[batch.els], loc)
@@ -573,9 +598,8 @@ def energy_norm(field: ScalarField) -> float:
     total = 0.0
     for batch in element_batches(field.space.mesh):
         g = element_gradients(field, rule.points, batch.els)
-        total += float(np.einsum("q,tqc,tqc,t->", rule.weights, g, g,
-                                 field.space.mesh.areas[batch.els],
-                                 optimize=True))
+        gg = g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]
+        total += float((gg @ rule.weights) @ field.space.mesh.areas[batch.els])
     return float(np.sqrt(total))
 
 
@@ -591,9 +615,8 @@ def energy_error(field: ScalarField, grad_exact, qdeg: int | None = None) -> flo
         gx, gy = grad_exact(batch.X[..., 0], batch.X[..., 1])
         d0 = np.asarray(gx) - g[..., 0]
         d1 = np.asarray(gy) - g[..., 1]
-        total += float(np.einsum("q,tq,t->", rule.weights, d0 * d0 + d1 * d1,
-                                 field.space.mesh.areas[batch.els],
-                                 optimize=True))
+        total += float(((d0 * d0 + d1 * d1) @ rule.weights)
+                       @ field.space.mesh.areas[batch.els])
     return float(np.sqrt(total))
 
 
@@ -613,10 +636,10 @@ def prolong(fld: ScalarField, fine_space: FeSpace) -> ScalarField:
     # (ntf, n_nodes, 2)
     X = physical_points(fine_space.mesh, fine_space.ref.nodes)
     rel = X - coarse.mesh.points[coarse.mesh.triangles[anc, 0], None]
-    xi = np.einsum("tcd,tqd->tqc", coarse.jac_inv[anc], rel)
+    xi = rel @ coarse.jac_inv[anc].transpose(0, 2, 1)
     mono = monomial_values(coarse.ref.exponents, xi[..., 0], xi[..., 1])
     basis = mono @ coarse.ref.coeffs  # (ntf, n_nodes, n_loc_coarse)
-    vals = np.einsum("tqi,ti->tq", basis, fld.element_coeffs(anc))
+    vals = (basis @ fld.element_coeffs(anc)[:, :, None])[..., 0]
     coeffs = np.zeros(fine_space.n_dofs)
     coeffs[fine_space.dof_map] = vals
     return ScalarField(fine_space, coeffs)

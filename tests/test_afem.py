@@ -1,6 +1,7 @@
 """Driver tests: marking oracle, registry consistency checks by finite
 differences, adaptive localisation, stopping, rates, hypothesis ratios."""
 
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -278,6 +279,22 @@ class TestDriver:
         assert len(rows) >= 2
         assert all(r.osc == 0.0 and r.osc_star == 0.0 for r in res.records)
         assert all(np.isnan(r.lam1) and np.isnan(r.lam2) for r in rows)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_scalar_load_runs_as_its_array_form(self, degree):
+        # a load returning a plain float is broadcast wherever f is
+        # evaluated: the run, and the verification of its last flux, match
+        # those of the array-valued f = 1 bit for bit
+        one = get_problem("lshape_one")
+        scalar = dataclasses.replace(one, name="lshape_scalar_one",
+                                     f=lambda x, y: 1.0)
+        ref = run(AfemConfig(problem=one, degree=degree, max_dofs=600))
+        got = run(AfemConfig(problem=scalar, degree=degree, max_dofs=600))
+        assert len(got.records) >= 3
+        np.testing.assert_equal([dataclasses.astuple(r) for r in got.records],
+                                [dataclasses.astuple(r) for r in ref.records])
+        assert got.final.report.flux.verify(scalar.f) \
+            == ref.final.report.flux.verify(one.f)
 
     def test_lambda_ratios_with_oscillating_data(self):
         _, rows = run_with_hypotheses(AfemConfig(

@@ -1,6 +1,7 @@
 """Estimator tests against hand-computed values on one- and two-element
 meshes, where every integral is elementary."""
 
+import itertools
 import sys
 
 import numpy as np
@@ -75,27 +76,25 @@ def patch_residual_eta(u, f):
 
 def unshared_residual_reference(u, f):
     """Both residual families as separate passes compute them: f + lap u
-    and the normal jumps evaluated anew for each family and weighting."""
+    and the normal jumps evaluated anew for each family and weighting,
+    each reduced by the product with the weights that `_residual_squares`
+    uses."""
     space = u.space
     mesh = space.mesh
-    k = space.degree
     rule = space.rule_fine
     er = space.edge_rule_main
     hE = mesh.edge_lengths
 
     def volume(weighted):
-        out = np.empty((mesh.n_triangles, 3)) if weighted \
-            else np.empty(mesh.n_triangles)
+        w = rule.weights[:, None] * rule.bary ** 2 if weighted \
+            else rule.weights
+        out = np.empty((mesh.n_triangles,) + w.shape[1:])
         for batch in element_batches(mesh, rule.points):
             els, X = batch.els, batch.X
             r = f(X[..., 0], X[..., 1]) + element_laplacians(
                 u, rule.points, els)
-            if weighted:
-                out[els] = np.einsum("q,qs,tq,t->ts", rule.weights,
-                                     rule.bary ** 2, r * r, mesh.areas[els])
-            else:
-                out[els] = np.einsum("q,tq,t->t", rule.weights, r * r,
-                                     mesh.areas[els])
+            area = mesh.areas[els, None] if weighted else mesh.areas[els]
+            out[els] = ((r * r) @ w) * area
         return out
 
     def edge(weighted):
@@ -103,8 +102,7 @@ def unshared_residual_reference(u, f):
         if weighted:
             s = er.points
             phis = np.column_stack([1.0 - s, s]) ** 2
-            sq = np.einsum("q,qv,eq->ev", er.weights, phis, J * J) \
-                * hE[:, None]
+            sq = ((J * J) @ (er.weights[:, None] * phis)) * hE[:, None]
         else:
             sq = (J * J) @ er.weights * hE
         sq[~interior] = 0.0
@@ -118,6 +116,43 @@ def unshared_residual_reference(u, f):
     np.add.at(star_sq, mesh.edges.ravel(),
               (edge(True) * hE[:, None]).ravel())
     return np.sqrt(eta_sq), np.sqrt(star_sq)
+
+
+def loop_patch_sums(mesh, sq, edge_sq=None):
+    """The patch sums of `_patch_sums`, and with edge_sq those of
+    `patch_residual_indicators`, as a plain loop: each element value added
+    to its vertex in element order, then each edge value to its
+    endpoint."""
+    out = [0.0] * mesh.n_vertices
+    vals = np.broadcast_to(sq, mesh.triangles.shape)
+    pairs = [zip(mesh.triangles.ravel().tolist(), vals.ravel().tolist())]
+    if edge_sq is not None:
+        pairs.append(zip(mesh.edges.ravel().tolist(),
+                         edge_sq.ravel().tolist()))
+    for v, x in itertools.chain(*pairs):
+        out[v] += x
+    return np.array(out)
+
+
+class TestPatchSums:
+    @pytest.mark.parametrize("make_mesh", [graded_lshape, jittered_square])
+    def test_sums_in_input_order(self, make_mesh):
+        # values over 16 decades, so that another summation order shows
+        mesh = make_mesh()
+        rng = np.random.default_rng(5)
+
+        def spread(*shape):
+            return rng.random(shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+        nt, ne = mesh.n_triangles, mesh.edges.shape[0]
+        for sq in (spread(nt, 3), spread(nt, 1)):
+            assert np.array_equal(estimators._patch_sums(mesh, sq),
+                                  loop_patch_sums(mesh, sq))
+        vol_hat, edge_hat = spread(nt, 3), spread(ne, 2)
+        want = loop_patch_sums(mesh, mesh.diameters[:, None] ** 2 * vol_hat,
+                               edge_hat * mesh.edge_lengths[:, None])
+        assert np.array_equal(
+            patch_residual_indicators(mesh, vol_hat, edge_hat), np.sqrt(want))
 
 
 class TestResidualIndicators:

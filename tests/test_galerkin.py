@@ -26,10 +26,12 @@ from afemflux.galerkin import (
     element_batches,
     element_gradients,
     monomial_exponents,
+    monomial_gradients,
     monomial_projection,
     monomial_values,
     physical_points,
     prolong,
+    reference_element,
     reference_projector,
     solve_poisson,
 )
@@ -237,6 +239,62 @@ class TestNormsAndProjection:
             gram = np.einsum("tqa,ta->tq", batch.mono, coef)
             got = fX @ reference_projector(rule, m).T
             assert np.abs(got - gram).max() <= 1e-12 * np.abs(fX).max()
+
+
+def loop_powers(x, n):
+    """x ** 0..n, each by repeated products from one."""
+    out = [np.ones_like(x)]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+class TestKernelsBitForBit:
+    """The kernels whose layout changed and whose values must not: the
+    monomial tables against a plain loop over the monomials, and the
+    mapped points against the product with the strided J^T."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_monomial_tables_match_a_loop_over_monomials(self, k):
+        pts = np.random.default_rng(7).uniform(-1.5, 1.5, (37, 25, 2))
+        x, y = pts[..., 0], pts[..., 1]
+        exps = monomial_exponents(k)
+        px, py = loop_powers(x, k), loop_powers(y, k)
+        vals = np.zeros(x.shape + (len(exps),))
+        grads = np.zeros(x.shape + (len(exps), 2))
+        hess = np.zeros(x.shape + (len(exps), 2, 2))
+        for j, (a, b) in enumerate(exps):
+            vals[..., j] = px[a] * py[b]
+            if a:
+                grads[..., j, 0] = a * px[a - 1] * py[b]
+            if b:
+                grads[..., j, 1] = b * px[a] * py[b - 1]
+            if a >= 2:
+                hess[..., j, 0, 0] = a * (a - 1) * px[a - 2] * py[b]
+            if a and b:
+                hess[..., j, 0, 1] = hess[..., j, 1, 0] = \
+                    a * b * px[a - 1] * py[b - 1]
+            if b >= 2:
+                hess[..., j, 1, 1] = b * (b - 1) * px[a] * py[b - 2]
+        got = monomial_values(exps, x, y)
+        assert got.shape == vals.shape and np.array_equal(got, vals)
+        got = monomial_gradients(exps, x, y)
+        assert got.shape == grads.shape and np.array_equal(got, grads)
+        ref = reference_element(k)
+        assert np.array_equal(ref.hessians(pts), np.einsum(
+            "...acd,aj->...jcd", hess, ref.coeffs))
+
+    @pytest.mark.parametrize("make_mesh", [graded_lshape, jittered_square])
+    def test_physical_points_match_the_strided_product(self, make_mesh):
+        mesh = make_mesh()
+        for deg in (2, 6, 10):
+            ref = triangle_rule(deg).points
+            for els in (None, np.arange(mesh.n_triangles)[::3],
+                        np.array([5])):
+                sel = slice(None) if els is None else els
+                want = mesh.points[mesh.triangles[sel, 0], None] \
+                    + ref @ mesh.jacobians[sel].transpose(0, 2, 1)
+                assert np.array_equal(physical_points(mesh, ref, els), want)
 
 
 class TestElementBatches:

@@ -1,9 +1,10 @@
 """Hygiene of the package, checked on its syntax trees: no module imports
 a name it never uses, no private module-level name goes unread, every
 exported name resolves, every private name the docs put in backticks is
-defined, and every table a cached function returns, or a mesh or its
-finite element space exposes, is read-only.  In a fresh interpreter, a
-run imports no module the package does not need."""
+defined, no `np.einsum` takes more than two operands, and every table a
+cached function returns, or a mesh or its finite element space exposes,
+is read-only.  In a fresh interpreter, a run imports no module the
+package does not need."""
 
 import ast
 import dataclasses
@@ -315,6 +316,37 @@ def test_mesh_and_space_tables_are_read_only():
             setattr(mesh, name, value)
         refused.append(name)
     assert {"points", "triangles", "source", *cached} <= set(refused)
+
+
+def wide_einsums(tree):
+    """Line of each `np.einsum` call with more than two array operands, or
+    with operands passed by unpacking, which may be more."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "einsum"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+            and (len(node.args) > 3
+                 or any(isinstance(a, ast.Starred) for a in node.args))]
+
+
+def test_no_einsum_with_three_operands():
+    """A weighted sum is one BLAS product: an einsum of three or more
+    operands runs numpy's generic loop, or searches a path on every call."""
+    found = [f"{p.name}:{line}" for p in MODULES
+             for line in wide_einsums(ast.parse(p.read_text(), str(p)))]
+    assert not found, f"np.einsum with more than two operands: {found}"
+
+
+def test_three_operand_einsum_is_found():
+    tree = ast.parse("import numpy as np\n"
+                     "a = np.einsum('q,tq->t', w, x)\n"
+                     "b = np.einsum('q,tq,t->t', w, x, area)\n"
+                     "c = np.einsum('q,tq,t->', w, x, area, optimize=True)\n"
+                     "d = np.einsum(*ops)\n"
+                     "e = other.einsum('q,tq,t->t', w, x, area)\n")
+    assert wide_einsums(tree) == [3, 4, 5]
 
 
 def test_run_does_not_import_scipy_special():

@@ -169,11 +169,8 @@ def write_run_csv(path, records) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(_RUN_COLUMNS) + "\n")
         for r in records:
-            row = [str(r.level), str(r.n_elements), str(r.n_dofs),
-                   _fmt(r.energy_error), _fmt(r.eta_delta), _fmt(r.eta_star),
-                   _fmt(r.eta_star_single), _fmt(r.eta_res),
-                   _fmt(r.eta_res_star), _fmt(r.osc), _fmt(r.osc_star),
-                   str(r.n_marked), _fmt(r.theta), str(r.b), "0"]
+            # the record's fields in their order, then wall_ms
+            row = [*map(_fmt, dataclasses.astuple(r)), "0"]
             fh.write(",".join(row) + "\n")
 
 

@@ -121,7 +121,9 @@ batch, solved as columns (`_minnorm_solve`); a patch alone in its class
 is a class of one.
 
 `verify_equilibration` measures each element's divergence residual against
-the terms that cancel in it, the projected load and lap u_h.
+the terms that cancel in it, the projected load and lap u_h.  It takes
+q_delta . n on the three local edges of each element (`_edge_traces`) and
+sums each edge from its two sides with `Mesh.edge_sums`, as `normal_jumps`.
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ from typing import ClassVar
 import numpy as np
 
 from .galerkin import (
+    _LOCAL_EDGES,
+    _REF_VERTICES,
     FeSpace,
     ScalarField,
     element_batch,
@@ -211,9 +215,6 @@ def rt_values(k: int, xhat: np.ndarray) -> np.ndarray:
     return out
 
 
-_REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
 def _local_geometry(e):
     """Local edges (t, 3, 2), each directed from local vertex le+1 to le+2,
     their lengths (t, 3), the areas (t,) and the diameters (t,) of
@@ -232,27 +233,27 @@ def _scaled_points(e, h, ref):
     return ((ref - 1.0 / 3.0) @ e) / h[:, None, None]
 
 
-def _edge_traces(k: int, s: np.ndarray, e: np.ndarray, lower: np.ndarray,
-                 le: int):
+def _edge_traces(k: int, s: np.ndarray, e: np.ndarray, lower: np.ndarray):
     """Normal traces of the local flux basis of elements with edge vectors
     e (`Mesh.scaled_edges`) and lower-end flags lower (`Mesh.edge_flips`:
     whether the lower global id of a local edge sits at its end) on their
-    local edge le, at the points s of the edge parameter running from the
-    edge's lower global vertex id to its higher one.
+    three local edges, at the points s of the edge parameter running from
+    each edge's lower global vertex id to its higher one.
 
-    Returns the traces (t, len(s), N), with the outward unit normal, and
-    the edge lengths (t,).
+    Returns the traces (t, 3, len(s), N), with the outward unit normal, and
+    the edge lengths (t, 3).
     """
     tang, elen, _, h = _local_geometry(e)
-    a, b = _REF_VERTICES[(le + 1) % 3], _REF_VERTICES[(le + 2) % 3]
-    flip = lower[:, le, None, None]
-    ref = np.where(flip, b, a) + s[None, :, None] * np.where(flip, a - b,
-                                                              b - a)
-    Ve = rt_values(k, _scaled_points(e, h, ref))
-    nrm = np.column_stack([tang[:, le, 1], -tang[:, le, 0]]) \
-        / elen[:, le, None]
-    tr = (Ve.reshape(e.shape[0], -1, 2) @ nrm[:, :, None])
-    return tr.reshape(e.shape[0], -1, rt_dim(k)), elen[:, le]
+    # the ends of each local edge, then those at its lower and its higher
+    # global vertex id
+    a, b = _REF_VERTICES[np.transpose(_LOCAL_EDGES), None]
+    flip = lower[:, :, None, None]
+    lo, hi = np.where(flip, b, a), np.where(flip, a, b)
+    ref = lo + s[:, None] * (hi - lo)
+    Ve = rt_values(k, _scaled_points(e, h, ref.reshape(len(e), -1, 2)))
+    nrm = np.stack([tang[..., 1], -tang[..., 0]], axis=-1) / elen[..., None]
+    tr = Ve.reshape(*ref.shape[:2], -1, 2) @ nrm[..., None]
+    return tr.reshape(ref.shape[:3] + (-1,)), elen
 
 
 @dataclass(frozen=True)
@@ -405,10 +406,8 @@ def _shape_blocks(space: FeSpace, els: np.ndarray):
 
     spow = er.points[:, None] ** np.arange(k + 1)[None, :]
     wspow = (er.weights[:, None] * spow).T  # (k+1, nq_e) moment weights
-    Traw = np.empty((els.size, 3, k + 1, N))
-    for le in range(3):
-        tr, elen = _edge_traces(k, er.points, e, lower, le)
-        Traw[:, le] = (wspow[None] @ tr) * elen[:, None, None]
+    tr, elen = _edge_traces(k, er.points, e, lower)
+    Traw = (wspow @ tr) * elen[..., None, None]
 
     Dt = Draw @ LiT
     Trt = (Traw.reshape(els.size, -1, N) @ LiT).reshape(Traw.shape)
@@ -1026,7 +1025,7 @@ def equilibrate(u_h: ScalarField, f,
 
     # the sizes (m, s) of each patch packed into one integer that sorts
     # alike, as s <= m
-    m = np.diff(mesh._vertex_triangles[0])
+    m = mesh.valences
     scnt = np.bincount(np.repeat(np.arange(nv), m)[links[0] >= 0],
                        minlength=nv)
     base = int(m.max()) + 1
@@ -1139,28 +1138,22 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
     rule = space.rule_main
     P = reference_projector(rule, k)
 
+    er = space.edge_rule_main
     div_res = np.empty(mesh.n_triangles)
+    qn = np.empty((mesh.n_triangles, 3, er.n_points))
     for batch in element_batches(mesh, rule.points, degree=k):
+        els = batch.els
         pf = load_values(f, batch.X) @ P.T
-        lap = element_laplacians(u_h, rule.points, batch.els)
+        lap = element_laplacians(u_h, rule.points, els)
         dv = flux.q_delta._divergence(batch)
         scale = np.abs([pf, lap]).max(axis=(0, 2), initial=1.0)
-        div_res[batch.els] = np.abs(dv + pf + lap).max(axis=1) / scale
-
-    er = space.edge_rule_main
+        div_res[els] = np.abs(dv + pf + lap).max(axis=1) / scale
+        tr, _ = _edge_traces(k, er.points, mesh.scaled_edges(els)[0],
+                             mesh.edge_flips[els])
+        qn[els] = np.einsum("tlqj,tj->tlq", tr, flux.q_delta.coeffs[els])
     J, interior = flux.jumps, ~mesh.boundary_edge
-    qn = np.zeros_like(J)
-    et, el = mesh.edge_triangles, mesh.edge_local
-    for side in (0, 1):
-        for le in range(3):
-            rows = np.nonzero(interior & (el[:, side] == le))[0]
-            if rows.size == 0:
-                continue
-            t = et[rows, side]
-            tr, _ = _edge_traces(k, er.points, mesh.scaled_edges(t)[0],
-                                 mesh.edge_flips[t], le)
-            qn[rows] += np.einsum("tqj,tj->tq", tr, flux.q_delta.coeffs[t])
-    jump_res = np.abs(qn + J).max(axis=1) / (1.0 + np.abs(J).max())
+    jump_res = np.abs(mesh.edge_sums(qn) + J).max(axis=1) \
+        / (1.0 + np.abs(J).max())
 
     t, e, nu = (int(np.argmax(r))
                 for r in (div_res, jump_res, flux.patch_residuals))

@@ -51,6 +51,11 @@ element vectors into b element by element: a `np.bincount` per batch would
 sum a dof's contributions in another grouping and move u_h in its last
 bits.
 
+Normal jumps are taken per element edge: `normal_jumps` fills an (nt, 3,
+nq) table of grad u_h . n, one gemm per group of elements sharing a local
+edge and its orientation (`edge_flips`), and `Mesh.edge_sums` adds the two
+sides of each interior edge in one gather.
+
 Elementwise L2 projections: `monomial_projection` solves each element's
 Gram system for coefficients; `reference_projector` gives the values of
 every element's projection at a rule's points by one reference matrix.
@@ -172,6 +177,8 @@ def _exact_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 # -- reference element --------------------------------------------------
 
 _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))  # directed; edge i is opposite vertex i
+_REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_REF_VERTICES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -278,7 +285,6 @@ class FeSpace:
             bnd[nv:nv + ne * (k - 1)] = eb
         bnd.flags.writeable = False
         self.boundary_dofs = bnd
-        self.n_free = int((~bnd).sum())
         J = mesh.jacobians
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         adj = np.stack([J[:, 1, 1], -J[:, 0, 1], -J[:, 1, 0], J[:, 0, 0]], 1)
@@ -449,11 +455,11 @@ def edge_restriction(k: int, qdeg: int):
     ref = reference_element(k)
     s = edge_rule(qdeg).points
     out = {}
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     for le, (a, b) in enumerate(_LOCAL_EDGES):
+        va, vb = _REF_VERTICES[a], _REF_VERTICES[b]
         for flip in (0, 1):
             t = 1.0 - s if flip else s
-            pts = verts[a][None, :] + t[:, None] * (verts[b] - verts[a])[None, :]
+            pts = va[None, :] + t[:, None] * (vb - va)[None, :]
             out[(le, flip)] = (pts, ref.values(pts), ref.gradients(pts))
             for arr in out[(le, flip)]:
                 arr.flags.writeable = False
@@ -470,41 +476,29 @@ def normal_jumps(field: ScalarField):
     """
     space = field.space
     mesh = space.mesh
-    qdeg = 2 * space.degree + 2
-    tabs = edge_restriction(space.degree, qdeg)
-    nq = edge_rule(qdeg).points.size
-    et, el = mesh.edge_triangles, mesh.edge_local
-    ne = et.shape[0]
-    jumps = np.zeros((ne, nq))
-    tris = mesh.triangles
-    pts = mesh.points
-    interior = ~mesh.boundary_edge
-    for side in (0, 1):
-        # every edge has a first side; an interior edge has a second
-        sel = interior if side == 1 else np.ones(ne, dtype=bool)
-        flips = mesh.edge_flips[et[:, side], el[:, side]]
-        for (le, flip), (_, _, G) in tabs.items():
-            rows = np.nonzero(sel & (el[:, side] == le) & (flips == flip))[0]
-            if rows.size == 0:
-                continue
-            t = et[rows, side]
-            # numpy multiplies a lone row by gemv, which rounds unlike
-            # gemm: pad it to a pair, so that a row does not depend on
-            # how many edges share its side, local edge and flip
-            ec = field.element_coeffs(t if t.size > 1 else np.repeat(t, 2))
-            Gm = G.transpose(1, 0, 2).reshape(G.shape[1], -1)
-            rg = (ec @ Gm)[:t.size].reshape(-1, nq, 2)
-            a, b = _LOCAL_EDGES[le]
-            tang = pts[tris[t, b]] - pts[tris[t, a]]
-            nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
-            nrm /= np.hypot(nrm[:, 0], nrm[:, 1])[:, None]
-            # grad u . n is the reference gradient dotted with Ji n, which
-            # is formed once per element
-            Ji = space.jac_inv[t]
-            gn = Ji[:, :, 0] * nrm[:, :1] + Ji[:, :, 1] * nrm[:, 1:]
-            jumps[rows] += rg[..., 0] * gn[:, :1] + rg[..., 1] * gn[:, 1:]
-    jumps[~interior] = 0.0
-    return jumps, interior
+    er = space.edge_rule_main
+    nq = er.n_points
+    tris, pts = mesh.triangles, mesh.points
+    sides = np.empty((mesh.n_triangles, 3, nq))
+    for (le, flip), (_, _, G) in edge_restriction(space.degree,
+                                                  er.degree).items():
+        t = np.flatnonzero(mesh.edge_flips[:, le] == flip)
+        # numpy multiplies a lone row by gemv, which rounds unlike gemm:
+        # pad it to a pair, so that an element's terms do not depend on
+        # how many elements share its local edge and flip
+        ec = field.element_coeffs(t if t.size > 1 else np.repeat(t, 2))
+        Gm = G.transpose(1, 0, 2).reshape(G.shape[1], -1)
+        rg = (ec @ Gm)[:t.size].reshape(-1, nq, 2)
+        a, b = _LOCAL_EDGES[le]
+        tang = pts[tris[t, b]] - pts[tris[t, a]]
+        nrm = np.column_stack([tang[:, 1], -tang[:, 0]])
+        nrm /= np.hypot(nrm[:, 0], nrm[:, 1])[:, None]
+        # grad u . n is the reference gradient dotted with Ji n, which is
+        # formed once per element
+        Ji = space.jac_inv[t]
+        gn = Ji[:, :, 0] * nrm[:, :1] + Ji[:, :, 1] * nrm[:, 1:]
+        sides[t, le] = rg[..., 0] * gn[:, :1] + rg[..., 1] * gn[:, 1:]
+    return mesh.edge_sums(sides), ~mesh.boundary_edge
 
 
 # -- assembly and solve -------------------------------------------------

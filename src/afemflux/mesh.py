@@ -284,6 +284,14 @@ class Mesh:
     def edge_local(self) -> np.ndarray:
         return self._edge_incidence[1]
 
+    def edge_sums(self, v: np.ndarray) -> np.ndarray:
+        """Values v (nt, 3, ...) on the local edges of each element summed,
+        per edge, over its two sides -> (ne, ...); zero on boundary edges."""
+        et, el = self.edge_triangles, self.edge_local
+        out = v[et[:, 0], el[:, 0]] + v[et[:, 1], el[:, 1]]
+        out[self.boundary_edge] = 0.0
+        return out
+
     @cached_property
     def boundary_edge(self) -> np.ndarray:
         return _lock(self._edge_incidence[2] == 1)

@@ -52,6 +52,8 @@ class TestEmission:
         out = run_cli(tmp_path, "b", [])
         rows = read_rows(out / "run.csv")
         for i, row in enumerate(rows):
+            # one value per column, no more, no fewer
+            assert None not in row and None not in row.values()
             assert int(row["level"]) == i
             assert row["wall_ms"] == "0"
             assert float(row["eta_delta"]) > 0

@@ -1232,6 +1232,28 @@ class TestVerification:
         assert rep.div_element == t
         assert not rep.ok
 
+    def test_perturbed_jump_names_its_edge(self):
+        # renumbering the triangles swaps the sides of edges but keeps the
+        # edge ids, which number the sorted vertex pairs
+        base = graded_lshape()
+        perm = np.random.default_rng(2).permutation(base.n_triangles)
+        renumbered = Mesh(base.points, base.triangles[perm])
+        assert np.array_equal(renumbered.edges, base.edges)
+        inner = np.flatnonzero(~base.boundary_edge)
+        plus = perm.argsort()[base.edge_triangles[inner, 0]]
+        swapped = inner[renumbered.edge_triangles[inner, 0] != plus]
+        e = int(swapped[0])
+        for mesh in (base, renumbered):
+            fl = equilibrated(mesh, 2)
+            assert verify_equilibration(fl, f_sine).ok
+            jumps = fl.jumps.copy()
+            jumps[e] += 1.0
+            rep = verify_equilibration(dataclasses.replace(fl, jumps=jumps),
+                                       f_sine)
+            assert rep.jump_edge == e
+            assert rep.jump_residual > rep.tolerance
+            assert not rep.ok
+
 
 class TestFluxFieldUtilities:
     def test_save_txt_round_trip(self, tmp_path):

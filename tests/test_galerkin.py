@@ -29,6 +29,7 @@ from afemflux.galerkin import (
     monomial_gradients,
     monomial_projection,
     monomial_values,
+    normal_jumps,
     physical_points,
     prolong,
     reference_element,
@@ -494,6 +495,51 @@ class TestSolverPaths:
         assert u.system.report.n_unknowns == 1
 
 
+def turned_jittered_lshape():
+    """The graded L-shape with its interior vertices jittered and each
+    triangle's vertices turned cyclically so that local edge 0 starts at
+    its lower global id on every triangle but the first: all six (local
+    edge, flip) groups of `normal_jumps` occur, and (0, 1) holds a single
+    element."""
+    mesh = graded_lshape()
+    rng = np.random.default_rng(7)
+    offset = 0.1 * mesh.edge_lengths.min() * rng.uniform(-1, 1,
+                                                         mesh.points.shape)
+    offset[mesh.boundary_vertex] = 0.0
+    turns = np.stack([np.roll(mesh.triangles, -r, axis=1) for r in range(3)],
+                     axis=1)
+    up = turns[:, :, 1] < turns[:, :, 2]
+    # of the turns that start local edge 0 at its lower id, the first on
+    # even triangles and the last on odd ones, so that local edges 1 and 2
+    # take both orientations
+    r = np.where(np.arange(up.shape[0]) % 2, 2 - np.argmax(up[:, ::-1], 1),
+                 np.argmax(up, axis=1))
+    r[0] = np.argmin(up[0])
+    return Mesh(mesh.points + offset, turns[np.arange(r.size), r])
+
+
+def reference_jumps(fld):
+    """Normal jumps edge by edge: on each side, the one-sided reference
+    gradients at the edge points pulled back through jac_inv, dotted with
+    the outward unit normal."""
+    space = fld.space
+    mesh = space.mesh
+    s = space.edge_rule_main.points
+    out = np.zeros((mesh.edges.shape[0], s.size))
+    for e in np.flatnonzero(~mesh.boundary_edge):
+        lo, hi = mesh.points[mesh.edges[e]]
+        X = lo + s[:, None] * (hi - lo)
+        for t, le in zip(mesh.edge_triangles[e], mesh.edge_local[e]):
+            p = mesh.points[mesh.triangles[t]]
+            Ji = space.jac_inv[t]
+            G = space.ref.gradients((X - p[0]) @ Ji.T)  # (nq, n_loc, 2)
+            g = np.einsum("qjd,j->qd", G, fld.coeffs[space.dof_map[t]]) @ Ji
+            a, b = p[(le + 1) % 3], p[(le + 2) % 3]
+            out[e] += g @ (np.array([b[1] - a[1], a[0] - b[0]])
+                           / np.hypot(*(b - a)))
+    return out
+
+
 class TestNormalJumps:
     def test_two_triangle_hand_oracle(self):
         from afemflux.galerkin import normal_jumps
@@ -518,6 +564,21 @@ class TestNormalJumps:
         expected = grads[0] @ n0 + grads[1] @ (-n0)
         assert np.allclose(jumps[diag], expected, atol=1e-13)
         assert np.allclose(jumps[~interior], 0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_edge_by_edge_reference(self, k):
+        mesh = turned_jittered_lshape()
+        counts = [int((mesh.edge_flips[:, le] == flip).sum())
+                  for le in range(3) for flip in (0, 1)]
+        assert min(counts) == 1 and counts[1] == 1
+        space = FeSpace(mesh, k)
+        fld = ScalarField(space, np.random.default_rng(k).standard_normal(
+            space.n_dofs))
+        jumps, interior = normal_jumps(fld)
+        want = reference_jumps(fld)
+        assert np.array_equal(interior, ~mesh.boundary_edge)
+        assert np.abs(jumps - want).max() <= 1e-13 * np.abs(want).max()
+        assert not jumps[~interior].any()
 
     def test_smooth_field_jump_shrinks(self):
         meshes = [bisect(unit_square_crisscross(), np.arange(4), b)

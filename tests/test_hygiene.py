@@ -1,10 +1,11 @@
 """Hygiene of the package, checked on its syntax trees: no module imports
 a name it never uses, no private module-level name goes unread, every
 exported name resolves, every private name the docs put in backticks is
-defined, no `np.einsum` takes more than two operands, and every table a
+defined, no `np.einsum` takes more than two operands, every table a
 cached function returns, or a mesh or its finite element space exposes,
-is read-only.  In a fresh interpreter, a run imports no module the
-package does not need."""
+is read-only, and every attribute a class stores on self is read in the
+package, its tests, demos or benchmark.  In a fresh interpreter, a run
+imports no module the package does not need."""
 
 import ast
 import dataclasses
@@ -147,6 +148,51 @@ def test_unread_private_name_is_found():
                                "x = a._h\n")}
     assert unread_private_names(trees) == [("a.py", "_B"), ("a.py", "_f"),
                                            ("a.py", "_K")]
+
+
+def stored_attributes(tree):
+    """(class, attribute) of each attribute a class stores on self."""
+    return {(cls.name, n.attr) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) for n in ast.walk(cls)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"}
+
+
+def unread_attributes(sources, readers):
+    """The stored_attributes of the trees sources that no tree of readers
+    reads as an attribute, sorted."""
+    read = {n.attr for tree in readers for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(pair for tree in sources for pair in stored_attributes(tree)
+                  if pair[1] not in read)
+
+
+def test_every_stored_attribute_is_read():
+    root = SRC.parents[1]
+    sources = [ast.parse(p.read_text(), str(p))
+               for p in sorted(SRC.glob("*.py"))]
+    readers = [ast.parse(p.read_text(), str(p))
+               for d in ("src", "tests", "demos", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    unread = unread_attributes(sources, readers)
+    assert not unread, f"stored on self but never read: {unread}"
+
+
+def test_unread_attribute_is_found():
+    source = ast.parse("class K:\n"
+                       "    def __init__(self, other):\n"
+                       "        self.a = 1\n"
+                       "        self.b: int = 2\n"
+                       "        self.c, self.d = 3, 4\n"
+                       "        other.e = 5\n"
+                       "    def f(self):\n"
+                       "        self.g += 1\n"
+                       "        return self.a\n")
+    reader = ast.parse("k = K(None)\n"
+                       "print(k.c)\n"
+                       "k.d = 6\n")
+    assert unread_attributes([source], [source, reader]) == [
+        ("K", "b"), ("K", "d"), ("K", "g")]
 
 
 def test_every_exported_name_resolves():

@@ -31,10 +31,10 @@ deterministic duplicate summation, so repeated runs are bitwise
 reproducible.
 
 Every other loop over the elements of a mesh runs through
-`element_batches`: batches of `_BATCH` elements with their mapped
-quadrature points, the same points centred and diameter-scaled, and the
-monomials there when asked for.  (Equilibration builds its shape blocks on
-the first elements of the same classes, in batches bounded by bytes.)
+`element_batches`: batches of `_BATCH` elements, with their mapped
+quadrature points when asked for.  (The flux basis of equilibration has
+its own frame, built from the class key `Mesh.scaled_edges`, and its shape
+blocks are built on the first elements of the same classes.)
 Affine maps and edge orientations come from the mesh: `Mesh.jacobians`,
 `Mesh.edge_flips`.  The load is evaluated by `load_values` wherever f is
 called, so f may return a scalar or anything that broadcasts to the points.
@@ -54,7 +54,9 @@ bits.
 Normal jumps are taken per element edge: `normal_jumps` fills an (nt, 3,
 nq) table of grad u_h . n, one gemm per group of elements sharing a local
 edge and its orientation (`edge_flips`), and `Mesh.edge_sums` adds the two
-sides of each interior edge in one gather.
+sides of each interior edge in one gather.  The reference points of an
+edge rule on each local edge and orientation are built in one table,
+`edge_points`, which the flux traces of equilibration read too.
 
 Elementwise L2 projections: `monomial_projection` solves each element's
 Gram system for coefficients; `reference_projector` gives the values of
@@ -177,8 +179,6 @@ def _exact_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 # -- reference element --------------------------------------------------
 
 _LOCAL_EDGES = ((1, 2), (2, 0), (0, 1))  # directed; edge i is opposite vertex i
-_REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-_REF_VERTICES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -354,57 +354,41 @@ def physical_points(mesh: Mesh, ref_pts: np.ndarray, elements=None):
 
 def load_values(f, X: np.ndarray) -> np.ndarray:
     """The load f(x, y) at the points X (..., 2), as float64 of shape
-    X.shape[:-1]: f may return a scalar or anything that broadcasts."""
-    fv = np.asarray(f(X[..., 0], X[..., 1]), dtype=np.float64)
-    return np.broadcast_to(fv, X.shape[:-1])
-
-
-def scaled_coordinates(mesh: Mesh, X: np.ndarray, els: np.ndarray):
-    """Points X (t, nq, 2) of the elements els, centred at each element's
-    centroid and divided by its diameter."""
-    return (X - mesh.centroids[els, None, :]) / mesh.diameters[els, None, None]
+    X.shape[:-1]: f may return a scalar or anything that broadcasts.
+    Raises ValueError, naming a point, where a value is not finite."""
+    fv = np.broadcast_to(np.asarray(f(X[..., 0], X[..., 1]),
+                                    dtype=np.float64), X.shape[:-1])
+    bad = ~np.isfinite(fv)
+    if bad.any():
+        x, y = X[np.unravel_index(np.argmax(bad), bad.shape)].tolist()
+        raise ValueError(f"the load is not finite at ({x!r}, {y!r})")
+    return fv
 
 
 @dataclass(frozen=True)
 class ElementBatch:
     """Elements els of a mesh with, when points were asked for, the points
-    X (t, nq, 2) mapped into each and, when a degree was asked for, mono
-    (t, nq, n) the monomials at the scaled points xh."""
+    X (t, nq, 2) mapped into each."""
 
-    mesh: Mesh = field(repr=False)
     els: np.ndarray
     X: np.ndarray | None = None
-    mono: np.ndarray | None = None
-
-    @property
-    def xh(self) -> np.ndarray:
-        """X in `scaled_coordinates`, formed on each access."""
-        return scaled_coordinates(self.mesh, self.X, self.els)
 
 
-def element_batch(mesh: Mesh, ref_pts: np.ndarray, els=None,
-                  degree: int | None = None) -> ElementBatch:
-    """The batch of the elements els (all by default): ref_pts mapped into
-    each and, for a degree, the monomials of `monomial_exponents(degree)`
-    at the scaled points."""
+def element_batch(mesh: Mesh, ref_pts: np.ndarray, els=None) -> ElementBatch:
+    """The batch of the elements els (all by default), with ref_pts mapped
+    into each."""
     els = np.arange(mesh.n_triangles) if els is None else np.asarray(els)
-    X = physical_points(mesh, ref_pts, els)
-    xh = None if degree is None else scaled_coordinates(mesh, X, els)
-    mono = None if degree is None else monomial_values(
-        monomial_exponents(degree), xh[..., 0], xh[..., 1])
-    return ElementBatch(mesh, els, X, mono)
+    return ElementBatch(els, physical_points(mesh, ref_pts, els))
 
 
-def element_batches(mesh: Mesh, ref_pts: np.ndarray | None = None,
-                    degree: int | None = None):
+def element_batches(mesh: Mesh, ref_pts: np.ndarray | None = None):
     """Yield the elements, in order, in batches of `_BATCH`, each an
-    `element_batch` of ref_pts and degree, or its ids alone when ref_pts
-    is None."""
+    `element_batch` of ref_pts, or its ids alone when ref_pts is None."""
     ids = np.arange(mesh.n_triangles)
     for lo in range(0, ids.size, _BATCH):
         els = ids[lo:lo + _BATCH]
-        yield ElementBatch(mesh, els) if ref_pts is None \
-            else element_batch(mesh, ref_pts, els, degree)
+        yield ElementBatch(els) if ref_pts is None \
+            else element_batch(mesh, ref_pts, els)
 
 
 # -- element-level evaluation helpers ----------------------------------
@@ -444,50 +428,47 @@ def element_laplacians(field: ScalarField, ref_pts: np.ndarray, elements=None):
 
 
 @lru_cache(maxsize=None)
-def edge_restriction(k: int, qdeg: int):
-    """Tabulations along element edges in the global edge parameterisation.
-
-    Returns dict[(local_edge, flip)] -> (ref_points (nq,2), values (nq,n_loc),
-    grads (nq,n_loc,2)).  flip=0 means the local edge direction starts at the
-    globally lower-numbered endpoint, so the quadrature parameter runs the
-    same way on both sides of a shared edge.
-    """
-    ref = reference_element(k)
-    s = edge_rule(qdeg).points
-    out = {}
-    for le, (a, b) in enumerate(_LOCAL_EDGES):
-        va, vb = _REF_VERTICES[a], _REF_VERTICES[b]
-        for flip in (0, 1):
-            t = 1.0 - s if flip else s
-            pts = va[None, :] + t[:, None] * (vb - va)[None, :]
-            out[(le, flip)] = (pts, ref.values(pts), ref.gradients(pts))
-            for arr in out[(le, flip)]:
-                arr.flags.writeable = False
-    return out
+def edge_points(rule: EdgeRule) -> np.ndarray:
+    """The points of an edge rule on the local edges of the reference
+    triangle, (3, 2, nq, 2): [le, flip] holds them on local edge le, from
+    its start a (local vertex le+1) to its end b, at a + t (b - a) with
+    t = s for flip 0 and t = 1 - s for flip 1 (`Mesh.edge_flips`), so that
+    the rule's parameter s runs from the lower global vertex id on both
+    sides of a shared edge."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    a, b = verts[np.transpose(_LOCAL_EDGES), None]
+    t = np.stack([rule.points, 1.0 - rule.points])[:, :, None]
+    pts = a[:, None] + t * (b - a)[:, None]
+    pts.flags.writeable = False
+    return pts
 
 
-def normal_jumps(field: ScalarField):
-    """Jump of the normal gradient across each interior edge.
+def edge_restriction(k: int, rule: EdgeRule) -> np.ndarray:
+    """Gradients of the P^k Lagrange basis at `edge_points` of rule,
+    (3, 2, nq, n_loc, 2)."""
+    return reference_element(k).gradients(edge_points(rule))
 
-    Returns (jumps (ne, nq), interior mask), the jumps at the points of
-    field.space.edge_rule_main; rows of boundary edges are zero.  The jump
-    is grad u|T+ . n+ + grad u|T- . n- with outward normals, so it is
-    independent of which side is called plus.
+
+def normal_jumps(field: ScalarField) -> np.ndarray:
+    """Jump of the normal gradient across each interior edge, (ne, nq), at
+    the points of field.space.edge_rule_main; rows of boundary edges are
+    zero.  The jump is grad u|T+ . n+ + grad u|T- . n- with outward
+    normals, so it is independent of which side is called plus.
     """
     space = field.space
     mesh = space.mesh
     er = space.edge_rule_main
     nq = er.n_points
     tris, pts = mesh.triangles, mesh.points
+    G = edge_restriction(space.degree, er)
     sides = np.empty((mesh.n_triangles, 3, nq))
-    for (le, flip), (_, _, G) in edge_restriction(space.degree,
-                                                  er.degree).items():
+    for le, flip in np.ndindex(G.shape[:2]):
         t = np.flatnonzero(mesh.edge_flips[:, le] == flip)
         # numpy multiplies a lone row by gemv, which rounds unlike gemm:
         # pad it to a pair, so that an element's terms do not depend on
         # how many elements share its local edge and flip
         ec = field.element_coeffs(t if t.size > 1 else np.repeat(t, 2))
-        Gm = G.transpose(1, 0, 2).reshape(G.shape[1], -1)
+        Gm = G[le, flip].transpose(1, 0, 2).reshape(G.shape[3], -1)
         rg = (ec @ Gm)[:t.size].reshape(-1, nq, 2)
         a, b = _LOCAL_EDGES[le]
         tang = pts[tris[t, b]] - pts[tris[t, a]]
@@ -498,7 +479,7 @@ def normal_jumps(field: ScalarField):
         Ji = space.jac_inv[t]
         gn = Ji[:, :, 0] * nrm[:, :1] + Ji[:, :, 1] * nrm[:, 1:]
         sides[t, le] = rg[..., 0] * gn[:, :1] + rg[..., 1] * gn[:, 1:]
-    return mesh.edge_sums(sides), ~mesh.boundary_edge
+    return mesh.edge_sums(sides)
 
 
 # -- assembly and solve -------------------------------------------------

@@ -54,9 +54,10 @@ class QuadratureRule:
         return self.weights.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeRule:
-    """Gauss-Legendre rule on [0, 1] with weights summing to one."""
+    """Gauss-Legendre rule on [0, 1] with weights summing to one; it hashes
+    by identity, so that tables of a rule can be cached on it."""
 
     points: np.ndarray
     weights: np.ndarray

@@ -39,10 +39,13 @@ from afemflux.galerkin import (
     element_laplacians,
     energy_error,
     monomial_exponents,
+    monomial_values,
     normal_jumps,
+    physical_points,
     solve_poisson,
 )
 from afemflux.mesh import Mesh, bisect, lshape, unit_square_crisscross
+from afemflux.quadrature import triangle_rule
 
 
 def f_sine(x, y):
@@ -127,7 +130,7 @@ def local_equilibrate(u_h: ScalarField, f, nu: int) -> PatchSolution:
 
     part = _shape_blocks(space, els)
     rdiv = _divergence_rhs(u_h, f, els)
-    Jr = _edge_rhs(space, normal_jumps(u_h)[0])[spokes]
+    Jr = _edge_rhs(space, normal_jumps(u_h))[spokes]
 
     rim = mesh.edge_of_triangle[els, slots]
     trace_edges = rim[~mesh.boundary_edge[rim]]
@@ -1103,6 +1106,20 @@ class TestGlobalReconstruction:
         assert fl.verify(f_sine).ok
         assert calls == []
 
+    def test_non_finite_field_names_its_vertex(self):
+        # a NaN residual fails the tolerance like a large one, at the
+        # vertex whose patch holds it
+        mesh = bisect(unit_square_crisscross(), np.arange(4), 4)
+        u = solve_poisson(FeSpace(mesh, 1), f_sine)
+        v = int(np.flatnonzero(~mesh.boundary_vertex)[0])
+        coeffs = u.coeffs.copy()
+        coeffs[v] = np.nan
+        with pytest.raises(EquilibrationError, match="vertex") as err:
+            equilibrate(ScalarField(u.space, coeffs), f_sine)
+        nu = int(re.search(r"vertex (\d+)", str(err.value)).group(1))
+        star = mesh.triangles[(mesh.triangles == v).any(axis=1)]
+        assert nu in star
+
     def test_total_flux_normal_continuity(self):
         mesh = bisect(unit_square_crisscross(), np.arange(4), 3)
         space = FeSpace(mesh, 2)
@@ -1255,7 +1272,47 @@ class TestVerification:
             assert not rep.ok
 
 
+    def test_non_finite_residual_fails_and_names_its_edge(self):
+        # a NaN residual fails the check wherever it stands among the
+        # three, and a NaN jump stays on its own edge, out of the scale
+        fl = equilibrated(graded_lshape(), 2)
+        e = int(np.flatnonzero(~fl.mesh.boundary_edge)[-1])
+        jumps = fl.jumps.copy()
+        jumps[e, 1] = np.nan
+        rep = verify_equilibration(dataclasses.replace(fl, jumps=jumps),
+                                   f_sine)
+        assert rep.jump_edge == e and np.isnan(rep.jump_residual)
+        assert not rep.ok
+        for bad in (np.nan, np.inf):
+            assert not dataclasses.replace(rep, div_residual=0.0,
+                                           jump_residual=bad).ok
+
+
 class TestFluxFieldUtilities:
+    def test_flux_frame_is_class_invariant(self):
+        # members of one class share the frame bit for bit: rows scaled
+        # as `_flux_coefficients` scales them give values that differ by
+        # that exact power of two alone
+        mesh = graded_lshape()
+        first, cls, ex = mesh.shape_classes
+        t = int(np.flatnonzero(ex != ex[first[cls]])[0])
+        t0 = int(first[cls[t]])
+        k, rule = 3, triangle_rule(8)
+        c = np.random.default_rng(4).standard_normal(rt_dim(k))
+        coeffs = np.zeros((mesh.n_triangles, rt_dim(k)))
+        coeffs[t0], coeffs[t] = c, np.ldexp(c, ex[t0] - ex[t])
+        v = FluxField(mesh, k, coeffs).element_values(rule.points, [t0, t])
+        assert np.array_equal(v[0], np.ldexp(v[1], ex[t] - ex[t0]))
+        # the frame: centred at the centroid and divided by the diameter
+        mesh = unit_square_crisscross()
+        X = physical_points(mesh, rule.points)
+        xh = (X - mesh.centroids[:, None]) / mesh.diameters[:, None, None]
+        got, h = equilibration._frame(mesh, slice(None), rule.points)
+        assert np.allclose(h, mesh.diameters, rtol=1e-15, atol=0.0)
+        assert np.abs(got - xh).max() <= 1e-15
+        mono = monomial_values(monomial_exponents(2), xh[..., 0], xh[..., 1])
+        assert np.abs(equilibration._monomials(2, got) - mono).max() <= 1e-15
+
     def test_save_txt_round_trip(self, tmp_path):
         mesh = lshape()
         rng = np.random.default_rng(9)

@@ -63,14 +63,14 @@ def hand_jump(mesh, nodal):
 
 def residual_eta(u, f):
     """Elementwise residual indicators of any field, Galerkin or not."""
-    vol, _, edge, _ = estimators._residual_squares(u, f, normal_jumps(u)[0])
+    vol, _, edge, _ = estimators._residual_squares(u, f, normal_jumps(u))
     return residual_indicators(u.space.mesh, vol, edge)
 
 
 def patch_residual_eta(u, f):
     """Hat-weighted residual indicators of any field."""
     _, vol_hat, _, edge_hat = estimators._residual_squares(
-        u, f, normal_jumps(u)[0])
+        u, f, normal_jumps(u))
     return patch_residual_indicators(u.space.mesh, vol_hat, edge_hat)
 
 
@@ -98,14 +98,14 @@ def unshared_residual_reference(u, f):
         return out
 
     def edge(weighted):
-        J, interior = normal_jumps(u)
+        J = normal_jumps(u)
         if weighted:
             s = er.points
             phis = np.column_stack([1.0 - s, s]) ** 2
             sq = ((J * J) @ (er.weights[:, None] * phis)) * hE[:, None]
         else:
             sq = (J * J) @ er.weights * hE
-        sq[~interior] = 0.0
+        sq[mesh.boundary_edge] = 0.0
         return sq
 
     eta_sq = mesh.diameters ** 2 * volume(False)

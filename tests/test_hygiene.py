@@ -25,6 +25,7 @@ import pytest
 import afemflux
 from afemflux.galerkin import FeSpace
 from afemflux.mesh import Mesh, bisect, lshape
+from afemflux.quadrature import edge_rule, triangle_rule
 
 SRC = Path(afemflux.__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -292,7 +293,7 @@ CACHED_CALLS = {
     ("quadrature", "triangle_rule"): [(0,), (12,), (31,)],
     ("quadrature", "edge_rule"): [(0,), (10,), (31,)],
     ("galerkin", "reference_element"): [(1,), (4,)],
-    ("galerkin", "edge_restriction"): [(1, 4), (4, 10)],
+    ("galerkin", "edge_points"): [(edge_rule(4),), (edge_rule(10),)],
     ("equilibration", "rt_divergence_matrix"): [(1,), (4,)],
 }
 
@@ -312,6 +313,16 @@ def test_cached_tables_are_read_only():
             if any(a.flags.writeable for a in arrays):
                 writable.append(f"{name}{args}")
     assert not writable, f"writable cached arrays: {writable}"
+
+
+def test_one_edge_rule_per_degree():
+    # the edge tables read the space's own rule: an adaptive P2 loop
+    # builds one edge rule, not a second one under its exact degree
+    triangle_rule.cache_clear()
+    edge_rule.cache_clear()
+    afemflux.run(afemflux.AfemConfig(problem="square_poly", degree=2,
+                                     max_dofs=200))
+    assert edge_rule.cache_info().misses == 1
 
 
 def test_cached_function_and_nested_array_are_found():

@@ -88,7 +88,9 @@ back by Q2 into the rotated coordinates of its class.  The patch residual
 covers every row of the full system: the jump rows solved, the
 forward-substituted divergence rows, against R^T, and rim rows, computed
 in the class coordinates after the turn back, and the dropped row, in
-which a u_h without Galerkin orthogonality shows.
+which a u_h without Galerkin orthogonality shows.  `equilibrate` holds it,
+scaled by the patch data, to a tolerance, and its error says whether the
+dropped row or a solved one failed.
 
 The flux keeps the correction in the rotated coordinates of each element's
 class, w_delta, in which its norm is the Euclidean one.  Each (element,
@@ -123,7 +125,8 @@ batch, solved as columns (`_minnorm_solve`); a patch alone in its class
 is a class of one.
 
 `verify_equilibration` measures each element's divergence residual against
-the terms that cancel in it, the projected load and lap u_h.  It takes
+the terms that cancel in it, the projected load and lap u_h, and reports
+the patch residual scaled as `equilibrate` scales it.  It takes
 q_delta . n on the three local edges of each element (`_edge_traces`) and
 sums each edge from its two sides with `Mesh.edge_sums`, as `normal_jumps`;
 both read their edge points from one table, `galerkin.edge_points`.
@@ -906,7 +909,9 @@ class ElementBlocks:
 @dataclass(frozen=True)
 class EquilibrationReport:
     """Residuals of the defining conditions of an equilibrated flux and
-    where each is worst (jump_edge -1 on a mesh without interior edges)."""
+    where each is worst (jump_edge -1 on a mesh without interior edges);
+    each is relative to the data it is formed from, the patch residual as
+    `EquilibratedFlux.scaled_residuals`."""
 
     div_residual: float
     jump_residual: float
@@ -938,7 +943,10 @@ class EquilibratedFlux:
     of any row of the full patch system of nu: the jump rows solved, the
     divergence rows and the trace rows of the constrained rim edges fixed
     by forward substitution, and on a fully interior patch the dropped
-    constant-divergence row.
+    constant-divergence row.  scaled_residuals[nu] is patch_residuals[nu]
+    over the scale of the patch's data, 1 + the largest divergence or jump
+    datum: the residual that `equilibrate` holds to `_TOLERANCE`, and that
+    `verify_equilibration` reports, whatever the units of f.
     jumps[e] holds the normal jumps of grad u_h across edge e at the points
     of u_h.space.edge_rule_main (zero on boundary edges): the data the jump
     rows were solved against, which the residual estimators and
@@ -953,6 +961,7 @@ class EquilibratedFlux:
     eta_delta: np.ndarray = dc_field(repr=False)
     eta_star: np.ndarray = dc_field(repr=False)
     patch_residuals: np.ndarray = dc_field(repr=False)
+    scaled_residuals: np.ndarray = dc_field(repr=False)
     jumps: np.ndarray = dc_field(repr=False)
     patch_classes: int
     shared_patches: int
@@ -986,10 +995,12 @@ def equilibrate(u_h: ScalarField, f,
     f is the load, called as f(x, y) on arrays.  cache holds the element
     class blocks of earlier calls of the same run (`ElementBlocks`); the
     result is the same bit for bit whatever it holds.
-    Raises EquilibrationError if any patch problem is inconsistent beyond
-    `_TOLERANCE`, which indicates that u_h is not the Galerkin solution of
-    the assembled system (or that data were changed between solve and
-    equilibration).
+    Raises EquilibrationError, naming the vertex and the scaled residual,
+    if a patch's scaled residual passes `_TOLERANCE`.  Where only the
+    dropped constant-divergence row of an interior patch fails, u_h is not
+    the Galerkin solution of the assembled system (or data were changed
+    between solve and equilibration); where a jump, divergence or rim row
+    fails, the patch solve failed.  The message says which.
     """
     space = u_h.space
     mesh = space.mesh
@@ -1050,6 +1061,8 @@ def equilibrate(u_h: ScalarField, f,
     eta_star = np.zeros(nv)
     patch_res = np.zeros(nv)
     ratio = np.zeros(nv)  # patch residual over the scale of the patch data
+    # whether a patch's solved rows, all but the dropped one, hold
+    solved_hold = np.zeros(nv, dtype=bool)
     n_classes = n_shared = 0
 
     def solve_batch(vs, part, cls):
@@ -1080,16 +1093,21 @@ def equilibrate(u_h: ScalarField, f,
         w[..., n_p:] = om[..., :Nf]
         interior = _interior(part)
         w[interior, 0, n_p - 1] = om[interior, 0, Nf]
-        # every divergence row, the dropped one included: that is where
-        # a u_h without Galerkin orthogonality shows; and every rim row
-        dres = np.einsum("pmij,pmj->pmi", blocks["DQ"][ecls[els]],
-                         w[..., :n_p]) - rdiv
+        # every divergence row, the dropped one apart: a u_h without
+        # Galerkin orthogonality shows there alone; and every rim row
+        dres = np.abs(np.einsum("pmij,pmj->pmi", blocks["DQ"][ecls[els]],
+                                w[..., :n_p]) - rdiv)
+        dropped = np.zeros(P)
+        dropped[interior] = dres[interior, 0, n_p - 1]
+        dres[interior, 0, n_p - 1] = 0.0
         rim = np.take(blocks["TrQ"].reshape(-1, K1, N), ecls[els] * 3 + slots,
                       axis=0)
         rres = np.einsum("pmij,pmj->pmi", rim, w) * imposed[..., None]
-        patch_res[vs] = np.maximum(resid, np.maximum(
-            np.abs(dres).max(axis=(1, 2)), np.abs(rres).max(axis=(1, 2))))
+        solved = np.maximum(resid, np.maximum(
+            dres.max(axis=(1, 2)), np.abs(rres).max(axis=(1, 2))))
+        patch_res[vs] = np.maximum(solved, dropped)
         ratio[vs] = patch_res[vs] / scale
+        solved_hold[vs] = solved <= _TOLERANCE * scale
         eta_star[vs] = np.sqrt(np.einsum("pjc,pjc->p", w, w))
         w_slot[els, slots] = w
 
@@ -1119,16 +1137,18 @@ def equilibrate(u_h: ScalarField, f,
     # argmax finds the first NaN, which no bound holds
     worst = int(np.argmax(ratio))
     if not ratio[worst] <= _TOLERANCE:
+        # where the solved rows hold, the dropped row alone fails
+        cause = ("the input field does not satisfy Galerkin orthogonality"
+                 if solved_hold[worst] else "the patch solve failed")
         raise EquilibrationError(
-            f"patch problem at vertex {worst} is inconsistent: scaled "
-            f"residual {ratio[worst]:.3e} exceeds {_TOLERANCE:.1e}; the "
-            "input field does not satisfy Galerkin orthogonality")
+            f"patch problem at vertex {worst}: scaled residual "
+            f"{ratio[worst]:.3e} exceeds {_TOLERANCE:.1e}; {cause}")
 
     w_delta = w_slot.sum(axis=1)
     del w_slot
     eta_delta = np.sqrt(np.einsum("tc,tc->t", w_delta, w_delta))
-    return EquilibratedFlux(u_h, w_delta, eta_delta, eta_star, patch_res, J,
-                            n_classes, n_shared)
+    return EquilibratedFlux(u_h, w_delta, eta_delta, eta_star, patch_res,
+                            ratio, J, n_classes, n_shared)
 
 
 # -- verification -------------------------------------------------------
@@ -1143,7 +1163,9 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
     element's divergence residual is relative to the terms that cancel in
     it, max(1, max_T |projected f|, max_T |lap u_h|): on a strongly graded
     mesh |lap u_h| on the smallest elements exceeds |f| by orders of
-    magnitude, and so does the round-off of the cancellation.
+    magnitude, and so does the round-off of the cancellation.  The patch
+    residual is the one `equilibrate` holds to its tolerance, scaled by
+    the patch data (`EquilibratedFlux.scaled_residuals`).
     """
     u_h = flux.u_h
     space = u_h.space
@@ -1172,9 +1194,9 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
 
     # argmax finds the first NaN, so that each names where it is
     t, e, nu = (int(np.argmax(r))
-                for r in (div_res, jump_res, flux.patch_residuals))
+                for r in (div_res, jump_res, flux.scaled_residuals))
     return EquilibrationReport(float(div_res[t]), float(jump_res[e]),
-                               float(flux.patch_residuals[nu]), t,
+                               float(flux.scaled_residuals[nu]), t,
                                e if (~mesh.boundary_edge).any() else -1, nu)
 
 

@@ -15,28 +15,33 @@ A mesh owns its arrays, each a locked copy of its input, and refuses
 attribute assignment.  It is built only from finite points, each in some
 triangle, and counterclockwise triangles; `bisect` returns a new mesh.
 Internally it works in rounds that each split a compatible set of marked
-edges, so every parent link spans at most one generation.  The lineage chain
-(via `source`) holds one kind of node, a `Round` link with the parent and
-generation of each triangle, and a link for every round: the input mesh
-enters through its own `link`, each round of `bisect` but the last adds one,
-and the result's `source` is the last of them.  The chain holds no mesh but
-the root, so a level mesh and its tables are freed once the caller drops it.
-The chain is what `ancestor_map`, `refined_set` and the depth diagnostics
-walk; `level` counts rounds from the root.
+edges.  The lineage chain (via `source`) holds one kind of node, a `Link`
+with the parent and generation of each triangle, and one link per `bisect`
+call: the input mesh enters through its own `link`, which is the result's
+`source`, and each triangle's parent is its ancestor in the input mesh.
+Newest-vertex bisection makes of each triangle a binary tree whose leaves
+tile it, a leaf that gained g generations covering 2^-g of it; the chain is
+that forest seen from level to level, which is all the refinement the
+convergence argument reads.  It holds no mesh but the root, so a level mesh
+and its tables are freed once the caller drops it.  The chain is what
+`ancestor_map`, `refined_set` and the depth diagnostics walk; between
+consecutive levels `ancestor_map` is one gather.  `level` counts closure
+rounds from the root, a number each mesh and link stores.
 
-A round's work, apart from the per-triangle lineage it must record, is in
-proportion to the edges it splits.  The marks are closed (a triangle with a
-marked edge has its refinement edge marked) once, in the first round of each
-pass: a round unmarks only edges whose triangles it all splits, and a
-child's one old edge is its refinement edge, so no later round of the pass
-can open the closure.  The working tables grow in place, in append order: a
-split triangle's first child takes its row, the second is appended, and one
-index array keeps the mesh's own order, in which the children take their
-parent's place.  A bisected mesh receives its `edges` and
-`edge_of_triangle` from this bookkeeping, the split edges dropped and the
-new ones merged into the sorted old ones; the constructor checks such
-tables in O(nt + ne).  Other meshes, roots and `load_tri` meshes among them,
-build them from their triangles.
+A round's work, apart from one pass over the triangles in mesh order, is in
+proportion to the edges it splits: each working row carries its ancestor in
+the input mesh, which an appended child copies from its parent.  The marks
+are closed (a triangle with a marked edge has its refinement edge marked)
+once, in the first round of each pass: a round unmarks only edges whose
+triangles it all splits, and a child's one old edge is its refinement edge,
+so no later round of the pass can open the closure.  The working tables
+grow in place, in append order: a split triangle's first child takes its
+row, the second is appended, and one index array keeps the mesh's own
+order, in which the children take their parent's place.  A bisected mesh
+receives its `edges` and `edge_of_triangle` from this bookkeeping, the
+split edges dropped and the new ones merged into the sorted old ones; the
+constructor checks such tables in O(nt + ne).  Other meshes, roots and
+`load_tri` meshes among them, build them from their triangles.
 
 Connectivity lives in arrays, not in per-vertex or per-triangle objects:
 `edges`, `edge_of_triangle`, `edge_triangles` and `edge_local` for edges,
@@ -176,21 +181,26 @@ class Mesh:
         triangles: np.ndarray,
         generations: np.ndarray | None = None,
         parents: np.ndarray | None = None,
-        source: "Round | Mesh | None" = None,
+        source: "Link | Mesh | None" = None,
         edges: np.ndarray | None = None,
         edge_of_triangle: np.ndarray | None = None,
+        rounds: int = 1,
     ):
+        """`rounds` is the number of closure rounds between `source` and
+        this mesh, which `level` adds to the source's."""
         points = _owned(points, np.float64)
         triangles = _owned(triangles, np.int64)
         _check_arrays(points, triangles)
         nt = triangles.shape[0]
+        source = source.link if isinstance(source, Mesh) else source
         vars(self).update(
             points=points, triangles=triangles,
             generations=_owned(np.zeros(nt) if generations is None
                                else generations, np.int64),
             parents=_owned(np.full(nt, -1) if parents is None else parents,
                            np.int64),
-            source=source.link if isinstance(source, Mesh) else source)
+            source=source,
+            level=0 if source is None else source.level + rounds)
         if not self.valences.all():
             raise MeshError(f"vertex {np.argmin(self.valences)} is in no "
                             "triangle")
@@ -391,16 +401,13 @@ class Mesh:
     def valences(self) -> np.ndarray:
         return _lock(np.bincount(self.triangles.ravel(), minlength=self.n_vertices))
 
-    @property
-    def level(self) -> int:
-        return 0 if self.source is None else self.source.level + 1
-
     @cached_property
-    def link(self) -> "Round":
-        """The `Round` that stands for this mesh in the lineage chain,
+    def link(self) -> "Link":
+        """The `Link` that stands for this mesh in the lineage chain,
         made on first access, as a rule when `bisect` first refines the
         mesh: the chain keeps this link, not the mesh."""
-        return Round(self.parents, self.generations, self.source, self.root())
+        return Link(self.parents, self.generations, self.source, self.root(),
+                    self.level)
 
     def root(self) -> "Mesh":
         return self if self.source is None else self.source.root
@@ -531,25 +538,26 @@ def lshape() -> Mesh:
 # -- newest-vertex bisection -------------------------------------------
 
 
-# Round nodes store triangle ids as int32.
+# Link nodes store triangle ids as int32.
 _MAX_TRIANGLES = np.iinfo(np.int32).max
 
 
-class Round:
-    """A link of the lineage chain: one closure round of `bisect`, or the
-    mesh a `bisect` call starts from (`Mesh.link`).
+class Link:
+    """A node of the lineage chain: a mesh that a `bisect` call started
+    from (`Mesh.link`), and the `source` of the call's result.
 
-    It holds only what lineage walks read: each triangle's parent in
-    `source` and its generation, both int32, its level, and the root mesh
-    of the chain.  Its points and triangles are not kept.
+    It holds only what lineage walks read: each triangle's parent, its
+    ancestor in the mesh that `source` stands for, and its generation,
+    both int32; the mesh's level, the closure rounds from the root; and
+    the root mesh of the chain.  Its points and triangles are not kept.
     """
 
     def __init__(self, parents: np.ndarray, generations: np.ndarray,
-                 source: "Round | None", root: Mesh):
+                 source: "Link | None", root: Mesh, level: int):
         self.parents = _lock(parents.astype(np.int32))
         self.generations = _lock(generations.astype(np.int32))
         self.source = source
-        self.level = 0 if source is None else source.level + 1
+        self.level = level
         self.root = root
 
     @property
@@ -611,6 +619,8 @@ def _split_rounds(mesh: Mesh, marked: np.ndarray, b: int) -> dict:
     gens = _grown(mesh.generations, 2 * n)
     desc = np.zeros(2 * n, dtype=bool)
     desc[marked] = True
+    # anc: each row's ancestor in the input mesh, the result's parents
+    anc = np.arange(2 * n)
     ends = _grown(mesh.edges, 2 * ne)
     degree = _grown(np.bincount(eot[:n].ravel(), minlength=ne), 2 * ne)
     # refs[e]: the number of triangles whose refinement edge is e; vid[e]:
@@ -619,7 +629,7 @@ def _split_rounds(mesh: Mesh, marked: np.ndarray, b: int) -> dict:
     refs = _grown(np.bincount(eot[:n, 2], minlength=ne), 2 * ne)
     vid = np.zeros(2 * ne, dtype=np.int64)
     perm = np.arange(n)
-    chain, parents = mesh.link, None
+    rounds = 0
     for _ in range(b):
         marks = np.zeros(ne, dtype=bool)
         marks[eot[:n][desc[:n], 2]] = True
@@ -632,8 +642,6 @@ def _split_rounds(mesh: Mesh, marked: np.ndarray, b: int) -> dict:
             marks[ref[grow]] = True
         pending = np.flatnonzero(marks)
         while pending.size:
-            if parents is not None:
-                chain = Round(parents, gens[perm], chain, chain.root)
             ready = refs[pending] == degree[pending]
             if not ready.any():
                 raise MeshError(_deadlock(tris[perm], eot[perm], ends,
@@ -652,8 +660,8 @@ def _split_rounds(mesh: Mesh, marked: np.ndarray, b: int) -> dict:
                 raise MeshError(f"bisection would pass {_MAX_TRIANGLES} triangles")
             ne1 = ne + 2 * ks + k
             pts = _grown(pts, nv + ks)
-            tris, eot, gens, desc = (_grown(a, n + k)
-                                     for a in (tris, eot, gens, desc))
+            tris, eot, gens, desc, anc = (
+                _grown(a, n + k) for a in (tris, eot, gens, desc, anc))
             ends, degree, refs, vid = (_grown(a, ne1)
                                        for a in (ends, degree, refs, vid))
             pts[nv:nv + ks] = 0.5 * (pts[ends[s, 0]] + pts[ends[s, 1]])
@@ -675,6 +683,7 @@ def _split_rounds(mesh: Mesh, marked: np.ndarray, b: int) -> dict:
             gens[sid] += 1
             gens[new] = gens[sid]
             desc[new] = desc[sid]
+            anc[new] = anc[sid]
             ends[ne:ne + 2 * ks] = np.column_stack([ends[s].ravel(),
                                                     np.repeat(vid[s], 2)])
             ends[ne + 2 * ks:ne1] = np.column_stack([v2, m])
@@ -682,15 +691,15 @@ def _split_rounds(mesh: Mesh, marked: np.ndarray, b: int) -> dict:
             degree[ne + 2 * ks:ne1] = 2
             np.add.at(refs, e0, 1)
             np.add.at(refs, e1, 1)
-            reps = 1 + split_tri
-            parents = np.repeat(np.arange(n), reps)
-            perm = np.repeat(perm, reps)
+            perm = np.repeat(perm, 1 + split_tri)
             perm[at + np.arange(1, k + 1)] = new
             n, nv, ne = n + k, nv + ks, ne1
+            rounds += 1
     edges, renumber = _merged_edges(ends[:ne], ne0, vid[:ne] == 0, nv)
     return dict(points=pts[:nv].copy(), triangles=tris[perm],
-                generations=gens[perm], parents=parents, source=chain,
-                edges=edges, edge_of_triangle=renumber[eot[perm]])
+                generations=gens[perm], parents=anc[perm], source=mesh,
+                rounds=rounds, edges=edges,
+                edge_of_triangle=renumber[eot[perm]])
 
 
 def _merged_edges(ends, ne0, live, nv):
@@ -856,11 +865,26 @@ def conformity_check(mesh: Mesh) -> ConformityReport:
         if len(bad) > 20:
             break
 
-    # the constructor has checked that each parent id lies in the source
+    # the children of each source triangle tile it: a child that gained g
+    # generations covers 2^-g of it, so with G the largest gain among them
+    # the 2^(G - g) sum to 2^G.  Gains past 62 would overflow the sums.
+    # The constructor has checked that each parent id lies in the source.
     if mesh.source is not None:
-        dg = mesh.generations - mesh.source.generations[mesh.parents]
-        for t in np.nonzero((dg != 0) & (dg != 1))[0][:10]:
-            bad.append(f"triangle {t} generation skips a level (gain {dg[t]})")
+        src, par = mesh.source, mesh.parents
+        gain = mesh.generations - src.generations[par]
+        out = (gain < 0) | (gain > 62)
+        for t in np.flatnonzero(out)[:10]:
+            bad.append(f"triangle {t} gained {gain[t]} generations over its "
+                       f"parent {par[t]}, outside [0, 62]")
+        par, gain = par[~out], gain[~out]
+        top = np.full(src.n_triangles, -1)
+        np.maximum.at(top, par, gain)
+        cover = np.zeros(src.n_triangles, dtype=np.int64)
+        np.add.at(cover, par, np.left_shift(1, top[par] - gain))
+        whole = np.left_shift(1, np.maximum(top, 0))
+        for p in np.flatnonzero(cover != whole)[:10]:
+            bad.append(f"the children of parent {p} cover {cover[p]}/"
+                       f"{whole[p]} of it")
 
     min_angle = _min_angle(mesh)
     root = mesh.root()

@@ -47,6 +47,12 @@ from afemflux.galerkin import (
 from afemflux.mesh import Mesh, bisect, lshape, unit_square_crisscross
 from afemflux.quadrature import triangle_rule
 
+# the wording of an EquilibrationError raised on a u_h that is not the
+# Galerkin solution; it names the vertex and the scaled residual
+GALERKIN = (r"^patch problem at vertex \d+: scaled residual \S+ exceeds "
+            r"1\.0e-08; the input field does not satisfy Galerkin "
+            r"orthogonality$")
+
 
 def f_sine(x, y):
     return 2 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -1163,7 +1169,8 @@ class TestGlobalReconstruction:
     def test_perturbed_solution_raises(self):
         # every free P1 dof in turn, so shared and singleton patches both
         # meet an inconsistent right-hand side; the error names the
-        # perturbed vertex or a neighbour, whose patch overlaps its hat
+        # perturbed vertex or a neighbour, whose patch overlaps its hat,
+        # and the cause: the dropped row alone fails
         mesh = uniform_square()
         space = FeSpace(mesh, 1)
         u = solve_poisson(space, f_sine)
@@ -1171,10 +1178,43 @@ class TestGlobalReconstruction:
         for v in np.nonzero(~space.boundary_dofs)[0]:
             bad = ScalarField(space, u.coeffs.copy())
             bad.coeffs[v] += 0.05
-            with pytest.raises(EquilibrationError, match="vertex") as err:
+            with pytest.raises(EquilibrationError, match=GALERKIN) as err:
                 equilibrate(bad, f_sine)
             named = int(re.search(r"vertex (\d+)", str(err.value)).group(1))
             assert named in mesh.triangles[vertex_patch(mesh, v)[0]]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_failed_patch_solve_is_named(self, monkeypatch, k):
+        # a solver that returns garbage, with its true residuals, fails
+        # the solved rows: the error blames the solve, not u_h
+        u = solve_poisson(FeSpace(uniform_square(), k), f_sine)
+
+        def garbage(A, bb, cls):
+            z = np.random.default_rng(0).standard_normal((len(bb), A.shape[2]))
+            return z, np.abs(bb - (A[cls] @ z[..., None])[..., 0]).max(axis=1)
+
+        monkeypatch.setattr(equilibration, "_minnorm_solve", garbage)
+        with pytest.raises(EquilibrationError, match=r"^patch problem at "
+                           r"vertex \d+: scaled residual \S+ exceeds "
+                           r"1\.0e-08; the patch solve failed$"):
+            equilibrate(u, f_sine)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_verdict_does_not_depend_on_the_units_of_f(self, k):
+        # f times c scales u_h and the flux alike.  The absolute patch
+        # residual grows with c (8.7e-4 at c = 1e12, k = 1); the one
+        # verify reports is scaled by the patch data, as equilibrate
+        # scales the residual it holds to the tolerance
+        mesh = bisect(unit_square_crisscross(), range(4), 6)
+        for c in (1.0, 1e9, 1e12):
+            def f(x, y):
+                return c * f_sine(x, y)
+
+            fl = equilibrate(solve_poisson(FeSpace(mesh, k), f), f)
+            rep = fl.verify(f)
+            assert rep.ok, (c, rep)
+            assert rep.patch_residual == fl.scaled_residuals.max()
+        assert fl.patch_residuals.max() > rep.tolerance
 
 
 class TestHypercircle:

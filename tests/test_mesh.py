@@ -20,7 +20,7 @@ from afemflux.mesh import (
     Mesh,
     MeshError,
     LineageError,
-    Round,
+    Link,
     ancestor_map,
     bisect,
     conformity_check,
@@ -456,19 +456,21 @@ class TestBisection:
             assert conformity_check(f).ok
 
     def test_parent_chain_length_equals_generation(self):
-        m = lshape()
-        f = bisect(m, [0, 5], 3)
+        # one link per call, whose gain over its parent is that call's
+        # number of generations, however many rounds it took
+        f = bisect(bisect(bisect(lshape(), [0, 5], 3), [1, 2], 2), [4], 4)
         rng = np.random.default_rng(7)
         for t in rng.choice(f.n_triangles, size=8, replace=False):
-            g = 0
+            g, links = 0, 0
             cur, tid = f, int(t)
             while cur.source is not None:
                 pid = int(cur.parents[tid])
                 dg = int(cur.generations[tid] - cur.source.generations[pid])
-                assert dg in (0, 1)
-                g += dg
+                assert dg >= 0
+                g, links = g + dg, links + 1
                 cur, tid = cur.source, pid
             assert g == int(f.generations[t])
+            assert links == 3
 
     def test_area_preserved(self):
         m = lshape()
@@ -549,17 +551,21 @@ class TestAgainstRoundByRound:
         assert len(ours) == len(refs)
         for i in range(1, len(ours)):
             a, r = ours[i], refs[i]
-            for name in ("triangles", "points", "generations", "parents"):
+            for name in ("triangles", "points", "generations"):
                 assert np.array_equal(getattr(a, name), getattr(r, name)), name
+            # one link per call: its parents are the reference's rounds
+            # composed, and its level gain is the reference's round count
+            assert lineage(a, ours[i - 1]) == [a]
+            assert np.array_equal(a.parents, ancestor_map(refs[i - 1], r))
+            assert a.level - ours[i - 1].level \
+                == len(lineage(r, refs[i - 1])) >= 1
             assert a.level == r.level
-            links_a = lineage(a, ours[i - 1])
-            links_r = lineage(r, refs[i - 1])
-            assert len(links_a) == len(links_r)
-            for la, lr in zip(links_a, links_r):
-                assert np.array_equal(la.parents, lr.parents)
-                assert np.array_equal(la.generations, lr.generations)
-                assert la.level == lr.level
-            assert all(isinstance(link, Round) for link in links_a[1:])
+            if i + 1 < len(ours):
+                link = ours[i + 1].source
+                assert isinstance(link, Link) and link is a.link
+                assert np.array_equal(link.parents, a.parents)
+                assert np.array_equal(link.generations, a.generations)
+                assert link.level == a.level
             # the edge tables bisection hands over are those a fresh mesh
             # of the same points and triangles builds
             fresh = Mesh(a.points, a.triangles)
@@ -754,6 +760,48 @@ class TestConformityDiagnostics:
         tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
         rep = conformity_check(Mesh(pts, tris))
         assert rep.violations[0] == "edge 0 (0, 1) has 3 incident triangles"
+
+    def test_children_tile_each_parent(self):
+        # a call's one link spans all its rounds, so gains pass 1 here;
+        # children of a gain g cover 2^-g of their parent.  A forged
+        # lineage with a dropped child, a duplicated child or a negative
+        # gain names the parent it leaves untiled.
+        coarse = uniform_lshape(1)
+        fine = bisect(coarse, [0, 5], 3)
+        pts, tris, gens, par = (fine.points, fine.triangles,
+                                fine.generations, fine.parents)
+        gains = gens - coarse.generations[par]
+        assert gains.max() > 1 and (gains == 0).any()
+        assert conformity_check(fine).ok
+
+        def lineage_violations(tris, gens, par):
+            rep = conformity_check(Mesh(pts, tris, gens, par, source=coarse))
+            assert not rep.ok
+            return [v for v in rep.violations if "parent" in v]
+
+        def cover(g):
+            top = max(g)
+            return f"{sum(2 ** (top - x) for x in g)}/{2 ** top}"
+
+        # a child whose vertices all stay in other triangles
+        t = next(t for t in np.flatnonzero(gains > 0)
+                 if np.unique(np.delete(tris, t, axis=0)).size == len(pts))
+        p = int(par[t])
+        kids = np.flatnonzero(par == p)
+        rest, twice = kids[kids != t], np.append(kids, t)
+        assert lineage_violations(np.delete(tris, t, axis=0),
+                                  np.delete(gens, t), np.delete(par, t)) == [
+            f"the children of parent {p} cover {cover(gains[rest])} of it"]
+        assert lineage_violations(np.vstack([tris, tris[t]]),
+                                  np.append(gens, gens[t]),
+                                  np.append(par, p)) == [
+            f"the children of parent {p} cover {cover(gains[twice])} of it"]
+        low = gens.copy()
+        low[t] = coarse.generations[p] - 1
+        assert lineage_violations(tris, low, par) == [
+            f"triangle {t} gained -1 generations over its parent {p}, "
+            "outside [0, 62]",
+            f"the children of parent {p} cover {cover(gains[rest])} of it"]
 
     @staticmethod
     def strip(n):

@@ -11,7 +11,8 @@ import pytest
 
 from afemflux import afem, cli, estimators
 from afemflux.afem import AfemConfig, run
-from afemflux.mesh import Round
+from afemflux.mesh import Link
+from test_mesh import lineage, reference_bisect
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 ESTIMATE_PARTS = ("equilibrate", "residual_indicators",
@@ -68,29 +69,27 @@ def test_lineage_walks_cover_the_bisect_chain(tracer, monkeypatch):
     calls = []
     real = afem.bisect
 
-    def spy(mesh, *args, **kwargs):
-        out = real(mesh, *args, **kwargs)
-        calls.append((mesh, out))
+    def spy(mesh, marked, b):
+        out = real(mesh, marked, b)
+        calls.append((mesh, out, reference_bisect(mesh, marked, b)))
         return out
 
     monkeypatch.setattr(afem, "bisect", spy)
     run(AfemConfig(problem="lshape_one", max_levels=2))
     assert len(calls) == 2
-    for coarse, fine in calls:
-        # `mesh.bisect_rounds` reads the level gain as the number of rounds
-        nodes, m = 0, fine.source
-        while m is not coarse.link:
-            assert isinstance(m, Round)
-            assert tracer.mesh_bytes(m) == 8 * m.n_triangles
-            nodes, m = nodes + 1, m.source
-        assert nodes > 0
-        assert fine.level - coarse.level == nodes + 1
+    for coarse, fine, ref in calls:
+        # one link per call, whose level gain `mesh.bisect_rounds` reads
+        # as the call's closure rounds: one mesh per round of the reference
+        assert fine.source is coarse.link
+        assert tracer.mesh_bytes(coarse.link) == 8 * coarse.n_triangles
+        assert fine.level - coarse.level == len(lineage(ref, coarse)) >= 1
     final = calls[-1][1]
     chain, m = [], final.source
     while m is not None:
         chain.append(m)
         m = m.source
-    assert all(isinstance(m, Round) for m in chain)
+    assert len(chain) == len(calls)
+    assert all(isinstance(m, Link) for m in chain)
     assert tracer.lineage_bytes(final) == sum(map(tracer.mesh_bytes, chain))
 
 

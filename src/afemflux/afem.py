@@ -197,13 +197,21 @@ def run(config: AfemConfig,
         raise ValueError(f"theta must be in (0, 1], got {config.theta}")
     if config.max_levels < 0:
         raise ValueError(f"max_levels must be >= 0, got {config.max_levels}")
+    b = config.bisections
+    if b != "auto":
+        if isinstance(b, str):
+            try:
+                b = int(b)  # a string of an integer, as the CLI passes
+            except ValueError:
+                pass
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)) \
+                or b < 1:
+            raise ValueError("bisections must be 'auto' or an integer >= 1, "
+                             f"got {config.bisections!r}")
+        b = int(b)
     mesh = prob.mesh_factory()
-    if config.bisections == "auto":
+    if b == "auto":
         b = interior_node_depth(mesh)
-    else:
-        b = int(config.bisections)
-        if b < 1:
-            raise ValueError("bisections must be >= 1")
 
     floor = config.estimator_floor
     if floor is None:

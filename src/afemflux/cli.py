@@ -226,13 +226,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
-    if opts["bisections"] != "auto":
-        try:
-            opts["bisections"] = int(opts["bisections"])
-        except ValueError:
-            parser.error(f"--bisections must be an integer or 'auto', "
-                         f"got {opts['bisections']!r}")
-
     config = AfemConfig(**{key: opts[key] for key in _CONFIG})
 
     outdir = opts["out"]

@@ -125,7 +125,8 @@ batch, solved as columns (`_minnorm_solve`); a patch alone in its class
 is a class of one.
 
 `verify_equilibration` measures each element's divergence residual against
-the terms that cancel in it, the projected load and lap u_h, and reports
+the terms that cancel in it, the projected load, lap u_h and the monomial
+terms of the flux's own divergence, and reports
 the patch residual scaled as `equilibrate` scales it.  It takes
 q_delta . n on the three local edges of each element (`_edge_traces`) and
 sums each edge from its two sides with `Mesh.edge_sums`, as `normal_jumps`;
@@ -166,6 +167,10 @@ _SOLVE_BYTES = 8e6
 
 # the largest scaled residual of a patch or defining condition: round-off
 _TOLERANCE = 1e-8
+
+# a spoke's local edge, in `_rim_frames` order, in the element before it
+# and in the element after it in a counterclockwise fan (`_fan_links`)
+_SPOKE_SIDES = np.array([1, 2])
 
 
 class EquilibrationError(RuntimeError):
@@ -299,20 +304,27 @@ class FluxField:
         return np.einsum("tqjc,tj->tqc", V, self.coeffs[elements],
                          optimize=True)
 
-    def _divergence(self, els, ref_pts: np.ndarray) -> np.ndarray:
+    def _divergence(self, els, ref_pts: np.ndarray):
+        """The divergence at the reference points ref_pts of the elements
+        els, (t, nq), and the size of the terms that cancel in it there,
+        sum_c |m_c| sum_j |D_cj c_j| / h (D of `rt_divergence_matrix`)."""
         xh, h = _frame(self.mesh, els, ref_pts)
-        dcoef = self.coeffs[els] @ rt_divergence_matrix(self.degree).T
-        return np.einsum("tqc,tc->tq", _monomials(self.degree, xh),
-                         dcoef / h[:, None])
+        mono = _monomials(self.degree, xh)
+        D = rt_divergence_matrix(self.degree)
+        c = self.coeffs[els]
+        # D >= 0, so |D_cj c_j| = D_cj |c_j|
+        return (np.einsum("tqc,tc->tq", mono, (c @ D.T) / h[:, None]),
+                np.einsum("tqc,tc->tq", np.abs(mono),
+                          (np.abs(c) @ D.T) / h[:, None]))
 
     def element_norms(self) -> np.ndarray:
         """L2 norm of the field on each element."""
         rule = triangle_rule(2 * self.degree + 2)
         out = np.empty(self.mesh.n_triangles)
-        for batch in element_batches(self.mesh):
-            v = self.element_values(rule.points, batch.els)
+        for els in element_batches(self.mesh):
+            v = self.element_values(rule.points, els)
             sq = (v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]) @ rule.weights
-            out[batch.els] = np.sqrt(sq * self.mesh.areas[batch.els])
+            out[els] = np.sqrt(sq * self.mesh.areas[els])
         return out
 
     def norm(self) -> float:
@@ -349,12 +361,12 @@ def gradient_flux(u_h: ScalarField) -> FluxField:
     rule = space.rule_main
     n_p = len(monomial_exponents(k))
     coeffs = np.zeros((mesh.n_triangles, rt_dim(k)))
-    for batch in element_batches(mesh):
-        g = element_gradients(u_h, rule.points, batch.els)
-        mono = _monomials(k, _frame(mesh, batch.els, rule.points)[0])
+    for els in element_batches(mesh):
+        g = element_gradients(u_h, rule.points, els)
+        mono = _monomials(k, _frame(mesh, els, rule.points)[0])
         sol = monomial_projection(rule.weights, mono, g[..., 0], g[..., 1])
-        coeffs[batch.els, :n_p] = sol[..., 0]
-        coeffs[batch.els, n_p:2 * n_p] = sol[..., 1]
+        coeffs[els, :n_p] = sol[..., 0]
+        coeffs[els, n_p:2 * n_p] = sol[..., 1]
     return FluxField(mesh, k, coeffs)
 
 
@@ -475,8 +487,7 @@ def _flux_coefficients(space: FeSpace, w: np.ndarray) -> np.ndarray:
     _fill_blocks(space, efirst, np.arange(efirst.size), {"LiTQ": LiTQ})
     d = ex[efirst][ecls] - ex
     out = np.empty_like(w)
-    for batch in element_batches(mesh):
-        els = batch.els
+    for els in element_batches(mesh):
         out[els] = np.ldexp(_apply(LiTQ[ecls[els]], w[els]), d[els, None])
     return out
 
@@ -543,38 +554,35 @@ def _fan_links(mesh: Mesh):
     For entry i (triangle t, slot of the vertex nu) returns: nxt[i], the
     entry of nu in the triangle beyond the edge of t through nu that comes
     next counterclockwise, or -1 where that edge is on the boundary;
-    has_prev[i], whether some entry steps to i; spoke[i], that edge, and
-    le[i], its local edge in t and in the triangle beyond; imposed[i],
-    whether the rim edge of t opposite nu carries a zero-trace constraint.
+    has_prev[i], whether some entry steps to i; spoke[i], that edge;
+    imposed[i], whether the rim edge of t opposite nu carries a zero-trace
+    constraint.  The spoke, local edge slot+1 of t, ends at nu; the mesh
+    is counterclockwise, so in the triangle beyond it starts at nu, local
+    vertex le+1 of its local edge le there.
     """
     ptr, ind, slot = mesh._vertex_triangles
     nt = mesh.n_triangles
-    fwd = (slot + 1) % 3
-    spoke = mesh.edge_of_triangle[ind, fwd]
+    spoke = mesh.edge_of_triangle[ind, (slot + 1) % 3]
     other = (mesh.edge_triangles[spoke, 0] == ind).astype(np.int64)
     beyond = mesh.edge_triangles[spoke, other]
-    le = mesh.edge_local[spoke, other]
-    # nu is one end of local edge le of the triangle beyond
-    nu = np.repeat(np.arange(mesh.n_vertices), np.diff(ptr))
-    head = (le + 1) % 3
-    slot2 = np.where(mesh.triangles[beyond, head] == nu, head, (le + 2) % 3)
+    slot2 = (mesh.edge_local[spoke, other] + 1) % 3
     entry = np.empty(3 * nt, dtype=np.int64)
     entry[ind * 3 + slot] = np.arange(3 * nt)
     bed = mesh.boundary_edge
     nxt = np.where(bed[spoke], -1, entry[beyond * 3 + slot2])
     has_prev = np.zeros(3 * nt, dtype=bool)
     has_prev[nxt[nxt >= 0]] = True
-    return (nxt, has_prev, spoke, np.stack([fwd, le], axis=1),
-            ~bed[mesh.edge_of_triangle[ind, slot]])
+    return nxt, has_prev, spoke, ~bed[mesh.edge_of_triangle[ind, slot]]
 
 
 def _fan_layout(vs, mg, sg, mesh, links):
     """Index tables of the patches vs, which share their numbers of
-    elements mg and of spokes sg, each listed fan after fan, counterclockwise within a fan (links:
-    `_fan_links`).  Every fan starts at its first element: an open fan at
-    the domain boundary, in the triangle-id order of the starts, a closed
-    fan at its lowest-id element, whose constant-divergence row is dropped
-    if the patch is fully interior (every rim edge constrained).
+    elements mg and of spokes sg, each listed fan after fan,
+    counterclockwise within a fan (links: `_fan_links`).  Every fan starts
+    at its first element: an open fan at the domain boundary, in the
+    triangle-id order of the starts, a closed fan at its lowest-id
+    element, whose constant-divergence row is dropped if the patch is
+    fully interior (every rim edge constrained).
     Raises EquilibrationError if a walk does not list each element of its
     patch exactly once.
 
@@ -582,11 +590,11 @@ def _fan_layout(vs, mg, sg, mesh, links):
     to the next.  The layout holds els, slots (P, mg), the elements and the
     slot of the patch vertex in each; imposed (P, mg), whether the rim edge
     carries a zero-trace constraint; spokes (P, sg), the interior edges
-    through the vertex at the linked positions; pos, le (P, sg, 2), the
-    positions each spoke joins, its own and the next, and its local edge
-    in each.
+    through the vertex at the linked positions; and pos (P, sg, 2), the
+    positions each spoke joins, its own and the next.  A spoke is local
+    edge `_SPOKE_SIDES` of each, in `_rim_frames` order.
     """
-    nxt, has_prev, spoke, le, imposed = links
+    nxt, has_prev, spoke, imposed = links
     ptr, ind, slotv = mesh._vertex_triangles
     P = vs.size
     p = np.arange(P)[:, None]
@@ -611,9 +619,8 @@ def _fan_layout(vs, mg, sg, mesh, links):
                                  " is no union of fans around it")
     link = nxt[idx] >= 0
     j = np.nonzero(link)[1].reshape(P, sg)
-    s = idx[p, j]
-    return ((ind[idx], slotv[idx], imposed[idx], spoke[s],
-             np.stack([j, (j + 1) % mg], axis=2), le[s]), link)
+    return ((ind[idx], slotv[idx], imposed[idx], spoke[idx[p, j]],
+             np.stack([j, (j + 1) % mg], axis=2)), link)
 
 
 def _rim_rotation(X):
@@ -733,15 +740,6 @@ def _columns(imposed, interior, K1, Nf):
                     off[..., None] + c, C), C
 
 
-def _spoke_sides(layout):
-    """Index arrays (P, 1, 1) and (P, s, 2) that pick, from arrays over
-    the positions of each patch and the local edges of each element in
-    `_rim_frames` order, the two sides of each spoke."""
-    slots, pos, le = layout[1], layout[4], layout[5]
-    p = np.arange(slots.shape[0])[:, None, None]
-    return p, pos, (le - slots[p, pos]) % 3
-
-
 def _assemble_patches(layout, frames):
     """Reduced constraint matrices of patches sharing one (m, s) group.
 
@@ -757,13 +755,14 @@ def _assemble_patches(layout, frames):
     mg = cols.shape[1]
     K1 = X.shape[1]
     R = sg * K1
-    p, pos, r = _spoke_sides(layout)
+    p, pos = np.arange(P)[:, None, None], layout[4]
     # flat positions, one past the end for a column that is not kept
     row = (p[..., None, None] * R + np.arange(sg)[:, None, None, None] * K1
            + np.arange(K1)[:, None]) * C  # (P, sg, 1, K1, 1)
     col = cols[p, pos][..., None, :]
     flat = np.zeros(P * R * C + 1)
-    flat[np.where(col < C, row + col, P * R * C)] = X[r, :, :, p * mg + pos]
+    flat[np.where(col < C, row + col, P * R * C)] = \
+        X[_SPOKE_SIDES, :, :, p * mg + pos]
     return flat[:-1].reshape(P, R, C)
 
 
@@ -798,9 +797,9 @@ def _patch_rhs(layout, vs, mesh, blocks, Jr, frames):
         .reshape(P, mg, 2, K1)
     var = (mesh.edges[spokes, 0] != vs[:, None]).astype(np.int64)
     jumps = Jr[spokes, var]
-    p, pos, r = _spoke_sides(layout)
-    b = jumps - ft[p[..., 0], pos[..., 0], r[..., 0]] \
-        - ft[p[..., 0], pos[..., 1], r[..., 1]]
+    p, pos = np.arange(P)[:, None], layout[4]
+    before, after = _SPOKE_SIDES
+    b = jumps - ft[p, pos[..., 0], before] - ft[p, pos[..., 1], after]
     rdiv = blocks["rdiv"][els, slots]
     scale = 1.0 + np.maximum(np.abs(rdiv).max(axis=(1, 2)),
                              np.abs(jumps).max(axis=(1, 2), initial=0.0))
@@ -1037,8 +1036,7 @@ def equilibrate(u_h: ScalarField, f,
     blocks = {"ecls": ecls, **shape, "rdiv": np.empty((nt, 3, n_p)),
               "U": np.empty((nt, 3, n_p))}
     order = _const_last(n_p)
-    for batch in element_batches(mesh):
-        els = batch.els
+    for els in element_batches(mesh):
         rdiv = _divergence_rhs(u_h, f, els)[..., order]
         blocks["rdiv"][els] = rdiv
         blocks["U"][els] = _forward(blocks["DQ"][ecls[els]], rdiv)
@@ -1161,9 +1159,11 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
     div q = -(projected f) - lap u_h at the volume quadrature points and of
     the normal-jump condition at the edge quadrature points.  Each
     element's divergence residual is relative to the terms that cancel in
-    it, max(1, max_T |projected f|, max_T |lap u_h|): on a strongly graded
-    mesh |lap u_h| on the smallest elements exceeds |f| by orders of
-    magnitude, and so does the round-off of the cancellation.  The patch
+    it, max(1, max_T |projected f|, max_T |lap u_h|, S_T), S_T the largest
+    sum over the flux's own monomial terms (`FluxField._divergence`): on a
+    strongly graded mesh |lap u_h| on the smallest elements exceeds |f| by
+    orders of magnitude, and the flux terms exceed both, and so does the
+    round-off of the cancellation.  The patch
     residual is the one `equilibrate` holds to its tolerance, scaled by
     the patch data (`EquilibratedFlux.scaled_residuals`).
     """
@@ -1177,12 +1177,12 @@ def verify_equilibration(flux: EquilibratedFlux, f) -> EquilibrationReport:
     pts = edge_points(space.edge_rule_main)
     div_res = np.empty(mesh.n_triangles)
     qn = np.empty((mesh.n_triangles, 3, pts.shape[2]))
-    for batch in element_batches(mesh, rule.points):
-        els = batch.els
-        pf = load_values(f, batch.X) @ P.T
+    for els in element_batches(mesh):
+        pf = load_values(f, physical_points(mesh, rule.points, els)) @ P.T
         lap = element_laplacians(u_h, rule.points, els)
-        dv = flux.q_delta._divergence(els, rule.points)
-        scale = np.abs([pf, lap]).max(axis=(0, 2), initial=1.0)
+        dv, terms = flux.q_delta._divergence(els, rule.points)
+        scale = np.array([np.abs(pf), np.abs(lap), terms]).max(
+            axis=(0, 2), initial=1.0)
         div_res[els] = np.abs(dv + pf + lap).max(axis=1) / scale
         tr, _ = _edge_traces(k, pts, mesh.scaled_edges(els)[0],
                              mesh.edge_flips[els])
@@ -1213,12 +1213,13 @@ def prager_synge_terms(u_h: ScalarField, flux: EquilibratedFlux, grad_exact):
     rule = triangle_rule(qdeg)
     sigma = flux.total_flux()
     dist_sq = 0.0
-    for batch in element_batches(space.mesh, rule.points):
-        gx, gy = grad_exact(batch.X[..., 0], batch.X[..., 1])
-        sv = sigma.element_values(rule.points, batch.els)
+    for els in element_batches(space.mesh):
+        X = physical_points(space.mesh, rule.points, els)
+        gx, gy = grad_exact(X[..., 0], X[..., 1])
+        sv = sigma.element_values(rule.points, els)
         d0 = np.asarray(gx) - sv[..., 0]
         d1 = np.asarray(gy) - sv[..., 1]
         dist_sq += float(((d0 * d0 + d1 * d1) @ rule.weights)
-                         @ space.mesh.areas[batch.els])
+                         @ space.mesh.areas[els])
     err = energy_error(u_h, grad_exact, qdeg=qdeg)
     return err, float(np.sqrt(dist_sq)), flux.eta_delta_total

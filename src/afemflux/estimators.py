@@ -40,6 +40,7 @@ from .galerkin import (
     element_batches,
     element_laplacians,
     load_values,
+    physical_points,
     reference_projector,
 )
 from .mesh import Mesh
@@ -62,10 +63,9 @@ def _residual_squares(u_h: ScalarField, f, jumps: np.ndarray):
     w_hat = rule.weights[:, None] * rule.bary ** 2
     vol = np.empty(mesh.n_triangles)
     vol_hat = np.empty((mesh.n_triangles, 3))
-    for batch in element_batches(mesh, rule.points):
-        els = batch.els
+    for els in element_batches(mesh):
         lap = element_laplacians(u_h, rule.points, els)
-        r = load_values(f, batch.X) + lap
+        r = load_values(f, physical_points(mesh, rule.points, els)) + lap
         rr = r * r
         vol[els] = (rr @ rule.weights) * mesh.areas[els]
         vol_hat[els] = (rr @ w_hat) * mesh.areas[els, None]
@@ -122,9 +122,8 @@ def oscillation(space: FeSpace, f) -> np.ndarray:
     rule = space.rule_fine
     P = reference_projector(rule, space.degree - 1)
     out = np.empty(mesh.n_triangles)
-    for batch in element_batches(mesh, rule.points):
-        els = batch.els
-        fX = load_values(f, batch.X)
+    for els in element_batches(mesh):
+        fX = load_values(f, physical_points(mesh, rule.points, els))
         c = fX - fX[:, :1]
         rem = c - c @ P.T
         sq = ((rem * rem) @ rule.weights) * mesh.areas[els]

@@ -31,10 +31,11 @@ deterministic duplicate summation, so repeated runs are bitwise
 reproducible.
 
 Every other loop over the elements of a mesh runs through
-`element_batches`: batches of `_BATCH` elements, with their mapped
-quadrature points when asked for.  (The flux basis of equilibration has
-its own frame, built from the class key `Mesh.scaled_edges`, and its shape
-blocks are built on the first elements of the same classes.)
+`element_batches`: the ids of `_BATCH` elements at a time, nothing else; a
+loop that reads points maps them itself with `physical_points`.  (The flux
+basis of equilibration has its own frame, built from the class key
+`Mesh.scaled_edges`, and its shape blocks are built on the first elements
+of the same classes.)
 Affine maps and edge orientations come from the mesh: `Mesh.jacobians`,
 `Mesh.edge_flips`.  The load is evaluated by `load_values` wherever f is
 called, so f may return a scalar or anything that broadcasts to the points.
@@ -286,9 +287,9 @@ class FeSpace:
         bnd.flags.writeable = False
         self.boundary_dofs = bnd
         J = mesh.jacobians
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         adj = np.stack([J[:, 1, 1], -J[:, 0, 1], -J[:, 1, 0], J[:, 0, 0]], 1)
-        self.jac_inv = adj.reshape(-1, 2, 2) / det[:, None, None]
+        # det J = 2 * area: the mesh is counterclockwise
+        self.jac_inv = adj.reshape(-1, 2, 2) / (2 * mesh.areas[:, None, None])
         self.jac_inv.flags.writeable = False
 
     @property
@@ -365,30 +366,12 @@ def load_values(f, X: np.ndarray) -> np.ndarray:
     return fv
 
 
-@dataclass(frozen=True)
-class ElementBatch:
-    """Elements els of a mesh with, when points were asked for, the points
-    X (t, nq, 2) mapped into each."""
-
-    els: np.ndarray
-    X: np.ndarray | None = None
-
-
-def element_batch(mesh: Mesh, ref_pts: np.ndarray, els=None) -> ElementBatch:
-    """The batch of the elements els (all by default), with ref_pts mapped
-    into each."""
-    els = np.arange(mesh.n_triangles) if els is None else np.asarray(els)
-    return ElementBatch(els, physical_points(mesh, ref_pts, els))
-
-
-def element_batches(mesh: Mesh, ref_pts: np.ndarray | None = None):
-    """Yield the elements, in order, in batches of `_BATCH`, each an
-    `element_batch` of ref_pts, or its ids alone when ref_pts is None."""
+def element_batches(mesh: Mesh):
+    """Yield the element ids of the mesh, in order, in batches of
+    `_BATCH`."""
     ids = np.arange(mesh.n_triangles)
     for lo in range(0, ids.size, _BATCH):
-        els = ids[lo:lo + _BATCH]
-        yield ElementBatch(els) if ref_pts is None \
-            else element_batch(mesh, ref_pts, els)
+        yield ids[lo:lo + _BATCH]
 
 
 # -- element-level evaluation helpers ----------------------------------
@@ -519,11 +502,11 @@ def assemble_load(space: FeSpace, f) -> np.ndarray:
     rule = space.rule_main
     V = space.ref.values(rule.points)
     b = np.zeros(space.n_dofs)
-    for batch in element_batches(space.mesh, rule.points):
-        fv = load_values(f, batch.X)
+    for els in element_batches(space.mesh):
+        fv = load_values(f, physical_points(space.mesh, rule.points, els))
         loc = (fv * rule.weights[None, :]) @ V
-        loc = loc * space.mesh.areas[batch.els, None]
-        np.add.at(b, space.dof_map[batch.els], loc)
+        loc = loc * space.mesh.areas[els, None]
+        np.add.at(b, space.dof_map[els], loc)
     return b
 
 
@@ -571,10 +554,10 @@ def energy_norm(field: ScalarField) -> float:
     """|field|_{H^1} = L2 norm of the gradient (exact for FE fields)."""
     rule = field.space.rule_main
     total = 0.0
-    for batch in element_batches(field.space.mesh):
-        g = element_gradients(field, rule.points, batch.els)
+    for els in element_batches(field.space.mesh):
+        g = element_gradients(field, rule.points, els)
         gg = g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]
-        total += float((gg @ rule.weights) @ field.space.mesh.areas[batch.els])
+        total += float((gg @ rule.weights) @ field.space.mesh.areas[els])
     return float(np.sqrt(total))
 
 
@@ -584,14 +567,16 @@ def energy_error(field: ScalarField, grad_exact, qdeg: int | None = None) -> flo
         rule = field.space.rule_fine
     else:
         rule = triangle_rule(qdeg)
+    mesh = field.space.mesh
     total = 0.0
-    for batch in element_batches(field.space.mesh, rule.points):
-        g = element_gradients(field, rule.points, batch.els)
-        gx, gy = grad_exact(batch.X[..., 0], batch.X[..., 1])
+    for els in element_batches(mesh):
+        g = element_gradients(field, rule.points, els)
+        X = physical_points(mesh, rule.points, els)
+        gx, gy = grad_exact(X[..., 0], X[..., 1])
         d0 = np.asarray(gx) - g[..., 0]
         d1 = np.asarray(gy) - g[..., 1]
         total += float(((d0 * d0 + d1 * d1) @ rule.weights)
-                       @ field.space.mesh.areas[batch.els])
+                       @ mesh.areas[els])
     return float(np.sqrt(total))
 
 

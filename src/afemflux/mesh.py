@@ -210,8 +210,8 @@ class Mesh:
         if src is not None and (self.parents.min() < 0
                                 or self.parents.max() >= src.n_triangles):
             raise MeshError(f"parent id out of range [0, {src.n_triangles})")
-        if not (self.signed_areas > 0).all():
-            raise MeshError(f"triangle {np.argmin(self.signed_areas > 0)} is "
+        if not (self.areas > 0).all():
+            raise MeshError(f"triangle {np.argmin(self.areas > 0)} is "
                             "not counterclockwise (signed area <= 0)")
         if (edges is None) != (edge_of_triangle is None):
             raise MeshError("edges and edge_of_triangle come together")
@@ -365,13 +365,16 @@ class Mesh:
         return _lock(first), _lock(cls), _lock(ex)
 
     @cached_property
-    def signed_areas(self) -> np.ndarray:
+    def areas(self) -> np.ndarray:
+        """(nt,) the signed areas, half of det J (`jacobians`): positive, as
+        the constructor checks, for every triangle is counterclockwise."""
         J = self.jacobians
         return _lock(0.5 * (J[:, 0, 0] * J[:, 1, 1] - J[:, 1, 0] * J[:, 0, 1]))
 
-    @cached_property
-    def areas(self) -> np.ndarray:
-        return _lock(np.abs(self.signed_areas))
+    @property
+    def signed_areas(self) -> np.ndarray:
+        """`areas` under the name the benchmark's tests read."""
+        return self.areas
 
     @cached_property
     def centroids(self) -> np.ndarray:
@@ -394,7 +397,7 @@ class Mesh:
         ind = order // 3
         local = order % 3
         ptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=self.n_vertices), out=ptr[1:])
+        np.cumsum(self.valences, out=ptr[1:])
         return _lock(ptr), _lock(ind), _lock(local)
 
     @cached_property

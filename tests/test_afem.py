@@ -343,11 +343,22 @@ class TestDriver:
         monkeypatch.setattr(afem, "FeSpace", no_solve)
         for bad, match in (({"estimator": "bogus"}, "estimator"),
                            ({"bisections": 0}, "bisections"),
+                           ({"bisections": "three"}, "got 'three'"),
+                           ({"bisections": 2.5}, "got 2.5"),
+                           ({"bisections": True}, "got True"),
                            ({"theta": 0.0}, "theta"),
                            ({"theta": 1.5}, "theta"),
                            ({"max_levels": -1}, "max_levels")):
             with pytest.raises(ValueError, match=match):
                 run(AfemConfig(**bad))
+
+    @pytest.mark.parametrize("bisections", [2, "2", np.int64(2)])
+    def test_bisections_from_an_int_or_its_string(self, bisections):
+        # the CLI passes the option's string, which run reads as an int
+        res = run(AfemConfig(problem="square_sine", bisections=bisections,
+                             max_levels=1))
+        assert [r.b for r in res.records] == [2, 2]
+        assert type(res.records[0].b) is int
 
     def test_hypotheses_need_levels(self):
         res, rows = run_with_hypotheses(AfemConfig(problem="square_sine",

@@ -32,6 +32,7 @@ from afemflux.equilibration import (
     rt_values,
     verify_equilibration,
 )
+from afemflux.estimators import estimate
 from afemflux.galerkin import (
     FeSpace,
     ScalarField,
@@ -42,6 +43,7 @@ from afemflux.galerkin import (
     monomial_values,
     normal_jumps,
     physical_points,
+    reference_projector,
     solve_poisson,
 )
 from afemflux.mesh import Mesh, bisect, lshape, unit_square_crisscross
@@ -374,6 +376,26 @@ def jittered_square():
     return Mesh(mesh.points + offset, mesh.triangles)
 
 
+def delaunay_square():
+    """Delaunay triangles of a 9 x 9 grid on the unit square, its interior
+    points moved by a seeded offset of up to 0.03 in each coordinate, with
+    every other triangle listed clockwise: 128 triangles, no two of one
+    shape, oriented and labelled by `Mesh.from_arrays`."""
+    from scipy.spatial import Delaunay
+
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9))
+    pts = np.column_stack([x.ravel(), y.ravel()])
+    inner = ((pts > 0.0) & (pts < 1.0)).all(axis=1)
+    rng = np.random.default_rng(11)
+    pts[inner] += rng.uniform(-0.03, 0.03, (int(inner.sum()), 2))
+    tris = Delaunay(pts).simplices.copy()
+    e = pts[tris[:, 1:]] - pts[tris[:, :1]]
+    ccw = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0] > 0
+    clockwise = np.arange(tris.shape[0]) % 2 == 1
+    tris[ccw == clockwise] = tris[ccw == clockwise, ::-1]
+    return Mesh.from_arrays(pts, tris)
+
+
 def trapezoid():
     """Three triangles, the outer two translates of each other.  Each
     outer one alone forms the patch of a domain corner, with the corner at
@@ -526,16 +548,18 @@ class TestGlobalReconstruction:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("make_mesh", [uniform_square, graded_lshape,
-                                           jittered_square])
+                                           jittered_square, delaunay_square])
     def test_shared_patches_match_local_solves(self, make_mesh, k):
         # patches of one exact class share a factored Gram matrix, and each
-        # patch of the jittered mesh is a class of one; the independent
-        # per-patch lstsq solves must give the same flux.  The
+        # patch of the jittered and the Delaunay mesh is a class of one; the
+        # independent per-patch lstsq solves must give the same flux.  The
+        # Delaunay mesh, half of it given clockwise, walks fans whose
+        # spokes are unstructured.  The
         # flux is compared in L2: its monomial coefficients amplify
         # round-off by the conditioning of the element mass matrices
         # (1e-9 at k = 4 for either solver).
         fl = equilibrated(make_mesh(), k)
-        if make_mesh is jittered_square:
+        if make_mesh in (jittered_square, delaunay_square):
             assert fl.shared_patches == fl.patch_classes == 0
         else:
             assert 0 < fl.patch_classes < fl.shared_patches
@@ -578,7 +602,7 @@ class TestGlobalReconstruction:
         ptr, ind, _ = mesh._vertex_triangles
         m = np.diff(ptr)
         free_rims = np.bincount(np.repeat(np.arange(mesh.n_vertices), m),
-                                ~links[4], minlength=mesh.n_vertices)
+                                ~links[3], minlength=mesh.n_vertices)
         inner = ~mesh.boundary_vertex & (free_rims == 0)
         assert inner.sum() > 0
         for mg in np.unique(m[inner]):
@@ -607,7 +631,7 @@ class TestGlobalReconstruction:
         pts = np.array([[0.0, 0.0], [-0.5, -1.0], [0.5, -1.0], [1.0, 0.0],
                         [0.0, 1.0], [-1.0, 0.0]])
         mesh = Mesh(pts, np.array([[0, 1, 2], [0, 3, 4], [0, 4, 5]]))
-        (els, *_, pos, _), link = equilibration._fan_layout(
+        (els, *_, pos), link = equilibration._fan_layout(
             np.array([0]), 3, 1, mesh, equilibration._fan_links(mesh))
         assert els.tolist() == [[0, 1, 2]]
         assert link.tolist() == [[False, True, False]]
@@ -1268,7 +1292,81 @@ def corner_graded_p4():
     return equilibrate(solve_poisson(FeSpace(mesh, 4), f_one), f_one)
 
 
+def corner_terms(x, y):
+    """phi = (1 - x^2)(1 - y^2) and s = r^(2/3) sin(2 theta / 3), theta in
+    [0, 2 pi), with their gradients and the Laplacian of phi; s is
+    harmonic, and phi s vanishes on the boundary of the L-shape."""
+    r = np.hypot(x, y)
+    theta = np.mod(np.arctan2(y, x), 2 * np.pi)
+    phi = (1 - x ** 2) * (1 - y ** 2)
+    dphi = (-2 * x * (1 - y ** 2), -2 * y * (1 - x ** 2))
+    s = r ** (2 / 3) * np.sin(2 * theta / 3)
+    c = 2 / 3 * r ** (-1 / 3)
+    ds = (-c * np.sin(theta / 3), c * np.cos(theta / 3))
+    return phi, dphi, -2 * (1 - y ** 2) - 2 * (1 - x ** 2), s, ds
+
+
+def f_corner(x, y):
+    """-lap(phi s) = -(2 grad phi . grad s + s lap phi)."""
+    _, dphi, lap_phi, s, ds = corner_terms(x, y)
+    return -(2 * (dphi[0] * ds[0] + dphi[1] * ds[1]) + s * lap_phi)
+
+
+def grad_corner(x, y):
+    phi, dphi, _, s, ds = corner_terms(x, y)
+    return dphi[0] * s + phi * ds[0], dphi[1] * s + phi * ds[1]
+
+
+@pytest.fixture(scope="module")
+def deep_corner_lshape():
+    """The L-shape bisected twice everywhere, then 48 times at the
+    re-entrant corner: 336 triangles, diameters 2^24 = 1.7e7 apart."""
+    mesh = bisect(lshape(), np.arange(12), 2)
+    for _ in range(48):
+        at_corner = (mesh.points[mesh.triangles] == 0.0).all(axis=2)
+        mesh = bisect(mesh, np.nonzero(at_corner.any(axis=1))[0], 1)
+    assert mesh.n_triangles == 336
+    assert mesh.diameters.max() / mesh.diameters.min() > 1e7
+    return mesh
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3, 4])
+def deep_corner_estimate(request, deep_corner_lshape):
+    space = FeSpace(deep_corner_lshape, request.param)
+    return estimate(solve_poisson(space, f_corner), f_corner)
+
+
 class TestVerification:
+    def test_guarantee_on_deep_corner_grading(self, deep_corner_estimate):
+        # a known singular solution on a mesh graded to h_max/h_min 1.7e7:
+        # the bound holds (eta_delta alone is 1.014-1.041 times the error)
+        # and so does verify, whose divergence residual is measured against
+        # the flux's own cancelling terms
+        rep = deep_corner_estimate
+        err = energy_error(rep.flux.u_h, grad_corner)
+        assert err <= rep.eta_delta_total + rep.osc_total
+        assert rep.eta_delta_total > err
+        assert rep.flux.verify(f_corner).ok, rep.flux.verify(f_corner)
+
+    def test_deep_corner_perturbed_flux_fails(self, deep_corner_estimate):
+        # one part in 1e7 of the correction on the element with the largest
+        # cancelling data, |projected f| or |lap u_h|, still shows
+        fl = deep_corner_estimate.flux
+        space = fl.u_h.space
+        rule = space.rule_main
+        pf = f_corner(*physical_points(space.mesh, rule.points)
+                      .transpose(2, 0, 1)) @ reference_projector(
+                          rule, space.degree).T
+        lap = element_laplacians(fl.u_h, rule.points)
+        t = int(np.argmax(np.maximum(np.abs(pf), np.abs(lap)).max(axis=1)))
+        w = fl.w_delta.copy()
+        w[t] *= 1 + 1e-7
+        rep = verify_equilibration(dataclasses.replace(fl, w_delta=w),
+                                   f_corner)
+        assert rep.div_residual > rep.tolerance
+        assert rep.div_element == t
+        assert not rep.ok
+
     def test_graded_p4_verifies(self, corner_graded_p4):
         # the divergence residual cancels against |lap u_h| ~ 3e8, not |f|
         rep = verify_equilibration(corner_graded_p4, f_one)

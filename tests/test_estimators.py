@@ -24,6 +24,7 @@ from afemflux.galerkin import (
     element_laplacians,
     energy_error,
     normal_jumps,
+    physical_points,
     solve_poisson,
 )
 from afemflux.mesh import Mesh, bisect, lshape, unit_square_crisscross
@@ -89,8 +90,8 @@ def unshared_residual_reference(u, f):
         w = rule.weights[:, None] * rule.bary ** 2 if weighted \
             else rule.weights
         out = np.empty((mesh.n_triangles,) + w.shape[1:])
-        for batch in element_batches(mesh, rule.points):
-            els, X = batch.els, batch.X
+        for els in element_batches(mesh):
+            X = physical_points(mesh, rule.points, els)
             r = f(X[..., 0], X[..., 1]) + element_laplacians(
                 u, rule.points, els)
             area = mesh.areas[els, None] if weighted else mesh.areas[els]

@@ -23,7 +23,6 @@ from afemflux.galerkin import (
     element_values,
     energy_error,
     energy_norm,
-    element_batch,
     element_batches,
     element_gradients,
     monomial_exponents,
@@ -241,10 +240,10 @@ class TestNormsAndProjection:
         # `oscillation` does
         mesh = make_mesh()
         rule = getattr(FeSpace(mesh, k), rule_name)
+        X = physical_points(mesh, rule.points)
         for m in (k - 1, k):
-            batch = element_batch(mesh, rule.points)
-            fX = f_sine(batch.X[..., 0], batch.X[..., 1])
-            mono = scaled_monomials(mesh, batch.els, batch.X, m)
+            fX = f_sine(X[..., 0], X[..., 1])
+            mono = scaled_monomials(mesh, slice(None), X, m)
             coef = monomial_projection(rule.weights, mono, fX)[..., 0]
             gram = np.einsum("tqa,ta->tq", mono, coef)
             got = fX @ reference_projector(rule, m).T
@@ -314,21 +313,9 @@ class TestElementBatches:
                                               (3, [3, 1])])
     def test_each_element_once_in_order(self, monkeypatch, batch, sizes):
         monkeypatch.setattr(galerkin, "_BATCH", batch)
-        mesh = unit_square_crisscross()
-        rule = triangle_rule(4)
-        X = physical_points(mesh, rule.points)
-        got = list(element_batches(mesh, rule.points))
-        assert [b.els.size for b in got] == sizes
-        assert np.array_equal(np.concatenate([b.els for b in got]),
-                              np.arange(4))
-        for b in got:
-            assert np.array_equal(b.X, X[b.els])
-
-    def test_ids_alone_without_points(self, monkeypatch):
-        monkeypatch.setattr(galerkin, "_BATCH", 3)
         got = list(element_batches(unit_square_crisscross()))
-        assert [b.els.tolist() for b in got] == [[0, 1, 2], [3]]
-        assert all(b.X is None for b in got)
+        assert [els.size for els in got] == sizes
+        assert np.concatenate(got).tolist() == [0, 1, 2, 3]
 
     def test_batch_size_does_not_change_estimators(self, monkeypatch):
         mesh = bisect(unit_square_crisscross(), np.arange(4), 6)

@@ -202,7 +202,7 @@ class TestConstruction:
     def test_counterclockwise_orientation_enforced(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         m = Mesh.from_arrays(pts, np.array([[0, 2, 1]]))  # given clockwise
-        assert m.signed_areas[0] > 0
+        assert m.areas[0] > 0
 
     def test_arrays_are_immutable(self):
         m = unit_square_crisscross()
@@ -247,7 +247,7 @@ class TestConstruction:
         m = bisect(lshape(), [0, 3, 7], 3)
         J = m.jacobians
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        assert np.array_equal(2 * m.signed_areas, det)
+        assert np.array_equal(2 * m.areas, det)
         p = m.points[m.triangles]
         assert np.array_equal(J[:, :, 0], p[:, 1] - p[:, 0])
         assert np.array_equal(J[:, :, 1], p[:, 2] - p[:, 0])
@@ -431,7 +431,7 @@ class TestBisection:
         mid = f.n_vertices - 1
         assert list(f.triangles[0]) == [v2, v0, mid]
         assert list(f.triangles[1]) == [v1, v2, mid]
-        assert (f.signed_areas > 0).all()
+        assert (f.areas > 0).all()
 
     def test_uniform_marking_exactly_doubles(self):
         m = unit_square_crisscross()

@@ -80,6 +80,9 @@ _DEFAULTS = {
 _SWITCH = {"1": True, "true": True, "yes": True, "on": True,
            "0": False, "false": False, "no": False, "off": False}
 
+# rows per write of a per-level indicator file
+_CSV_ROWS = 4096
+
 
 def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
@@ -190,22 +193,29 @@ def write_decay(path, records, estimator: str) -> None:
                      f"{_fmt(r.energy_error)}\n")
 
 
-def _indexed_csv(header: str, *columns) -> str:
-    """The header line, then `i,a[i],b[i],...` for each index i, every
-    value formatted as `_fmt` formats it."""
-    values = (map(repr, np.asarray(c).tolist()) for c in columns)
-    rows = zip(map(str, range(len(columns[0]))), *values)
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
+def _write_indexed_csv(path, header: str, *columns) -> None:
+    """Write the header line, then `i,a[i],b[i],...` for each index i,
+    every value formatted as `_fmt` formats it, `_CSV_ROWS` rows at a
+    time, so that the file is never held as one string."""
+    n = len(columns[0])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for s0 in range(0, n, _CSV_ROWS):
+            part = slice(s0, s0 + _CSV_ROWS)
+            values = (map(repr, np.asarray(c)[part].tolist())
+                      for c in columns)
+            rows = zip(map(str, range(s0, min(n, s0 + _CSV_ROWS))), *values)
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_level_indicators(outdir, state) -> None:
     rep, i = state.report, state.record.level
-    with open(os.path.join(outdir, f"elements_{i:03d}.csv"), "w") as fh:
-        fh.write(_indexed_csv("element,eta_delta,eta_res,osc",
-                              rep.eta_delta, rep.eta_res, rep.osc))
-    with open(os.path.join(outdir, f"vertices_{i:03d}.csv"), "w") as fh:
-        fh.write(_indexed_csv("vertex,eta_star,eta_res_star,osc_star",
-                              rep.eta_star, rep.eta_res_star, rep.osc_star))
+    _write_indexed_csv(os.path.join(outdir, f"elements_{i:03d}.csv"),
+                       "element,eta_delta,eta_res,osc",
+                       rep.eta_delta, rep.eta_res, rep.osc)
+    _write_indexed_csv(os.path.join(outdir, f"vertices_{i:03d}.csv"),
+                       "vertex,eta_star,eta_res_star,osc_star",
+                       rep.eta_star, rep.eta_res_star, rep.osc_star)
 
 
 def write_hypotheses(path, rows, j_star: int) -> None:

@@ -38,9 +38,12 @@ divergence and trace blocks are invariant under translation and scaling,
 and L^-T scales as the inverse of the element size.  The blocks are
 computed from the normalised edge vectors alone, the class key itself,
 never from absolute coordinates: members of one class get the same blocks
-bit for bit, on any level of a run.  The mass matrix, its factor, the raw
-and whitened blocks and the rotation below are therefore computed on the
-first element of each class only, and only for a class that the
+bit for bit, on any level of a run.  The mass matrix and the monomial Gram
+matrix are gathered from one table of moments of the scaled monomials
+of degree <= 2k+2, exact on the volume rule, each mass entry from at
+most two of them.  The mass matrix, its factor, the raw and whitened
+blocks and the rotation below are computed on the first element of each
+class only, and only for a class that the
 `ElementBlocks` cache passed in does not hold: the cache carries the
 rotated divergence and trace blocks of every class of the previous call,
 so an element that refinement leaves alone costs no block build on the
@@ -57,10 +60,13 @@ and `verify_equilibration` share.  On a mesh with no repeated shape each
 element is its own class.
 
 The divergence rows are condensed out element by element.  The whitened
-coordinates of each class are rotated, w = Q^T z, by a complete QR factor
-of its divergence block with the constant moment ordered last, so that the
-divergence acts as [R^T 0] with R^T lower triangular.  The computed
-second block is round-off of that zero, so only R^T is kept, as DQ.  Forward
+coordinates of each class are rotated, w = Q^T z, by Householder steps on
+its whitened divergence rows, the constant moment ordered last
+(`_householder`, the steps that condense the rim rows below), with its
+trace rows turned alike.  The divergence then acts as [R^T 0] with R^T
+lower triangular, the zero block exactly zero, so only R^T is kept, as
+DQ.  The build forms DQ and the rotated trace blocks alone; Q itself is
+never formed in the patch solve.  Forward
 substitution fixes the first n_p rotated coordinates, once per element and
 slot of the patch vertex, with the traces of the fixed coordinates moved
 to the right-hand side.  On a fully interior patch (every rim edge
@@ -71,7 +77,7 @@ dropped, and the coordinate it would fix, the last of the n_p, stays free.
 The rim rows are condensed out the same way.  A rim row is the zero-trace
 condition on the patch edge opposite the vertex, and involves one element
 alone.  For each element and slot of the patch vertex, Householder steps
-on its rim trace block over its free coordinates (`_rim_rotation`) give a
+on its rim trace block over its free coordinates (`_householder`) give a
 second rotation Q2, in which the rim rows act as [R2^T 0]; forward
 substitution fixes the first k+1 of the rotated coordinates where the rim
 edge is constrained.  The first element of a fully interior patch turns
@@ -386,81 +392,163 @@ def _tril_inverse(L):
     return Li
 
 
-def _shape_blocks(space: FeSpace, els: np.ndarray):
-    """Constraint blocks of the given elements that depend on their shape
-    alone: raw, whitened and rotated.
+def _moments(d: int, xh: np.ndarray, w: np.ndarray):
+    """The moments sum_q w_q x^a y^b, a, b <= d, of the scaled points xh
+    (t, nq, 2) under the weights w (nq,), flattened from (t, d+1, d+2):
+    entry (a, b) at a (d+2) + b, and a zero at d+1, the last column.
+    Each element's table is a matrix product of its own, the same bit for
+    bit whatever the batch."""
+    t, nq = xh.shape[:2]
+    p = np.zeros((2, t, nq, d + 2))
+    p[..., 0] = 1.0
+    xy = np.moveaxis(xh, 2, 0)
+    for a in range(1, d + 1):
+        np.multiply(p[..., a - 1], xy, out=p[..., a])
+    p[0] *= w[:, None]
+    return (p[0, ..., :d + 1].transpose(0, 2, 1) @ p[1]).reshape(t, -1)
 
-    Returns a dict with the Raviart-Thomas mass matrix, LiT = L^-T for its
-    Cholesky factor L, the divergence moment block (raw Draw, whitened
-    Dt = Draw LiT) and the per-edge zero-trace moment blocks (raw Traw,
-    whitened Trt).  The basis uses centred, diameter-scaled monomials, so
-    Dt and Trt are invariant under translation and scaling of the element,
-    while LiT scales as the inverse of its size.
+
+@lru_cache(maxsize=None)
+def _moment_index(k: int):
+    """Where the blocks of `_shape_blocks` read the moment table of
+    `_moments` at degree d = 2k+2, the degree of `rule_main`, on which it
+    is exact.  Each field of the local basis (`rt_values`) is
+    (x^a y^b, 0), (0, x^a y^b) or (x^(a+1) y^b, x^a y^(b+1)), so a mass
+    entry is the sum of at most two moments, mass[0] and mass[1]
+    (2, N, N), the zero at d+1 standing in for an absent term.  Returns
+    them, the raw divergence block's moments div (n_p, N), its rows in
+    `_const_last` order, with the coefficients coef (N,) of
+    `rt_divergence_matrix`, one per column, and the monomial Gram
+    matrix's moments gram (n_p, n_p)."""
+    d = 2 * k + 2
+    exps = monomial_exponents(k)
+    comps = ([(e, None) for e in exps] + [(None, e) for e in exps]
+             + [((a + 1, b), (a, b + 1)) for a, b in exps[-(k + 1):]])
+
+    def at(p, q):
+        if p is None or q is None:
+            return d + 1
+        return (p[0] + q[0]) * (d + 2) + p[1] + q[1]
+
+    mass = np.array([[[at(ci[c], cj[c]) for cj in comps] for ci in comps]
+                     for c in (0, 1)])
+    D = rt_divergence_matrix(k)
+    coef = D.max(axis=0)  # one entry per column, none for the constants
+    div = np.array([[at(exps[c], exps[r]) if a else d + 1
+                     for r, a in zip(D.argmax(axis=0), coef)]
+                    for c in _const_last(len(exps))])
+    gram = np.array([[at(p, q) for q in exps] for p in exps])
+    for a in (mass, coef, div, gram):
+        a.flags.writeable = False
+    return mass, div, coef, gram
+
+
+# the names of the blocks `_shape_blocks` builds
+_BLOCKS = ("mass", "gram", "LiT", "Draw", "Dt", "Traw", "Trt", "Q", "DQ",
+           "TrQ", "LiTQ")
+
+
+def _shape_blocks(space: FeSpace, els: np.ndarray, names=_BLOCKS):
+    """Constraint blocks of the given elements that depend on their shape
+    alone, raw, whitened and rotated: a dict of those named in names.
+
+    The raw ones: the Raviart-Thomas mass matrix, "mass", the Gram matrix
+    of the scaled monomials, "gram", both gathered from one table of
+    moments (`_moments`, `_moment_index`), the divergence moment block,
+    "Draw", and the per-edge zero-trace moment blocks, "Traw" (t, 3, k+1,
+    N).  The whitened ones act on z = L^T q, L the Cholesky factor of the
+    mass: "LiT" = L^-T, "Dt" = Draw LiT and "Trt" = Traw LiT.  The basis
+    uses centred, diameter-scaled monomials, so Dt and Trt are invariant
+    under translation and scaling of the element, while LiT scales as the
+    inverse of its size.
 
     Every block is computed on the element's normalised edge vectors
     (`Mesh.scaled_edges`), its exact shape key, and scaled back to the
     element's size by exact powers of two: elements of one exact class
     get Dt, Trt and the rotated blocks below bit for bit alike, whatever
-    their position and size.
+    their position and size, and whatever the batch.
 
-    The rotated blocks act on the coordinates w = Q^T z, with Q a complete
-    QR factor of Dt^T whose divergence moments are taken in `_const_last`
-    order: DQ = Dt Q, in that order, is [R^T 0] with R^T lower triangular;
-    TrQ = Trt Q holds the rotated trace blocks and LiTQ = LiT Q maps
-    rotated coordinates to flux coefficients.
+    The rotated blocks act on the coordinates w = Q^T z.  The whitened
+    divergence rows, their moments in `_const_last` order, are condensed
+    by the Householder steps of `_householder`, Q being their product,
+    and the trace rows are turned with them: "DQ" = Dt Q, in that order,
+    is exactly [R^T 0] with R^T lower triangular, and "TrQ" = Trt Q holds
+    the rotated trace blocks.  Only where "Q" or "LiTQ" is named do the
+    rows of the identity turn with them too, to Q, and "LiTQ" = LiT Q
+    maps rotated coordinates to flux coefficients.  The edge traces are
+    formed only where a trace block is named.
     """
     k = space.degree
     rule = space.rule_main
-    er = space.edge_rule_main
     n_p = len(monomial_exponents(k))
     N = rt_dim(k)
+    K1 = k + 1
+    t = els.size
+    want = set(names)
+    traces = not want.isdisjoint(("Traw", "Trt", "TrQ"))
+    turn = not want.isdisjoint(("Q", "LiTQ"))
     e, ex = space.mesh.scaled_edges(els)
-    lower = space.mesh.edge_flips[els]
     _, _, areas, h = _local_geometry(e)
-    w = rule.weights
 
-    V = rt_values(k, _scaled_points(e, h, rule.points))
-    # mass in matmul form: rows are the flattened (point, component) axis
-    Vf = V.transpose(0, 1, 3, 2).reshape(els.size, -1, N)
-    M = Vf.transpose(0, 2, 1) @ (Vf * np.repeat(w, 2)[None, :, None])
-    M *= areas[:, None, None]
+    mom = _moments(2 * k + 2, _scaled_points(e, h, rule.points),
+                   rule.weights)
+    mom *= areas[:, None]
+    mass, div, coef, gram = _moment_index(k)
+    M = mom[:, mass[0]] + mom[:, mass[1]]
     LiT = _tril_inverse(np.linalg.cholesky(M)).transpose(0, 2, 1)
 
-    mono = V[..., :n_p, 0]
-    Msc = mono.transpose(0, 2, 1) @ (mono * w[None, :, None])
-    Msc *= areas[:, None, None]
-    Draw = (Msc @ rt_divergence_matrix(k)) / h[:, None, None]
+    # the raw rows: divergence, then the traces of the three local edges
+    nr = n_p + 3 * K1 * traces
+    raw = np.empty((t, nr, N))
+    raw[:, :n_p] = mom[:, div] * coef / h[:, None, None]
+    if traces:
+        er = space.edge_rule_main
+        spow = er.points[:, None] ** np.arange(K1)[None, :]
+        wspow = (er.weights[:, None] * spow).T  # (k+1, nq_e) moment weights
+        tr, elen = _edge_traces(k, edge_points(er), e,
+                                space.mesh.edge_flips[els])
+        raw[:, n_p:] = ((wspow @ tr) * elen[..., None, None]).reshape(
+            t, -1, N)
+    white = raw @ LiT
+    # the whitened rows, then those of the identity, in the last axis the
+    # elements, turned by one kernel
+    X = np.empty((nr + N * turn, N, t))
+    X[:nr] = white.transpose(1, 2, 0)
+    if turn:
+        X[nr:] = np.eye(N)[..., None]
+    _householder(X, n_p)
 
-    spow = er.points[:, None] ** np.arange(k + 1)[None, :]
-    wspow = (er.weights[:, None] * spow).T  # (k+1, nq_e) moment weights
-    tr, elen = _edge_traces(k, edge_points(er), e, lower)
-    Traw = (wspow @ tr) * elen[..., None, None]
-
-    Dt = Draw @ LiT
-    Trt = (Traw.reshape(els.size, -1, N) @ LiT).reshape(Traw.shape)
-    Dp = Dt[:, _const_last(n_p)]
-    Q = np.linalg.qr(Dp.transpose(0, 2, 1), mode="complete")[0]
-    blocks = {"mass": M, "LiT": LiT, "Draw": Draw, "Dt": Dt, "Traw": Traw,
-              "Trt": Trt, "Q": Q, "DQ": Dp @ Q, "TrQ": Trt @ Q[:, None],
-              "LiTQ": LiT @ Q}
+    Q = np.ascontiguousarray(X[nr:].transpose(2, 0, 1)) if turn else None
+    natural = np.roll(np.arange(n_p), 1)  # `_const_last` order undone
+    build = {
+        "mass": lambda: M, "gram": lambda: mom[:, gram], "LiT": lambda: LiT,
+        "Draw": lambda: raw[:, natural], "Dt": lambda: white[:, natural],
+        "Traw": lambda: raw[:, n_p:].reshape(t, 3, K1, N),
+        "Trt": lambda: white[:, n_p:].reshape(t, 3, K1, N),
+        "Q": lambda: Q, "DQ": lambda: X[:n_p].transpose(2, 0, 1),
+        "TrQ": lambda: X[n_p:nr].reshape(3, K1, N, t).transpose(3, 0, 1, 2),
+        "LiTQ": lambda: LiT @ Q}
+    out = {name: build[name]() for name in names}
     # back to the element's size by exact powers of two, in place
     size = np.ldexp(1.0, ex)[:, None, None]
-    M *= size * size
-    LiT /= size
-    Draw *= size
-    Traw *= size[..., None]
-    blocks["LiTQ"] /= size
-    return blocks
+    scale = {"mass": size * size, "gram": size * size, "LiT": 1.0 / size,
+             "Draw": size, "Traw": size[..., None], "LiTQ": 1.0 / size}
+    for name in want & scale.keys():
+        out[name] *= scale[name]
+    return out
 
 
 def _fill_blocks(space: FeSpace, els: np.ndarray, rows: np.ndarray, out):
     """Write the `_shape_blocks` block named name of element els[i] to
-    out[name][rows[i]], for each name of the dict out; "DQ" is written as
-    its lower triangular leading n_p x n_p block R^T alone.
+    out[name][rows[i]], for each name of the dict out, building those
+    blocks alone; "DQ" is written as its lower triangular leading
+    n_p x n_p block R^T alone.
 
-    The elements go in batches whose blocks, N (4 N + 3 n_p + 9 (k+1))
-    numbers per element, take at most `_SOLVE_BYTES`; the transients of
-    one batch come to less than twice that.
+    The elements go in batches of at most `_SOLVE_BYTES` of transients,
+    counted as N (4 N + 3 n_p + 9 (k+1)) numbers per element: the mass,
+    its factor and L^-T, the raw, whitened and turned rows and the edge
+    traces.  A batch's traced peak is 0.86 to 1.07 times that count at
+    k = 1-4, with Q and LiTQ or without.
     """
     k = space.degree
     N = rt_dim(k)
@@ -468,7 +556,7 @@ def _fill_blocks(space: FeSpace, els: np.ndarray, rows: np.ndarray, out):
     step = max(8, int(_SOLVE_BYTES / (8 * N * (4 * N + 3 * n_p
                                                 + 9 * (k + 1)))))
     for s0 in range(0, els.size, step):
-        part = _shape_blocks(space, els[s0:s0 + step])
+        part = _shape_blocks(space, els[s0:s0 + step], tuple(out))
         for name, a in out.items():
             b = part[name]
             a[rows[s0:s0 + step]] = b[..., :n_p] if name == "DQ" else b
@@ -623,22 +711,28 @@ def _fan_layout(vs, mg, sg, mesh, links):
              np.stack([j, (j + 1) % mg], axis=2)), link)
 
 
-def _rim_rotation(X):
-    """Householder steps that condense the rim rows, in place.
+def _householder(X, K):
+    """Householder steps that condense the first K rows of X, in place.
 
-    X (3, K1, n, B) holds, for each (element, slot) pair of a batch, in its
-    last axis, the rotated trace rows of the element's three local edges
-    over n coordinates that the divergence leaves free, the rim edge first.
-    Reflectors H_i = I - v_i v_i^T, built on the rim rows and applied to
-    every row, turn X into X Q2, Q2 = H_0 ... H_(K1-1) orthogonal, whose rim
-    rows are [R2^T 0] with R2^T lower triangular.  Returns V (K1, n, B), the
-    v_i.  A column of X that is zero in every row stays zero, untouched by
-    every reflector.  Each pair is turned alike whatever the others.
+    X (R, n, B) holds, for each of B problems, in its last axis, R rows
+    over n coordinates.  Reflectors H_i = I - v_i v_i^T, built on row i
+    over coordinates i on and applied to the rows after it, turn X into
+    X Q, Q = H_0 ... H_(K-1) orthogonal, whose first K rows are exactly
+    [L 0] with L lower triangular.  Returns V (K, n, B), the v_i.  A
+    coordinate that is zero in every row stays zero, untouched by every
+    reflector.  Each problem is turned alike whatever the others: a lone
+    one is padded to a pair, since numpy sums the coordinates of a lone
+    column pairwise and those of two or more in order.  `_shape_blocks`
+    condenses the divergence rows of its elements with it, and
+    `_rim_frames` the rim rows of its (element, slot) pairs.
     """
-    _, K1, n, B = X.shape
-    X = X.reshape(3 * K1, n, B)
-    V = np.zeros((K1, n, B))
-    for i in range(K1):
+    if X.shape[2] == 1:
+        pair = np.repeat(X, 2, axis=2)
+        V = _householder(pair, K)
+        X[...] = pair[..., :1]
+        return V[..., :1]
+    V = np.zeros((K,) + X.shape[1:])
+    for i in range(K):
         x = X[i, i:]
         nx = np.sqrt((x * x).sum(axis=0))
         alpha = np.where(x[0] < 0, nx, -nx)
@@ -646,17 +740,22 @@ def _rim_rotation(X):
         v[...] = x
         v[0] -= alpha
         v /= np.sqrt(nx * (nx + np.abs(x[0])))
-        rest = X[i + 1:, i:]
-        rest -= (rest * v).sum(axis=1)[:, None] * v
+        # row by row, so that the transients stay in cache
+        for r in X[i + 1:, i:]:
+            r -= (r * v).sum(axis=0) * v
         X[i, i] = alpha
         X[i, i + 1:] = 0.0
     return V
 
 
 def _reflect(V, x):
-    """Q2 x for the reflectors V (K1, n, B) of `_rim_rotation` and vectors
+    """Q2 x for the reflectors V (K1, n, B) of `_householder` and vectors
     x (n, B), in place: from the rim-rotated coordinates of each pair to
-    the coordinates it was turned from."""
+    the coordinates it was turned from; a lone pair is padded as there."""
+    if x.shape[1] == 1:
+        pair = np.repeat(x, 2, axis=1)
+        x[...] = _reflect(np.repeat(V, 2, axis=2), pair)[:, :1]
+        return x
     for v in V[::-1]:
         x -= (x * v).sum(axis=0) * v
     return x
@@ -687,7 +786,7 @@ def _rim_frames(layout, blocks):
     coordinates the divergence leaves free and, last, the
     constant-divergence coordinate where it is free too (the first element
     of a fully interior patch; a zero column elsewhere), turned by
-    `_rim_rotation`, with its reflectors V (K1, Nf+1, P m), the elements in
+    `_householder`, with its reflectors V (K1, Nf+1, P m), the elements in
     the last axis in patch order; and `_columns` of the layout.
     """
     P, mg = layout[0].shape
@@ -701,7 +800,7 @@ def _rim_frames(layout, blocks):
     interior = _interior(layout)
     first = np.nonzero(interior)[0]
     X[:, :, Nf, first * mg] = G[first, 0, ..., n_p - 1].transpose(1, 2, 0)
-    V = _rim_rotation(X)
+    V = _householder(X.reshape(3 * K1, Nf + 1, P * mg), K1)
     return X, V, _columns(layout[2], interior, K1, Nf)
 
 

@@ -445,13 +445,13 @@ class Mesh:
     # -- file formats ---------------------------------------------------
 
     def save_tri(self, path) -> None:
-        bnd = self.boundary_vertex.astype(np.int64).tolist()
+        bnd = _rows(self.boundary_vertex.astype(np.int64))
         with open(path, "w") as fh:
             fh.write(f"{self.n_vertices} {self.n_triangles}\n")
             fh.writelines(f"{x!r} {y!r} {b}\n"
-                          for (x, y), b in zip(self.points.tolist(), bnd))
+                          for (x, y), b in zip(_rows(self.points), bnd))
             fh.writelines(f"{a} {b} {c} {g}\n" for (a, b, c), g in zip(
-                self.triangles.tolist(), self.generations.tolist()))
+                _rows(self.triangles), _rows(self.generations)))
 
     @classmethod
     def load_tri(cls, path) -> "Mesh":
@@ -480,14 +480,26 @@ class Mesh:
             fh.write("# vtk DataFile Version 3.0\ntriangulation\nASCII\n"
                      f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n")
             fh.writelines(f"{x!r} {y!r} 0.0\n"
-                          for x, y in self.points.tolist())
+                          for x, y in _rows(self.points))
             fh.write(f"CELLS {nt} {4 * nt}\n")
             fh.writelines(f"3 {a} {b} {c}\n"
-                          for a, b, c in self.triangles.tolist())
+                          for a, b, c in _rows(self.triangles))
             fh.write(f"CELL_TYPES {nt}\n" + "5\n" * nt
                      + f"CELL_DATA {nt}\nSCALARS generation int 1\n"
                      "LOOKUP_TABLE default\n")
-            fh.writelines(f"{g}\n" for g in self.generations.tolist())
+            fh.writelines(f"{g}\n" for g in _rows(self.generations))
+
+
+# rows per list in the mesh writers
+_FILE_ROWS = 4096
+
+
+def _rows(a: np.ndarray):
+    """The rows of a as Python values, listed `_FILE_ROWS` at a time: a
+    list of every row of a large mesh would set the peak memory of a run
+    that exports it."""
+    for s0 in range(0, len(a), _FILE_ROWS):
+        yield from a[s0:s0 + _FILE_ROWS].tolist()
 
 
 def _parse(path, tokens, dtype, width: int, row: str) -> np.ndarray:

@@ -163,6 +163,27 @@ class TestDeterminism:
         run(AfemConfig(problem="lshape_one", degree=2, max_dofs=300), check)
         assert len(levels) >= 2 and levels == list(range(len(levels)))
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_level_indicators_in_chunks_match_one_piece(self, tmp_path,
+                                                        monkeypatch, rows):
+        # the files are written a few rows at a time, byte for byte as
+        # in one piece, at every level
+        states = []
+        run(AfemConfig(problem="lshape_one", degree=1, max_dofs=300),
+            states.append)
+        assert len(states) >= 2
+        for state in states:
+            whole, parts = tmp_path / "whole", tmp_path / f"by{rows}"
+            whole.mkdir(exist_ok=True)
+            parts.mkdir(exist_ok=True)
+            write_level_indicators(whole, state)
+            with monkeypatch.context() as mp:
+                mp.setattr(cli, "_CSV_ROWS", rows)
+                write_level_indicators(parts, state)
+            for name in ("elements", "vertices"):
+                f = f"{name}_{state.record.level:03d}.csv"
+                assert (parts / f).read_bytes() == (whole / f).read_bytes()
+
 
 class TestStreaming:
     def test_holds_one_level_between_callbacks(self, tmp_path, monkeypatch):

@@ -412,12 +412,19 @@ def element_class_names(k, keys):
             for row in keys]
 
 
-def spy_shape_blocks(monkeypatch):
-    """The element ids of each `_shape_blocks` call from now on."""
+def spy_shape_blocks(monkeypatch, names=None):
+    """The element ids of each `_shape_blocks` call from now on; the block
+    names each call asks for go to the list names, if one is given."""
     calls = []
     real = equilibration._shape_blocks
-    monkeypatch.setattr(equilibration, "_shape_blocks", lambda space, els:
-                        calls.append(np.array(els)) or real(space, els))
+
+    def spy(space, els, *args):
+        calls.append(np.array(els))
+        if names is not None:
+            names.append(tuple(*args))
+        return real(space, els, *args)
+
+    monkeypatch.setattr(equilibration, "_shape_blocks", spy)
     return calls
 
 
@@ -928,9 +935,9 @@ class TestGlobalReconstruction:
         alive = []
         real = equilibration._shape_blocks
 
-        def spy(space, els):
+        def spy(space, els, *args):
             alive.append([r() is not None for r in old])
-            return real(space, els)
+            return real(space, els, *args)
 
         monkeypatch.setattr(equilibration, "_shape_blocks", spy)
         equilibrate(u, f_sine, cache=cache)
@@ -948,11 +955,11 @@ class TestGlobalReconstruction:
         calls = []
         real = equilibration._shape_blocks
 
-        def failing(space, els):
+        def failing(space, els, *args):
             calls.append(els.size)
             if len(calls) == 2:
                 raise MemoryError("out of memory in the second batch")
-            return real(space, els)
+            return real(space, els, *args)
 
         with monkeypatch.context() as mp:
             mp.setattr(equilibration, "_SOLVE_BYTES", 1)
@@ -973,8 +980,8 @@ class TestGlobalReconstruction:
                                                               make_mesh, k):
         # in the rotated coordinates the divergence acts as [R^T 0]: the
         # trailing N - n_p columns of DQ, like the upper triangle of the
-        # leading n_p, are round-off of exact zeros, and the cache keeps
-        # the leading n_p columns, R^T, bit for bit
+        # leading n_p, are zeros, which the Householder steps set exactly,
+        # and the cache keeps the leading n_p columns, R^T, bit for bit
         mesh = make_mesh()
         space = FeSpace(mesh, k)
         n_p = len(monomial_exponents(k))
@@ -1101,6 +1108,89 @@ class TestGlobalReconstruction:
         Li = _tril_inverse(L)
         assert np.array_equal(Li, np.tril(Li))
         assert np.abs(L @ Li - np.eye(L.shape[1])).max() <= 1e-14
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make_mesh", [graded_lshape, jittered_square])
+    def test_moment_mass_matches_quadrature(self, make_mesh, k):
+        # the mass and monomial Gram matrices gathered from the moment
+        # table against the quadrature formula they replace: the flux
+        # basis at the points of rule_main, then V^T W V
+        mesh = make_mesh()
+        space = FeSpace(mesh, k)
+        els = np.arange(mesh.n_triangles)
+        rule = space.rule_main
+        n_p = len(monomial_exponents(k))
+        V = rt_values(k, equilibration._frame(mesh, els, rule.points)[0])
+        Vf = V.transpose(0, 1, 3, 2).reshape(els.size, -1, rt_dim(k))
+        WV = Vf * np.repeat(rule.weights, 2)[:, None]
+        area = mesh.areas[:, None, None]
+        mono = V[..., :n_p, 0]
+        want = {"mass": Vf.transpose(0, 2, 1) @ WV * area,
+                "gram": mono.transpose(0, 2, 1)
+                @ (mono * rule.weights[:, None]) * area}
+        got = _shape_blocks(space, els, tuple(want))
+        for name, ref in want.items():
+            scale = np.abs(ref).max(axis=(1, 2))
+            err = np.abs(got[name] - ref).max(axis=(1, 2))
+            assert np.all(err <= 1e-14 * scale), name
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_blocks_do_not_depend_on_the_batch(self, k):
+        # each element's blocks come out the same bit for bit alone, in
+        # batches of 3 and 7 and with the whole mesh; numpy sums a lone
+        # column's coordinates pairwise, so the kernel pads it to a pair
+        mesh = jittered_square()
+        space = FeSpace(mesh, k)
+        names = ("DQ", "TrQ", "LiTQ")
+        els = np.arange(mesh.n_triangles)
+        whole = _shape_blocks(space, els, names)
+        for size in (1, 3, 7):
+            for s0 in range(0, els.size, size):
+                part = _shape_blocks(space, els[s0:s0 + size], names)
+                for name in names:
+                    assert np.array_equal(part[name],
+                                          whole[name][s0:s0 + size]), name
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_householder_does_not_depend_on_the_batch(self, k):
+        # the divergence rows of `_shape_blocks` and the rim rows of
+        # `_rim_frames`, 64 problems at once against 1, 3 and 7 at a time:
+        # the same turned rows, reflectors and reflected vectors
+        n_p = len(monomial_exponents(k))
+        N, K1 = rt_dim(k), k + 1
+        rng = np.random.default_rng(k)
+        for K, shape in ((n_p, (n_p + 3 * K1, N)),
+                         (K1, (3 * K1, N - n_p + 1))):
+            X = rng.standard_normal(shape + (64,))
+            x = rng.standard_normal(shape[1:] + (64,))
+            turned = X.copy()
+            V = equilibration._householder(turned, K)
+            back = equilibration._reflect(V, x.copy())
+            # the condensed rows are exactly [L 0], L lower triangular
+            assert not np.triu(np.moveaxis(turned[:K, :K], 2, 0), 1).any()
+            assert not turned[:K, K:].any()
+            for size in (1, 3, 7):
+                for s0 in range(0, 64, size):
+                    b = slice(s0, s0 + size)
+                    part = X[..., b].copy()
+                    Vp = equilibration._householder(part, K)
+                    assert np.array_equal(part, turned[..., b])
+                    assert np.array_equal(Vp, V[..., b])
+                    assert np.array_equal(
+                        equilibration._reflect(Vp, x[..., b].copy()),
+                        back[..., b])
+
+    def test_equilibrate_builds_only_the_blocks_it_reads(self, monkeypatch):
+        # the patch solve reads the rotated divergence and trace blocks;
+        # q_delta alone asks for L^-T Q, and nothing for Q itself
+        names = []
+        spy_shape_blocks(monkeypatch, names)
+        mesh = jittered_square()
+        fl = equilibrated(mesh, 2)
+        assert names and set(names) == {("DQ", "TrQ")}
+        names.clear()
+        assert fl.q_delta.coeffs.shape == (mesh.n_triangles, rt_dim(2))
+        assert names and set(names) == {("LiTQ",)}
 
     def test_class_keys_are_exact(self):
         # one ulp moved at one vertex separates its elements from their

@@ -1,11 +1,12 @@
 """Hygiene of the package, checked on its syntax trees: no module imports
 a name it never uses, no private module-level name goes unread, every
 exported name resolves, every private name the docs put in backticks is
-defined, no `np.einsum` takes more than two operands, every table a
-cached function returns, or a mesh or its finite element space exposes,
-is read-only, and every attribute a class stores on self is read in the
-package, its tests, demos or benchmark.  In a fresh interpreter, a run
-imports no module the package does not need."""
+defined, no `np.einsum` takes more than two operands, the equilibration
+calls no `np.linalg.qr`, every table a cached function returns, or a mesh
+or its finite element space exposes, is read-only, and every attribute a
+class stores on self is read in the package, its tests, demos or
+benchmark.  In a fresh interpreter, a run imports no module the package
+does not need."""
 
 import ast
 import dataclasses
@@ -295,6 +296,7 @@ CACHED_CALLS = {
     ("galerkin", "reference_element"): [(1,), (4,)],
     ("galerkin", "edge_points"): [(edge_rule(4),), (edge_rule(10),)],
     ("equilibration", "rt_divergence_matrix"): [(1,), (4,)],
+    ("equilibration", "_moment_index"): [(1,), (4,)],
 }
 
 
@@ -404,6 +406,38 @@ def test_three_operand_einsum_is_found():
                      "d = np.einsum(*ops)\n"
                      "e = other.einsum('q,tq,t->t', w, x, area)\n")
     assert wide_einsums(tree) == [3, 4, 5]
+
+
+def qr_calls(tree):
+    """Line of each `np.linalg.qr` call, in order."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "qr"
+                  and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr == "linalg"
+                  and isinstance(node.func.value.value, ast.Name)
+                  and node.func.value.value.id == "np")
+
+
+def test_no_qr_in_equilibration():
+    """One Householder kernel condenses the divergence rows of the element
+    blocks and the rim rows of the patches: a LAPACK QR beside it would
+    redo the same rotation, and form a Q that the patch solve never
+    reads."""
+    path = SRC / "equilibration.py"
+    found = qr_calls(ast.parse(path.read_text(), str(path)))
+    assert not found, f"np.linalg.qr in equilibration.py at lines {found}"
+
+
+def test_qr_call_is_found():
+    tree = ast.parse("import numpy as np\n"
+                     "q = np.linalg.qr(a, mode='complete')[0]\n"
+                     "r = np.linalg.cholesky(a)\n"
+                     "s = scipy.linalg.qr(a)\n"
+                     "t = np.linalg.qr(*ops)\n"
+                     "u = np.qr(a)\n")
+    assert qr_calls(tree) == [2, 5]
 
 
 def test_run_does_not_import_scipy_special():

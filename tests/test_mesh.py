@@ -993,7 +993,7 @@ class TestFileFormats:
         assert gens == m.generations.tolist()
 
     def test_exports_match_per_row_formatting(self, tmp_path):
-        # the files are formatted from whole-array lists; each must equal
+        # the files are formatted from lists of rows; each must equal
         # the row-by-row formatting of the numpy scalars, byte for byte
         m = bisect(jittered_square(), [0, 17, 40], 3)
         pts, tris, gens = m.points, m.triangles, m.generations
@@ -1018,3 +1018,20 @@ class TestFileFormats:
         m.save_vtk(tmp_path / "m.vtk")
         assert (tmp_path / "m.tri").read_text() == "\n".join(tri) + "\n"
         assert (tmp_path / "m.vtk").read_text() == "\n".join(vtk) + "\n"
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_exports_in_chunks_match_one_piece(self, tmp_path, monkeypatch,
+                                               rows):
+        # the writers list one row or a few rows at a time, byte for byte
+        # as in chunks of the default size
+        m = bisect(jittered_square(), [0, 17, 40], 3)
+        for name in ("whole", "parts"):
+            (tmp_path / name).mkdir()
+            with monkeypatch.context() as mp:
+                if name == "parts":
+                    mp.setattr(mesh_module, "_FILE_ROWS", rows)
+                m.save_tri(tmp_path / name / "m.tri")
+                m.save_vtk(tmp_path / name / "m.vtk")
+        for f in ("m.tri", "m.vtk"):
+            assert (tmp_path / "parts" / f).read_bytes() == \
+                (tmp_path / "whole" / f).read_bytes()
